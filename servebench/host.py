@@ -51,6 +51,15 @@ def fix_malloc_thresholds() -> bool:
 
 #: :meth:`HostProbe.rate` on the host the bounds were tuned on.
 NOMINAL_PROBE_RATE = 470.0
+#: Probe length between measured slices.
+PROBE_SLICE_S = 0.2
+
+
+def speed(rates) -> float:
+    """Host speed over nominal from probe rates taken around a span."""
+    import math
+
+    return math.prod(rates) ** (1.0 / len(rates)) / NOMINAL_PROBE_RATE
 
 
 class HostProbe:

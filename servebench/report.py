@@ -157,48 +157,57 @@ WINDOWS_PER_SECOND = 2
 MIN_WINDOW_SAMPLES = 200
 
 
-def windowed(out: Outcome) -> "tuple[float, float, float]":
-    """``(read_qps, p50_ms, p95_ms)``: medians over the windows.
+def windowed(out: Outcome,
+             speed: "float | None") -> "tuple[float, float, float]":
+    """``(read_qps, p50_ms, p95_ms)`` at nominal host speed.
 
-    Each window gets its own read rate and latency percentiles; the
-    median over windows keeps a burst of host noise in one window from
-    moving the run's figure, where a mean over the phase would follow it.
+    Each window gets its own read rate and latency percentiles, scaled
+    by the host speed around its slice (``speed`` where the run has no
+    slices; ``None`` leaves every figure unscaled); the run reports the
+    medians over windows, so that a burst of host noise in one window
+    does not move its figure.
     """
     lat = np.frombuffer(out.latencies, dtype=np.float64)
     done = np.frombuffer(out.done_at, dtype=np.float64)
-    order = np.argsort(done, kind="stable")
-    k = int(round((out.t1 - out.t0) * WINDOWS_PER_SECOND))
-    k = max(1, min(k, len(lat) // MIN_WINDOW_SAMPLES))
-    edges = np.linspace(0, len(lat), k + 1).astype(int)
     rates, p50s, p95s = [], [], []
-    prev = out.t0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        idx = order[lo:hi]
-        end = done[idx[-1]]
-        rates.append((hi - lo) * out.sample_reads / (end - prev))
-        prev = end
-        p50, p95 = np.percentile(lat[idx], [50, 95])
-        p50s.append(p50 * 1e3)
-        p95s.append(p95 * 1e3)
+    for start, end, slice_speed in out.slices or [(out.t0, out.t1, speed)]:
+        idx = np.flatnonzero((done > start) & (done <= end))
+        idx = idx[np.argsort(done[idx], kind="stable")]
+        k = int(round((end - start) * WINDOWS_PER_SECOND))
+        k = max(1, min(k, len(idx) // MIN_WINDOW_SAMPLES))
+        if speed is None:
+            slice_speed = 1.0
+        edges = np.linspace(0, len(idx), k + 1).astype(int)
+        prev = start
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            last = done[idx[hi - 1]]
+            rates.append((hi - lo) * out.sample_reads / (last - prev)
+                         / slice_speed)
+            prev = last
+            p50, p95 = np.percentile(lat[idx[lo:hi]], [50, 95])
+            p50s.append(p50 * 1e3 * slice_speed)
+            p95s.append(p95 * 1e3 * slice_speed)
     return (statistics.median(rates), statistics.median(p50s),
             statistics.median(p95s))
 
 
-def end_to_end(out: Outcome, speed: float) -> "dict[str, dict]":
+def end_to_end(out: Outcome,
+               speed: "float | None") -> "dict[str, dict]":
     """The end-to-end metrics, times and rates at nominal host speed.
 
     ``speed`` is the host's measured speed over its nominal speed (see
     :class:`~servebench.host.HostProbe`): the read rate is divided by
     it and the times multiplied, so that host drift between runs
-    cancels.  Memory is reported as measured.
+    cancels (``None``: everything as measured).  Memory is reported as
+    measured.
     """
-    qps, p50, p95 = windowed(out)
+    qps, p50, p95 = windowed(out, speed)
     values = {
-        "setup_s": statistics.median(out.setup_s) * speed,
+        "setup_s": statistics.median(out.setup_s) * (speed or 1.0),
         "peak_rss_mb": out.peak_rss_mb,
-        "read_qps": qps / speed,
-        "read_p50_ms": p50 * speed,
-        "read_p95_ms": p95 * speed,
+        "read_qps": qps,
+        "read_p50_ms": p50,
+        "read_p95_ms": p95,
     }
     return {name: _metric(name, values[name]) for name, *_ in END_TO_END}
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -76,10 +75,10 @@ def main(argv=None) -> int:
     inputs = workloads.make_inputs(args.workload, cfg, args.seed)
     probe = host.HostProbe(inputs.keys)
     probe_rates = [probe.rate()]
-    outcomes = [workloads.run(args.workload, cfg, inputs, args.seed)]
+    outcomes = [workloads.run(args.workload, cfg, inputs, args.seed,
+                              probe=probe)]
     probe_rates.append(probe.rate())
-    speed = math.sqrt(probe_rates[0] * probe_rates[1]) \
-        / host.NOMINAL_PROBE_RATE
+    speed = host.speed(probe_rates)
     if args.trace:
         tracer = Tracer()
         report.install_probes(tracer)
@@ -110,8 +109,9 @@ def main(argv=None) -> int:
         setup_samples=[len(o.setup_s) for o in outcomes],
         rebuilds=[o.facts.get("rebuilds") for o in outcomes],
         host_probe_rates=probe_rates, host_speed=speed,
+        slice_speeds=[round(x, 4) for *_, x in outcomes[0].slices],
         malloc_thresholds_fixed=malloc_fixed,
-        measured=report.end_to_end(outcomes[0], 1.0),
+        measured=report.end_to_end(outcomes[0], None),
     )
     print(json.dumps({"stamp": stamp}, default=str))
     correct = all(o.wrong == 0 for o in outcomes)

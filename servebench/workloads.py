@@ -64,6 +64,9 @@ class Config:
     #: cluster_bulk: shards (one worker process each) and chunks in flight.
     shards: int = 2
     inflight: int = 2
+    #: Time-bounded lanes measure in this many slices, with the host
+    #: probe timed before, between and after them.
+    slices: int = 5
     #: mixed_writes: segments (warm-up ones first), writes per segment,
     #: rebuild trigger, and the fewest rebuilds a valid run shows.
     segments: int = 0
@@ -90,7 +93,7 @@ def make_config(size: str, seconds: float) -> Config:
     if size == "tiny":
         return Config(
             seconds=seconds, n_keys=20_000, pool_chunks=4, chunk_reads=512,
-            warmup_s=0.2, setup_repeats=2, leaves=2**8, clients=16,
+            warmup_s=0.2, setup_repeats=2, leaves=2**8, clients=16, slices=2,
             segments=400, warm_segments=40,
             writes_per_segment=segment_writes(512), min_delta=400,
             min_rebuilds=1,
@@ -137,11 +140,16 @@ class Outcome:
     done_at: array = field(default_factory=lambda: array("d"))
     sample_reads: int = 1
     setup_s: "list[float]" = field(default_factory=list)
+    #: ``(start, end, host speed)`` of each measured slice.
+    slices: "list[tuple[float, float, float]]" = field(default_factory=list)
     peak_rss_mb: float = 0.0
     facts: "dict[str, Any]" = field(default_factory=dict)
 
     @property
     def read_qps(self) -> float:
+        if self.slices:
+            return self.reads / sum(end - start
+                                    for start, end, _ in self.slices)
         return self.reads / (self.t1 - self.t0)
 
     def sample(self, latency: float, done: float) -> None:
@@ -354,8 +362,14 @@ async def _bulk_loop(call, pool: "list[ReadChunk]", lanes: int,
 
 
 async def _timed(workload: str, cfg: Config, inp: Inputs, served: Served,
-                 out: Outcome, tracer: "Tracer | None") -> None:
-    """Warm up, then measure for ``cfg.seconds`` (time-bounded lanes)."""
+                 out: Outcome, tracer: "Tracer | None",
+                 probe: "host.HostProbe | None") -> None:
+    """Warm up, then measure for ``cfg.seconds`` (time-bounded lanes).
+
+    With a ``probe`` the measured phase is cut into ``cfg.slices``
+    slices; between them, with nothing in flight, the probe times the
+    host, and each slice records the host speed around it.
+    """
     if workload == "point_lane":
         def loop(until, rec):
             return _point_loop(served.server, inp.requests, cfg.clients,
@@ -389,7 +403,16 @@ async def _timed(workload: str, cfg: Config, inp: Inputs, served: Served,
         out.facts["root"] = tracer.root(
             "bench.run", WAIT if workload == "point_lane" else ACTIVE)
     out.t0 = _now()
-    out.t1 = await loop(out.t0 + cfg.seconds, out)
+    if probe is None:
+        out.t1 = await loop(out.t0 + cfg.seconds, out)
+    else:
+        rates = [probe.rate(host.PROBE_SLICE_S)]
+        for _ in range(cfg.slices):
+            start = _now()
+            end = await loop(start + cfg.seconds / cfg.slices, out)
+            rates.append(probe.rate(host.PROBE_SLICE_S))
+            out.slices.append((start, end, host.speed(rates[-2:])))
+        out.t1 = end
     if served.cluster is not None:
         out.facts["shards_after"] = await served.cluster.shard_metrics()
 
@@ -444,7 +467,8 @@ async def _mixed(cfg: Config, inp: Inputs, served: Served, out: Outcome,
 
 
 async def run_pass(workload: str, cfg: Config, inp: Inputs, seed: int,
-                   tracer: "Tracer | None" = None) -> Outcome:
+                   tracer: "Tracer | None" = None,
+                   probe: "host.HostProbe | None" = None) -> Outcome:
     """One set-up-warm-up-measure cycle of ``workload``.
 
     The peak resident set is reset once the inputs exist, so it covers
@@ -463,7 +487,7 @@ async def run_pass(workload: str, cfg: Config, inp: Inputs, seed: int,
         if workload == "mixed_writes":
             await _mixed(cfg, inp, served, out, tracer)
         else:
-            await _timed(workload, cfg, inp, served, out, tracer)
+            await _timed(workload, cfg, inp, served, out, tracer, probe)
         if workload != "mixed_writes":
             out.peak_rss_mb = host.peak_rss_mb()
         if served.cluster is not None:
@@ -509,5 +533,6 @@ def _knobs(batcher: Any, **extra: Any) -> "dict[str, Any]":
 
 
 def run(workload: str, cfg: Config, inp: Inputs, seed: int,
-        tracer: "Tracer | None" = None) -> Outcome:
-    return asyncio.run(run_pass(workload, cfg, inp, seed, tracer))
+        tracer: "Tracer | None" = None,
+        probe: "host.HostProbe | None" = None) -> Outcome:
+    return asyncio.run(run_pass(workload, cfg, inp, seed, tracer, probe))
