@@ -172,6 +172,8 @@ def windowed(out: Outcome,
     rates, p50s, p95s = [], [], []
     for start, end, slice_speed in out.slices or [(out.t0, out.t1, speed)]:
         idx = np.flatnonzero((done > start) & (done <= end))
+        if not len(idx):
+            continue
         idx = idx[np.argsort(done[idx], kind="stable")]
         k = int(round((end - start) * WINDOWS_PER_SECOND))
         k = max(1, min(k, len(idx) // MIN_WINDOW_SAMPLES))
