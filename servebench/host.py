@@ -9,6 +9,7 @@ from __future__ import annotations
 import os
 import platform
 import sys
+from typing import NamedTuple
 
 
 def pin_cpu() -> "tuple[int, list[int]]":
@@ -49,38 +50,36 @@ def fix_malloc_thresholds() -> bool:
         return False
 
 
-#: :meth:`HostProbe.rate` on the host the bounds were tuned on.
-NOMINAL_PROBE_RATE = 470.0
 #: Probe length between measured slices.
 PROBE_SLICE_S = 0.2
-
-
-def speed(rates) -> float:
-    """Host speed over nominal from probe rates taken around a span."""
-    import math
-
-    return math.prod(rates) ** (1.0 / len(rates)) / NOMINAL_PROBE_RATE
+#: Probe length just before and just after the set-ups.
+PROBE_SETUP_S = 0.5
 
 
 class HostProbe:
     """Times fixed reference work to gauge the host's current speed.
 
-    The work mixes what serving does: interpreter-bound dictionary
-    updates, and binary searches into the run's 16 MB key array, which
-    miss the private caches.  None of it is repo code, so a change to
-    the program cannot move it; what moves it is the shared host, whose
-    speed drifts by tens of percent over minutes.
+    An iteration does ``loops`` interpreter-bound dictionary updates,
+    then binary searches for ``queries`` random keys in the run's 16 MB
+    key array.  None of it is repo code, so a change to the program
+    cannot move it; what moves it is the shared host, whose speed
+    drifts by tens of percent over seconds to minutes.  ``nominal`` is
+    the rate on the host the bounds were tuned on.  See :func:`probes`
+    for the two mixes in use.
     """
 
-    def __init__(self, keys) -> None:
+    def __init__(self, keys, loops: int, queries: int,
+                 nominal: float) -> None:
         import numpy as np
 
         self.keys = keys
+        self.loops = loops
+        self.nominal = nominal
         rng = np.random.default_rng(0)
-        self.queries = rng.integers(keys[0], keys[-1], 4096,
+        self.queries = rng.integers(keys[0], keys[-1], queries,
                                     dtype=np.uint64, endpoint=True)
 
-    def rate(self, seconds: float = 0.5) -> float:
+    def rate(self, seconds: float) -> float:
         """Reference iterations per second over ``seconds``."""
         import time
 
@@ -90,11 +89,39 @@ class HostProbe:
         start = time.perf_counter()
         while time.perf_counter() - start < seconds:
             d: "dict[int, int]" = {}
-            for i in range(512):
+            for i in range(self.loops):
                 d[i & 63] = d.get(i & 63, 0) + i
             np.searchsorted(self.keys, self.queries)
             n += 1
         return n / (time.perf_counter() - start)
+
+    def speed(self, rates) -> float:
+        """Host speed over nominal from rates taken around a span."""
+        import math
+
+        return math.prod(rates) ** (1.0 / len(rates)) / self.nominal
+
+
+class Probes(NamedTuple):
+    setup: HostProbe
+    serving: HostProbe
+
+
+def probes(keys) -> Probes:
+    """The probe timed around the set-ups and the one timed around the
+    measured slices.
+
+    Set-up builds 16 MB arrays and faults their pages in, and tracks
+    memory speed: its probe spends 96% of its time in the binary
+    searches.  Serving tracks per-core speed: its probe spends about 70%
+    of its time in the interpreter.  Timed between the same runs, each
+    mix steadied its own figures and not the other's (the spreads are
+    in ``README.md``).
+    """
+    return Probes(setup=HostProbe(keys, loops=512, queries=4096,
+                                  nominal=470.0),
+                  serving=HostProbe(keys, loops=8192, queries=1024,
+                                    nominal=540.0))
 
 
 def reset_peak_rss() -> None:

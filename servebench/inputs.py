@@ -301,7 +301,7 @@ class MixedSegment:
     exp_count: np.ndarray
 
 
-def segment_writes(chunk_reads: int = CHUNK_READS) -> int:
+def segment_writes(chunk_reads: int) -> int:
     """Writes per segment so that writes are ``WRITE_SHARE`` of ops."""
     return int(round(chunk_reads * WRITE_SHARE / (1.0 - WRITE_SHARE)))
 
@@ -317,7 +317,7 @@ def iter_mixed_segments(
     pool: "list[ReadChunk]",
     seed: int,
     segments: int,
-    writes_per_segment: "int | None" = None,
+    writes_per_segment: int,
 ) -> "Iterator[tuple[MixedSegment, LiveOracle]]":
     """The ``mixed_writes`` stream, one segment at a time.
 
@@ -327,8 +327,7 @@ def iter_mixed_segments(
     answers the next pool chunk against the resulting live set.  Yields
     the segment with the oracle *after* it (the same object each time).
     """
-    w = segment_writes() if writes_per_segment is None \
-        else int(writes_per_segment)
+    w = writes_per_segment
     rng = np.random.default_rng([seed, 3])
     oracle = LiveOracle(keys, pool_present_keys(keys, pool))
     lo, hi = keys[0], keys[-1]
@@ -400,8 +399,7 @@ class MixedStream:
 
 def make_mixed_stream(keys: np.ndarray, pool: "list[ReadChunk]",
                       seed: int, segments: int,
-                      writes_per_segment: "int | None" = None,
-                      ) -> MixedStream:
+                      writes_per_segment: int) -> MixedStream:
     chunk_reads = pool[0].reads
     weights = answer_weights(chunk_reads, seed)
     wkeys, wops, index, digests = [], [], [], []
@@ -418,7 +416,7 @@ def make_mixed_stream(keys: np.ndarray, pool: "list[ReadChunk]",
 
 
 def recount_wrong(keys: np.ndarray, pool: "list[ReadChunk]", seed: int,
-                  writes_per_segment: "int | None",
+                  writes_per_segment: int,
                   served: "dict[int, tuple]") -> int:
     """Exact count of wrong reads among the segments in ``served``.
 

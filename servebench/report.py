@@ -7,6 +7,7 @@ equal).
 
 from __future__ import annotations
 
+import selectors
 import statistics
 from collections import defaultdict
 from typing import Any
@@ -40,7 +41,7 @@ END_TO_END = (
 
 #: Layers whose self-time share of the traced wall time is reported.
 SHARE_LAYERS = ("batcher", "server", "metrics", "index", "kernels",
-                "router", "cluster", "writable")
+                "router", "cluster", "writable", "loop")
 
 #: ``(name, unit, better)`` of every traced-run metric.
 PER_LAYER = (
@@ -112,6 +113,9 @@ def install_probes(tracer: Tracer) -> None:
 
     w = tracer.wrap
     tracer.wrap_collect(MicroBatcher)
+    tracer.wrap_selector(selectors.DefaultSelector)
+    tracer.wrap_steps(IndexServer, "lookup", "server.submit")
+    tracer.wrap_steps(IndexServer, "range_query", "server.submit")
     w(IndexServer, "serve_bulk", "server.serve_bulk",
       count=_keys3, handoff=True)
     w(IndexServer, "apply_writes", "server.apply_writes",
@@ -158,26 +162,25 @@ MIN_WINDOW_SAMPLES = 200
 
 
 def windowed(out: Outcome,
-             speed: "float | None") -> "tuple[float, float, float]":
+             scaled: bool = True) -> "tuple[float, float, float]":
     """``(read_qps, p50_ms, p95_ms)`` at nominal host speed.
 
     Each window gets its own read rate and latency percentiles, scaled
-    by the host speed around its slice (``speed`` where the run has no
-    slices; ``None`` leaves every figure unscaled); the run reports the
-    medians over windows, so that a burst of host noise in one window
-    does not move its figure.
+    by the host speed around its slice (``scaled=False``: as measured);
+    the run reports the medians over windows, so that a burst of host
+    noise in one window does not move its figure.
     """
     lat = np.frombuffer(out.latencies, dtype=np.float64)
     done = np.frombuffer(out.done_at, dtype=np.float64)
     rates, p50s, p95s = [], [], []
-    for start, end, slice_speed in out.slices or [(out.t0, out.t1, speed)]:
+    for start, end, slice_speed in out.slices or [(out.t0, out.t1, 1.0)]:
         idx = np.flatnonzero((done > start) & (done <= end))
         if not len(idx):
             continue
         idx = idx[np.argsort(done[idx], kind="stable")]
         k = int(round((end - start) * WINDOWS_PER_SECOND))
         k = max(1, min(k, len(idx) // MIN_WINDOW_SAMPLES))
-        if speed is None:
+        if not scaled:
             slice_speed = 1.0
         edges = np.linspace(0, len(idx), k + 1).astype(int)
         prev = start
@@ -193,19 +196,20 @@ def windowed(out: Outcome,
             statistics.median(p95s))
 
 
-def end_to_end(out: Outcome,
-               speed: "float | None") -> "dict[str, dict]":
+def end_to_end(out: Outcome, scaled: bool = True) -> "dict[str, dict]":
     """The end-to-end metrics, times and rates at nominal host speed.
 
-    ``speed`` is the host's measured speed over its nominal speed (see
-    :class:`~servebench.host.HostProbe`): the read rate is divided by
-    it and the times multiplied, so that host drift between runs
-    cancels (``None``: everything as measured).  Memory is reported as
+    The host's speed over its nominal speed is measured around the
+    set-ups and around each measured slice (see
+    :class:`~servebench.host.HostProbe`): rates are divided by it and
+    times multiplied, so that host drift between runs cancels
+    (``scaled=False``: everything as measured).  Memory is reported as
     measured.
     """
-    qps, p50, p95 = windowed(out, speed)
+    qps, p50, p95 = windowed(out, scaled)
     values = {
-        "setup_s": statistics.median(out.setup_s) * (speed or 1.0),
+        "setup_s": statistics.median(out.setup_s)
+        * (out.setup_speed if scaled else 1.0),
         "peak_rss_mb": out.peak_rss_mb,
         "read_qps": qps,
         "read_p50_ms": p50,
@@ -232,7 +236,10 @@ def per_layer(tracer: Tracer, traced: Outcome,
               untraced: Outcome) -> "dict[str, dict]":
     """Every ``PER_LAYER`` metric from the traced pass's spans.
 
-    Metrics of layers a workload does not use read 0.
+    ``writable.write_qps`` stands in for an end-to-end write rate, so
+    it comes from the untraced pass, at nominal host speed (as in
+    :func:`end_to_end`).  Metrics of layers a workload does not use
+    read 0.
     """
     spans = tracer.spans
     t0, t1 = traced.t0, traced.t1
@@ -347,7 +354,8 @@ def per_layer(tracer: Tracer, traced: Outcome,
             _median(dur(s) for s in window["server.swap_index"]) * 1e3,
         "writable.staleness_max_ms":
             traced.facts.get("staleness_max_s", 0.0) * 1e3,
-        "writable.write_qps": _ratio(traced.writes, traced.write_s),
+        "writable.write_qps":
+            _ratio(untraced.writes, untraced.write_s) / untraced.speed,
         "bench.oracle_share": oracle / wall,
         "trace.overhead": untraced.read_qps / traced.read_qps - 1.0,
         "trace.coverage": explained / wall,

@@ -73,12 +73,8 @@ def main(argv=None) -> int:
         return _refuse(f"the cext kernel backend is unavailable ({exc})")
     cfg = workloads.make_config(args.size, args.seconds)
     inputs = workloads.make_inputs(args.workload, cfg, args.seed)
-    probe = host.HostProbe(inputs.keys)
-    probe_rates = [probe.rate()]
     outcomes = [workloads.run(args.workload, cfg, inputs, args.seed,
-                              probe=probe)]
-    probe_rates.append(probe.rate())
-    speed = host.speed(probe_rates)
+                              probes=host.probes(inputs.keys))]
     if args.trace:
         tracer = Tracer()
         report.install_probes(tracer)
@@ -89,7 +85,7 @@ def main(argv=None) -> int:
             tracer.uninstall()
         metrics = report.per_layer(tracer, outcomes[1], outcomes[0])
     else:
-        metrics = report.end_to_end(outcomes[0], speed)
+        metrics = report.end_to_end(outcomes[0])
     last = outcomes[-1]
     backend = last.facts["backend"]
     if backend != "cext":
@@ -108,10 +104,10 @@ def main(argv=None) -> int:
         latency_samples=[len(o.latencies) for o in outcomes],
         setup_samples=[len(o.setup_s) for o in outcomes],
         rebuilds=[o.facts.get("rebuilds") for o in outcomes],
-        host_probe_rates=probe_rates, host_speed=speed,
+        setup_speed=outcomes[0].setup_speed,
         slice_speeds=[round(x, 4) for *_, x in outcomes[0].slices],
         malloc_thresholds_fixed=malloc_fixed,
-        measured=report.end_to_end(outcomes[0], None),
+        measured=report.end_to_end(outcomes[0], scaled=False),
     )
     print(json.dumps({"stamp": stamp}, default=str))
     correct = all(o.wrong == 0 for o in outcomes)

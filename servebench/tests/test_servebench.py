@@ -7,6 +7,7 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import asyncio
 import bisect
 import json
 import re
@@ -19,7 +20,19 @@ import pytest
 
 from conftest import ROOT
 from servebench import inputs, report, workloads
-from servebench.tracer import ACTIVE, PASSIVE, REMOTE, SYNC, WAIT, attribute
+from servebench.tracer import (
+    ACTIVE,
+    FOLD,
+    LOOP_BUSY,
+    SELECT,
+    PASSIVE,
+    REMOTE,
+    SYNC,
+    WAIT,
+    Steps,
+    Tracer,
+    attribute,
+)
 
 NAME = re.compile(r"^[A-Za-z0-9][A-Za-z0-9_.-]{0,63}$")
 
@@ -195,13 +208,79 @@ def test_attribute_remote_wait_and_folds():
         _span("cluster.execute_bulk", 1.0, 3.0, 0, REMOTE),         # 2
         _span("server.dispatch", 3.0, 4.0, None, ACTIVE),           # 3
     ]
-    spans[3][8] = {"metrics.record_response": (10, 0.25)}
+    spans[3][FOLD] = {"metrics.record_response": (10, 0.25)}
     self_s, folded = attribute(spans, 0.0, 4.0)
     assert self_s[0] == 0.0
     assert self_s[1] == pytest.approx(1.5)
     assert self_s[2] == pytest.approx(1.5)
     assert folded == {"metrics.record_response": pytest.approx(0.25)}
     assert self_s[3] == pytest.approx(0.75)
+
+
+def test_idle_time_is_unexplained_unless_folded():
+    spans = [
+        _span("bench.run", 0.0, 4.0, kind=WAIT),                    # 0
+        _span("batcher.collect", 0.0, 3.0, None, PASSIVE),          # 1
+        _span("server.dispatch", 3.0, 4.0, None, ACTIVE),           # 2
+    ]
+    spans[1][FOLD] = {"batcher.collect": (5, 0.5),
+                      "server.submit": (10, 1.0)}
+    self_s, folded = attribute(spans, 0.0, 4.0)
+    # Nothing could run during collect's 3 s: of that idle time only
+    # the 1.5 s measured in steps while it waited is explained.
+    assert self_s[1] == 0.0
+    assert self_s[2] == pytest.approx(1.0)
+    assert folded == {"batcher.collect": pytest.approx(0.5),
+                      "server.submit": pytest.approx(1.0)}
+    assert self_s.sum() + sum(folded.values()) == pytest.approx(2.5)
+    # With the selector timed, the loop's time outside it and outside
+    # every step is its own; the time blocked in it stays unexplained.
+    spans[1][FOLD][SELECT] = (3, 1.0)
+    self_s, folded = attribute(spans, 0.0, 4.0)
+    assert folded[LOOP_BUSY] == pytest.approx(0.5)
+    assert SELECT not in folded
+    assert self_s.sum() + sum(folded.values()) == pytest.approx(3.0)
+
+
+def test_steps_fold_each_step_and_pass_results_errors_cancels():
+    tracer = Tracer()
+    sid = tracer.open("batcher.collect", PASSIVE, None)
+
+    async def work(x):
+        await asyncio.sleep(0)
+        await asyncio.sleep(0)
+        return x + 1
+
+    async def fails():
+        await asyncio.sleep(0)
+        raise KeyError("boom")
+
+    async def main():
+        assert await Steps(work(1), tracer, "server.submit", sid) == 2
+        with pytest.raises(KeyError):
+            await Steps(fails(), tracer, "server.submit", sid)
+        closed = []
+
+        async def parked():
+            try:
+                await asyncio.sleep(10)
+            finally:
+                closed.append(True)
+
+        async def outer():
+            return await Steps(parked(), tracer, "server.submit", sid)
+
+        task = asyncio.create_task(outer())
+        await asyncio.sleep(0)
+        task.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await task
+        assert closed == [True]
+
+    asyncio.run(main())
+    count, seconds = tracer.spans[sid][FOLD]["server.submit"]
+    assert count == 3 + 2 + 2
+    assert seconds > 0
 
 
 def _run_cli(args, cwd):

@@ -25,14 +25,27 @@ them.  Kinds refine "could be running":
   it has no open child (``serve_bulk``, router calls, a dispatch);
 * ``REMOTE``: an RPC whose work runs in a worker process;
 * ``PASSIVE``: the batcher's ``collect``, which mostly waits on its
-  queue: it takes an instant only when nothing else could;
+  queue; it takes no time itself (see below);
 * ``WAIT``: never takes time (the point lane's harness root, whose 256
   clients are all parked on futures).
 
-High-rate leaf calls (``ServeMetrics.record_response``, the point
-lane's per-request answer check) are folded into their parent span as
-``(count, seconds)`` instead of being stored one by one; the sweep
-hands the parent's self time to them first.
+High-rate leaf work is folded into a span as ``(count, seconds)``
+instead of being stored call by call: ``ServeMetrics.record_response``
+into its parent, and, while a ``collect`` waits, each step of the
+coroutines that run on the event loop meanwhile -- ``collect`` itself,
+the server's ``lookup``/``range_query``, the point lane's clients --
+into that ``collect`` (see :class:`Steps`).  The sweep hands a span's
+self time to its folds first.
+
+**Idle time.**  An instant in which no span could be running is idle
+and goes to the ``PASSIVE`` spans open then, as idle time, not self
+time.  While a ``collect`` waits, the event loop's time blocked in its
+selector is folded into it too (``loop.select``).  A ``collect``'s idle
+time is then split three ways: the steps folded into it; the time the
+loop sat in its selector, which stays unexplained; and the rest, when
+the loop thread ran but no timed step did -- task switches, callbacks,
+the tasks ``asyncio.wait_for`` starts -- booked as ``loop.busy``.
+Idle time outside any ``PASSIVE`` span stays unexplained.
 """
 
 from __future__ import annotations
@@ -48,6 +61,11 @@ from typing import Any, Callable
 import numpy as np
 
 SYNC, ACTIVE, REMOTE, PASSIVE, WAIT = range(5)
+
+#: Fold names of the event loop's time blocked in its selector, and of
+#: the rest of a ``collect``'s idle time (see module docstring).
+SELECT = "loop.select"
+LOOP_BUSY = "loop.busy"
 
 # Span record fields (a list per span, appended under the GIL).
 NAME, START, END, PARENT, KIND, THREAD, TAG, COUNT, FOLD = range(9)
@@ -72,9 +90,8 @@ class Tracer:
         self._dispatch: "dict[int, int]" = {}
         #: The ``collect`` span currently waiting, if any.
         self._collecting: "int | None" = None
-        #: Per-request queue waits (s) and batch sizes from ``collect``.
+        #: Per-request queue waits (s) of each batch ``collect`` returned.
         self.queue_waits: "list[np.ndarray]" = []
-        self.batch_sizes: "list[int]" = []
 
     # -- span store ------------------------------------------------------
 
@@ -126,7 +143,7 @@ class Tracer:
 
         The point lane's clients run between batches, inside the
         server's ``collect`` window, so their per-request work is taken
-        out of that span rather than out of the harness root.
+        out of that span's idle time.
         """
         self.fold(self._collecting, name, seconds)
 
@@ -207,6 +224,34 @@ class Tracer:
 
         self._patch(owner, attr, wrapper)
 
+    def wrap_steps(self, owner: Any, attr: str, name: str) -> None:
+        """Fold each step of every ``owner.attr`` coroutine into the
+        ``collect`` span waiting while it runs (see :class:`Steps`)."""
+        orig = getattr(owner, attr)
+        tracer = self
+
+        @functools.wraps(orig)
+        def wrapper(*args, **kwargs):
+            return Steps(orig(*args, **kwargs), tracer, name)
+
+        self._patch(owner, attr, wrapper)
+
+    def wrap_selector(self, selector_cls: Any) -> None:
+        """Fold the event loop's time blocked in ``selector_cls.select``
+        into the waiting ``collect`` span, as ``SELECT``."""
+        orig = selector_cls.select
+        tracer = self
+
+        @functools.wraps(orig)
+        def wrapper(*args, **kwargs):
+            start = _now()
+            try:
+                return orig(*args, **kwargs)
+            finally:
+                tracer.fold(tracer._collecting, SELECT, _now() - start)
+
+        self._patch(selector_cls, "select", wrapper)
+
     def wrap_folded(self, owner: Any, attr: str, name: str) -> None:
         """Fold every call of ``owner.attr`` into its parent span."""
         orig = getattr(owner, attr)
@@ -240,10 +285,11 @@ class Tracer:
             if prev is not None:
                 tracer.close(prev)
             sid = tracer.open("batcher.collect", PASSIVE, None,
-                              tag=len(tracer.batch_sizes))
+                              tag=len(tracer.queue_waits))
             tracer._collecting = sid
             try:
-                batch = await orig(batcher, *args, **kwargs)
+                batch = await Steps(orig(batcher, *args, **kwargs), tracer,
+                                    "batcher.collect", sid)
             finally:
                 if tracer._collecting == sid:
                     tracer._collecting = None
@@ -251,7 +297,6 @@ class Tracer:
             tracer.spans[sid][COUNT] = len(batch) if batch else 0
             if batch:
                 now = time.monotonic()
-                tracer.batch_sizes.append(len(batch))
                 tracer.queue_waits.append(np.fromiter(
                     (now - r.enqueued_at for r in batch), dtype=np.float64,
                     count=len(batch)))
@@ -271,6 +316,53 @@ class Tracer:
         for rec in self.spans:
             if rec[END] is None:
                 rec[END] = end
+
+
+class Steps:
+    """Awaitable that runs a coroutine and times each of its steps.
+
+    A step is the stretch between two suspensions: the coroutine's own
+    code, with the event loop's scheduling left out.  Each step is
+    folded as ``name`` into span ``sid``, or, without one, into the
+    ``collect`` span waiting at that moment (none: not recorded).
+    """
+
+    __slots__ = ("coro", "tracer", "name", "sid")
+
+    def __init__(self, coro: Any, tracer: Tracer, name: str,
+                 sid: "int | None" = None) -> None:
+        self.coro = coro
+        self.tracer = tracer
+        self.name = name
+        self.sid = sid
+
+    def __await__(self):
+        coro = self.coro
+        value: Any = None
+        error: "BaseException | None" = None
+        while True:
+            start = _now()
+            try:
+                if error is None:
+                    awaited = coro.send(value)
+                else:
+                    awaited = coro.throw(error)
+            except StopIteration as stop:
+                self._fold(_now() - start)
+                return stop.value
+            except BaseException:
+                self._fold(_now() - start)
+                raise
+            self._fold(_now() - start)
+            try:
+                value, error = (yield awaited), None
+            except BaseException as exc:  # handed on to the coroutine
+                value, error = None, exc
+
+    def _fold(self, seconds: float) -> None:
+        tracer = self.tracer
+        sid = self.sid if self.sid is not None else tracer._collecting
+        tracer.fold(sid, self.name, seconds)
 
 
 class _SyncSpan:
@@ -301,10 +393,11 @@ def attribute(spans: "list[list]", t0: float,
     """Self time of every span inside ``[t0, t1]`` (see module docstring).
 
     Returns the per-span self seconds and the folded seconds per folded
-    call name (already taken out of their parents' self time).
+    call name (already taken out of their parents' self or idle time).
     """
     n = len(spans)
     self_s = np.zeros(n)
+    idle_s = np.zeros(n)
     events: "list[tuple[float, int, int]]" = []
     for sid, rec in enumerate(spans):
         start, end = max(rec[START], t0), min(rec[END], t1)
@@ -318,7 +411,7 @@ def attribute(spans: "list[list]", t0: float,
     prev = t0
     for when, opening, sid in events:
         if when > prev and leaves:
-            _share(spans, leaves, when - prev, self_s)
+            _share(spans, leaves, when - prev, self_s, idle_s)
         prev = max(prev, when)
         parent = spans[sid][PARENT]
         if parent is not None and parent not in is_open:
@@ -338,29 +431,45 @@ def attribute(spans: "list[list]", t0: float,
                     leaves.add(parent)
     folded: "dict[str, float]" = defaultdict(float)
     for sid, rec in enumerate(spans):
-        if rec[FOLD] and self_s[sid] > 0:
-            total = sum(s for _, s in rec[FOLD].values())
-            start, end = max(rec[START], t0), min(rec[END], t1)
-            inside = (end - start) / (rec[END] - rec[START]) \
-                if rec[END] > rec[START] else 0.0
-            give = min(total * inside, self_s[sid])
-            for name, (_, s) in rec[FOLD].items():
+        passive = rec[KIND] == PASSIVE
+        pool = idle_s[sid] if passive else self_s[sid]
+        if pool <= 0:
+            continue
+        start, end = max(rec[START], t0), min(rec[END], t1)
+        inside = (end - start) / (rec[END] - rec[START]) \
+            if rec[END] > rec[START] else 0.0
+        folds = rec[FOLD] or {}
+        work = {name: s for name, (_, s) in folds.items() if name != SELECT}
+        total = sum(work.values())
+        if total:
+            give = min(total * inside, pool)
+            for name, s in work.items():
                 folded[name] += give * s / total
-            self_s[sid] -= give
+            pool -= give
+        if passive:
+            if SELECT in folds:
+                pool -= min(folds[SELECT][1] * inside, pool)
+                folded[LOOP_BUSY] += pool
+        else:
+            self_s[sid] = pool
     return self_s, dict(folded)
 
 
-def _share(spans, leaves, dt, self_s) -> None:
+def _share(spans, leaves, dt, self_s, idle_s) -> None:
+    """Split ``dt`` among the spans that could be running; an idle
+    instant goes to the idle time of the ``PASSIVE`` spans open then."""
     busy_threads = {spans[s][THREAD] for s in leaves
                     if spans[s][KIND] == SYNC}
     runnable = [s for s in leaves
                 if spans[s][KIND] in (SYNC, REMOTE)
                 or (spans[s][KIND] == ACTIVE
                     and spans[s][THREAD] not in busy_threads)]
+    into = self_s
     if not runnable:
         runnable = [s for s in leaves if spans[s][KIND] == PASSIVE
                     and spans[s][THREAD] not in busy_threads]
+        into = idle_s
     if runnable:
         share = dt / len(runnable)
         for s in runnable:
-            self_s[s] += share
+            into[s] += share

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import contextvars
 import functools
 import gc
 import math
@@ -43,6 +44,15 @@ WORKLOADS = ("point_lane", "bulk_lane", "cluster_bulk", "mixed_writes")
 #: ``mixed_writes`` segments per second of ``--seconds``: sized so a run
 #: takes about ``--seconds`` on a 2-vCPU Xeon host pinned to one CPU.
 SEGMENTS_PER_SECOND = 85
+#: ``mixed_writes`` starts a rebuild every this many segments (65536
+#: writes, 1.6x ``min_delta``), so the share of reads that overlap a
+#: rebuild -- about half -- is the same in every run.  Left to the
+#: daemon's 50 ms timer, a rebuild starts once the delta reaches
+#: ``min_delta`` and the timer next fires; the cycle length then varies
+#: from run to run, and with it the mix of reads that run alone and
+#: reads that share the CPU with a rebuild, which the read p50 sits
+#: between.  Warm-up and every measured slice are whole cycles.
+REBUILD_EVERY = 64
 
 _now = time.perf_counter
 
@@ -64,39 +74,48 @@ class Config:
     #: cluster_bulk: shards (one worker process each) and chunks in flight.
     shards: int = 2
     inflight: int = 2
-    #: Time-bounded lanes measure in this many slices, with the host
-    #: probe timed before, between and after them.
+    #: Every lane measures in this many slices, with the host probe
+    #: timed before, between and after them.
     slices: int = 5
-    #: mixed_writes: segments (warm-up ones first), writes per segment,
-    #: rebuild trigger, and the fewest rebuilds a valid run shows.
-    segments: int = 0
+    #: mixed_writes: warm-up segments, segments per measured slice,
+    #: writes per segment, the daemon's ``min_delta``, segments between
+    #: rebuild starts, and the fewest rebuilds a valid run shows.
     warm_segments: int = 0
+    slice_segments: int = 0
     writes_per_segment: int = 0
     min_delta: int = 0
+    rebuild_every: int = REBUILD_EVERY
     min_rebuilds: int = 10
 
+    @property
+    def segments(self) -> int:
+        """``mixed_writes`` segments in all, warm-up included."""
+        return self.warm_segments + self.slices * self.slice_segments
+
     def describe(self) -> "dict[str, Any]":
-        return dict(self.__dict__)
+        return dict(self.__dict__, segments=self.segments)
 
 
 def make_config(size: str, seconds: float) -> Config:
     """``full``: the benchmark proper; ``tiny``: a seconds-long smoke."""
     if size == "full":
-        warm = SEGMENTS_PER_SECOND
+        slices = Config.slices
+        cycles = max(1, round(seconds * SEGMENTS_PER_SECOND
+                              / (slices * REBUILD_EVERY)))
         return Config(
             seconds=seconds,
-            segments=warm + int(math.ceil(seconds * SEGMENTS_PER_SECOND)),
-            warm_segments=warm,
+            warm_segments=2 * REBUILD_EVERY,
+            slice_segments=cycles * REBUILD_EVERY,
             writes_per_segment=segment_writes(CHUNK_READS),
             min_delta=N_KEYS // 50,
         )
     if size == "tiny":
         return Config(
             seconds=seconds, n_keys=20_000, pool_chunks=4, chunk_reads=512,
-            warmup_s=0.2, setup_repeats=2, leaves=2**8, clients=16, slices=2,
-            segments=400, warm_segments=40,
+            warmup_s=0.2, setup_repeats=2, leaves=2**8, slices=2,
+            warm_segments=40, slice_segments=160,
             writes_per_segment=segment_writes(512), min_delta=400,
-            min_rebuilds=1,
+            rebuild_every=40, min_rebuilds=1,
         )
     raise ValueError(f"unknown size {size!r}")
 
@@ -140,10 +159,19 @@ class Outcome:
     done_at: array = field(default_factory=lambda: array("d"))
     sample_reads: int = 1
     setup_s: "list[float]" = field(default_factory=list)
+    #: Host speed around the set-ups (1.0: not probed).
+    setup_speed: float = 1.0
     #: ``(start, end, host speed)`` of each measured slice.
     slices: "list[tuple[float, float, float]]" = field(default_factory=list)
     peak_rss_mb: float = 0.0
     facts: "dict[str, Any]" = field(default_factory=dict)
+
+    @property
+    def speed(self) -> float:
+        """Host speed over the measured slices (1.0: not probed)."""
+        if not self.slices:
+            return 1.0
+        return math.prod(x for *_, x in self.slices) ** (1 / len(self.slices))
 
     @property
     def read_qps(self) -> float:
@@ -246,11 +274,11 @@ async def _start(workload: str, cfg: Config, keys: np.ndarray,
     windex = WritableIndex(index)
     server = IndexServer(windex)
     await server.start()
+    # Not started: the stream triggers its cycles (see REBUILD_EVERY).
     daemon = RebuildDaemon(
         windex, server=server, min_delta=cfg.min_delta,
         factory=functools.partial(RMIAsIndex, layer2_size=cfg.leaves),
     )
-    await daemon.start()
     return Served(server=server, daemon=daemon, windex=windex)
 
 
@@ -361,15 +389,34 @@ async def _bulk_loop(call, pool: "list[ReadChunk]", lanes: int,
     return last_done[0]
 
 
+async def _measure(loop, cfg: Config, out: Outcome,
+                   probe: "host.HostProbe | None") -> None:
+    """The measured phase: ``await loop(k, out)`` runs slice ``k`` and
+    returns when its last sample completed.
+
+    With a ``probe`` the phase is cut into ``cfg.slices`` slices;
+    between them, with nothing in flight, the probe times the host, and
+    each slice records the host speed around it.  Without one (the
+    traced pass) the slices run back to back, unprobed.
+    """
+    out.t0 = _now()
+    if probe is None:
+        for k in range(cfg.slices):
+            out.t1 = await loop(k, out)
+        return
+    rates = [probe.rate(host.PROBE_SLICE_S)]
+    for k in range(cfg.slices):
+        start = _now()
+        end = await loop(k, out)
+        rates.append(probe.rate(host.PROBE_SLICE_S))
+        out.slices.append((start, end, probe.speed(rates[-2:])))
+    out.t1 = end
+
+
 async def _timed(workload: str, cfg: Config, inp: Inputs, served: Served,
                  out: Outcome, tracer: "Tracer | None",
                  probe: "host.HostProbe | None") -> None:
-    """Warm up, then measure for ``cfg.seconds`` (time-bounded lanes).
-
-    With a ``probe`` the measured phase is cut into ``cfg.slices``
-    slices; between them, with nothing in flight, the probe times the
-    host, and each slice records the host speed around it.
-    """
+    """Warm up, then measure for ``cfg.seconds`` (time-bounded lanes)."""
     if workload == "point_lane":
         def loop(until, rec):
             return _point_loop(served.server, inp.requests, cfg.clients,
@@ -402,54 +449,73 @@ async def _timed(workload: str, cfg: Config, inp: Inputs, served: Served,
     if tracer is not None:
         out.facts["root"] = tracer.root(
             "bench.run", WAIT if workload == "point_lane" else ACTIVE)
-    out.t0 = _now()
-    if probe is None:
-        out.t1 = await loop(out.t0 + cfg.seconds, out)
-    else:
-        rates = [probe.rate(host.PROBE_SLICE_S)]
-        for _ in range(cfg.slices):
-            start = _now()
-            end = await loop(start + cfg.seconds / cfg.slices, out)
-            rates.append(probe.rate(host.PROBE_SLICE_S))
-            out.slices.append((start, end, host.speed(rates[-2:])))
-        out.t1 = end
+    await _measure(lambda k, rec: loop(_now() + cfg.seconds / cfg.slices,
+                                       rec), cfg, out, probe)
     if served.cluster is not None:
         out.facts["shards_after"] = await served.cluster.shard_metrics()
 
 
 async def _mixed(cfg: Config, inp: Inputs, served: Served, out: Outcome,
-                 tracer: "Tracer | None") -> None:
-    """Run the whole pre-generated stream: write burst, then reads."""
+                 tracer: "Tracer | None",
+                 probe: "host.HostProbe | None") -> None:
+    """Run the whole pre-generated stream: write burst, then reads.
+
+    Every ``cfg.rebuild_every`` segments a rebuild cycle of the daemon
+    starts in the background, unless the previous one still runs.  The
+    warm-up and each measured slice are whole cycles, and a slice waits
+    for its last rebuild after its last sample, so the probe between
+    slices times the host alone.
+    """
     stream, pool, server = inp.stream, inp.pool, served.server
     mismatched: "dict[int, tuple]" = {}
     out.sample_reads = cfg.chunk_reads
-    for s in range(len(stream)):
-        if s == cfg.warm_segments:
-            out.facts["rebuilds_before"] = served.daemon.rebuilds
+    rebuild: "asyncio.Task | None" = None
+
+    async def run(first: int, stop: int, rec: "Outcome | None") -> float:
+        nonlocal rebuild
+        for s in range(first, stop):
+            if s and s % cfg.rebuild_every == 0 and (rebuild is None
+                                                     or rebuild.done()):
+                if rebuild is not None:
+                    rebuild.result()  # raises if the last cycle failed
+                # A fresh context: the rebuild is its own flow, not part
+                # of the segment loop's (the traced run parents by it).
+                rebuild = asyncio.create_task(served.daemon.rebuild_now(),
+                                              context=contextvars.Context())
             if tracer is not None:
-                out.facts["root"] = tracer.root("bench.run", ACTIVE)
-            out.t0 = _now()
-        if tracer is not None:
-            tracer.tag.set(s)
-        chunk = pool[stream.pool_index[s]]
-        wkeys = stream.wkeys[s]
-        start = _now()
-        await server.apply_writes(wkeys, stream.wops[s])
-        mid = _now()
-        pos, starts, counts = await server.serve_bulk(
-            chunk.points, chunk.lows, chunk.highs)
-        done = _now()
-        with _check_span(tracer):
-            if answer_digest(stream.weights, pos, starts,
-                             counts) != stream.digests[s]:
-                mismatched[s] = (pos.copy(), starts.copy(), counts.copy())
-        out.attempted += chunk.reads + len(wkeys)
-        if s >= cfg.warm_segments:
-            out.writes += len(wkeys)
-            out.write_s += mid - start
-            out.reads += chunk.reads
-            out.sample(done - mid, done)
-    out.t1 = _now()
+                tracer.tag.set(s)
+            chunk = pool[stream.pool_index[s]]
+            wkeys = stream.wkeys[s]
+            start = _now()
+            await server.apply_writes(wkeys, stream.wops[s])
+            mid = _now()
+            pos, starts, counts = await server.serve_bulk(
+                chunk.points, chunk.lows, chunk.highs)
+            done = _now()
+            with _check_span(tracer):
+                if answer_digest(stream.weights, pos, starts,
+                                 counts) != stream.digests[s]:
+                    mismatched[s] = (pos.copy(), starts.copy(),
+                                     counts.copy())
+            out.attempted += chunk.reads + len(wkeys)
+            if rec is not None:
+                rec.writes += len(wkeys)
+                rec.write_s += mid - start
+                rec.reads += chunk.reads
+                rec.sample(done - mid, done)
+        end = _now()
+        if rebuild is not None:
+            await rebuild
+        return end
+
+    await run(0, cfg.warm_segments, None)
+    out.facts["rebuilds_before"] = served.daemon.rebuilds
+    if tracer is not None:
+        out.facts["root"] = tracer.root("bench.run", ACTIVE)
+    first, per = cfg.warm_segments, cfg.slice_segments
+    await _measure(lambda k, rec: run(first + k * per,
+                                      first + (k + 1) * per, rec),
+                   cfg, out, probe)
     out.facts["rebuilds"] = served.daemon.rebuilds \
         - out.facts["rebuilds_before"]
     # Before the check below materializes the live keys a second time.
@@ -468,24 +534,32 @@ async def _mixed(cfg: Config, inp: Inputs, served: Served, out: Outcome,
 
 async def run_pass(workload: str, cfg: Config, inp: Inputs, seed: int,
                    tracer: "Tracer | None" = None,
-                   probe: "host.HostProbe | None" = None) -> Outcome:
+                   probes: "host.Probes | None" = None) -> Outcome:
     """One set-up-warm-up-measure cycle of ``workload``.
 
     The peak resident set is reset once the inputs exist, so it covers
     set-up and serving; for the cluster the workers' peaks are added.
+    With ``probes``, the host is timed just before and just after the
+    set-ups, and between the measured slices.
     """
     out = Outcome(facts={"seed": seed})
     gc.collect()
     host.reset_peak_rss()
+    if probes is not None:
+        before = probes.setup.rate(host.PROBE_SETUP_S)
     served = await _set_up(workload, cfg, inp.keys, out, tracer)
     out.facts["setup_end"] = _now()
+    if probes is not None:
+        out.setup_speed = probes.setup.speed(
+            [before, probes.setup.rate(host.PROBE_SETUP_S)])
+    probe = probes.serving if probes is not None else None
     # Long-lived objects (inputs, the server) leave the collector's
     # generations, so full collections cost the same in every run.
     gc.collect()
     gc.freeze()
     try:
         if workload == "mixed_writes":
-            await _mixed(cfg, inp, served, out, tracer)
+            await _mixed(cfg, inp, served, out, tracer, probe)
         else:
             await _timed(workload, cfg, inp, served, out, tracer, probe)
         if workload != "mixed_writes":
@@ -534,5 +608,5 @@ def _knobs(batcher: Any, **extra: Any) -> "dict[str, Any]":
 
 def run(workload: str, cfg: Config, inp: Inputs, seed: int,
         tracer: "Tracer | None" = None,
-        probe: "host.HostProbe | None" = None) -> Outcome:
-    return asyncio.run(run_pass(workload, cfg, inp, seed, tracer, probe))
+        probes: "host.Probes | None" = None) -> Outcome:
+    return asyncio.run(run_pass(workload, cfg, inp, seed, tracer, probes))
