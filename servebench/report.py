@@ -166,7 +166,8 @@ def windowed(out: Outcome,
     """``(read_qps, p50_ms, p95_ms)`` at nominal host speed.
 
     Each window gets its own read rate and latency percentiles, scaled
-    by the host speed around its slice (``scaled=False``: as measured);
+    by the host speed around its slice (``scaled=False``: as measured;
+    the p95 only where ``out.p95_scaled``);
     the run reports the medians over windows, so that a burst of host
     noise in one window does not move its figure.
     """
@@ -191,7 +192,8 @@ def windowed(out: Outcome,
             prev = last
             p50, p95 = np.percentile(lat[idx[lo:hi]], [50, 95])
             p50s.append(p50 * 1e3 * slice_speed)
-            p95s.append(p95 * 1e3 * slice_speed)
+            p95s.append(p95 * 1e3
+                        * (slice_speed if out.p95_scaled else 1.0))
     return (statistics.median(rates), statistics.median(p50s),
             statistics.median(p95s))
 
