@@ -26,10 +26,11 @@ how to run the batch against an index.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 __all__ = [
     "STATUS_OK",
@@ -76,16 +77,17 @@ class Request:
         return self.deadline is not None and now >= self.deadline
 
 
-@dataclass(frozen=True)
-class Response:
-    """The answer to one request.
+class Response(NamedTuple):
+    """The answer to one request (immutable).
 
     ``status`` is one of ``ok`` / ``timeout`` / ``rejected`` /
     ``error``.  Only ``ok`` responses carry results: ``position`` is the
     lower-bound position (for both ops), ``count`` the number of keys
     in range (``None`` for point lookups).  A timed-out or rejected
     request never carries a value -- a late answer is withheld rather
-    than presented as fresh.
+    than presented as fresh.  A named tuple rather than a frozen
+    dataclass: the server builds one per request, and a tuple is
+    several times cheaper to construct.
     """
 
     op: str
@@ -219,42 +221,50 @@ class MicroBatcher:
         queued when the deadline passes still joins the batch (a
         backlog coalesces maximally); after :meth:`close` no new waiting
         happens at all.
+
+        Filling takes everything already queued without suspending and
+        waits only when the queue runs empty before the deadline: one
+        wait per wake-up, not one per request, so a full queue forms a
+        batch in a single step.
         """
         first = await self._next_request()
         if first is None:
             return None
         batch = [first]
         deadline = first.enqueued_at + self.max_wait_s
-        while len(batch) < self.max_batch_size:
-            remaining = 0.0 if self._closed else deadline - time.monotonic()
-            if remaining > 0:
-                try:
-                    item = await asyncio.wait_for(
-                        self._queue.get(), remaining
-                    )
-                except asyncio.TimeoutError:
-                    continue  # deadline hit; drain what is queued
-            else:
-                try:
-                    item = self._queue.get_nowait()
-                except asyncio.QueueEmpty:
-                    break
+        while True:
+            self._take_queued(batch, self.max_batch_size)
+            if len(batch) >= self.max_batch_size or self._closed:
+                return batch
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return batch
+            try:
+                item = await asyncio.wait_for(self._queue.get(), remaining)
+            except asyncio.TimeoutError:
+                continue  # deadline hit; take what is queued, then stop
             self._notify_space()
             if item is not _WAKE:
                 batch.append(item)
-        return batch
 
     def drain_nowait(self) -> "list[Request]":
         """Whatever is still queued, without waiting (post-shutdown sweep)."""
         out: "list[Request]" = []
-        while True:
+        self._take_queued(out, math.inf)
+        return out
+
+    def _take_queued(self, batch: "list[Request]", limit: float) -> None:
+        """Move queued requests into ``batch`` until it holds ``limit``
+        or the queue is empty, without waiting."""
+        queue = self._queue
+        while len(batch) < limit:
             try:
-                item = self._queue.get_nowait()
+                item = queue.get_nowait()
             except asyncio.QueueEmpty:
-                return out
+                return
             self._notify_space()
             if item is not _WAKE:
-                out.append(item)
+                batch.append(item)
 
     async def _next_request(self) -> "Request | None":
         while True:

@@ -21,7 +21,12 @@ from __future__ import annotations
 import json
 import math
 import time
-from typing import Any
+from bisect import bisect_right
+from typing import Any, Sequence
+
+import numpy as np
+
+from .batcher import STATUS_ERROR, STATUS_OK, STATUS_REJECTED, STATUS_TIMEOUT
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsWindow",
            "ServeMetrics", "rollup_states", "window_between"]
@@ -48,6 +53,14 @@ HISTOGRAM_NAMES = ("latency_s", "batch_size", "queue_depth")
 #: metric states without a ``gauges`` section merge cleanly -- the
 #: roll-up reads them with ``.get``.
 GAUGE_NAMES = ("staleness_s",)
+
+#: The counter of :class:`ServeMetrics` each final status increments.
+_STATUS_COUNTERS = {
+    STATUS_OK: "completed",
+    STATUS_TIMEOUT: "timeouts",
+    STATUS_REJECTED: "rejected",
+    STATUS_ERROR: "errors",
+}
 
 
 class Counter:
@@ -116,7 +129,10 @@ class Histogram:
 
     Bin ``i`` covers ``[lo * g**i, lo * g**(i+1))`` with ``g`` chosen so
     every decade splits into ``bins_per_decade`` bins; observations
-    outside ``[lo, hi)`` clamp into the first/last bin.  Percentiles
+    outside ``[lo, hi)`` clamp into the first/last bin.  One table of
+    bin edges decides the bin of every observation, whether it arrives
+    alone (:meth:`observe`) or in a batch (:meth:`observe_many`), so
+    both land every value in the same bin.  Percentiles
     come from the cumulative bin counts and are reported as the
     geometric midpoint of the selected bin, clamped to the exact
     observed ``[min, max]`` -- a relative error bounded by one bin width
@@ -134,6 +150,12 @@ class Histogram:
         decades = math.log10(self.hi / self.lo)
         self.num_bins = max(int(math.ceil(decades * bins_per_decade)), 1)
         self._log_lo = math.log10(self.lo)
+        edges = 10.0 ** (self._log_lo + np.arange(self.num_bins + 1)
+                         / self.bins_per_decade)
+        #: Bin ``i`` is ``[_edges[i], _edges[i + 1])``.
+        self._edges = edges.tolist()
+        #: The edges between bins, for numpy searches.
+        self._inner_edges = edges[1:-1]
         self.counts = [0] * self.num_bins
         self.count = 0
         self.total = 0.0
@@ -148,18 +170,28 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        if value <= self.lo:
-            idx = 0
-        else:
-            idx = int((math.log10(value) - self._log_lo)
-                      * self.bins_per_decade)
-            idx = min(max(idx, 0), self.num_bins - 1)
+        # The same search as observe_many: the inner edges only, so
+        # values outside [lo, hi) clamp into the first/last bin.
+        idx = bisect_right(self._edges, value, 1, self.num_bins) - 1
         self.counts[idx] += 1
 
+    def observe_many(self, values: "Sequence[float] | np.ndarray") -> None:
+        """:meth:`observe` every value, in one vectorized update."""
+        values = np.asarray(values, dtype=np.float64)
+        if not values.size:
+            return
+        idx = np.searchsorted(self._inner_edges, values, side="right")
+        binned = np.bincount(idx, minlength=self.num_bins)
+        nonzero = np.flatnonzero(binned)
+        for i, c in zip(nonzero.tolist(), binned[nonzero].tolist()):
+            self.counts[i] += c
+        self.count += values.size
+        self.total += float(values.sum())
+        self.min = min(self.min, float(values.min()))
+        self.max = max(self.max, float(values.max()))
+
     def _bin_edges(self, idx: int) -> "tuple[float, float]":
-        step = 1.0 / self.bins_per_decade
-        return (10.0 ** (self._log_lo + idx * step),
-                10.0 ** (self._log_lo + (idx + 1) * step))
+        return self._edges[idx], self._edges[idx + 1]
 
     def percentile(self, q: float) -> float:
         """Estimated ``q``-th percentile (``q`` in [0, 100])."""
@@ -286,22 +318,20 @@ class ServeMetrics:
             self.coalesced.inc(size)
 
     def record_response(self, status: str, latency_s: float) -> None:
-        from .batcher import (
-            STATUS_ERROR,
-            STATUS_OK,
-            STATUS_REJECTED,
-            STATUS_TIMEOUT,
-        )
-
         self.latency_s.observe(latency_s)
-        if status == STATUS_OK:
-            self.completed.inc()
-        elif status == STATUS_TIMEOUT:
-            self.timeouts.inc()
-        elif status == STATUS_REJECTED:
-            self.rejected.inc()
-        elif status == STATUS_ERROR:
-            self.errors.inc()
+        self._count_status(status, 1)
+
+    def record_responses(self, status: str,
+                         latencies_s: "Sequence[float]") -> None:
+        """:meth:`record_response` for a batch answered with one status:
+        one histogram update for all of them."""
+        self.latency_s.observe_many(latencies_s)
+        self._count_status(status, len(latencies_s))
+
+    def _count_status(self, status: str, n: int) -> None:
+        name = _STATUS_COUNTERS.get(status)
+        if name is not None:
+            getattr(self, name).inc(n)
 
     # -- derived numbers -------------------------------------------------
 

@@ -180,13 +180,9 @@ class IndexServer:
         # A ``block``-policy putter can land a request in the window
         # between the collector's final empty check and its exit; sweep
         # such stragglers into rejections so every future resolves.
-        for req in self.batcher.drain_nowait():
-            self._resolve(req, Response(
-                op=req.op,
-                status=STATUS_REJECTED,
-                latency_s=time.monotonic() - req.enqueued_at,
-                error="server shut down before service",
-            ))
+        self._resolve_all(self.batcher.drain_nowait(), STATUS_REJECTED,
+                          time.monotonic(), 0,
+                          error="server shut down before service")
         if self._logger_task is not None:
             self._logger_task.cancel()
             try:
@@ -398,26 +394,25 @@ class IndexServer:
             batch = await self.batcher.collect()
             if batch is None:
                 return
-            self.metrics.record_batch(len(batch), self.batcher.depth())
+            size = len(batch)
+            self.metrics.record_batch(size, self.batcher.depth())
             self._sample_staleness()
             now = time.monotonic()
-            live: "list[Request]" = []
+            expired: "list[Request]" = []
+            lookups: "list[Request]" = []
+            ranges: "list[Request]" = []
             for req in batch:
                 if req.expired(now):
-                    self._resolve(req, Response(
-                        op=req.op,
-                        status=STATUS_TIMEOUT,
-                        latency_s=now - req.enqueued_at,
-                        batch_size=len(batch),
-                        error="deadline expired before service",
-                    ))
+                    expired.append(req)
+                elif req.op == OP_LOOKUP:
+                    lookups.append(req)
                 else:
-                    live.append(req)
-            if not live:
+                    ranges.append(req)
+            self._resolve_all(expired, STATUS_TIMEOUT, now, size,
+                              error="deadline expired before service")
+            if not lookups and not ranges:
                 continue
             index = self._index  # captured: swaps affect later batches
-            lookups = [r for r in live if r.op == OP_LOOKUP]
-            ranges = [r for r in live if r.op == OP_RANGE]
             point_keys = np.array([r.key for r in lookups], dtype=np.uint64)
             lows = np.array([r.low for r in ranges], dtype=np.uint64)
             highs = np.array([r.high for r in ranges], dtype=np.uint64)
@@ -430,39 +425,39 @@ class IndexServer:
                 )
             except Exception as exc:  # index bug: fail the batch, not
                 log.exception("batch execution failed")  # the server
-                done = time.monotonic()
-                for req in live:
-                    self._resolve(req, Response(
-                        op=req.op,
-                        status=STATUS_ERROR,
-                        latency_s=done - req.enqueued_at,
-                        batch_size=len(batch),
-                        error=f"{type(exc).__name__}: {exc}",
-                    ))
+                self._resolve_all(lookups + ranges, STATUS_ERROR,
+                                  time.monotonic(), size,
+                                  error=f"{type(exc).__name__}: {exc}")
                 continue
-            done = time.monotonic()
-            for req, pos in zip(lookups, positions):
-                self._resolve(req, Response(
-                    op=OP_LOOKUP,
-                    status=STATUS_OK,
-                    position=int(pos),
-                    latency_s=done - req.enqueued_at,
-                    batch_size=len(batch),
-                ))
-            for req, start, count in zip(ranges, starts, counts):
-                self._resolve(req, Response(
-                    op=OP_RANGE,
-                    status=STATUS_OK,
-                    position=int(start),
-                    count=int(count),
-                    latency_s=done - req.enqueued_at,
-                    batch_size=len(batch),
-                ))
+            self._resolve_all(
+                lookups + ranges, STATUS_OK, time.monotonic(), size,
+                positions=positions.tolist() + starts.tolist(),
+                counts=[None] * len(lookups) + counts.tolist(),
+            )
 
-    def _resolve(self, request: Request, response: Response) -> None:
-        self.metrics.record_response(response.status, response.latency_s)
-        if request.future is not None and not request.future.done():
-            request.future.set_result(response)
+    def _resolve_all(self, requests: "list[Request]", status: str,
+                     done: float, batch_size: int, *,
+                     positions: "list[int] | None" = None,
+                     counts: "list[int | None] | None" = None,
+                     error: "str | None" = None) -> None:
+        """Answer ``requests`` with one ``status`` as of time ``done``.
+
+        ``positions``/``counts`` carry an ``ok`` batch's results in
+        request order.  Latency and the status counter are recorded for
+        all of them in one update, then every pending future resolves.
+        """
+        if not requests:
+            return
+        latencies = [done - r.enqueued_at for r in requests]
+        self.metrics.record_responses(status, latencies)
+        if positions is None:
+            positions = counts = [None] * len(requests)
+        for req, latency, position, count in zip(requests, latencies,
+                                                 positions, counts):
+            future = req.future
+            if future is not None and not future.done():
+                future.set_result(Response(req.op, status, position, count,
+                                           latency, batch_size, error))
 
     async def _log_periodically(self) -> None:
         while True:

@@ -27,6 +27,7 @@ import pytest
 from repro import data
 from repro.baselines import BinarySearchIndex, BTreeIndex, PGMIndex
 from repro.serve import (
+    STATUS_ERROR,
     STATUS_OK,
     STATUS_REJECTED,
     STATUS_TIMEOUT,
@@ -55,6 +56,13 @@ class SlowIndex(BinarySearchIndex):
     def serve_batch(self, point_queries, range_lows, range_highs):
         time.sleep(self.sleep_s)
         return super().serve_batch(point_queries, range_lows, range_highs)
+
+
+class BrokenIndex(BinarySearchIndex):
+    """An index whose every batch raises."""
+
+    def serve_batch(self, *a):
+        raise RuntimeError("boom")
 
 
 # ----------------------------------------------------------------------
@@ -291,6 +299,38 @@ def test_histogram_percentiles_are_bin_accurate():
     assert {"count", "mean", "min", "max", "p50", "p95", "p99"} <= set(summary)
 
 
+@pytest.mark.parametrize("lo,hi,bins_per_decade", [
+    (1e-6, 1e3, 80),   # ServeMetrics.latency_s
+    (1.0, 1e6, 40),    # ServeMetrics.batch_size / queue_depth
+    (1e-6, 1e3, 20),   # the Histogram default
+])
+def test_observe_many_matches_per_value_observe(lo, hi, bins_per_decade):
+    """The batched histogram update lands every value in the bin that
+    ``observe`` picks, exact bin edges included, and keeps the same
+    count, min, max and total."""
+    rng = np.random.default_rng(17)
+    log_lo, log_hi = np.log10(lo), np.log10(hi)
+    random = 10.0 ** rng.uniform(log_lo - 1, log_hi + 1, 20_000)
+    k = np.arange(int(round((log_hi - log_lo) * bins_per_decade)) + 1)
+    edges = 10.0 ** (log_lo + k / bins_per_decade)
+    near = np.concatenate([edges, np.nextafter(edges, 0),
+                           np.nextafter(edges, np.inf)])
+    outside = np.array([0.0, lo / 10, lo, hi, hi * 10])
+    for values in (random, edges, near, outside, np.array([])):
+        single = Histogram(lo=lo, hi=hi, bins_per_decade=bins_per_decade)
+        batched = Histogram(lo=lo, hi=hi, bins_per_decade=bins_per_decade)
+        for v in values:
+            single.observe(v)
+        batched.observe_many(values)
+        batched.observe_many([])  # an empty update changes nothing
+        assert batched.counts == single.counts
+        assert batched.count == single.count == len(values)
+        assert batched.min == single.min
+        assert batched.max == single.max
+        assert batched.total == pytest.approx(single.total, rel=1e-12,
+                                              abs=0.0)
+
+
 def test_metrics_snapshot_and_log_line(serve_keys):
     async def run():
         metrics = ServeMetrics()
@@ -318,10 +358,6 @@ def test_metrics_snapshot_and_log_line(serve_keys):
 def test_index_error_yields_error_responses(serve_keys):
     """An index that raises fails its batch, not the server."""
 
-    class BrokenIndex(BinarySearchIndex):
-        def serve_batch(self, *a):
-            raise RuntimeError("boom")
-
     async def run():
         server = IndexServer(BrokenIndex(serve_keys), max_batch_size=8,
                              max_wait_s=0.001, shed_policy="block")
@@ -338,6 +374,64 @@ def test_index_error_yields_error_responses(serve_keys):
     assert all(r.status == "error" for r in responses)
     assert all("boom" in r.error for r in responses)
     assert good.status == STATUS_OK
+
+
+def test_batched_resolution_accounts_every_request_once(serve_keys):
+    """Per-batch resolution keeps the books: one batch mixes live and
+    already-expired requests, the next fails in the index, and a late
+    request is rejected.  Every request resolves once with a final
+    status, the status counters add up to ``submitted``, and each
+    request adds exactly one latency observation."""
+    live_keys = serve_keys[np.arange(4) * 997]
+    lows, highs = serve_keys[[10, 500]], serve_keys[[400, 9000]]
+
+    async def run():
+        server = IndexServer(BinarySearchIndex(serve_keys),
+                             max_batch_size=8, max_wait_s=10.0,
+                             shed_policy="block")
+        async with server:
+            # Batch 1 (released full): 3 lookups + 1 range live, 4 with
+            # a deadline that has passed by dispatch.
+            mixed = [server.lookup(int(k)) for k in live_keys[:3]]
+            mixed.append(server.range_query(int(lows[0]), int(highs[0])))
+            mixed += [server.lookup(int(k), timeout_s=0.0)
+                      for k in live_keys]
+            first = await asyncio.gather(*mixed)
+            # Batch 2: the index raises for every request in it.
+            server.swap_index(BrokenIndex(serve_keys))
+            failing = [server.lookup(int(k)) for k in live_keys]
+            failing += [server.range_query(int(lo), int(hi))
+                        for lo, hi in zip(lows, highs)]
+            failing += [server.lookup(int(k)) for k in live_keys[:2]]
+            second = await asyncio.gather(*failing)
+        late = await server.lookup(int(live_keys[0]))
+        return first, second, late, server.metrics
+
+    first, second, late, metrics = asyncio.run(run())
+    responses = [*first, *second, late]
+    assert [r.status for r in first] == [STATUS_OK] * 4 + [STATUS_TIMEOUT] * 4
+    want = lower_bound_oracle(serve_keys, live_keys[:3])
+    assert [r.position for r in first[:3]] == list(want)
+    lo_pos, hi_pos = lower_bound_oracle(serve_keys,
+                                        np.array([lows[0], highs[0]]))
+    assert (first[3].position, first[3].count) == (lo_pos, hi_pos - lo_pos)
+    assert all(r.position is None and r.count is None for r in first[4:])
+    assert {r.status for r in second} == {STATUS_ERROR}
+    assert all("boom" in r.error and r.batch_size == 8 for r in second)
+    assert late.status == STATUS_REJECTED
+    by_status = {}
+    for r in responses:
+        by_status[r.status] = by_status.get(r.status, 0) + 1
+    assert metrics.submitted.value == len(responses) == 17
+    assert metrics.completed.value == by_status[STATUS_OK] == 4
+    assert metrics.timeouts.value == by_status[STATUS_TIMEOUT] == 4
+    assert metrics.errors.value == by_status[STATUS_ERROR] == 8
+    assert metrics.rejected.value == by_status[STATUS_REJECTED] == 1
+    assert (metrics.completed.value + metrics.timeouts.value
+            + metrics.errors.value + metrics.rejected.value
+            == metrics.submitted.value)
+    assert metrics.latency_s.count == metrics.submitted.value
+    assert metrics.batches.value == 2
 
 
 # ----------------------------------------------------------------------
@@ -549,6 +643,82 @@ def test_stop_while_coalesce_deadline_pending_serves_queued(serve_keys):
     assert [r.status for r in responses] == [STATUS_OK] * 5
     want = lower_bound_oracle(serve_keys, serve_keys[:5])
     assert [r.position for r in responses] == list(want)
+
+
+def test_collect_takes_a_full_queue_without_waiting(monkeypatch):
+    """With ``max_batch_size`` requests already queued, ``collect``
+    forms the batch in one step: no ``asyncio.wait_for`` at all."""
+    from repro.serve.batcher import OP_LOOKUP, MicroBatcher, Request
+
+    calls = []
+    real_wait_for = asyncio.wait_for
+
+    def counting_wait_for(*args, **kwargs):
+        calls.append(args)
+        return real_wait_for(*args, **kwargs)
+
+    monkeypatch.setattr(asyncio, "wait_for", counting_wait_for)
+
+    async def run():
+        batcher = MicroBatcher(max_batch_size=64, max_wait_s=10.0,
+                               max_queue=128)
+        now = time.monotonic()
+        sent = [Request(op=OP_LOOKUP, key=i, enqueued_at=now)
+                for i in range(64)]
+        for req in sent:
+            assert batcher.try_put(req)
+        extra = Request(op=OP_LOOKUP, key=64, enqueued_at=now)
+        assert batcher.try_put(extra)
+        batch = await asyncio.wait_for(batcher.collect(), 5)
+        return sent, extra, batch, batcher.drain_nowait()
+
+    sent, extra, batch, rest = asyncio.run(run())
+    assert batch == sent
+    assert rest == [extra], "a full batch leaves the rest queued"
+    # The test's own wait_for is the only call.
+    assert len(calls) == 1
+
+
+def test_request_put_during_the_wait_joins_the_batch():
+    """A request arriving inside the ``max_wait_s`` window of a waiting
+    ``collect`` joins that batch instead of starting the next one."""
+    from repro.serve.batcher import OP_LOOKUP, MicroBatcher, Request
+
+    async def run():
+        # The second request fills the batch, so a long window costs
+        # the test nothing and a slow host cannot close it early.
+        batcher = MicroBatcher(max_batch_size=2, max_wait_s=30.0)
+        first = Request(op=OP_LOOKUP, key=1, enqueued_at=time.monotonic())
+        assert batcher.try_put(first)
+        collecting = asyncio.create_task(batcher.collect())
+        await asyncio.sleep(0.02)  # collect is waiting out the window
+        assert not collecting.done()
+        late = Request(op=OP_LOOKUP, key=2, enqueued_at=time.monotonic())
+        assert batcher.try_put(late)
+        batch = await asyncio.wait_for(collecting, 5)
+        return first, late, batch
+
+    first, late, batch = asyncio.run(run())
+    assert batch == [first, late]
+
+
+def test_lone_request_waits_out_max_wait():
+    """A lone request is released no earlier than ``max_wait_s`` after
+    its ``enqueued_at``."""
+    from repro.serve.batcher import OP_LOOKUP, MicroBatcher, Request
+
+    max_wait_s = 0.03
+
+    async def run():
+        batcher = MicroBatcher(max_batch_size=8, max_wait_s=max_wait_s)
+        lone = Request(op=OP_LOOKUP, key=1, enqueued_at=time.monotonic())
+        assert batcher.try_put(lone)
+        batch = await asyncio.wait_for(batcher.collect(), 5)
+        return lone, batch, time.monotonic()
+
+    lone, batch, released = asyncio.run(run())
+    assert batch == [lone]
+    assert released >= lone.enqueued_at + max_wait_s
 
 
 # ----------------------------------------------------------------------
