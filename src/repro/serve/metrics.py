@@ -190,9 +190,6 @@ class Histogram:
         self.min = min(self.min, float(values.min()))
         self.max = max(self.max, float(values.max()))
 
-    def _bin_edges(self, idx: int) -> "tuple[float, float]":
-        return self._edges[idx], self._edges[idx + 1]
-
     def percentile(self, q: float) -> float:
         """Estimated ``q``-th percentile (``q`` in [0, 100])."""
         if self.count == 0:
@@ -202,8 +199,7 @@ class Histogram:
         for idx, c in enumerate(self.counts):
             seen += c
             if seen >= target:
-                lo_edge, hi_edge = self._bin_edges(idx)
-                mid = math.sqrt(lo_edge * hi_edge)
+                mid = math.sqrt(self._edges[idx] * self._edges[idx + 1])
                 return min(max(mid, self.min), self.max)
         return self.max  # pragma: no cover - unreachable (counts sum)
 
