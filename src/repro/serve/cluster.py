@@ -16,7 +16,8 @@ contract :class:`~repro.serve.router.ShardRouter` routes through.
 
 Kinds: ``reqs`` (a frame of point/range requests, served through the
 worker's micro-batcher), ``bulk`` (a pre-formed array batch, served via
-:meth:`IndexServer.serve_bulk`), ``write`` (a key/op burst applied to a
+:meth:`IndexServer.serve_bulk`; one frame may carry several callers'
+parts, see below), ``write`` (a key/op burst applied to a
 writable shard via :meth:`IndexServer.apply_writes`; the reply carries
 the shard's post-write live cardinality for the router's offset
 stitching), ``swap`` (rebuild + zero-loss ``swap_index``; the
@@ -26,6 +27,16 @@ instead of replacing the index), ``metrics`` (full-fidelity
 drain: every in-flight frame finishes, the server drains, the final
 metrics state comes back), and ``die`` (fault injection: the worker
 ``os._exit``\\ s without cleanup, simulating a crash).
+
+**Bulk outbox**: a pipe frame costs far more than the bytes it carries,
+so :meth:`Cluster.execute_bulk` does not send at once.  It queues its
+``(points, lows, highs)`` part on the shard's outbox, and the first
+part queued in an event-loop pass schedules one flush (``call_soon``)
+that sends every queued part as a single ``bulk`` frame of concatenated
+arrays and slices the reply back to each caller.  The worker serves
+that frame as one ``serve_bulk``.  Any other message to a shard flushes
+its outbox first, so the pipe carries messages in call order; a failed
+frame fails every part in it with the same exception.
 
 **Failure model**: one reader thread per worker pushes replies onto the
 event loop; EOF on the pipe -- graceful exit *or* SIGKILL -- marks the
@@ -42,6 +53,7 @@ applies the same expiry rule as a single-process server.
 from __future__ import annotations
 
 import asyncio
+import functools
 import itertools
 import logging
 import multiprocessing as mp
@@ -383,6 +395,11 @@ class Cluster:
         self._readers: "list[threading.Thread]" = []
         self._alive: "list[bool]" = []
         self._pending: "list[dict[int, asyncio.Future]]" = []
+        #: Per shard: bulk parts ``(points, lows, highs, future)``
+        #: queued for the next flush (see the module docstring).
+        self._outbox: "list[list[tuple]]" = [
+            [] for _ in range(self.plan.num_shards)
+        ]
         self._ids = itertools.count(_READY_ID + 1)
         self._loop: "asyncio.AbstractEventLoop | None" = None
         self.worker_info: "list[dict | None]" = []
@@ -498,6 +515,7 @@ class Cluster:
         if hard:
             self._procs[shard_id].kill()
         else:
+            self._flush(shard_id)
             try:
                 self._conns[shard_id].send(("die", next(self._ids), None))
             except (OSError, BrokenPipeError):
@@ -545,6 +563,7 @@ class Cluster:
 
     def _rpc(self, shard_id: int, kind: str,
              payload: Any) -> "asyncio.Future":
+        self._flush(shard_id)  # queued bulk parts go first: call order
         fut = self._loop.create_future()
         if not self._alive[shard_id]:
             fut.set_exception(ShardDeadError(
@@ -563,6 +582,17 @@ class Cluster:
                 ))
         return fut
 
+    def _flush(self, shard_id: int) -> None:
+        """Send a shard's queued bulk parts as one ``bulk`` frame."""
+        parts = [p for p in self._outbox[shard_id] if not p[3].done()]
+        self._outbox[shard_id] = []
+        if not parts:
+            return
+        frame = tuple(np.concatenate([p[i] for p in parts])
+                      for i in range(3))
+        reply = self._rpc(shard_id, "bulk", frame)
+        reply.add_done_callback(functools.partial(_split_reply, parts))
+
     # -- backend contract (consumed by ShardRouter) ----------------------
 
     async def execute_requests(self, shard_id: int, requests):
@@ -571,7 +601,17 @@ class Cluster:
         return await self._rpc(shard_id, "reqs", items)
 
     async def execute_bulk(self, shard_id: int, points, lows, highs):
-        return await self._rpc(shard_id, "bulk", (points, lows, highs))
+        """Serve one ``(points, lows, highs)`` part on a shard; returns
+        its ``(positions, starts, counts)``.  The part shares a frame
+        with every other part queued for the shard in this loop pass."""
+        fut = self._loop.create_future()
+        outbox = self._outbox[shard_id]
+        if not outbox:
+            self._loop.call_soon(self._flush, shard_id)
+        outbox.append((np.asarray(points, dtype=np.uint64),
+                       np.asarray(lows, dtype=np.uint64),
+                       np.asarray(highs, dtype=np.uint64), fut))
+        return await fut
 
     async def execute_writes(self, shard_id: int, keys,
                              ops) -> "tuple[int, int]":
@@ -608,6 +648,25 @@ class Cluster:
 
 class _WorkerError(RuntimeError):
     """The worker answered a frame with an application-level error."""
+
+
+def _split_reply(parts: "list[tuple]", reply: "asyncio.Future") -> None:
+    """Resolve each bulk part of a frame with its slice of the reply,
+    or every part with the frame's exception."""
+    exc = reply.exception()
+    if exc is not None:
+        for *_, fut in parts:
+            if not fut.done():
+                fut.set_exception(exc)
+        return
+    positions, starts, counts = reply.result()
+    p = r = 0
+    for points, lows, _, fut in parts:
+        p_end, r_end = p + len(points), r + len(lows)
+        if not fut.done():
+            fut.set_result((positions[p:p_end], starts[r:r_end],
+                            counts[r:r_end]))
+        p, r = p_end, r_end
 
 
 def cluster_for_dataset(

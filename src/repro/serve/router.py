@@ -45,7 +45,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -144,6 +144,12 @@ def plan_shards(keys: np.ndarray, num_shards: int) -> ShardPlan:
     offsets = (np.arange(num_shards + 1, dtype=np.int64) * n) // num_shards
     maxes = np.asarray(keys, dtype=np.uint64)[offsets[1:] - 1]
     return ShardPlan(offsets=offsets, maxes=maxes)
+
+
+def _by_shard(ids: np.ndarray) -> "Iterator[tuple[int, np.ndarray]]":
+    """``(shard_id, indices)`` for every shard that ``ids`` routes to."""
+    for shard_id in np.flatnonzero(np.bincount(ids)):
+        yield int(shard_id), np.flatnonzero(ids == shard_id)
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +664,7 @@ class ShardRouter:
             out[idx] = (np.asarray(positions, dtype=np.int64)
                         + int(self._offsets[shard_id]))
 
-        await asyncio.gather(*(
-            one(int(s), np.flatnonzero(ids == s)) for s in np.unique(ids)
-        ))
+        await asyncio.gather(*(one(s, idx) for s, idx in _by_shard(ids)))
         return out
 
     async def range_query_batch(
@@ -680,13 +684,8 @@ class ShardRouter:
             return starts_out, counts_out
         first = self.plan.route_points(lows)
         last = self.plan.route_points(highs)
-        members: "dict[int, list[int]]" = {}
-        for j in range(m):
-            for shard_id in range(int(first[j]), int(last[j]) + 1):
-                members.setdefault(shard_id, []).append(j)
 
-        async def one(shard_id: int, idx: "list[int]") -> None:
-            sel = np.asarray(idx, dtype=np.int64)
+        async def one(shard_id: int, sel: np.ndarray) -> None:
             if self.samplers is not None \
                     and self.samplers[shard_id] is not None:
                 self.samplers[shard_id].observe(_EMPTY_U64, lows[sel],
@@ -701,7 +700,11 @@ class ShardRouter:
             starts_out[sel[owns]] = (starts[owns]
                                      + int(self._offsets[shard_id]))
 
-        await asyncio.gather(*(one(s, idx) for s, idx in members.items()))
+        # One mask per spanned shard; a shard no range touches gets no
+        # call (it may be dead while every range avoids it).
+        spans = ((s, np.flatnonzero((first <= s) & (last >= s)))
+                 for s in range(int(first.min()), int(last.max()) + 1))
+        await asyncio.gather(*(one(s, sel) for s, sel in spans if len(sel)))
         return starts_out, counts_out
 
     # -- write lane ------------------------------------------------------
@@ -735,7 +738,7 @@ class ShardRouter:
             return int(applied)
 
         applied = await asyncio.gather(*(
-            one(int(s), np.flatnonzero(ids == s)) for s in np.unique(ids)
+            one(s, idx) for s, idx in _by_shard(ids)
         ))
         self._offsets = np.concatenate((
             np.zeros(1, dtype=np.int64),

@@ -12,7 +12,8 @@ Two layers, mirroring the module split:
 * **Multi-process end-to-end tests** against a real
   :class:`~repro.serve.cluster.Cluster`: open-loop traffic with oracle
   validation, shard-level hot-swap under live load with zero lost or
-  incorrect responses and monotone counters, and the committed
+  incorrect responses and monotone counters, gathered bulk calls
+  sharing one pipe frame per shard, and the committed
   ``BENCH_serve.json`` scaling section.
 
 No pytest-asyncio in the container, so every test drives its own event
@@ -292,6 +293,79 @@ def test_cluster_hot_swap_under_live_traffic(cluster_keys):
         assert post["requests"][name] >= pre["requests"][name], name
     assert post["batches"] >= pre["batches"]
     assert post["swaps"] == pre["swaps"] + 1
+
+
+def test_cluster_gathered_bulk_calls_share_one_frame_per_shard(
+        cluster_keys):
+    """Two lanes of gathered ``lookup_batch`` + ``range_query_batch``
+    reach each worker as one frame: one ``serve_bulk`` dispatch per
+    shard instead of one per part, with every answer oracle-exact."""
+    keys = cluster_keys
+    rng = np.random.default_rng(11)
+    chunks = []
+    for _ in range(2):
+        points = rng.choice(keys, size=300)
+        i = rng.integers(0, len(keys) - 64, size=40)
+        lows, highs = keys[i], keys[i + rng.integers(0, 64, size=40)]
+        chunks.append((points, lows, highs))
+
+    async def run():
+        async with Cluster(keys=keys, num_shards=2,
+                           index_type="binary-search") as cluster:
+            for points, lows, highs in chunks:
+                for part in (points, lows, highs):
+                    assert set(cluster.plan.route_points(part)) == {0, 1}
+            async with ShardRouter(cluster) as router:
+                before = await cluster.shard_metrics()
+                got = await asyncio.wait_for(asyncio.gather(*(
+                    call for points, lows, highs in chunks
+                    for call in (router.lookup_batch(points),
+                                 router.range_query_batch(lows, highs))
+                )), 30)
+                after = await cluster.shard_metrics()
+        return got, before, after
+
+    got, before, after = asyncio.run(run())
+    for j, (points, lows, highs) in enumerate(chunks):
+        np.testing.assert_array_equal(got[2 * j],
+                                      lower_bound_oracle(keys, points))
+        starts, counts = got[2 * j + 1]
+        want = lower_bound_oracle(keys, lows)
+        np.testing.assert_array_equal(starts, want)
+        np.testing.assert_array_equal(
+            counts, lower_bound_oracle(keys, highs) - want)
+    for b, a in zip(before, after):
+        assert (a["histograms"]["latency_s"]["count"]
+                - b["histograms"]["latency_s"]["count"]) == 1
+
+
+def test_cluster_cancelled_bulk_part_is_left_out_of_the_frame(
+        cluster_keys):
+    """A bulk part whose caller is cancelled before the flush is not
+    sent; the other part queued in that pass still answers."""
+    keys = cluster_keys
+    empty = np.empty(0, dtype=np.uint64)
+
+    async def run():
+        async with Cluster(keys=keys, num_shards=1,
+                           index_type="binary-search") as cluster:
+            before = (await cluster.shard_metrics())[0]
+            dropped = asyncio.create_task(
+                cluster.execute_bulk(0, keys[:100], empty, empty))
+            kept = asyncio.create_task(
+                cluster.execute_bulk(0, keys[100:130], empty, empty))
+            await asyncio.sleep(0)  # both parts queued, not yet flushed
+            dropped.cancel()
+            positions, _, _ = await asyncio.wait_for(kept, 30)
+            after = (await cluster.shard_metrics())[0]
+        return dropped, positions, before, after
+
+    dropped, positions, before, after = asyncio.run(run())
+    assert dropped.cancelled()
+    np.testing.assert_array_equal(positions,
+                                  lower_bound_oracle(keys, keys[100:130]))
+    assert (after["counters"]["submitted"]
+            - before["counters"]["submitted"]) == 30
 
 
 def test_cluster_worker_swap_with_custom_factory(cluster_keys):

@@ -26,6 +26,7 @@ from repro.serve import (
     STATUS_OK,
     Cluster,
     LocalBackend,
+    ShardDeadError,
     ShardRouter,
     plan_shards,
 )
@@ -159,7 +160,8 @@ def test_graceful_drain_resolves_every_inflight_future(fault_keys):
 
 def test_bulk_lane_raises_on_dead_shard(fault_keys):
     """The scatter/gather bulk lane surfaces a dead shard as an
-    exception (the scaling bench must fail loudly, not skew)."""
+    exception (the scaling bench must fail loudly, not skew), and the
+    failure stays with the calls that touched it."""
 
     async def run():
         async with Cluster(keys=fault_keys, num_shards=2,
@@ -176,25 +178,51 @@ def test_bulk_lane_raises_on_dead_shard(fault_keys):
                 got = await asyncio.wait_for(
                     router.lookup_batch(fault_keys[lo::7]), WAIT
                 )
-        return lo, got
+                # Gathered: the lookups' shard-1 parts share shard 1's
+                # frame with a range part confined to shard 1, and their
+                # shard-0 parts share shard 0's failed frame.
+                lows = fault_keys[lo + 10:-100:37]
+                gathered = await asyncio.wait_for(asyncio.gather(
+                    router.lookup_batch(fault_keys[::7]),
+                    router.lookup_batch(fault_keys[3::7]),
+                    router.range_query_batch(lows, lows + np.uint64(99)),
+                    return_exceptions=True,
+                ), WAIT)
+        return lo, got, lows, gathered
 
-    lo, got = asyncio.run(run())
+    lo, got, lows, (*failed, ranged) = asyncio.run(run())
     want = np.searchsorted(fault_keys, fault_keys[lo::7], side="left")
     np.testing.assert_array_equal(got, want)
+    assert all(isinstance(f, ShardDeadError) for f in failed), failed
+    assert not isinstance(ranged, BaseException), ranged
+    starts = np.searchsorted(fault_keys, lows, side="left")
+    ends = np.searchsorted(fault_keys, lows + np.uint64(99), side="left")
+    np.testing.assert_array_equal(ranged[0], starts)
+    np.testing.assert_array_equal(ranged[1], ends - starts)
 
 
 def test_local_backend_kill_simulation():
     """The in-process backend mirrors the cluster's failure contract,
-    so the fault logic is testable without processes."""
-    keys = np.arange(0, 5000, dtype=np.uint64) * np.uint64(3)
-    plan = plan_shards(keys, 2)
+    so the fault logic is testable without processes.  The bulk range
+    split calls only the shards some range touches, so a dead shard
+    between them does not fail the batch."""
+    keys = np.arange(0, 6000, dtype=np.uint64) * np.uint64(3)
+    plan = plan_shards(keys, 3)
     backend = LocalBackend(
-        [BinarySearchIndex(plan.slice_keys(keys, i)) for i in range(2)],
+        [BinarySearchIndex(plan.slice_keys(keys, i)) for i in range(3)],
         plan,
     )
+    # Ranges inside shards 0 and 2 only.
+    lows = np.concatenate([keys[10:1900:50], keys[4100:5900:50]])
+    highs = lows + np.uint64(40)
+    assert set(plan.route_points(np.concatenate([lows, highs]))) == {0, 2}
 
     async def run():
         async with ShardRouter(backend) as router:
+            backend.kill(1)
+            ranged = await asyncio.wait_for(
+                router.range_query_batch(lows, highs), WAIT
+            )
             backend.kill(0)
             dead = await asyncio.wait_for(
                 router.lookup(int(keys[5])), WAIT
@@ -205,9 +233,13 @@ def test_local_backend_kill_simulation():
             span = await asyncio.wait_for(router.range_query(
                 int(keys[0]), int(keys[-1])
             ), WAIT)
-        return dead, live, span
+        return ranged, dead, live, span
 
-    dead, live, span = asyncio.run(run())
+    (starts, counts), dead, live, span = asyncio.run(run())
+    want = np.searchsorted(keys, lows, side="left")
+    np.testing.assert_array_equal(starts, want)
+    np.testing.assert_array_equal(
+        counts, np.searchsorted(keys, highs, side="left") - want)
     assert dead.status == STATUS_ERROR
     assert live.status == STATUS_OK
     assert live.position == len(keys) - 5

@@ -15,7 +15,8 @@
   shard cardinalities drift apart;
 * a real multi-process :class:`~repro.serve.cluster.Cluster` of
   writable shards accepting ``write`` messages and the ``"@rebuild"``
-  in-place compaction swap.
+  in-place compaction swap, with bulk reads and writes reaching each
+  shard in call order.
 
 No pytest-asyncio in the container, so every test drives its own event
 loop with ``asyncio.run``.
@@ -239,3 +240,38 @@ def test_cluster_writable_shards_and_rebuild_swap():
     per_shard = [s["metrics"] for s in shard_metrics["shards"] if s["alive"]]
     assert sum(int(m["swaps"]) for m in per_shard) == 2
     assert sum(int(m["writes"]) for m in per_shard) == workload.num_writes
+
+
+def test_cluster_bulk_reads_and_writes_keep_call_order():
+    """A bulk read, a write and a bulk read created in one loop pass
+    reach the shard in call order: the first read misses the write,
+    the second sees it."""
+    keys = _keys(n=4_000, seed=31)
+
+    async def run():
+        async with Cluster(
+            keys=keys, num_shards=2,
+            index_factory=WritableFactory("binary-search"),
+        ) as cluster:
+            # Write to the last shard only and read there, so that the
+            # router's stitch offsets stay put.
+            lo = int(cluster.plan.offsets[1])
+            queries = keys[lo + 500:lo + 1500:50]
+            fresh = np.setdiff1d(keys[lo + 10:lo + 400:13] + np.uint64(1),
+                                 keys)
+            async with ShardRouter(cluster) as router:
+                tasks = [
+                    asyncio.create_task(router.lookup_batch(queries)),
+                    asyncio.create_task(router.apply_writes(
+                        fresh, np.ones(len(fresh), dtype=np.int8))),
+                    asyncio.create_task(router.lookup_batch(queries)),
+                ]
+                got = await asyncio.wait_for(asyncio.gather(*tasks), 30)
+        return queries, fresh, got
+
+    queries, fresh, (before, applied, after) = asyncio.run(run())
+    assert applied == len(fresh) > 0
+    np.testing.assert_array_equal(before, lower_bound_oracle(keys, queries))
+    np.testing.assert_array_equal(
+        after, lower_bound_oracle(np.sort(np.concatenate([keys, fresh])),
+                                  queries))
