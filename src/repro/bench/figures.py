@@ -51,6 +51,7 @@ from ..core.builder import RMIConfig
 from ..cost.model import CostModel
 from ..data import cdf as cdf_utils
 from ..data import sosd
+from ..kernels import use_backend
 from ..workload import make_workload, measure_build, run_workload
 from .parallel import pool_map_keys
 from .report import FigureResult
@@ -520,10 +521,18 @@ def fig10_search_algorithms(
 # ---------------------------------------------------------------------------
 
 
+#: Backend the cross-index build figures (11 and 14) time the RMI
+#: under.  Every other index builds in NumPy or Python, and the paper's
+#: build-cost claims compare like with like, so the RMI builds there
+#: with the staged NumPy steps rather than the C build kernels.
+_BUILD_FIGURE_BACKEND = "numpy"
+
+
 def _fig11_row(keys: np.ndarray, entry: tuple) -> dict:
     """Build one fig11 configuration (module-level: pool-picklable)."""
     panel, variant, cfg, runs = entry
-    rmi, build_s = measure_build(lambda: cfg.build(keys), runs=runs)
+    with use_backend(_BUILD_FIGURE_BACKEND):
+        rmi, build_s = measure_build(lambda: cfg.build(keys), runs=runs)
     st = rmi.build_stats
     return dict(
         panel=panel, variant=variant, segments=cfg.layer_sizes[0],
@@ -755,7 +764,8 @@ def _fig14_row(keys: np.ndarray, entry: tuple) -> dict:
     n, index_name, variant, runs = entry
     factory = _comparison_sweeps(n)[index_name][variant][1]
     try:
-        index, build_s = measure_build(lambda: factory(keys), runs=runs)
+        with use_backend(_BUILD_FIGURE_BACKEND):
+            index, build_s = measure_build(lambda: factory(keys), runs=runs)
     except UnsupportedDataError:
         return dict(index=index_name, variant=variant, unsupported=True)
     return dict(
@@ -811,9 +821,10 @@ def fig14_build_comparison(
         for index_name, variants in sweeps.items():
             for variant, (_, factory) in enumerate(variants):
                 try:
-                    index, build_s = measure_build(
-                        lambda: factory(keys), runs=runs
-                    )
+                    with use_backend(_BUILD_FIGURE_BACKEND):
+                        index, build_s = measure_build(
+                            lambda: factory(keys), runs=runs
+                        )
                 except UnsupportedDataError:
                     result.note(f"{index_name} did not work on {name} "
                                 "(duplicates), as in the paper")

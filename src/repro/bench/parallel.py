@@ -13,8 +13,10 @@ Results always come back in the order of the input items, regardless of
 :func:`build_report` is the grouped-vs-reference build benchmark behind
 ``python -m repro.bench build`` and the committed ``BENCH_build.json``:
 it times every configuration once with the grouped closed-form fit and
-once with the per-segment reference path (``grouped_fit=False``) and
-reports the speedups.
+once with the per-segment reference path (``grouped_fit=False``), both
+under the NumPy kernel backend, and reports the speedups.  A third
+build per configuration runs under the ``cext`` backend, whose build
+kernels cover the two-layer grouped LR build.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import numpy as np
 from ..core.builder import RMIConfig
 from ..cost.counters import BuildCounters
 from ..data import sosd
+from ..kernels import backend_available, get_backend
 
 __all__ = [
     "default_jobs",
@@ -119,6 +122,8 @@ def pool_map_keys(
 
 def _timed_build(keys: np.ndarray, config: RMIConfig) -> dict:
     """Build one configuration and report timings + work counters."""
+    # Resolve (load) the kernel backend outside the timed build.
+    backend = get_backend(config.kernels)
     t0 = time.perf_counter()
     rmi = config.build(keys)
     wall = time.perf_counter() - t0
@@ -126,6 +131,7 @@ def _timed_build(keys: np.ndarray, config: RMIConfig) -> dict:
     counters = BuildCounters.from_rmi(rmi)
     return {
         "config": config.describe(),
+        "kernels": backend.name,
         "model_types": list(config.model_types),
         "layer2_size": int(config.layer_sizes[0]),
         "bound_type": config.bound_type,
@@ -184,37 +190,48 @@ def build_report(
 
     Each (root, leaf) combination is built with ``grouped_fit=True``
     and with ``grouped_fit=False`` (the per-segment reference path) on
-    the same keys; ``speedup`` is reference / grouped wall time.  The
-    grouped builds additionally assert structural parity with their
-    reference twin: identical leaf sizes and error-bound payloads.
+    the same keys, both under the NumPy kernel backend; ``speedup`` is
+    reference / grouped wall time.  The grouped builds additionally
+    assert structural parity with their reference twin: identical leaf
+    sizes and error-bound payloads.  ``cext`` is the grouped build under
+    the C backend (``None`` where it cannot load) and ``cext_speedup``
+    its speedup over the NumPy grouped build; only configurations its
+    build kernels cover get faster.
     """
     keys = sosd.generate(dataset, n=n, seed=seed)
     pairs = [tuple(mt) for mt in model_types]
-    grouped_cfgs = [
-        RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
-                  bound_type=bound_type, grouped_fit=True)
-        for mt in pairs
-    ]
-    reference_cfgs = [
-        RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
-                  bound_type=bound_type, grouped_fit=False)
-        for mt in pairs
-    ]
-    grouped_rows = run_build_sweep(keys, grouped_cfgs, jobs=jobs, runs=runs)
-    reference_rows = run_build_sweep(keys, reference_cfgs, jobs=jobs,
-                                     runs=runs)
+
+    def sweep(kernels: str, grouped: bool) -> "list[dict]":
+        configs = [
+            RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
+                      bound_type=bound_type, grouped_fit=grouped,
+                      kernels=kernels)
+            for mt in pairs
+        ]
+        return run_build_sweep(keys, configs, jobs=jobs, runs=runs)
+
+    grouped_rows = sweep("numpy", True)
+    reference_rows = sweep("numpy", False)
+    cext_rows = (sweep("cext", True) if backend_available("cext")
+                 else [None] * len(pairs))
     entries = []
-    for mt, g, r in zip(pairs, grouped_rows, reference_rows):
-        if g["index_bytes"] != r["index_bytes"]:
-            raise AssertionError(
-                f"{mt}: grouped and reference builds disagree on index "
-                f"size ({g['index_bytes']} vs {r['index_bytes']} bytes)"
-            )
+    for mt, g, r, c in zip(pairs, grouped_rows, reference_rows, cext_rows):
+        for other in (r, c):
+            if other is not None and other["index_bytes"] != g["index_bytes"]:
+                raise AssertionError(
+                    f"{mt}: {other['kernels']} "
+                    f"{other['fit_path']} build disagrees with the NumPy "
+                    f"grouped build on index size ({other['index_bytes']} "
+                    f"vs {g['index_bytes']} bytes)"
+                )
         entries.append({
             "model_types": list(mt),
             "grouped": g,
             "reference": r,
             "speedup": r["build_s"] / max(g["build_s"], 1e-12),
+            "cext": c,
+            "cext_speedup": None if c is None else
+            g["build_s"] / max(c["build_s"], 1e-12),
         })
     speedups = [e["speedup"] for e in entries]
     return {
@@ -247,9 +264,13 @@ def render_build_report(report: dict) -> str:
     ]
     for e in report["configs"]:
         arrow = "->".join(e["model_types"])
+        cext = e["cext"]
         lines.append(
             f"  {arrow:8s} grouped {e['grouped']['build_s']:8.3f}s   "
             f"reference {e['reference']['build_s']:8.3f}s   "
-            f"speedup {e['speedup']:6.1f}x"
+            f"speedup {e['speedup']:6.1f}x   "
+            + ("cext n/a" if cext is None else
+               f"cext {cext['build_s']:8.3f}s ({e['cext_speedup']:.1f}x "
+               "over grouped)")
         )
     return "\n".join(lines)

@@ -80,6 +80,19 @@ class ErrorBounds:
         """
         raise NotImplementedError
 
+    @classmethod
+    def from_extremes(
+        cls, min_err: np.ndarray, max_err: np.ndarray
+    ) -> "ErrorBounds":
+        """Bounds from each model's minimum and maximum signed error.
+
+        ``min_err``/``max_err`` are :func:`_per_model_extremes`'s output
+        over the build's own keys (``(0, 0)`` for a model no key maps
+        to), the form the RMI build kernels produce.  Equal to
+        :meth:`compute` on the same predictions.
+        """
+        raise NotImplementedError
+
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         """Inclusive search interval for one prediction (unclamped)."""
         raise NotImplementedError
@@ -145,8 +158,13 @@ class LocalIndividualBounds(ErrorBounds):
     @classmethod
     def compute(cls, predictions, positions, model_ids, num_models, n):
         errors = _signed_errors(predictions, positions)
-        lo, hi = _per_model_extremes(errors, model_ids, num_models)
-        return cls(lo, hi)
+        return cls.from_extremes(
+            *_per_model_extremes(errors, model_ids, num_models)
+        )
+
+    @classmethod
+    def from_extremes(cls, min_err, max_err):
+        return cls(min_err, max_err)
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         return (
@@ -173,8 +191,13 @@ class LocalAbsoluteBounds(ErrorBounds):
     @classmethod
     def compute(cls, predictions, positions, model_ids, num_models, n):
         errors = _signed_errors(predictions, positions)
-        lo, hi = _per_model_extremes(errors, model_ids, num_models)
-        return cls(np.maximum(-lo, hi))
+        return cls.from_extremes(
+            *_per_model_extremes(errors, model_ids, num_models)
+        )
+
+    @classmethod
+    def from_extremes(cls, min_err, max_err):
+        return cls(np.maximum(-min_err, max_err))
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         e = int(self.abs_err[model_id])
@@ -205,6 +228,13 @@ class GlobalIndividualBounds(ErrorBounds):
             return cls(0, 0)
         return cls(int(errors.min()), int(errors.max()))
 
+    @classmethod
+    def from_extremes(cls, min_err, max_err):
+        # A model without keys contributes (0, 0), which never moves the
+        # global extremes of a build: the first key's error is <= 0 (its
+        # clamped prediction is >= 0) and the last key's is >= 0.
+        return cls(int(min_err.min()), int(max_err.max()))
+
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         return prediction + self.min_err, prediction + self.max_err
 
@@ -230,6 +260,10 @@ class GlobalAbsoluteBounds(ErrorBounds):
         if len(errors) == 0:
             return cls(0)
         return cls(int(np.max(np.abs(errors))))
+
+    @classmethod
+    def from_extremes(cls, min_err, max_err):
+        return cls(int(max(-min_err.min(), max_err.max())))
 
     def interval(self, prediction: int, model_id: int) -> tuple[int, int]:
         return prediction - self.abs_err, prediction + self.abs_err

@@ -339,12 +339,15 @@ class LinearRegression(Model):
         """Least-squares fit of every segment from grouped statistics.
 
         Uses the same centered normal equations as :meth:`fit`, with all
-        per-segment sums taken by ``np.add.reduceat``.  Parameters agree
-        with the per-segment path up to summation order (``np.mean`` /
-        ``np.dot`` use pairwise summation; reduceat is sequential), i.e.
-        to within a few ulp — cumsum differencing is deliberately *not*
-        used because cancellation on ~2^63-magnitude keys would bias the
-        OLS denominator.
+        per-segment sums taken by ``np.add.reduceat``, which adds a
+        segment's first element to NumPy's pairwise sum of the rest.
+        Parameters agree with the per-segment path up to summation order
+        (``np.mean`` sums the whole segment pairwise, ``np.dot`` in
+        BLAS's order), i.e. to within a few ulp — cumsum differencing is
+        deliberately *not* used because cancellation on ~2^63-magnitude
+        keys would bias the OLS denominator.  The C backend's leaf-fit
+        kernel replays reduceat's order exactly, so its parameters are
+        bit-identical to these.
         """
         counts = np.diff(offsets)
         fanout = len(counts)

@@ -35,9 +35,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .bounds import ErrorBounds, NoBounds, compute_bounds, resolve_bound_type
+from .bounds import (
+    BOUND_TYPES,
+    ErrorBounds,
+    NoBounds,
+    compute_bounds,
+    resolve_bound_type,
+)
 from .layers import LayerTable
-from .models import ConstantModel, CubicSpline, Model, grouped_fitter, resolve_model_type
+from .models import (
+    ConstantModel,
+    CubicSpline,
+    LinearRegression,
+    Model,
+    grouped_fitter,
+    resolve_model_type,
+)
 from .search import batch_lower_bound_window, resolve_search_algorithm
 
 __all__ = ["RMI", "BuildStats", "LookupTrace", "build_rmi_layers"]
@@ -171,16 +184,20 @@ class RMI:
         (all segments at once, NumPy reductions) instead of the
         per-segment Python loop.  Both paths produce the same models —
         bit-exact for the spline families, up to summation order (a few
-        ulp) for the mean-based ones; disable for the per-segment
-        Listing-1 reference semantics.
+        ulp) for the mean-based ones, whose grouped sums are
+        ``np.add.reduceat``'s (first element plus the pairwise sum of
+        the rest) rather than ``np.mean``'s; disable for the
+        per-segment Listing-1 reference semantics.
     ``kernels``
         Kernel backend for the batch lookup hot path: a registry name
         (``"numpy"``/``"numba"``/``"cext"``), ``"auto"``, or ``None``
         to follow the process default / ``REPRO_KERNELS`` environment
         chain (see :mod:`repro.kernels`).  Compiled backends serve
         ``lookup_batch``/``predict_batch``/``serve_batch`` through the
-        fused packed-array kernels; all backends are bit-identical, so
-        this only affects speed.
+        fused packed-array kernels.  The ``cext`` backend also builds
+        the default two-layer grouped LR configuration with its build
+        kernels (see :meth:`_build_kernels`).  All backends are
+        bit-identical, so this only affects speed.
     """
 
     def __init__(
@@ -227,6 +244,7 @@ class RMI:
         self.bounds: ErrorBounds = NoBounds(self.n)
         self.build_stats = BuildStats()
         self._leaf_model_ids: np.ndarray | None = None
+        self._leaf_counts: np.ndarray | None = None
         self._leaf_linear: tuple[np.ndarray, np.ndarray] | None = None
         self._build()
 
@@ -239,18 +257,23 @@ class RMI:
             fit_path="grouped" if self.grouped_fit else "per_segment"
         )
         n = self.n
-        positions = np.arange(n, dtype=np.float64)
         num_layers = len(self.layer_sizes)
+        # The backend's build kernels, when they cover this build: they
+        # replace the segment, leaves and bounds steps below and keep no
+        # per-key array; the staged NumPy steps stay the reference.
+        kernels = self._build_kernels()
 
         # Current key->model assignment, non-decreasing when the no-copy
         # path applies.  ``order`` maps the training order back to array
-        # positions (identity unless a non-monotonic model interleaved
-        # segments or copy_keys forced the reference path).  While it
-        # stays the identity, the per-layer gathers/scatters through it
-        # are skipped entirely.
+        # positions; it stays ``None`` (the identity) unless a
+        # non-monotonic model interleaved segments or copy_keys forced
+        # the reference path, and the per-layer gathers/scatters through
+        # it are skipped while it does.  ``routed`` holds the route
+        # kernel's per-leaf counts: keys then stay in array order,
+        # segmented by the counts.
         assign = np.zeros(n, dtype=np.int64)
-        order = np.arange(n, dtype=np.int64)
-        identity_order = True
+        order: "np.ndarray | None" = None
+        routed: "np.ndarray | None" = None
 
         for depth in range(num_layers):
             fanout = self.layer_sizes[depth]
@@ -274,10 +297,9 @@ class RMI:
                 not ordered_known and np.any(np.diff(assign) < 0)
             ):
                 perm = np.argsort(assign, kind="stable")
-                order = order[perm]
+                order = perm if order is None else order[perm]
                 assign = assign[perm]
-                identity_order = False
-            ordered_keys = self.keys if identity_order else self.keys[order]
+            ordered_keys = self.keys if order is None else self.keys[order]
             if self.copy_keys:
                 # Reference algorithm: physically materialize per-model
                 # key arrays (Listing 1, line 11).
@@ -285,6 +307,8 @@ class RMI:
                 stats.keys_copied += n
             if fanout == 1:
                 counts = np.asarray([n], dtype=np.int64)
+            elif routed is not None:
+                counts = routed
             else:
                 counts = np.bincount(assign, minlength=fanout)
             offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -293,15 +317,18 @@ class RMI:
                 stats.segment_seconds += t1 - t0
 
             # --- choose targets --------------------------------------
-            ordered_positions = (
-                positions if identity_order else positions[order]
-            )
-            if last_layer:
-                targets = ordered_positions
-            elif self.train_on_model_index:
-                targets = ordered_positions * (next_fanout / n)
+            # Each key's array position in training order, scaled to
+            # next-layer model indexes for inner layers trained on them.
+            if routed is not None:
+                targets = None  # the fit kernel targets key positions
             else:
-                targets = ordered_positions
+                targets = (
+                    np.arange(n, dtype=np.float64)
+                    if order is None
+                    else order.astype(np.float64)
+                )
+                if not last_layer and self.train_on_model_index:
+                    targets *= next_fanout / n
 
             # --- train models ----------------------------------------
             t2 = time.perf_counter()
@@ -310,7 +337,10 @@ class RMI:
                 if self.grouped_fit and fanout > 1
                 else None
             )
-            if fitter is not None:
+            if routed is not None:
+                layer = LayerTable(*kernels.rmi_fit_leaves(self.keys, offsets))
+                layer_fit_path = "grouped"
+            elif fitter is not None:
                 codes, params = fitter(ordered_keys, targets, offsets)
                 layer = LayerTable(codes, params)
                 layer_fit_path = "grouped"
@@ -348,19 +378,28 @@ class RMI:
             # --- assign keys to the next layer ------------------------
             if not last_layer:
                 t4 = time.perf_counter()
-                if fanout == 1:
-                    preds = _predict_routed(layer, ordered_keys, None)
-                else:
-                    seg_ids = np.repeat(
-                        np.arange(fanout, dtype=np.int64), counts
+                if kernels is not None and layer[0].is_monotonic():
+                    # Only the root routes here (the kernels cover two
+                    # layers); None means the staged step must run.
+                    routed = kernels.rmi_route_counts(
+                        self.keys, layer, next_fanout
                     )
-                    preds = _predict_routed(layer, ordered_keys, seg_ids)
+                if routed is None:
+                    if fanout == 1:
+                        preds = _predict_routed(layer, ordered_keys, None)
+                    else:
+                        seg_ids = np.repeat(
+                            np.arange(fanout, dtype=np.int64), counts
+                        )
+                        preds = _predict_routed(layer, ordered_keys, seg_ids)
+                    assign = _assignments(
+                        preds, next_fanout, n, self.train_on_model_index
+                    )
                 stats.keys_touched += n
-                assign = _assignments(
-                    preds, next_fanout, n, self.train_on_model_index
-                )
                 stats.segment_seconds += time.perf_counter() - t4
-            elif identity_order:
+            elif routed is not None:
+                self._leaf_counts = routed
+            elif order is None:
                 self._leaf_model_ids = assign
             else:
                 leaf_ids = np.empty(n, dtype=np.int64)
@@ -378,18 +417,60 @@ class RMI:
             self.bounds = NoBounds(n)
         else:
             t5 = time.perf_counter()
-            preds = self._predict_positions(self.keys, self._leaf_model_ids)
+            if routed is not None:
+                slopes, intercepts = self._leaf_linear
+                self.bounds = self.bound_type.from_extremes(
+                    *kernels.rmi_leaf_extremes(
+                        self.keys, slopes, intercepts, offsets
+                    )
+                )
+            else:
+                preds = self._predict_positions(
+                    self.keys, self._leaf_model_ids
+                )
+                self.bounds = compute_bounds(
+                    self.bound_type,
+                    preds,
+                    np.arange(n, dtype=np.int64),
+                    self._leaf_model_ids,
+                    self.layer_sizes[-1],
+                    n,
+                )
             stats.keys_touched += n
-            self.bounds = compute_bounds(
-                self.bound_type,
-                preds,
-                np.arange(n, dtype=np.int64),
-                self._leaf_model_ids,
-                self.layer_sizes[-1],
-                n,
-            )
             stats.bounds_seconds += time.perf_counter() - t5
         self.build_stats = stats
+
+    def _build_kernels(self):
+        """The backend whose build kernels run this build, or ``None``.
+
+        The kernels cover the build the serving stack uses: two layers,
+        grouped LR leaves over more than one leaf (a one-leaf layer is
+        fitted per segment), a root trained on model indexes, no copied
+        keys, and a stock bound type other than NB.  The root must also
+        turn out monotone and route the keys in order, which ``_build``
+        checks once it is trained.  Every other configuration, and every
+        backend without build kernels, takes the staged NumPy steps.
+        """
+        if not (
+            len(self.layer_sizes) == 2
+            and self.layer_sizes[1] > 1
+            and self.model_types[1] is LinearRegression
+            and self.grouped_fit
+            and self.train_on_model_index
+            and not self.copy_keys
+            and self.bound_type is not NoBounds
+            and self.bound_type in BOUND_TYPES.values()
+        ):
+            return None
+        from ..kernels import get_backend
+
+        try:
+            backend = get_backend(self.kernels)
+        except (RuntimeError, ValueError):
+            # An unloadable explicit backend is reported by the first
+            # lookup, as it always was; the build does not need it.
+            return None
+        return backend if backend.build_kernels else None
 
     def _cache_linear_leaves(self) -> None:
         """Cache leaf parameters as arrays when all leaves are linear.
@@ -657,8 +738,17 @@ class RMI:
 
     @property
     def leaf_model_ids(self) -> np.ndarray:
-        """Last-layer model id of every indexed key (training routing)."""
-        assert self._leaf_model_ids is not None
+        """Last-layer model id of every indexed key (training routing).
+
+        A kernel build keeps only the per-leaf counts of its sorted
+        routing; the per-key ids are derived from them on first access.
+        """
+        if self._leaf_model_ids is None:
+            counts = self._leaf_counts
+            assert counts is not None
+            self._leaf_model_ids = np.repeat(
+                np.arange(len(counts), dtype=np.int64), counts
+            )
         return self._leaf_model_ids
 
     def size_in_bytes(self) -> int:

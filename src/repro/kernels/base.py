@@ -24,6 +24,10 @@ A backend provides the hot kernels of the lookup path over flat arrays
 ``tree_lookup`` / ``tree_serve``
     Fused descent over a :class:`~repro.kernels.packed_tree.PackedTree`
     (sparse B+-tree directory, Hist-Tree bin descent).
+``rmi_route_counts`` / ``rmi_fit_leaves`` / ``rmi_leaf_extremes``
+    Optional RMI build kernels (``build_kernels``): the segment, leaves
+    and bounds steps of the two-layer grouped LR build, in place of the
+    staged NumPy steps of ``RMI._build``, which stay the reference.
 
 :meth:`KernelBackend.lookup` / :meth:`KernelBackend.serve` dispatch a
 packed structure of any family to the right kernel via its
@@ -153,6 +157,47 @@ class KernelBackend:
         range_highs: np.ndarray,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
         """Fused tree serving unit: ``(positions, starts, counts)``."""
+        raise NotImplementedError
+
+    # -- RMI build kernels -----------------------------------------------
+    #
+    # The staged NumPy steps of ``RMI._build`` are the reference build.
+    # A backend with ``build_kernels`` replaces three of them for the
+    # two-layer grouped LR build (see ``RMI._build_kernels``) and must
+    # reproduce them bit for bit.  Only the C backend has them.
+
+    #: True when the backend implements the three build kernels below.
+    build_kernels: bool = False
+
+    def rmi_route_counts(
+        self, keys: np.ndarray, root, fanout: int
+    ) -> "np.ndarray | None":
+        """Segment step: per-leaf key counts of routing ``keys`` through
+        the one-model ``root`` layer (trained on model indexes).
+
+        ``None`` when the root is not one the kernel evaluates, or when
+        the routing decreases somewhere; the caller then runs the staged
+        step.
+        """
+        raise NotImplementedError
+
+    def rmi_fit_leaves(
+        self, keys: np.ndarray, offsets: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Leaves step: ``LinearRegression.fit_grouped(keys, positions,
+        offsets)`` with each key's index as its target."""
+        raise NotImplementedError
+
+    def rmi_leaf_extremes(
+        self,
+        keys: np.ndarray,
+        slopes: np.ndarray,
+        intercepts: np.ndarray,
+        offsets: np.ndarray,
+    ) -> "tuple[np.ndarray, np.ndarray]":
+        """Bounds step: per-segment minimum and maximum signed error of
+        the clamped integral linear prediction, ``(0, 0)`` for an empty
+        segment."""
         raise NotImplementedError
 
     # -- generic dispatch ------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 from numpy.ctypeslib import ndpointer
 
 from .base import KernelBackend
-from .packed import PackedRMI
+from .packed import PACKABLE_MODEL_CODES, PackedRMI
 from .packed_pla import PackedPLA
 from .packed_tree import PackedTree
 
@@ -676,6 +676,148 @@ void repro_tree_serve(const uint64_t *keys, int64_t n, int32_t kind,
         count_out[i] -= start_out[i];
     }
 }
+
+/* ---- RMI build kernels -------------------------------------------------
+ * The segment, leaves and bounds steps of RMI._build for a two-layer RMI
+ * with a one-model root and LR leaves over a sorted routing.  Each one
+ * replays its staged NumPy step bit for bit and allocates nothing per
+ * key: segment j of the leaf layer is keys[off_j, off_j + count_j), and
+ * a key's position is its index. */
+
+/* Segment step: route every key through the root and count keys per
+ * leaf.  The arithmetic is route_leaf's on a model-index-trained root
+ * (RMI._assignments), except that the clamped estimate is truncated:
+ * it is >= 0, so truncation is floor, without a libm call per key.
+ * Counting by runs of equal leaves keeps the loop free of a memory
+ * increment per key.  Returns 0 as soon as the routing decreases (the
+ * staged build then runs instead), 1 for the sorted segmentation the
+ * staged build takes for a monotone root. */
+int32_t repro_rmi_route_counts(const uint64_t *keys, int64_t n,
+                               const int8_t *root_code,
+                               const double *root_params,
+                               int64_t fanout, int64_t *counts) {
+    double cap = (double)(fanout - 1);
+    int64_t run_leaf = 0, run_start = 0;
+    for (int64_t j = 0; j < fanout; j++) counts[j] = 0;
+    for (int64_t i = 0; i < n; i++) {
+        double est = eval_model(root_code[0], root_params, keys[i]);
+        if (isnan(est) || est < 0.0) est = 0.0;
+        if (est > cap) est = cap;
+        int64_t leaf = (int64_t)est;
+        if (leaf != run_leaf) {
+            if (leaf < run_leaf) return 0;
+            counts[run_leaf] = i - run_start;
+            run_leaf = leaf;
+            run_start = i;
+        }
+    }
+    counts[run_leaf] = n - run_start;
+    return 1;
+}
+
+/* np.add.reduceat's summation order for one segment: the first term
+ * plus NumPy's pairwise sum of the rest (pairwise_sum in NumPy's
+ * loops_utils.h.src).  Below 8 terms that is a plain loop from -0.0;
+ * up to 128 terms, 8 interleaved accumulators combined as a tree, then
+ * the remainder in order; above 128, halves split at a multiple of 8.
+ * The tree depends only on the term count, so each function takes two
+ * sums, of TA and TB (the k-th summands, computed on the fly from keys,
+ * mx and my), in one pass over the keys. */
+#define PW_BLOCKSIZE 128
+#define TREE8(r) (((r[0] + r[1]) + (r[2] + r[3])) + \
+                  ((r[4] + r[5]) + (r[6] + r[7])))
+#define DEFINE_SEGMENT_SUMS(NAME, TA, TB)                                 \
+static void pairwise_##NAME(const uint64_t *keys, int64_t lo, int64_t c, \
+                            double mx, double my,                         \
+                            double *sa, double *sb) {                     \
+    int64_t k;                                                            \
+    if (c < 8) {                                                          \
+        double ra = -0.0, rb = -0.0;                                      \
+        for (k = lo; k < lo + c; k++) { ra += TA; rb += TB; }             \
+        *sa = ra; *sb = rb;                                               \
+        return;                                                           \
+    }                                                                     \
+    if (c <= PW_BLOCKSIZE) {                                              \
+        double a[8], b[8], ra, rb;                                        \
+        int64_t end = lo + c - c % 8;                                     \
+        for (int j = 0; j < 8; j++) { k = lo + j; a[j] = TA; b[j] = TB; } \
+        for (int64_t blk = lo + 8; blk < end; blk += 8) {                 \
+            for (int j = 0; j < 8; j++) {                                 \
+                k = blk + j; a[j] += TA; b[j] += TB;                      \
+            }                                                             \
+        }                                                                 \
+        ra = TREE8(a); rb = TREE8(b);                                     \
+        for (k = end; k < lo + c; k++) { ra += TA; rb += TB; }            \
+        *sa = ra; *sb = rb;                                               \
+        return;                                                           \
+    }                                                                     \
+    int64_t half = c / 2;                                                 \
+    half -= half % 8;                                                     \
+    double la, lb, ua, ub;                                                \
+    pairwise_##NAME(keys, lo, half, mx, my, &la, &lb);                    \
+    pairwise_##NAME(keys, lo + half, c - half, mx, my, &ua, &ub);         \
+    *sa = la + ua; *sb = lb + ub;                                         \
+}                                                                         \
+static void segment_##NAME(const uint64_t *keys, int64_t lo, int64_t c,  \
+                           double mx, double my,                          \
+                           double *sa, double *sb) {                      \
+    int64_t k = lo;                                                       \
+    double fa = TA, fb = TB, ra, rb;                                      \
+    pairwise_##NAME(keys, lo + 1, c - 1, mx, my, &ra, &rb);               \
+    *sa = fa + ra; *sb = fb + rb;                                         \
+}
+
+/* The sums of LinearRegression.fit_grouped: x and y (the key's
+ * position), then dx*dx and dx*dy about the segment means. */
+DEFINE_SEGMENT_SUMS(means, (double)keys[k], (double)k)
+DEFINE_SEGMENT_SUMS(moments,
+                    ((double)keys[k] - mx) * ((double)keys[k] - mx),
+                    ((double)keys[k] - mx) * ((double)k - my))
+
+/* Leaves step: LinearRegression.fit_grouped of every segment against
+ * the key positions, into (fanout, 6) rows of (slope, intercept, 0...).
+ * Empty segments keep a zero row (the caller codes them constant). */
+void repro_rmi_fit_leaves(const uint64_t *keys, const int64_t *offsets,
+                          int64_t fanout, double *params) {
+    for (int64_t j = 0; j < fanout; j++) {
+        int64_t lo = offsets[j], c = offsets[j + 1] - lo;
+        double *p = params + j * 6;
+        for (int t = 0; t < 6; t++) p[t] = 0.0;
+        if (c == 0) continue;
+        double cnt = (double)c, sx, sy, denom, num;
+        segment_means(keys, lo, c, 0.0, 0.0, &sx, &sy);
+        double mx = sx / cnt, my = sy / cnt;
+        segment_moments(keys, lo, c, mx, my, &denom, &num);
+        double slope = denom > 0.0 ? num / denom : 0.0;
+        p[0] = slope;
+        p[1] = my - slope * mx;
+    }
+}
+
+/* Bounds step: every segment's minimum and maximum signed error
+ * (position - prediction) of the clamped integral prediction, the
+ * arithmetic of RMI._predict_positions.  Empty segments get (0, 0), as
+ * in core/bounds._per_model_extremes. */
+void repro_rmi_leaf_extremes(const uint64_t *keys, int64_t n,
+                             const double *slopes, const double *icepts,
+                             const int64_t *offsets, int64_t fanout,
+                             int64_t *lo_out, int64_t *hi_out) {
+    double cap = (double)(n - 1);
+    for (int64_t j = 0; j < fanout; j++) {
+        int64_t lo = INT64_MAX, hi = INT64_MIN;
+        for (int64_t k = offsets[j]; k < offsets[j + 1]; k++) {
+            double est = slopes[j] * (double)keys[k] + icepts[j];
+            if (isnan(est) || est < 0.0) est = 0.0;
+            if (est > cap) est = cap;
+            int64_t err = k - (int64_t)est;
+            lo = err < lo ? err : lo;
+            hi = err > hi ? err : hi;
+        }
+        if (lo > hi) lo = hi = 0;
+        lo_out[j] = lo;
+        hi_out[j] = hi;
+    }
+}
 """
 
 #: Contract OFF is load-bearing for bit-identity (see module docstring).
@@ -845,7 +987,16 @@ _SIGNATURES = {
     "repro_tree_serve":
         [_u64, _c_i64, *_TREE_ARGS, _u64, _c_i64, _u64, _u64, _c_i64,
          _i64, _i64, _i64],
+    "repro_rmi_route_counts":
+        [_u64, _c_i64, _i8, _f64, _c_i64, _i64],
+    "repro_rmi_fit_leaves":
+        [_u64, _i64, _c_i64, _f64],
+    "repro_rmi_leaf_extremes":
+        [_u64, _c_i64, _f64, _f64, _i64, _c_i64, _i64, _i64],
 }
+
+#: Return types of the kernels that return a value (the rest are void).
+_RESTYPES = {"repro_rmi_route_counts": ctypes.c_int32}
 
 
 def load() -> "CExtBackend":
@@ -861,7 +1012,7 @@ def load() -> "CExtBackend":
         except AttributeError as exc:
             raise CExtUnavailable(f"{lib_path} lacks {fname}") from exc
         fn.argtypes = argtypes
-        fn.restype = None
+        fn.restype = _RESTYPES.get(fname)
     return CExtBackend(lib)
 
 
@@ -888,6 +1039,18 @@ def _tree_args(packed: PackedTree):
         packed.node_base, packed.node_pref, packed.node_child,
         packed.num_bins, packed.min_key,
     )
+
+
+def _segments(keys, offsets):
+    """``(keys, offsets)`` as the build kernels index them, checked:
+    ``offsets`` must run from 0 to ``len(keys)`` without decreasing."""
+    keys = np.ascontiguousarray(keys, dtype=np.uint64)
+    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(keys) \
+            or np.any(offsets[1:] < offsets[:-1]):
+        raise ValueError("segment offsets must run from 0 to len(keys) "
+                         "without decreasing")
+    return keys, offsets
 
 
 class CExtBackend(KernelBackend):
@@ -1018,6 +1181,52 @@ class CExtBackend(KernelBackend):
             positions, starts, counts,
         )
         return positions, starts, counts
+
+    # -- RMI build kernels ------------------------------------------------
+
+    build_kernels = True
+
+    def rmi_route_counts(self, keys, root, fanout):
+        codes = getattr(root, "codes", None)
+        if codes is None or len(codes) != 1 or \
+                int(codes[0]) not in PACKABLE_MODEL_CODES:
+            return None
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        counts = np.empty(fanout, dtype=np.int64)
+        ordered = self._lib.repro_rmi_route_counts(
+            keys, len(keys), np.ascontiguousarray(codes, dtype=np.int8),
+            np.ascontiguousarray(root.params, dtype=np.float64), fanout,
+            counts,
+        )
+        return counts if ordered else None
+
+    def rmi_fit_leaves(self, keys, offsets):
+        from ..core.models import SOA_MODEL_CODES, ConstantModel, \
+            LinearRegression
+
+        keys, offsets = _segments(keys, offsets)
+        fanout = len(offsets) - 1
+        params = np.empty((fanout, 6), dtype=np.float64)
+        self._lib.repro_rmi_fit_leaves(keys, offsets, fanout, params)
+        codes = np.where(
+            offsets[1:] > offsets[:-1], SOA_MODEL_CODES[LinearRegression],
+            SOA_MODEL_CODES[ConstantModel],
+        ).astype(np.int8)
+        return codes, params
+
+    def rmi_leaf_extremes(self, keys, slopes, intercepts, offsets):
+        keys, offsets = _segments(keys, offsets)
+        fanout = len(offsets) - 1
+        slopes = np.ascontiguousarray(slopes, dtype=np.float64)
+        intercepts = np.ascontiguousarray(intercepts, dtype=np.float64)
+        if len(slopes) != fanout or len(intercepts) != fanout:
+            raise ValueError("need one slope and intercept per segment")
+        lo = np.empty(fanout, dtype=np.int64)
+        hi = np.empty(fanout, dtype=np.int64)
+        self._lib.repro_rmi_leaf_extremes(
+            keys, len(keys), slopes, intercepts, offsets, fanout, lo, hi,
+        )
+        return lo, hi
 
     def warmup(self) -> None:
         """The library is ahead-of-time compiled; loading was the warm-up."""

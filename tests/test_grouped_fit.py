@@ -7,12 +7,16 @@ The grouped fitters (``fit_grouped``) must reproduce the per-segment
   their grouped parameters are **bit-exact** equal to the per-segment
   ones;
 * ConstantModel and LinearRegression differ only in summation order
-  (``np.mean`` / ``np.dot`` sum pairwise, ``np.add.reduceat``
-  sequentially), so parameters and predictions agree to a few ulp --
-  the documented tolerance here is relative 1e-10;
+  (``np.mean`` / ``np.dot`` sum the whole segment pairwise, while
+  ``np.add.reduceat`` takes the first element plus the pairwise sum of
+  the rest), so parameters and predictions agree to a few ulp -- the
+  documented tolerance here is relative 1e-10;
 * whole-RMI builds must be **structurally identical** either way:
   same leaf assignments, same error-bound payloads, same size, same
   lookup results.
+
+The C backend's build kernels must reproduce the grouped NumPy build
+**bit for bit** (``TestKernelBuildParity``).
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ from repro.core.models import (
     Radix,
     grouped_fitter,
 )
-from repro.core.rmi import _fit_model
+from repro.core.rmi import RMI, _fit_model
+from repro.kernels import backend_available
 
 DATASETS = ("books", "fb", "osmc", "wiki")
 MODEL_TYPES = (ConstantModel, LinearRegression, LinearSpline, CubicSpline)
@@ -225,3 +230,113 @@ class TestGroupedSpeedup:
         assert reference_s >= 5.0 * grouped_s, (
             f"grouped {grouped_s:.4f}s vs per-segment {reference_s:.4f}s"
         )
+
+
+def _kernel_and_staged(keys, leaves, bound_type):
+    """The same LS->LR build by the cext kernels and by staged NumPy."""
+    cfg = dict(layer_sizes=(leaves,), model_types=("ls", "lr"),
+               bound_type=bound_type)
+    return (RMI(keys, kernels="cext", **cfg),
+            RMI(keys, kernels="numpy", **cfg))
+
+
+def _assert_bit_identical(kernel, staged):
+    # The kernel build stores no per-key leaf ids; they come from the
+    # per-leaf counts on first access.
+    assert kernel._leaf_model_ids is None
+    assert staged._leaf_model_ids is not None
+    # Equal leaf ids, hence equal leaf counts.
+    np.testing.assert_array_equal(kernel.leaf_model_ids,
+                                  staged.leaf_model_ids)
+    for k, s in zip(kernel.layers, staged.layers):
+        np.testing.assert_array_equal(k.codes, s.codes)
+        np.testing.assert_array_equal(k.params.view(np.uint64),
+                                      s.params.view(np.uint64))
+    assert type(kernel.bounds) is type(staged.bounds)
+    for k, s in zip(_bounds_payload(kernel.bounds),
+                    _bounds_payload(staged.bounds)):
+        np.testing.assert_array_equal(k, s)
+    assert kernel.size_in_bytes() == staged.size_in_bytes()
+    assert kernel.build_stats.fit_path == staged.build_stats.fit_path
+    assert kernel.build_stats.keys_touched == \
+        staged.build_stats.keys_touched == 2 * staged.n
+    keys = staged.keys
+    rng = np.random.default_rng(5)
+    queries = np.concatenate([
+        rng.choice(keys, size=min(len(keys), 300)),
+        rng.integers(0, 2**64 - 1, size=100, dtype=np.uint64),
+        keys[:1], keys[-1:],
+    ])
+    want = np.searchsorted(keys, queries, side="left")
+    np.testing.assert_array_equal(kernel.lookup_batch(queries), want)
+    np.testing.assert_array_equal(staged.lookup_batch(queries), want)
+
+
+BOUND_TYPES = ("lind", "labs", "gind", "gabs")
+
+#: Key arrays that hit the kernels' degenerate paths.
+EDGE_KEYS = {
+    "all-equal": np.full(500, 77, dtype=np.uint64),
+    "duplicate-runs": np.repeat(np.arange(0, 7000, 7, dtype=np.uint64), 13),
+    "single-key": np.asarray([12345], dtype=np.uint64),
+    "near-2^64": np.uint64(2**64 - 1)
+    - np.arange(3000, dtype=np.uint64)[::-1] * np.uint64(977),
+}
+
+
+@pytest.mark.skipif(not backend_available("cext"),
+                    reason="cext backend not available")
+class TestKernelBuildParity:
+    @pytest.mark.parametrize("bound_type", BOUND_TYPES)
+    @pytest.mark.parametrize("leaves", [2, 7, 1024, 2**14])
+    @pytest.mark.parametrize("dataset", DATASETS)
+    def test_datasets(self, small_datasets, dataset, leaves, bound_type):
+        # 2^14 leaves over 10k keys leave most leaves empty.
+        _assert_bit_identical(*_kernel_and_staged(
+            small_datasets[dataset], leaves, bound_type))
+
+    @pytest.mark.parametrize("bound_type", BOUND_TYPES)
+    @pytest.mark.parametrize("leaves", [2, 7, 1024])
+    @pytest.mark.parametrize("case", sorted(EDGE_KEYS))
+    def test_edge_cases(self, case, leaves, bound_type):
+        _assert_bit_identical(*_kernel_and_staged(
+            EDGE_KEYS[case], leaves, bound_type))
+
+    def test_route_kernel_refuses_a_decreasing_routing(self, books_keys):
+        from repro.core.layers import LayerTable
+        from repro.kernels import get_backend
+
+        cext = get_backend("cext")
+        n = len(books_keys)
+        for slope, ordered in ((64 / float(books_keys[-1]), True),
+                               (-64 / float(books_keys[-1]), False)):
+            root = LayerTable.from_models(
+                [LinearSpline(slope, 32.0 if slope < 0 else 0.0)])
+            counts = cext.rmi_route_counts(books_keys, root, 64)
+            assert (counts is not None) == ordered
+            if ordered:
+                assert counts.sum() == n
+
+    def test_kernels_reject_bad_segment_offsets(self, books_keys):
+        from repro.kernels import get_backend
+
+        cext = get_backend("cext")
+        n = len(books_keys)
+        for offsets in ([0, n + 1], [1, n], [0, 10, 5, n]):
+            offsets = np.asarray(offsets, dtype=np.int64)
+            with pytest.raises(ValueError, match="offsets"):
+                cext.rmi_fit_leaves(books_keys, offsets)
+            with pytest.raises(ValueError, match="offsets"):
+                cext.rmi_leaf_extremes(
+                    books_keys, np.zeros(len(offsets) - 1),
+                    np.zeros(len(offsets) - 1), offsets)
+
+    def test_staged_path_outside_the_kernel_configuration(self, books_keys):
+        """NB bounds, a one-leaf layer, copied keys and other leaf types
+        keep the staged build, which stores the per-key leaf ids."""
+        for cfg in (dict(bound_type="nb"), dict(layer_sizes=(1,)),
+                    dict(copy_keys=True), dict(model_types=("ls", "ls")),
+                    dict(grouped_fit=False),
+                    dict(train_on_model_index=False)):
+            rmi = RMI(books_keys, kernels="cext", **cfg)
+            assert rmi._leaf_model_ids is not None, cfg

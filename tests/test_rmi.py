@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.analysis import interval_sizes, prediction_errors
 from repro.core.rmi import RMI, build_rmi_layers
+from repro.kernels import backend_available
 
 
 def oracle(keys, queries):
@@ -183,13 +184,26 @@ class TestAccounting:
         # root (16) + 100 leaves (16 each) + 100 abs bounds (8 each)
         assert rmi.size_in_bytes() == 16 + 100 * 16 + 100 * 8
 
-    def test_build_stats_cover_all_steps(self, books_keys):
-        rmi = RMI(books_keys, layer_sizes=[128], bound_type="lind")
+    @pytest.mark.parametrize("kernels", [
+        "numpy",
+        pytest.param("cext", marks=pytest.mark.skipif(
+            not backend_available("cext"),
+            reason="cext backend not available")),
+    ])
+    def test_build_stats_cover_all_steps(self, books_keys, kernels):
+        # The cext backend builds this configuration with its build
+        # kernels; the step timings and work counters keep their meaning.
+        rmi = RMI(books_keys, layer_sizes=[128], bound_type="lind",
+                  kernels=kernels)
         st_ = rmi.build_stats
         assert st_.total_seconds > 0
         assert st_.train_root_seconds >= 0
+        assert st_.segment_seconds > 0
+        assert st_.train_leaves_seconds > 0
         assert st_.bounds_seconds > 0
-        assert st_.keys_touched >= len(books_keys)
+        assert st_.fit_path == "grouped"
+        # One root evaluation and one leaf evaluation per key.
+        assert st_.keys_touched == 2 * len(books_keys)
 
     def test_describe_mentions_configuration(self, books_keys):
         rmi = RMI(books_keys, layer_sizes=[64], model_types=("cs", "lr"),
