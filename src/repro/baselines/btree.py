@@ -24,7 +24,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.search import batch_lower_bound_window
 from .interfaces import OrderedIndex, SearchBounds
 
 __all__ = ["BulkLoadedBPlusTree", "BTreeIndex"]
@@ -264,50 +263,20 @@ class BTreeIndex(OrderedIndex):
         return SearchBounds(lo=lo, hi=hi, hint=lo, evaluation_steps=steps)
 
     def pack(self):
-        """Flatten the sampled-key directory for the compiled backends.
+        """Flatten the sampled-key directory for the kernel backends.
 
-        The leaf level as a whole is the sorted sampled-key array (see
-        :meth:`lookup_batch`), so the packed form is exactly that
-        directory plus the sampled positions.
+        Bulk loading packs the sampled ``(key, position)`` entries into
+        leaves in order, so the leaf level as a whole is the sorted
+        sampled-key array: the batch lookup's predecessor search over
+        it yields the same gap the node-by-node descent finds (what a
+        SIMD-batched B-tree achieves within nodes).  The packed form is
+        exactly that directory plus the sampled positions.
         """
         from ..kernels import pack_sparse_directory
 
         return pack_sparse_directory(
             self.name, self._sampled_keys, self._positions, self.n
         )
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized lookup over the flattened leaf directory.
-
-        Bulk loading packs the sampled ``(key, position)`` entries into
-        leaves in order, so the leaf level as a whole *is* the sorted
-        sampled-key array: a batched predecessor query over it yields
-        the same gap the node-by-node descent finds, with the tree
-        traversal amortized into one vectorized ``searchsorted`` (what
-        a SIMD-batched B-tree achieves within nodes).  The data-page
-        scan then runs as a window-restricted batch binary search.
-        """
-        state = self._kernel_state()
-        if state is not None:
-            backend, packed = state
-            return backend.lookup(
-                packed, self.keys,
-                np.ascontiguousarray(queries, dtype=np.uint64),
-            )
-        q = np.asarray(queries, dtype=np.uint64)
-        entry = np.searchsorted(self._sampled_keys, q, side="right") - 1
-        found = entry >= 0
-        safe = np.clip(entry, 0, len(self._positions) - 1)
-        lo = np.where(found, self._positions[safe], 0)
-        nxt = safe + 1
-        has_next = nxt < len(self._positions)
-        hi = np.where(
-            has_next, self._positions[np.clip(nxt, 0, len(self._positions) - 1)],
-            self.n - 1,
-        )
-        # Queries preceding every indexed key search the first gap.
-        hi = np.where(found, hi, int(self._positions[0]))
-        return batch_lower_bound_window(self.keys, q, lo, hi)
 
     def size_in_bytes(self) -> int:
         return self._tree.size_in_bytes()

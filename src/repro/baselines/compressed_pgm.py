@@ -80,7 +80,8 @@ class CompressedPGMIndex(PGMIndex):
 
         The instance levels already hold the quantized slopes and
         intercepts, so the only delta against ``PGMIndex.pack`` is the
-        widened bottom window.
+        widened bottom window, which every backend's batch lookup then
+        searches.
         """
         from ..kernels import PLA_DESCEND, pack_pla_levels
 
@@ -91,18 +92,6 @@ class CompressedPGMIndex(PGMIndex):
             eps=self._effective_eps, n=self.n,
             eps_internal=self.eps_internal,
         )
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        # The vectorized PGM path uses self.eps for the bottom window;
-        # temporarily widening keeps it correct without duplication.
-        # (The fused kernel path inside super() packs _effective_eps
-        # directly via the pack() override above.)
-        original = self.eps
-        try:
-            self.eps = self._effective_eps
-            return super().lookup_batch(queries)
-        finally:
-            self.eps = original
 
     def size_in_bytes(self) -> int:
         bottom = len(self.levels[0]) * COMPRESSED_SEGMENT_BYTES

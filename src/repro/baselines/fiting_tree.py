@@ -27,7 +27,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.search import batch_lower_bound_window
 from .btree import BulkLoadedBPlusTree
 from .interfaces import OrderedIndex, SearchBounds
 from .pgm import build_pla_segments
@@ -83,10 +82,10 @@ class FITingTree(OrderedIndex):
         return SearchBounds(lo=lo, hi=hi, hint=center, evaluation_steps=steps + 1)
 
     def pack(self):
-        """Flatten the segment table for the compiled kernel backends.
+        """Flatten the segment table for the kernel backends.
 
         The B+-tree directory only accelerates scalar descent; the
-        batch path's predecessor search runs over the flat segment
+        batch lookup's predecessor search runs over the flat segment
         table, which is exactly the packed single-level form.
         """
         from ..kernels import PLA_SEGMENT, pack_pla_levels
@@ -96,34 +95,6 @@ class FITingTree(OrderedIndex):
             [(self._first_keys, self._slopes, self._first_values)],
             eps=self.error, n=self.n,
         )
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: route all queries to their segment with
-        one predecessor ``searchsorted`` over the segment table (the
-        directory the B+-tree indexes), interpolate every estimate,
-        and finish with a window-restricted batch binary search --
-        fused in machine code when a compiled kernel backend is
-        active."""
-        state = self._kernel_state()
-        if state is not None:
-            backend, packed = state
-            return backend.lookup(
-                packed, self.keys,
-                np.ascontiguousarray(queries, dtype=np.uint64),
-            )
-        q = np.asarray(queries, dtype=np.uint64)
-        seg = np.searchsorted(self._first_keys, q, side="right") - 1
-        before = seg < 0  # query precedes every segment
-        seg = np.clip(seg, 0, len(self._first_keys) - 1)
-        estimate = self._first_values[seg] + self._slopes[seg] * (
-            q.astype(np.float64) - self._first_keys[seg].astype(np.float64)
-        )
-        center = np.clip(np.nan_to_num(estimate), 0, self.n - 1).astype(np.int64)
-        lo = np.maximum(center - self.error, 0)
-        hi = np.minimum(center + self.error, self.n - 1)
-        lo[before] = 0
-        hi[before] = 0
-        return batch_lower_bound_window(self.keys, q, lo, hi)
 
     def size_in_bytes(self) -> int:
         """Segment table (24 B per segment) plus the B+-tree directory."""

@@ -28,7 +28,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.search import batch_lower_bound_window
 from .interfaces import OrderedIndex, SearchBounds, UnsupportedDataError
 
 __all__ = ["HistTree"]
@@ -140,70 +139,14 @@ class HistTree(OrderedIndex):
             node = child
 
     def pack(self):
-        """Flatten the node graph breadth-first for the compiled
-        backends; the per-query shift-descent then runs over parallel
+        """Flatten the node graph breadth-first for the kernel
+        backends; the batch shift-descent then runs over parallel
         arrays with no Python objects or dict probes."""
         from ..kernels import pack_hist_nodes
 
         return pack_hist_nodes(
             self.name, self.root, self.num_bins, self._min_key, self.n
         )
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: grouped level-by-level bin descent.
-
-        All queries routed to the same node are processed together --
-        one vectorized shift picks their bins, one cumulative sum turns
-        bin counts into position offsets -- so the per-query work
-        matches the scalar descent while interpreter overhead is paid
-        per *node visited*, not per query.  Terminal-bin windows then
-        finish through the shared window-restricted batch search.
-        """
-        state = self._kernel_state()
-        if state is not None:
-            backend, packed = state
-            return backend.lookup(
-                packed, self.keys,
-                np.ascontiguousarray(queries, dtype=np.uint64),
-            )
-        q = np.asarray(queries, dtype=np.uint64)
-        lo = np.zeros(len(q), dtype=np.int64)
-        hi = np.zeros(len(q), dtype=np.int64)
-        above = q >= np.uint64(self._min_key)
-        start = np.flatnonzero(above)
-        # Queries below the key space keep the [0, 0] window.
-        stack = [(self.root, start, q[start] - np.uint64(self._min_key))]
-        while stack:
-            node, idx, offs = stack.pop()
-            # Bin selection stays in uint64: far-out-of-range queries
-            # produce bin numbers beyond int64 at the root level.
-            raw = (offs - np.uint64(node.lo_key)) >> np.uint64(node.shift)
-            over = raw >= np.uint64(self.num_bins)
-            if over.any():
-                # Beyond the covered range: the answer is at the end.
-                lo[idx[over]] = self.n - 1
-                hi[idx[over]] = self.n - 1
-                keep = ~over
-                idx, offs, raw = idx[keep], offs[keep], raw[keep]
-            bins = raw.astype(np.int64)
-            if not len(idx):
-                continue
-            if node.children:
-                routed = np.zeros(len(bins), dtype=bool)
-                for b, child in node.children.items():
-                    mask = bins == b
-                    if mask.any():
-                        routed |= mask
-                        stack.append((child, idx[mask], offs[mask]))
-                term = ~routed
-                idx, bins = idx[term], bins[term]
-            if not len(idx):
-                continue
-            offsets = np.concatenate(([0], np.cumsum(node.counts)))
-            tlo = node.base + offsets[bins]
-            hi[idx] = np.minimum(tlo + node.counts[bins], self.n - 1)
-            lo[idx] = np.minimum(tlo, self.n - 1)
-        return batch_lower_bound_window(self.keys, q, lo, hi)
 
     def size_in_bytes(self) -> int:
         """4 bytes per bin count plus 4 bytes per child slot (compact

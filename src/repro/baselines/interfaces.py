@@ -26,10 +26,13 @@ Serving-scale traffic arrives in batches, and fair wall-clock
 comparisons (SOSD; Marcus et al., "Benchmarking Learned Indexes",
 VLDB 2020) require every competitor to run through the same batched
 execution path.  :meth:`OrderedIndex.lookup_batch` is that path: a
-NumPy-vectorized lower-bound lookup over a whole query array, answered
-natively by every in-repo index.  The base-class implementation is a
-correct scalar fallback (one :meth:`lower_bound` per query), so
-third-party subclasses only implementing the scalar contract still
+vectorized lower-bound lookup over a whole query array.  An index that
+flattens into a packed form (:meth:`OrderedIndex.pack`) is answered by
+the active kernel backend on that form -- NumPy or compiled, one spec
+per family in :mod:`repro.kernels`.  The indexes that do not pack
+(ART, ALEX, FAST, ...) override :meth:`lookup_batch` themselves; the
+base class otherwise falls back to one :meth:`lower_bound` per query,
+so third-party subclasses only implementing the scalar contract still
 work everywhere the runner and benchmarks drive the batch path.
 :meth:`range_query_batch` vectorizes :meth:`range_query` on top of it.
 
@@ -153,10 +156,17 @@ class OrderedIndex:
 
         Returns an ``int64`` position per query, identical to calling
         :meth:`lower_bound` on each -- the conformance suite asserts
-        batch/scalar agreement for every index.  This default is the
-        correct scalar fallback; every in-repo index overrides it with
-        a genuinely vectorized path.
+        batch/scalar agreement for every index.  An index that packs
+        is answered by the active kernel backend's ``lookup`` on its
+        packed form; otherwise this is the correct scalar fallback.
         """
+        state = self._kernel_state()
+        if state is not None:
+            backend, packed = state
+            return backend.lookup(
+                packed, self.keys,
+                np.ascontiguousarray(queries, dtype=np.uint64),
+            )
         return np.fromiter(
             (self.lower_bound(int(q)) for q in np.asarray(queries)),
             dtype=np.int64,
@@ -185,16 +195,17 @@ class OrderedIndex:
         ends = self.lookup_batch(highs)
         return starts, ends - starts
 
-    # -- compiled kernels ------------------------------------------------
+    # -- kernel backends -------------------------------------------------
 
     def pack(self):
-        """Flatten the built structure for the compiled kernel backends.
+        """Flatten the built structure for the kernel backends.
 
         Returns a packed structure (``PackedPLA``/``PackedTree``/...,
         anything carrying a ``packed_kind`` dispatch tag) or ``None``
         when this index has no kernel-compatible flat form -- the
-        staged NumPy batch path is then used unchanged (the same soft
-        contract as ``pack_rmi``).  The base class packs nothing.
+        index's own (or the scalar fallback) batch path then runs (the
+        same soft contract as ``pack_rmi``).  The base class packs
+        nothing.
         """
         return None
 
@@ -211,22 +222,14 @@ class OrderedIndex:
         return self.__dict__["_packed_cache"]
 
     def _kernel_state(self):
-        """The ``(backend, packed)`` pair when the fused path applies.
-
-        ``None`` unless the resolved backend is compiled *and* this
-        index packs: the NumPy backend's packed kernels replay the
-        staged arithmetic without being faster, so the staged path
-        (whose intermediate arrays feed no one) stays canonical there.
-        """
-        from ..kernels import get_backend
-
-        backend = get_backend(getattr(self, "kernels", None))
-        if not backend.compiled:
-            return None
+        """The ``(backend, packed)`` pair of the batch path; ``None``
+        when this index does not pack."""
         packed = self._packed()
         if packed is None:
             return None
-        return backend, packed
+        from ..kernels import get_backend
+
+        return get_backend(getattr(self, "kernels", None)), packed
 
     def serve_batch(
         self,
@@ -240,10 +243,10 @@ class OrderedIndex:
         requests into a single call of this method per micro-batch, so
         an index pays one dispatch for the whole batch.  Returns
         ``(positions, range_starts, range_counts)``; either query array
-        may be empty.  The default composes :meth:`lookup_batch` and
-        :meth:`range_query_batch` -- or, when a compiled backend is
-        active and the index packs (:meth:`_kernel_state`), fuses all
-        three lower-bound passes into one kernel invocation.
+        may be empty.  When the index packs (:meth:`_kernel_state`),
+        the active backend's ``serve`` answers all three lower-bound
+        passes in one call; otherwise this composes :meth:`lookup_batch`
+        and :meth:`range_query_batch`.
         """
         state = self._kernel_state()
         if state is not None:
@@ -271,16 +274,12 @@ class OrderedIndex:
         return positions, starts, counts
 
     def warm_kernels(self) -> None:
-        """Compile/load the batch-path kernels off the serving hot path.
+        """Load the batch-path kernels off the serving hot path.
 
-        Every batch lookup completes through the kernel-backend
-        dispatcher (``core/search.batch_lower_bound_window``), so a JIT
-        backend would otherwise pay first-call compilation inside a
-        live request's deadline.  ``IndexServer`` calls this at start
-        and after every hot swap.  The default warms the active backend
-        and runs a one-element ``serve_batch`` probe through this
-        index's own batch path -- which, under a compiled backend, also
-        builds and caches this index's packed representation
+        ``IndexServer`` calls this at start and after every hot swap.
+        The default warms the active backend and runs a one-element
+        ``serve_batch`` probe through this index's own batch path --
+        which also builds and caches this index's packed representation
         (:meth:`pack` via :meth:`_packed`), so the first real request
         never pays the packing cost.  Idempotent and cheap when warm.
         """

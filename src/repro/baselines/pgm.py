@@ -34,7 +34,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.search import batch_binary_search, batch_lower_bound_window
 from .interfaces import OrderedIndex, SearchBounds
 
 __all__ = ["PGMIndex", "build_pla_segments", "PlaSegment"]
@@ -208,10 +207,13 @@ class PGMIndex(OrderedIndex):
         return max(idx, 0)
 
     def pack(self):
-        """Flatten the PLA levels for the compiled kernel backends.
+        """Flatten the PLA levels for the kernel backends.
 
-        Returns ``None`` (soft fallback) only when the level stack has
-        a non-kernel shape; any fitted PGM packs.
+        The packed form is this index's batch lookup on every backend:
+        each level's ±eps_internal window search runs batched, and the
+        bottom level finishes with a window-restricted bounded search.
+        Returns ``None`` (scalar fallback) only when the level stack
+        has a non-kernel shape; any fitted PGM packs.
         """
         from ..kernels import PLA_DESCEND, pack_pla_levels
 
@@ -221,50 +223,6 @@ class PGMIndex(OrderedIndex):
              for lvl in self.levels],
             eps=self.eps, n=self.n, eps_internal=self.eps_internal,
         )
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: descend all levels for the whole batch.
-
-        Each level performs the same ±eps_internal window search as the
-        scalar path, batched (or, with a compiled kernel backend, the
-        whole descent runs fused in machine code -- bit-identical); the
-        bottom level finishes with a window-restricted batch binary
-        search over the data.
-        """
-        state = self._kernel_state()
-        if state is not None:
-            backend, packed = state
-            return backend.lookup(
-                packed, self.keys,
-                np.ascontiguousarray(queries, dtype=np.uint64),
-            )
-        q = np.asarray(queries, dtype=np.uint64)
-        qf = q.astype(np.float64)
-        seg = np.zeros(len(q), dtype=np.int64)
-        for depth in range(len(self.levels) - 1, 0, -1):
-            level = self.levels[depth]
-            below = self.levels[depth - 1]
-            pred = level.first_values[seg] + level.slopes[seg] * (
-                qf - level.first_keys[seg].astype(np.float64)
-            )
-            m = len(below)
-            center = np.clip(np.nan_to_num(pred), 0, m - 1).astype(np.int64)
-            lo = np.maximum(center - self.eps_internal, 0)
-            hi = np.minimum(center + self.eps_internal, m - 1)
-            lb = batch_binary_search(below.first_keys, q, lo, hi)
-            # Predecessor semantics: the segment whose first key <= q.
-            exact = (lb <= hi) & (
-                below.first_keys[np.clip(lb, 0, m - 1)] == q
-            )
-            seg = np.clip(np.where(exact, lb, lb - 1), 0, m - 1)
-        bottom = self.levels[0]
-        pred = bottom.first_values[seg] + bottom.slopes[seg] * (
-            qf - bottom.first_keys[seg].astype(np.float64)
-        )
-        center = np.clip(np.nan_to_num(pred), 0, self.n - 1).astype(np.int64)
-        lo = np.maximum(center - self.eps, 0)
-        hi = np.minimum(center + self.eps, self.n - 1)
-        return batch_lower_bound_window(self.keys, q, lo, hi)
 
     def size_in_bytes(self) -> int:
         return sum(len(level) for level in self.levels) * SEGMENT_BYTES

@@ -22,7 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.search import batch_lower_bound_window
 from .interfaces import OrderedIndex, SearchBounds
 
 __all__ = ["RadixSpline", "greedy_spline_corridor"]
@@ -185,11 +184,13 @@ class RadixSpline(OrderedIndex):
         return SearchBounds(lo=lo, hi=hi, hint=center, evaluation_steps=steps)
 
     def pack(self):
-        """Flatten the spline knots for the compiled kernel backends.
+        """Flatten the spline knots for the kernel backends.
 
-        The batch path searches the knot array directly (the radix
-        table is a scalar-path accelerator), so the packed form is the
-        knot ``(x, y)`` pairs with an all-zero slopes array.
+        The batch lookup searches the knot array directly (the radix
+        table is a scalar-path accelerator), interpolates every
+        estimate and finishes with a window-restricted bounded search,
+        so the packed form is the knot ``(x, y)`` pairs with an
+        all-zero slopes array.
         """
         from ..kernels import PLA_SPLINE, pack_pla_levels
 
@@ -199,34 +200,6 @@ class RadixSpline(OrderedIndex):
               self._spline_y)],
             eps=self.max_error, n=self.n,
         )
-
-    def lookup_batch(self, queries: np.ndarray) -> np.ndarray:
-        """Vectorized lookup: interpolate all estimates, then perform a
-        window-restricted batch binary search (same per-query work as
-        the scalar path, amortized across the batch; fused in machine
-        code when a compiled kernel backend is active)."""
-        state = self._kernel_state()
-        if state is not None:
-            backend, packed = state
-            return backend.lookup(
-                packed, self.keys,
-                np.ascontiguousarray(queries, dtype=np.uint64),
-            )
-        q = np.asarray(queries, dtype=np.uint64)
-        idx = np.searchsorted(self._spline_x, q, side="right")
-        left = np.clip(idx - 1, 0, len(self._spline_x) - 1)
-        right = np.clip(idx, 0, len(self._spline_x) - 1)
-        x0 = self._spline_x[left].astype(np.float64)
-        x1 = self._spline_x[right].astype(np.float64)
-        y0 = self._spline_y[left]
-        y1 = self._spline_y[right]
-        dx = x1 - x0
-        frac = np.divide(q.astype(np.float64) - x0, dx,
-                         out=np.zeros(len(q)), where=dx > 0)
-        center = np.clip(y0 + (y1 - y0) * frac, 0, self.n - 1).astype(np.int64)
-        lo = np.maximum(center - self.max_error, 0)
-        hi = np.minimum(center + self.max_error, self.n - 1)
-        return batch_lower_bound_window(self.keys, q, lo, hi)
 
     def size_in_bytes(self) -> int:
         """Spline knots (16 B each) plus the radix table (8 B slots)."""

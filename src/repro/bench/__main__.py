@@ -13,7 +13,7 @@ Usage::
     python -m repro.bench build --n 1000000 --layer2-size 16384 \\
         --out BENCH_build.json --min-speedup 20
     python -m repro.bench kernels --n 100000 --out BENCH_kernels.json \\
-        --min-speedup 5 [--gate-backend numba]
+        --min-speedup 5 [--gate-backend cext]
     python -m repro.bench updates --n 200000 --out BENCH_updates.json \\
         --min-retention 0.5 --max-staleness-s 2.0
     python -m repro.bench tune --n 200000 --out BENCH_tune.json \\
@@ -164,8 +164,9 @@ def _kernels_main(argv: "list[str]") -> int:
                         f"{GATE_METRIC} speedup over numpy reaches this")
     parser.add_argument("--gate-backend", default="best-compiled",
                         help="backend the --min-speedup gate binds on: a "
-                        "name (CI pins numba) or 'best-compiled' "
-                        "(default: the fastest available compiled one)")
+                        "compiled backend's name (CI pins cext) or "
+                        "'best-compiled' (default: the fastest available "
+                        "compiled one)")
     args = parser.parse_args(argv)
 
     backends = None

@@ -21,21 +21,19 @@ Beyond the RMI smoke, the report carries one section per *family
 baseline* (``--index`` selects which): each packable index of Table 5
 -- PGM, CompressedPGM, RadixSpline, FITing-Tree (``pla`` family),
 B-tree and Hist-Tree (``tree`` family) -- is built on the same keys,
-packed, and its fused ``lookup``/``serve`` kernels timed per compiled
-backend against the index's own staged NumPy batch path.  A final
+packed, and its ``lookup``/``serve`` kernels -- the index's batch
+path on every backend -- timed per backend, NumPy included.  A final
 ``sorted_narrowing`` section times the pure-NumPy sorted-batch
 narrowing fast path in ``core/search.py`` against the plain windowed
 search, so the report also states what indexes gain where nothing
 compiles.
 
-Every backend's outputs are asserted bit-identical to the staged NumPy
+Every backend's outputs are asserted bit-identical to the NumPy
 reference (and ``lookup`` additionally to the ``searchsorted`` oracle)
 before its timings count: a fast wrong kernel must fail the bench, not
 win it.  Backends that cannot load in this environment are recorded as
 ``available: false`` rather than dropped, so a committed report states
-explicitly which legs ran (PR-6 precedent: the numba leg binds in the
-dedicated CI job, which installs numba; dev containers without it
-still gate on the best available compiled backend).
+explicitly which legs ran.
 """
 
 from __future__ import annotations
@@ -57,7 +55,7 @@ from ..baselines.pgm import PGMIndex
 from ..baselines.radix_spline import RadixSpline
 from ..core.rmi import RMI
 from ..data import sosd
-from ..kernels import KNOWN_BACKENDS, get_backend, pack_rmi, use_backend
+from ..kernels import KNOWN_BACKENDS, get_backend, pack_rmi
 
 __all__ = [
     "KERNELS",
@@ -145,8 +143,9 @@ def _best_of(fn, runs: int) -> float:
 
 def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
                     runs: int, loaded: "dict[str, object]") -> dict:
-    """One family baseline: staged-NumPy timings plus every compiled
-    backend's fused kernels, bit-identity enforced throughout."""
+    """One family baseline: every loaded backend's ``lookup``/``serve``
+    on the packed form (the index's batch path), each checked against
+    the NumPy replay and the oracle before its timings count."""
     try:
         index, config = build(keys)
     except (UnsupportedDataError, ValueError) as exc:
@@ -154,48 +153,32 @@ def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
     m = len(qs)
     oracle = np.searchsorted(index.keys, qs, side="left").astype(np.int64)
     packed = index.pack()
-    with use_backend("numpy"):
-        if not np.array_equal(index.lookup_batch(qs), oracle):
-            raise RuntimeError(
-                f"{index.name}: staged batch path disagrees with the oracle"
-            )
-        staged_serve = index.serve_batch(qs, qs, qs)
-        staged = {
-            "lookup": _best_of(lambda: index.lookup_batch(qs), runs),
-            "serve": _best_of(lambda: index.serve_batch(qs, qs, qs), runs),
-        }
     section = {
         "family": family,
         "built": True,
         "n": int(index.n),
         "config": config,
         "packed": packed is not None,
-        "backends": {
-            "numpy": {
-                "available": True,
-                "compiled": False,
-                "staged": True,
-                "kernels": {
-                    kernel: {"best_s": t, "ns_per_op": t / m * 1e9}
-                    for kernel, t in staged.items()
-                },
-            }
-        },
+        "backends": {},
         "speedups": {},
     }
     if packed is None:
         return section
+    reference = get_backend("numpy")
+    if not np.array_equal(reference.lookup(packed, index.keys, qs), oracle):
+        raise RuntimeError(
+            f"numpy backend disagrees with the oracle on {index.name}"
+        )
+    ref_serve = reference.serve(packed, index.keys, qs, qs, qs)
     for name, backend in loaded.items():
-        if name == "numpy" or not backend.compiled:
-            continue
         got = backend.lookup(packed, index.keys, qs)
         got_serve = backend.serve(packed, index.keys, qs, qs, qs)
         if not (np.array_equal(got, oracle)
                 and all(np.array_equal(g, r)
-                        for g, r in zip(got_serve, staged_serve))):
+                        for g, r in zip(got_serve, ref_serve))):
             raise RuntimeError(
-                f"backend {name!r} is not bit-identical to the staged "
-                f"{index.name} path"
+                f"backend {name!r} is not bit-identical to the NumPy "
+                f"replay of {index.name}"
             )
         timings = {
             "lookup": _best_of(
@@ -206,19 +189,33 @@ def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
         }
         section["backends"][name] = {
             "available": True,
-            "compiled": True,
-            "staged": False,
+            "compiled": bool(backend.compiled),
             "bit_identical": True,
             "kernels": {
                 kernel: {"best_s": t, "ns_per_op": t / m * 1e9}
                 for kernel, t in timings.items()
             },
         }
-        section["speedups"][name] = {
-            kernel: staged[kernel] / timings[kernel]
-            for kernel in FAMILY_KERNELS
-        }
+    section["speedups"] = _speedups(section["backends"], FAMILY_KERNELS)
     return section
+
+
+def _speedups(backends: "dict[str, dict]",
+              kernels: "tuple[str, ...]") -> "dict[str, dict[str, float]]":
+    """Per-kernel speedup of every available backend over the NumPy
+    leg; empty when the NumPy leg did not run."""
+    baseline = backends.get("numpy")
+    if not (baseline and baseline.get("available")):
+        return {}
+    return {
+        name: {
+            kernel: (baseline["kernels"][kernel]["best_s"]
+                     / entry["kernels"][kernel]["best_s"])
+            for kernel in kernels
+        }
+        for name, entry in backends.items()
+        if name != "numpy" and entry.get("available")
+    }
 
 
 def _sorted_narrowing_section(keys: np.ndarray, qs: np.ndarray,
@@ -425,18 +422,7 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
             },
         }
 
-    baseline = report_backends.get("numpy")
-    speedups: "dict[str, dict[str, float]]" = {}
-    if baseline and baseline.get("available"):
-        for name, entry in report_backends.items():
-            if name == "numpy" or not entry.get("available"):
-                continue
-            speedups[name] = {
-                kernel: (baseline["kernels"][kernel]["best_s"]
-                         / entry["kernels"][kernel]["best_s"])
-                for kernel in KERNELS
-            }
-    return report_backends, speedups
+    return report_backends, _speedups(report_backends, KERNELS)
 
 
 def gate_speedups(report: dict) -> "dict[str, float]":
@@ -481,8 +467,8 @@ def resolve_gate_backend(report: dict, gate_backend: str) -> "str | None":
 
     ``"best-compiled"`` picks the available compiled backend with the
     highest gate-metric speedup (see :func:`gate_speedups`); a concrete
-    name requires that backend to be available (CI's numba leg must
-    fail loudly when the install broke, not silently gate on cext).
+    name requires that backend to be available (CI's cext gate must
+    fail loudly when the library did not build, not silently pass).
     """
     status = _backend_status(report)
     if gate_backend != "best-compiled":
@@ -532,17 +518,14 @@ def render_kernels_report(report: dict) -> str:
             for kernel in FAMILY_KERNELS:
                 t = entry["kernels"][kernel]
                 speed = fam["speedups"].get(name, {}).get(kernel)
-                if speed:
-                    suffix = f"  {speed:5.2f}x vs numpy"
-                else:
-                    suffix = "  (staged)" if entry.get("staged") else ""
+                suffix = f"  {speed:5.2f}x vs numpy" if speed else ""
                 lines.append(
                     f"  {tag:24s} {name:6s} {kernel:6s} "
                     f"{t['best_s'] * 1e3:8.2f}ms  "
                     f"{t['ns_per_op']:7.1f}ns/op{suffix}"
                 )
         if not fam.get("packed"):
-            lines.append(f"  {tag:24s} unpackable: staged path only")
+            lines.append(f"  {tag:24s} unpackable: no kernels to time")
     narrowing = report.get("sorted_narrowing")
     if narrowing:
         lines.append(

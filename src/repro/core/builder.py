@@ -61,7 +61,7 @@ class RMIConfig:
     #: call per segment and object-mode layers.
     grouped_fit: bool = True
     #: Kernel backend for the batch lookup hot path (``"numpy"``,
-    #: ``"numba"``, ``"cext"``, ``"auto"``); ``None`` follows the
+    #: ``"cext"``, ``"auto"``); ``None`` follows the
     #: process default / ``REPRO_KERNELS`` chain.  Backends are
     #: bit-identical, so this never affects results -- built-index
     #: artifacts deliberately exclude it from their fingerprints.
@@ -76,8 +76,8 @@ class RMIConfig:
         resolve_search_algorithm(self.search)
         if self.kernels is not None:
             # Name validation only -- availability is resolved at batch
-            # time so a config built where numba exists still loads
-            # (and falls back or raises there) where it does not.
+            # time so a config built where a C compiler exists still
+            # loads (and raises there) where it does not.
             from ..kernels import KNOWN_BACKENDS
 
             if self.kernels not in (*KNOWN_BACKENDS, "auto"):

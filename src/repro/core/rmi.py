@@ -51,7 +51,7 @@ from .models import (
     grouped_fitter,
     resolve_model_type,
 )
-from .search import batch_lower_bound_window, resolve_search_algorithm
+from .search import resolve_search_algorithm
 
 __all__ = ["RMI", "BuildStats", "LookupTrace", "build_rmi_layers"]
 
@@ -190,13 +190,14 @@ class RMI:
         per-segment Listing-1 reference semantics.
     ``kernels``
         Kernel backend for the batch lookup hot path: a registry name
-        (``"numpy"``/``"numba"``/``"cext"``), ``"auto"``, or ``None``
-        to follow the process default / ``REPRO_KERNELS`` environment
-        chain (see :mod:`repro.kernels`).  Compiled backends serve
+        (``"numpy"``/``"cext"``), ``"auto"``, or ``None`` to follow the
+        process default / ``REPRO_KERNELS`` environment chain (see
+        :mod:`repro.kernels`).  Compiled backends serve
         ``lookup_batch``/``predict_batch``/``serve_batch`` through the
-        fused packed-array kernels.  The ``cext`` backend also builds
-        the default two-layer grouped LR configuration with its build
-        kernels (see :meth:`_build_kernels`).  All backends are
+        fused packed-array kernels; the staged NumPy path finishes its
+        bounded search on this backend too.  The ``cext`` backend also
+        builds the default two-layer grouped LR configuration with its
+        build kernels (see :meth:`_build_kernels`).  All backends are
         bit-identical, so this only affects speed.
     """
 
@@ -534,7 +535,10 @@ class RMI:
         """``(backend, packed)`` when a compiled backend serves this RMI.
 
         ``None`` keeps the staged NumPy batch path: the active backend
-        is not compiled, or this RMI is not packable.
+        is not compiled, or this RMI is not packable.  Unlike the
+        packable baselines, the RMI keeps its staged path on NumPy:
+        it is faster than the ``rmi_*`` replay, which stays the
+        reference the compiled kernels are tested against.
         """
         from ..kernels import get_backend
 
@@ -551,8 +555,7 @@ class RMI:
 
         Idempotent.  Runs a one-element ``serve_batch`` probe so every
         kernel entry point (routing, prediction, bounded search, fused
-        serve) is compiled -- or loaded from the JIT cache -- before
-        live traffic arrives.
+        serve) is loaded before live traffic arrives.
         """
         from ..kernels import get_backend
 
@@ -678,8 +681,13 @@ class RMI:
         hi = np.clip(hi, 0, self.n - 1)
         # The shared completion repairs misses that escaped their
         # interval (absent keys or duplicate runs crossing the edge),
-        # the batch counterpart of _escape_interval.
-        return batch_lower_bound_window(self.keys, queries, lo, hi)
+        # the batch counterpart of _escape_interval.  It runs on this
+        # RMI's backend, not the process default.
+        from ..kernels import get_backend
+
+        return get_backend(self.kernels).lower_bound_window(
+            self.keys, queries, lo, hi
+        )
 
     def range_query_batch(
         self, lows: np.ndarray, highs: np.ndarray

@@ -49,7 +49,6 @@ __all__ = [
     "SEARCH_ALGORITHMS",
     "resolve_search_algorithm",
     "batch_binary_search",
-    "batch_exponential_search",
     "batch_lower_bound_window",
     "expected_comparisons",
 ]
@@ -309,65 +308,6 @@ def batch_binary_search(
     return left
 
 
-def batch_exponential_search(
-    keys: np.ndarray,
-    queries: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    predictions: np.ndarray,
-) -> np.ndarray:
-    """Vectorized model-biased exponential search.
-
-    Gallops outward from the clamped prediction with synchronized step
-    doubling, then finishes with :func:`batch_binary_search` on the
-    discovered brackets.
-    """
-    n = len(keys)
-    lo64 = lo.astype(np.int64)
-    hi64 = hi.astype(np.int64)
-    pos = np.clip(predictions.astype(np.int64), lo64, hi64)
-    under = keys[np.clip(pos, 0, n - 1)] < queries
-
-    blo = np.where(under, pos + 1, lo64)
-    bhi = np.where(under, hi64, pos - 1)
-
-    # Gallop right for underestimates.
-    step = np.ones(len(queries), dtype=np.int64)
-    cur = pos + 1
-    active = under & (cur <= hi64)
-    while active.any():
-        probe = np.clip(cur, 0, n - 1)
-        found = active & (keys[probe] >= queries)
-        bhi = np.where(found, cur, bhi)
-        cont = active & ~found
-        blo = np.where(cont, cur + 1, blo)
-        step = np.where(cont, step * 2, step)
-        cur = np.where(cont, pos + step, cur)
-        active = cont & (cur <= hi64)
-
-    # Gallop left for overestimates.
-    step = np.ones(len(queries), dtype=np.int64)
-    cur = pos - 1
-    over = ~under
-    blo = np.where(over, lo64, blo)
-    bhi_left = pos - 1
-    bhi = np.where(over, bhi_left, bhi)
-    active = over & (cur >= lo64)
-    while active.any():
-        probe = np.clip(cur, 0, n - 1)
-        found = active & (keys[probe] < queries)
-        blo = np.where(found, cur + 1, blo)
-        cont = active & ~found
-        bhi = np.where(cont, cur - 1, bhi)
-        step = np.where(cont, step * 2, step)
-        cur = np.where(cont, pos - step, cur)
-        active = cont & (cur >= lo64)
-
-    result = batch_binary_search(keys, queries, np.maximum(blo, 0), bhi)
-    # Exact hit at the probe position for overestimates that never moved.
-    return result
-
-
 #: Sorted-batch narrowing engages only above this batch size (the sort
 #: and anchor passes must amortize) ...
 NARROW_MIN_BATCH = 1024
@@ -513,14 +453,14 @@ def batch_lower_bound_window(
 ) -> np.ndarray:
     """Window-restricted batch lower bound with interval-escape repair.
 
-    The shared completion step of every index's batch lookup path; see
-    :func:`_batch_lower_bound_window_numpy` for the exact semantics.
-    Dispatches to the active kernel backend
+    The completion step of the unpackable indexes' batch lookups (ART,
+    ALEX, FAST, ...); see :func:`_batch_lower_bound_window_numpy` for
+    the exact semantics.  Dispatches to the active kernel backend
     (:func:`repro.kernels.get_backend`: ``REPRO_KERNELS`` env var,
-    process default, or auto-detection), so every baseline index picks
-    up a compiled bounded search with no call-site changes.  All
-    backends return bit-identical positions (the conformance suite
-    pins this); the NumPy staged path is the universal fallback.
+    process default, or auto-detection), so those indexes pick up a
+    compiled bounded search with no call-site changes.  All backends
+    return bit-identical positions (the conformance suite pins this);
+    the NumPy staged path is the universal fallback.
     """
     # Deferred import: repro.kernels imports this module for the
     # reference implementation.

@@ -1,14 +1,16 @@
 """Pluggable compiled kernels for the lookup hot path (ROADMAP item 4).
 
-Three backends implement the same :class:`~repro.kernels.base.KernelBackend`
-interface over the flat :class:`~repro.kernels.packed.PackedRMI` arrays:
+Two backends implement the same :class:`~repro.kernels.base.KernelBackend`
+interface over the flat packed arrays
+(:class:`~repro.kernels.packed.PackedRMI`,
+:class:`~repro.kernels.packed_pla.PackedPLA`,
+:class:`~repro.kernels.packed_tree.PackedTree`):
 
 ``numpy``
-    The staged NumPy reference -- always available, the fallback and
-    the benchmark baseline.
-``numba``
-    ``@njit(cache=True)`` JIT kernels; absent unless numba is
-    installed (tier-1 CI proves the repo works without it).
+    The NumPy reference -- always available, the fallback, the
+    benchmark baseline, and the only NumPy batch path of the packable
+    baselines (``OrderedIndex.lookup_batch`` calls it on the packed
+    form).
 ``cext``
     A small C library compiled on demand with the system C compiler
     and called through ctypes; absent when no compiler is available.
@@ -20,14 +22,13 @@ Selection precedence, resolved by :func:`get_backend`:
 2. a process-wide default installed by :func:`set_default_backend` or
    the :func:`use_backend` context manager;
 3. the ``REPRO_KERNELS`` environment variable;
-4. auto-detection: the first loadable of ``numba``, ``cext``,
-   ``numpy``.
+4. auto-detection: the first loadable of ``cext``, ``numpy``.
 
 Every resolution failure on the *auto* path degrades silently to the
-next candidate (the repo must import and serve with neither numba nor
-a compiler present); an explicitly requested backend that cannot load
-raises instead -- a user who pinned ``REPRO_KERNELS=numba`` wants to
-know it is missing, not silently measure NumPy.
+next candidate (the repo must import and serve without a compiler); an
+explicitly requested backend that cannot load raises instead -- a user
+who pinned ``REPRO_KERNELS=cext`` wants to know it is missing, not
+silently measure NumPy.
 
 All backends return bit-identical positions; see ``tests/test_kernels.py``
 and the backend-parametrized conformance legs.
@@ -83,19 +84,13 @@ __all__ = [
 ENV_VAR = "REPRO_KERNELS"
 
 #: Registry names in auto-detection preference order (fastest first).
-KNOWN_BACKENDS = ("numba", "cext", "numpy")
+KNOWN_BACKENDS = ("cext", "numpy")
 
 
 def _load_numpy() -> KernelBackend:
     from .numpy_backend import NumpyBackend
 
     return NumpyBackend()
-
-
-def _load_numba() -> KernelBackend:
-    from . import numba_backend
-
-    return numba_backend.load()
 
 
 def _load_cext() -> KernelBackend:
@@ -106,7 +101,6 @@ def _load_cext() -> KernelBackend:
 
 _LOADERS: "dict[str, Callable[[], KernelBackend]]" = {
     "numpy": _load_numpy,
-    "numba": _load_numba,
     "cext": _load_cext,
 }
 

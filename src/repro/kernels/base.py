@@ -31,11 +31,11 @@ A backend provides the hot kernels of the lookup path over flat arrays
 
 :meth:`KernelBackend.lookup` / :meth:`KernelBackend.serve` dispatch a
 packed structure of any family to the right kernel via its
-``packed_kind`` tag, so the baselines' kernel hand-off is one generic
-call site (``OrderedIndex._kernel_state``).
+``packed_kind`` tag, so the baselines' batch lookup is one generic
+call site (``OrderedIndex.lookup_batch`` / ``serve_batch``).
 
 Contract: every backend returns **bit-identical positions** to the
-staged NumPy reference on the same inputs -- the conformance suite
+NumPy reference on the same inputs -- the conformance suite
 (`tests/test_conformance.py`, `tests/test_kernels.py`) pins this per
 backend.  Inputs follow the repo-wide conventions: ``keys``/``queries``
 are ``uint64``, windows are inclusive ``int64`` bounds already clamped
@@ -59,12 +59,12 @@ PACKED_DISPATCH = {
 class KernelBackend:
     """One implementation of the hot lookup kernels."""
 
-    #: Registry name (``"numpy"``, ``"numba"``, ``"cext"``).
+    #: Registry name (``"numpy"``, ``"cext"``).
     name: str = "?"
-    #: True when the kernels run as machine code outside the NumPy
-    #: staged path.  ``RMI`` only diverts to ``rmi_*`` for compiled
-    #: backends; the NumPy backend's packed implementations exist for
-    #: conformance testing and as the benchmark baseline.
+    #: True when the kernels run as machine code.  ``RMI`` only diverts
+    #: to ``rmi_*`` for compiled backends: its own staged batch path is
+    #: faster than the NumPy replay.  The packable baselines call every
+    #: backend, NumPy included.
     compiled: bool = False
 
     def lower_bound_window(
@@ -226,8 +226,8 @@ class KernelBackend:
         """Force compilation/loading now, off the serving hot path.
 
         Idempotent and cheap when already warm.  ``IndexServer`` calls
-        this at start and after a hot swap so JIT compilation never
-        lands inside a live request's deadline.
+        this at start and after a hot swap so loading a kernel library
+        never lands inside a live request's deadline.
         """
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

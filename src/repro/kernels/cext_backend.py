@@ -1,17 +1,19 @@
 """Compiled C backend: gcc-built shared library loaded via ctypes.
 
-ROADMAP item 4 allows "numba njit or a small C extension"; this is the
-small C extension.  The kernel source below is compiled once per source
-revision (output keyed by a SHA-256 of source + flags, so upgrades
-never load a stale library) with ``-O3 -ffp-contract=off`` -- contract
+This is the small C extension of ROADMAP item 4.  The kernel source
+below is compiled once per source revision (output keyed by a SHA-256
+of source + flags, so upgrades never load a stale library) with
+``-O3 -ffp-contract=off`` -- contract
 *off* matters: GCC's default of fused multiply-adds in ``-std=gnu``
 mode would change last-ulp results of the polynomial evaluations and
 break the bit-identical contract with the NumPy reference.  No
 setuptools, no Python.h: the library is plain C called through
 ``ctypes``, so building needs nothing beyond a C compiler.
 
-The C functions replay exactly the arithmetic of the staged NumPy path
-(see the comments in the source); positions are additionally guaranteed
+The C functions replay exactly the arithmetic of the NumPy backend
+(:mod:`repro.kernels.numpy_backend`; the source comments' "staged
+lookup_batch" of the PLA and tree baselines is now that backend's
+``pla_*``/``tree_*`` kernels); positions are additionally guaranteed
 equal by construction because the window search plus escape repair
 always lands on the global ``searchsorted`` answer.
 

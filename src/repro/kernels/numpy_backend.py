@@ -2,14 +2,14 @@
 
 ``lower_bound_window`` delegates to the staged implementation in
 :mod:`repro.core.search`; the ``rmi_*`` kernels replay the exact
-arithmetic of :class:`repro.core.rmi.RMI`'s batch path over the packed
-arrays, and the ``pla_*``/``tree_*`` kernels replay the staged
-``lookup_batch`` of the corresponding baselines (same operations, same
-order), so their outputs are bit-identical to both the staged paths and
-the compiled backends.  This backend is always available, is the
-baseline leg of ``python -m repro.bench kernels``, and doubles as the
-executable specification the compiled backends are conformance-tested
-against.
+arithmetic of :class:`repro.core.rmi.RMI`'s staged batch path over the
+packed arrays.  The ``pla_*``/``tree_*`` kernels *are* the NumPy batch
+lookup of the packable baselines (PGM, CompressedPGM, RadixSpline,
+FITing-Tree, B-tree, Hist-Tree): ``OrderedIndex.lookup_batch`` calls
+them on the packed form.  Outputs are bit-identical to the compiled
+backends.  This backend is always available, is the baseline leg of
+``python -m repro.bench kernels``, and is the executable specification
+the compiled backends are conformance-tested against.
 """
 
 from __future__ import annotations
@@ -129,10 +129,10 @@ class NumpyBackend(KernelBackend):
     # -- fused PLA path --------------------------------------------------
 
     def _pla_window(self, packed: PackedPLA, queries):
-        """Replay a PLA baseline's staged routing/evaluation.
+        """A PLA baseline's batch routing/evaluation.
 
-        Returns ``(queries, lo, hi)`` -- the exact data window the
-        staged ``lookup_batch`` hands to ``batch_lower_bound_window``.
+        Returns ``(queries, lo, hi)`` -- the data window the bounded
+        search completes in.
         """
         q = np.asarray(queries, dtype=np.uint64)
         qf = q.astype(np.float64)
@@ -141,7 +141,7 @@ class NumpyBackend(KernelBackend):
         if packed.kind == PLA_DESCEND:
             from ..core.search import batch_binary_search
 
-            # PGM-style descent (cf. PGMIndex.lookup_batch): correct the
+            # PGM-style descent (cf. PGMIndex.search_bounds): correct the
             # predicted next-level segment inside a ±eps_internal window,
             # then take the predecessor on exact first-key misses.
             seg = np.zeros(len(q), dtype=np.int64)
@@ -214,11 +214,13 @@ class NumpyBackend(KernelBackend):
     # -- fused tree path -------------------------------------------------
 
     def _tree_window(self, packed: PackedTree, queries):
-        """Replay a tree baseline's staged descent to data windows."""
+        """A tree baseline's batch descent to data windows."""
         q = np.asarray(queries, dtype=np.uint64)
         n = packed.n
         if packed.kind == TREE_SPARSE:
-            # Sparse B+-tree directory (cf. BTreeIndex.lookup_batch).
+            # Sparse B+-tree directory: the leaf level as a whole is the
+            # sorted sampled-key array, so one predecessor search over
+            # it finds the gap the node-by-node descent finds.
             positions = packed.positions
             m = len(positions)
             entry = np.searchsorted(packed.entry_keys, q, side="right") - 1
@@ -230,23 +232,29 @@ class NumpyBackend(KernelBackend):
             hi = np.where(
                 has_next, positions[np.clip(nxt, 0, m - 1)], n - 1
             )
+            # Queries preceding every indexed key search the first gap.
             hi = np.where(found, hi, int(positions[0]))
             return q, lo, hi
-        # TREE_HIST: grouped bin descent over the breadth-first arrays
-        # (cf. HistTree.lookup_batch -- same grouping, same windows).
+        # TREE_HIST: grouped bin descent over the breadth-first arrays.
+        # All queries routed to one node are processed together, so
+        # interpreter overhead is paid per node visited, not per query.
         nb = packed.num_bins
         lo = np.zeros(len(q), dtype=np.int64)
         hi = np.zeros(len(q), dtype=np.int64)
         above = q >= np.uint64(packed.min_key)
         start = np.flatnonzero(above)
+        # Queries below the key space keep the [0, 0] window.
         stack = [(0, start, q[start] - np.uint64(packed.min_key))]
         while stack:
             node, idx, offs = stack.pop()
+            # Bin selection stays in uint64: far-out-of-range queries
+            # produce bin numbers beyond int64 at the root level.
             raw = (offs - packed.node_lo[node]) >> np.uint64(
                 packed.node_shift[node]
             )
             over = raw >= np.uint64(nb)
             if over.any():
+                # Beyond the covered range: the answer is at the end.
                 lo[idx[over]] = n - 1
                 hi[idx[over]] = n - 1
                 keep = ~over
@@ -257,9 +265,15 @@ class NumpyBackend(KernelBackend):
             children = packed.node_child[node * nb:(node + 1) * nb]
             has_child = children[bins] >= 0
             if has_child.any():
-                for b in np.unique(bins[has_child]):
+                # Iterate the node's children, not the routed bins: a
+                # node has at most num_bins children, while sorting the
+                # routed bins costs O(batch log batch) at the root.
+                for b in np.flatnonzero(children >= 0):
                     mask = bins == b
-                    stack.append((int(children[b]), idx[mask], offs[mask]))
+                    if mask.any():
+                        stack.append(
+                            (int(children[b]), idx[mask], offs[mask])
+                        )
                 term = ~has_child
                 idx, bins = idx[term], bins[term]
             if not len(idx):

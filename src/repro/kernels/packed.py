@@ -1,10 +1,9 @@
 """Flat, kernel-ready packing of a trained RMI.
 
-The compiled backends (:mod:`repro.kernels.numba_backend`,
-:mod:`repro.kernels.cext_backend`) cannot walk Python objects, so a
-trained :class:`~repro.core.rmi.RMI` is flattened once into a
-:class:`PackedRMI`: every layer's SoA ``(codes, params)`` arrays
-concatenated into one table with per-layer offsets, the Equation-3
+The compiled backend (:mod:`repro.kernels.cext_backend`) cannot walk
+Python objects, so a trained :class:`~repro.core.rmi.RMI` is flattened
+once into a :class:`PackedRMI`: every layer's SoA ``(codes, params)``
+arrays concatenated into one table with per-layer offsets, the Equation-3
 routing scales precomputed per layer, and the error bounds normalized
 to one of three shapes (none / per-model / global).  The packing is a
 *view-level* transformation -- parameter values are copied verbatim, so

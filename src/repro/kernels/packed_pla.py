@@ -4,9 +4,9 @@ The PLA family -- PGM-index, CompressedPGM, RadixSpline, FITing-Tree --
 shares one evaluation shape: route a query to a segment (or spline
 knot), evaluate one linear model, search a ±eps window around the
 estimate.  :class:`PackedPLA` flattens that shape into contiguous SoA
-arrays the compiled backends (:mod:`repro.kernels.numba_backend`,
-:mod:`repro.kernels.cext_backend`) can walk without touching Python
-objects: all levels' segment first-keys / slopes / intercepts
+arrays every backend's batch lookup walks -- the C backend
+(:mod:`repro.kernels.cext_backend`) without touching Python objects:
+all levels' segment first-keys / slopes / intercepts
 concatenated with per-level offsets (bottom level first), plus the two
 window radii.
 
@@ -30,9 +30,9 @@ Three routing/evaluation kinds cover the four indexes:
     scalar-path accelerator).
 
 Like :func:`repro.kernels.packed.pack_rmi`, packing copies parameter
-values verbatim -- every backend replays the exact staged arithmetic on
+values verbatim -- every backend runs the NumPy backend's arithmetic on
 these arrays, so windows (and therefore the per-index cost profile) are
-bit-identical to the staged NumPy batch path.
+bit-identical across backends.
 """
 
 from __future__ import annotations

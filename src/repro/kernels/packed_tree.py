@@ -22,8 +22,9 @@ Two tree shapes cover the Table-5 tree indexes:
     arrays -- no Python objects, no dict probes.
 
 As with every packed form in this package, values are copied verbatim
-from the built index and all backends replay the staged arithmetic, so
-windows and final positions are bit-identical to the staged batch path.
+from the built index and all backends run the NumPy backend's
+arithmetic, so windows and final positions are bit-identical across
+backends.
 """
 
 from __future__ import annotations

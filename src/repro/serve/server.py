@@ -100,8 +100,8 @@ class IndexServer:
         )
         self.shed_policy = shed_policy
         self.default_timeout_s = default_timeout_s
-        #: Kernel backend to serve with (``"numpy"``/``"numba"``/
-        #: ``"cext"``/``"auto"``); installed as the process-wide default
+        #: Kernel backend to serve with (``"numpy"``/``"cext"``/
+        #: ``"auto"``); installed as the process-wide default
         #: at :meth:`start` so every index this process serves -- the
         #: swapped-in ones included -- uses it.  ``None`` leaves the
         #: ``REPRO_KERNELS`` / auto-detection chain in charge.
@@ -155,10 +155,10 @@ class IndexServer:
 
             set_default_backend(self.kernels)
         # Warm the kernel backend on the worker thread before accepting
-        # traffic: a JIT backend (numba) pays seconds of compilation on
-        # first call, which must never land inside a live request's
-        # deadline.  Warm-up failures are non-fatal -- the batch path
-        # falls back to NumPy.
+        # traffic: the C backend compiles its library on a cold build
+        # cache, and the first probe packs the index; neither must land
+        # inside a live request's deadline.  Warm-up failures are
+        # non-fatal -- the batch path falls back to NumPy.
         await asyncio.get_running_loop().run_in_executor(
             self._executor, self._warm_index, self._index
         )

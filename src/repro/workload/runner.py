@@ -75,14 +75,16 @@ class WorkloadResult:
     estimated_search_ns: float
     #: Batch-vs-scalar agreement on a deterministic query sample.
     scalar_agreement_ok: bool = True
-    #: Kernel backend that executed the batch path ("numpy", "cext",
-    #: "numba") -- wall-clock numbers are only comparable within one
-    #: backend, so results record which one ran.
+    #: Kernel backend that executed the batch path ("numpy", "cext")
+    #: -- wall-clock numbers are only comparable within one backend,
+    #: so results record which one ran.
     kernel_backend: str = "numpy"
-    #: True when the batch path ran the backend's *fused* packed kernel
-    #: (the index packed and a compiled backend was active); False means
-    #: the staged path ran, even under a compiled backend -- an honesty
-    #: bit for comparing wall-clock numbers across indexes.
+    #: True when the batch path ran the backend's packed kernel: the
+    #: index packed (an RMI additionally needs a compiled backend).
+    #: False means the index's own batch path ran -- the staged RMI
+    #: path, an unpackable index's vectorized path, or the scalar
+    #: fallback -- an honesty bit for comparing wall-clock numbers
+    #: across indexes.
     kernel_packed: bool = False
 
     @property

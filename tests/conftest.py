@@ -11,9 +11,9 @@ from repro import data
 def kernel_backend_params() -> list:
     """One pytest param per known kernel backend.
 
-    Backends that cannot load in this environment (numba not
-    installed, no C compiler) come back skip-marked, so parity suites
-    show the leg as skipped rather than silently dropping it.
+    Backends that cannot load in this environment (no C compiler)
+    come back skip-marked, so parity suites show the leg as skipped
+    rather than silently dropping it.
     """
     from repro import kernels
 

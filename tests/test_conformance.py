@@ -56,10 +56,11 @@ DATASETS = ["books", "osmc", "fb", "wiki"]
 def _every_backend(request, kernel_backend):
     """Every conformance assertion runs once per kernel backend.
 
-    The batch engine completes all lookups through the kernel
-    dispatcher (``core/search.batch_lower_bound_window``; the RMI
-    adapter additionally fuses routing and prediction), so the whole
-    contract -- oracle parity, scalar agreement, duplicates,
+    The batch engine runs every lookup on the active kernel backend
+    (packable baselines hand it their packed form, the others finish
+    through ``core/search.batch_lower_bound_window``, and the RMI
+    adapter fuses routing and prediction on compiled backends), so the
+    whole contract -- oracle parity, scalar agreement, duplicates,
     out-of-range, adversarial families -- re-runs with each available
     backend installed as the process default.  The speed smoke at the
     bottom is backend-independent and only runs its numpy leg.

@@ -13,8 +13,8 @@ Three layers of coverage:
   ``searchsorted`` oracle (the deeper adversarial sweeps live in the
   backend-parametrized conformance suite).
 
-Compiled-backend legs skip automatically where numba / a C compiler is
-absent; everything else runs everywhere.
+The cext legs skip automatically where no C compiler is available;
+everything else runs everywhere.
 """
 
 from __future__ import annotations
@@ -280,8 +280,40 @@ class TestIntegration:
             rmi.lookup_batch(queries), lower_bound_oracle(books_keys, queries)
         )
 
+    def test_rmi_staged_search_runs_on_its_own_backend(
+        self, books_keys, monkeypatch
+    ):
+        """``RMI(kernels="numpy")`` finishes its staged bounded search on
+        NumPy even when the process default is another backend."""
+        from repro.kernels.numpy_backend import NumpyBackend
+
+        calls = {"numpy": 0, "default": 0}
+        numpy_backend = kernels.get_backend("numpy")
+        real = numpy_backend.lower_bound_window
+
+        def numpy_spy(*args):
+            calls["numpy"] += 1
+            return real(*args)
+
+        class DefaultSpy(NumpyBackend):
+            name = "default-spy"
+
+            def lower_bound_window(self, *args):
+                calls["default"] += 1
+                return NumpyBackend.lower_bound_window(self, *args)
+
+        monkeypatch.setattr(numpy_backend, "lower_bound_window", numpy_spy)
+        rmi = RMI(books_keys, layer_sizes=[256], kernels="numpy")
+        queries = books_keys[:64]
+        with kernels.use_backend(DefaultSpy()):
+            got = rmi.lookup_batch(queries)
+        assert calls == {"numpy": 1, "default": 0}
+        np.testing.assert_array_equal(
+            got, lower_bound_oracle(books_keys, queries)
+        )
+
     @pytest.mark.skipif(
-        not any(kernels.backend_available(n) for n in ("numba", "cext")),
+        not kernels.backend_available("cext"),
         reason="no compiled backend in this environment",
     )
     def test_rmi_dispatches_to_compiled_backend(self, books_keys):
@@ -356,7 +388,7 @@ class TestKernelsBench:
 
         return kernels_report(
             n=4_000, queries=2_000, layer2_size=256, runs=1,
-            backends=["numpy", "cext", "numba"],
+            backends=["numpy", "cext"],
         )
 
     def test_report_shape(self, report):
@@ -371,6 +403,13 @@ class TestKernelsBench:
             if entry.get("available") and name != "numpy":
                 assert entry["bit_identical"]
                 assert set(report["speedups"][name]) == set(KERNELS)
+        # Family sections time every loaded backend, NumPy included, on
+        # the packed form, each checked bit for bit before it counts.
+        loaded = {n for n, s in report["backend_status"].items()
+                  if s["available"]}
+        for fam in report["families"].values():
+            assert set(fam["backends"]) == loaded
+            assert all(e["bit_identical"] for e in fam["backends"].values())
 
     def test_gate_resolution(self, report):
         from repro.bench.kernels import resolve_gate_backend

@@ -1,12 +1,14 @@
-"""Pack/fallback contract of the per-family compiled kernel backends.
+"""Pack/fallback contract of the per-family kernel backends.
 
 Every packable baseline flattens its built structure via ``pack()``
-into a :class:`PackedPLA`/:class:`PackedTree` the compiled backends
-consume; unpackable indexes return ``None`` and the staged NumPy batch
-path runs unchanged (the soft contract of
-``OrderedIndex.pack``).  This file locks down
+into a :class:`PackedPLA`/:class:`PackedTree`, and every kernel
+backend -- NumPy included -- answers its batch lookups on that form;
+unpackable indexes return ``None`` and their own (or the scalar
+fallback) batch path runs (the soft contract of ``OrderedIndex.pack``).
+This file locks down
 
 * which baselines pack, and into which family,
+* that every backend, NumPy included, serves the packed form,
 * the soft fallback: a ``None`` pack never changes answers,
 * the ``_packed_cache`` lifecycle (lazily built, dropped on snapshot
   restore),
@@ -100,27 +102,42 @@ def test_unpackable_baselines_soft_fall_back(name, books_keys):
     assert index._kernel_state() is None
 
 
-def test_kernel_state_requires_compiled_backend(books_keys):
-    """Under the NumPy backend even packable indexes stay staged: the
-    packed replay would not be faster, so the staged path is canonical."""
-    from repro import kernels
+@pytest.mark.parametrize("name", list(PACKABLE))
+def test_backend_serves_packed_form(name, books_keys, kernel_backend,
+                                    monkeypatch):
+    """A packable baseline's ``lookup_batch`` and ``serve_batch`` go
+    through the installed backend's ``lookup`` / ``serve`` on its packed
+    form -- on the NumPy backend too: one batch path per family."""
+    calls = []
 
-    index = PACKABLE["pgm-index"][0](books_keys)
-    with kernels.use_backend("numpy"):
-        assert index._kernel_state() is None
-    for backend_name in kernels.available_backends():
-        if backend_name == "numpy":
-            continue
-        with kernels.use_backend(backend_name):
-            state = index._kernel_state()
-            assert state is not None
-            backend, packed = state
-            assert backend.compiled and packed.packed_kind == "pla"
+    def spy_on(method):
+        real = getattr(type(kernel_backend), method)
+
+        def spy(self, packed, *args):
+            calls.append((method, packed))
+            return real(self, packed, *args)
+
+        monkeypatch.setattr(type(kernel_backend), method, spy)
+
+    spy_on("lookup")
+    spy_on("serve")
+    factory, _ = PACKABLE[name]
+    index = factory(books_keys)
+    queries = _probe_queries(books_keys)
+    oracle = lower_bound_oracle(books_keys, queries)
+    np.testing.assert_array_equal(index.lookup_batch(queries), oracle)
+    positions, starts, counts = index.serve_batch(queries, queries, queries)
+    assert [method for method, _ in calls] == ["lookup", "serve"]
+    assert all(packed is index._packed() for _, packed in calls)
+    np.testing.assert_array_equal(positions, oracle)
+    np.testing.assert_array_equal(starts, oracle)
+    np.testing.assert_array_equal(counts, np.zeros_like(oracle))
 
 
 def test_none_pack_is_answer_preserving(books_keys, kernel_backend):
-    """An index that cannot pack answers identically via the staged
-    path, whatever backend is installed (the soft-fallback contract)."""
+    """An index that cannot pack answers identically via the scalar
+    fallback of ``OrderedIndex.lookup_batch``, whatever backend is
+    installed (the soft-fallback contract)."""
     base_cls = PACKABLE["pgm-index"][0]
 
     class UnpackablePGM(base_cls):
@@ -186,7 +203,7 @@ def test_empty_key_set_is_rejected_before_packing(name):
 def test_degenerate_keys_pack_and_answer(name, case, kernel_backend):
     """Single-key, duplicate-heavy, and top-of-uint64 key sets must
     either pack (and answer bit-identically through the fused kernels)
-    or fall back to the staged path -- never crash, never misanswer."""
+    or fall back to the scalar path -- never crash, never misanswer."""
     from repro.baselines import UnsupportedDataError
 
     factory, family = PACKABLE[name]

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.core.search import (
     SEARCH_ALGORITHMS,
     batch_binary_search,
-    batch_exponential_search,
     binary_search,
     expected_comparisons,
     exponential_search,
@@ -139,21 +138,6 @@ class TestBatchVariants:
         hi = np.array([510, 710], dtype=np.int64)
         got = batch_binary_search(keys, queries, lo, hi)
         np.testing.assert_array_equal(got, [500, 700])
-
-    def test_batch_exponential_matches_scalar(self, rng):
-        keys = np.sort(rng.integers(0, 10**6, 3000).astype(np.uint64))
-        queries = rng.integers(0, 10**6, 400).astype(np.uint64)
-        lo = np.zeros(len(queries), dtype=np.int64)
-        hi = np.full(len(queries), len(keys) - 1, dtype=np.int64)
-        preds = np.clip(
-            np.searchsorted(keys, queries).astype(np.int64)
-            + rng.integers(-40, 40, len(queries)),
-            0,
-            len(keys) - 1,
-        )
-        got = batch_exponential_search(keys, queries, lo, hi, preds)
-        want = np.searchsorted(keys, queries, side="left")
-        np.testing.assert_array_equal(got, want)
 
 
 class TestRegistry:
