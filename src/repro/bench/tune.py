@@ -106,8 +106,8 @@ async def _run(
         max_queue=8192,
         shed_policy="block",
         sampler=sampler,
-        # Sub-ms GIL switching keeps the executor handoff from
-        # stretching bulk dispatch latencies on a single core.
+        # Sub-ms GIL switching keeps the tuner's off-thread builds
+        # from stretching bulk dispatch latencies on a single core.
         gil_switch_interval_s=0.0005,
     )
     tuner = AutoTuner(ServerTarget(server), planner, tuner_config)

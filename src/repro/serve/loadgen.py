@@ -56,6 +56,12 @@ async def run_open_loop(
     oracle is precomputed too); the rest are point lookups.  Requests
     are interleaved deterministically from ``seed``, so two runs offer
     byte-identical streams.
+
+    Latency is ``Response.latency_s``: it starts when the server stamps
+    the request, not at its scheduled send time.  The server runs index
+    calls on the loop thread, so a request that falls due while a batch
+    executes is stamped only after that batch returns, and its latency
+    omits up to one batch's run time.
     """
     if not 0.0 <= range_fraction <= 1.0:
         raise ValueError("range_fraction must be within [0, 1]")
@@ -281,7 +287,7 @@ async def run_mixed_closed_loop(
             serve_bulk = getattr(target, "serve_bulk", None)
             if callable(serve_bulk):
                 # IndexServer's fused bulk lane: one call serves points
-                # and ranges together through the worker executor.
+                # and ranges together in one index call.
                 positions, starts, counts = await serve_bulk(
                     seg.queries, seg.range_lows, seg.range_highs
                 )

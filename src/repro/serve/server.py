@@ -14,10 +14,10 @@ One executor task drives the loop: collect a batch from the
 :class:`~repro.serve.batcher.MicroBatcher`, answer deadline-expired
 requests with *timeout* responses (never a value computed after the
 deadline at dispatch), run the survivors through the served index's
-:meth:`~repro.baselines.interfaces.OrderedIndex.serve_batch` in a
-single worker thread (NumPy kernels release the GIL; the event loop
-keeps accepting and coalescing while a batch executes), then resolve
-every future.
+:meth:`~repro.baselines.interfaces.OrderedIndex.serve_batch` on the
+event-loop thread, after one yield, then resolve every future.  No
+worker thread: measured, its hop costs more than the overlap it could
+buy, on one CPU and on two (``docs/architecture.md``).
 
 **Backpressure / load shedding**: the queue is bounded.  Policy
 ``"reject"`` answers a full queue with an immediate ``rejected``
@@ -34,8 +34,8 @@ mid-execution; combined with the PR-3 artifact cache
 snapshot under live traffic with zero downtime.
 
 **Drain**: :meth:`stop` closes admission (late ``submit`` calls get
-``rejected``), lets the executor empty the queue without further
-batching waits, resolves everything, then shuts the worker thread down.
+``rejected``), lets the executor task empty the queue without further
+batching waits, and resolves everything.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 import numpy as np
@@ -107,12 +106,12 @@ class IndexServer:
         #: ``REPRO_KERNELS`` / auto-detection chain in charge.
         self.kernels = kernels
         #: Optional ``sys.setswitchinterval`` override while running.
-        #: The serving loop ping-pongs between the event loop and the
-        #: worker thread on every batch; CPython's default 5 ms GIL
-        #: slice makes each handoff pay up to that much whenever any
-        #: thread (a write apply, a background rebuild) is CPU-bound.
-        #: A sub-millisecond interval cuts that handoff latency by an
-        #: order of magnitude for batch-scale work.  Restored on stop.
+        #: Index calls run on the loop thread, but off-thread work (a
+        #: background rebuild, a tuner build) competes with it for the
+        #: GIL; CPython's default 5 ms slice makes the loop wait up to
+        #: that much whenever such a thread is CPU-bound.  A
+        #: sub-millisecond interval cuts that wait by an order of
+        #: magnitude.  Restored on stop.
         self.gil_switch_interval_s = gil_switch_interval_s
         self._saved_switch_interval: "float | None" = None
         self.metrics = metrics if metrics is not None else ServeMetrics()
@@ -123,7 +122,6 @@ class IndexServer:
         self.log_interval_s = log_interval_s
         self._task: "asyncio.Task | None" = None
         self._logger_task: "asyncio.Task | None" = None
-        self._executor: "ThreadPoolExecutor | None" = None
         self._accepting = False
 
     # -- lifecycle -------------------------------------------------------
@@ -140,11 +138,6 @@ class IndexServer:
     async def start(self) -> "IndexServer":
         if self.running:
             raise RuntimeError("server is already running")
-        # One worker thread keeps batch execution ordered and off the
-        # event loop; the loop stays responsive to accept/coalesce.
-        self._executor = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve"
-        )
         if self.gil_switch_interval_s is not None:
             import sys
 
@@ -154,14 +147,12 @@ class IndexServer:
             from ..kernels import set_default_backend
 
             set_default_backend(self.kernels)
-        # Warm the kernel backend on the worker thread before accepting
-        # traffic: the C backend compiles its library on a cold build
-        # cache, and the first probe packs the index; neither must land
-        # inside a live request's deadline.  Warm-up failures are
-        # non-fatal -- the batch path falls back to NumPy.
-        await asyncio.get_running_loop().run_in_executor(
-            self._executor, self._warm_index, self._index
-        )
+        # Warm the kernel backend before accepting traffic: the C
+        # backend compiles its library on a cold build cache, and the
+        # first probe packs the index; neither must land inside a live
+        # request's deadline.  Warm-up failures are non-fatal -- the
+        # batch path falls back to NumPy.
+        self._warm_index(self._index)
         self._accepting = True
         self._task = asyncio.create_task(self._run(), name="repro-serve-loop")
         if self.log_interval_s:
@@ -190,9 +181,6 @@ class IndexServer:
             except asyncio.CancelledError:
                 pass
             self._logger_task = None
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if self._saved_switch_interval is not None:
             import sys
 
@@ -290,16 +278,17 @@ class IndexServer:
         The sharded tier's bulk lane: a router that already coalesced a
         whole query chunk has no use for per-request micro-batching, so
         this runs the current index's ``serve_batch`` straight on the
-        server's single worker thread.  It shares that thread -- and
-        therefore execution order -- with the micro-batched lane, and
-        captures the index reference at call time, so :meth:`swap_index`
-        has the same zero-loss semantics for bulk traffic.  Counters and
-        the batch-size histogram are recorded; latency is recorded once
-        per dispatch (one bulk call is one dispatch, not ``n`` queued
-        requests), so windowed p99 stays meaningful under bulk-only
-        traffic -- the autotuner's post-swap watchdog relies on that.
+        event-loop thread (:meth:`_execute`).  It shares that path --
+        and therefore execution order -- with the micro-batched lane,
+        and captures the index reference at call time, so
+        :meth:`swap_index` has the same zero-loss semantics for bulk
+        traffic.  Counters and the batch-size histogram are
+        recorded; latency is recorded once per dispatch (one bulk call
+        is one dispatch, not ``n`` queued requests), so windowed p99
+        stays meaningful under bulk-only traffic -- the autotuner's
+        post-swap watchdog relies on that.
         """
-        if self._executor is None or not self._accepting:
+        if not self._accepting:
             raise RuntimeError("server is not running")
         index = self._index  # captured: swaps affect later calls
         point_keys = np.ascontiguousarray(point_keys, dtype=np.uint64)
@@ -312,10 +301,8 @@ class IndexServer:
         loop = asyncio.get_running_loop()
         start = loop.time()
         try:
-            positions, starts, counts = await loop.run_in_executor(
-                self._executor, index.serve_batch,
-                point_keys, range_lows, range_highs,
-            )
+            positions, starts, counts = await self._execute(
+                index.serve_batch, point_keys, range_lows, range_highs)
         except Exception:
             self.metrics.errors.inc(n)
             raise
@@ -330,14 +317,14 @@ class IndexServer:
         """Apply one write batch to the served (writable) index.
 
         The write lane of the serving tier: runs the index's ``apply``
-        on the same single worker thread as the read batches, so writes
-        and reads execute in submission order -- a read submitted after
+        on the event-loop thread like the read batches, so writes and
+        reads execute in submission order -- a read submitted after
         this call resolves sees every write in the batch.  Requires the
         served index to expose the writable contract
         (:class:`~repro.writable.index.WritableIndex`); read-only
         indexes raise ``TypeError``.
         """
-        if self._executor is None or not self._accepting:
+        if not self._accepting:
             raise RuntimeError("server is not running")
         index = self._index  # captured: swaps affect later calls
         apply = getattr(index, "apply", None)
@@ -348,8 +335,7 @@ class IndexServer:
             )
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         ops = np.ascontiguousarray(ops, dtype=np.int8)
-        loop = asyncio.get_running_loop()
-        n = await loop.run_in_executor(self._executor, apply, keys, ops)
+        n = await self._execute(apply, keys, ops)
         self.metrics.writes.inc(int(n))
         self._sample_staleness()
         return int(n)
@@ -388,8 +374,19 @@ class IndexServer:
 
     # -- executor loop ---------------------------------------------------
 
+    @staticmethod
+    async def _execute(fn: Any, *args: Any) -> Any:
+        """``fn(*args)`` on the loop thread, after one ``sleep(0)``.
+
+        The yield lets tasks beside the caller (a swap, a rebuild's
+        finish step) run between index calls; without it a closed loop
+        of calls would never suspend.  Wake-ups are FIFO, so calls still
+        run in the order they were made.
+        """
+        await asyncio.sleep(0)
+        return fn(*args)
+
     async def _run(self) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             batch = await self.batcher.collect()
             if batch is None:
@@ -419,10 +416,8 @@ class IndexServer:
             if self.sampler is not None:
                 self.sampler.observe(point_keys, lows, highs)
             try:
-                positions, starts, counts = await loop.run_in_executor(
-                    self._executor, index.serve_batch,
-                    point_keys, lows, highs,
-                )
+                positions, starts, counts = await self._execute(
+                    index.serve_batch, point_keys, lows, highs)
             except Exception as exc:  # index bug: fail the batch, not
                 log.exception("batch execution failed")  # the server
                 self._resolve_all(lookups + ranges, STATUS_ERROR,
