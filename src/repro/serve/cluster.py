@@ -9,7 +9,10 @@ artifact cache when one is active (workers activate it themselves via
 the spec's ``cache_dir``).  The parent side implements the backend
 contract :class:`~repro.serve.router.ShardRouter` routes through.
 
-**Wire protocol** (pickled tuples over a ``multiprocessing.Pipe``)::
+**Wire protocol**: pickled tuples over a socket pair, one frame each
+in ``multiprocessing.Connection``'s wire format (a 4-byte big-endian
+length, or ``-1`` and an 8-byte length above 2 GiB, then the
+``ForkingPickler`` payload)::
 
     parent -> worker   (kind, msg_id, payload)
     worker -> parent   (msg_id, ok, payload)
@@ -38,12 +41,18 @@ that frame as one ``serve_bulk``.  Any other message to a shard flushes
 its outbox first, so the pipe carries messages in call order; a failed
 frame fails every part in it with the same exception.
 
-**Failure model**: one reader thread per worker pushes replies onto the
-event loop; EOF on the pipe -- graceful exit *or* SIGKILL -- marks the
-shard dead and fails every pending reply future with
-:class:`~repro.serve.router.ShardDeadError`, which the router turns
+**Failure model**: the event loop serves both ends of every pipe
+through one small :class:`asyncio.Protocol` (``_Pipe``): no thread
+reads or writes a pipe, and every send goes through
+``transport.write``, so no loop blocks on a full socket and two ends
+sending large frames at once cannot deadlock.  EOF on a pipe --
+graceful exit *or* SIGKILL -- arrives as ``connection_lost``, which
+marks the shard dead and fails every pending reply future with
+:class:`~repro.serve.router.ShardDeadError`; the router turns that
 into per-request ``error`` responses.  A dead shard never hangs the
-router, and the remaining shards keep serving.
+router, and the remaining shards keep serving.  A failed
+:meth:`Cluster.start` kills every worker and leaves a stopped cluster
+that can start again.
 
 Deadlines cross the process boundary as absolute ``time.monotonic()``
 values; on Linux that clock is system-wide, so the worker's dispatcher
@@ -58,10 +67,11 @@ import itertools
 import logging
 import multiprocessing as mp
 import os
-import threading
+import socket
+import struct
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
 import numpy as np
@@ -115,6 +125,71 @@ class WorkerOptions:
 
 
 # ---------------------------------------------------------------------------
+# Pipe transport (both ends)
+# ---------------------------------------------------------------------------
+
+_LEN32 = struct.Struct("!i")
+_LEN64 = struct.Struct("!Q")
+
+
+def _frame(msg: Any) -> bytes:
+    """One pickled message in ``multiprocessing.Connection``'s wire
+    format: length header, then the ``ForkingPickler`` payload."""
+    payload = ForkingPickler.dumps(msg)
+    if len(payload) > 0x7FFFFFFF:
+        return _LEN32.pack(-1) + _LEN64.pack(len(payload)) + payload
+    return _LEN32.pack(len(payload)) + payload
+
+
+class _Pipe(asyncio.Protocol):
+    """One end of a shard pipe, served by the event loop.
+
+    Every whole frame received is unpickled and handed to
+    ``on_message``; EOF or a socket error ends in ``on_lost`` and
+    resolves :attr:`lost`.  :meth:`send` never blocks: the transport
+    buffers what the socket does not take at once.
+    """
+
+    def __init__(self, on_message: "Callable[[Any], None]",
+                 on_lost: "Callable[[], None]") -> None:
+        self._on_message = on_message
+        self._on_lost = on_lost
+        self._buf = bytearray()
+        self.transport: "asyncio.Transport | None" = None
+        self.lost: "asyncio.Future[None]" = \
+            asyncio.get_running_loop().create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport  # type: ignore[assignment]
+
+    def data_received(self, data: bytes) -> None:
+        buf = self._buf
+        buf += data
+        while len(buf) >= _LEN32.size:
+            (size,) = _LEN32.unpack_from(buf)
+            head = _LEN32.size
+            if size == -1:
+                if len(buf) < head + _LEN64.size:
+                    return
+                (size,) = _LEN64.unpack_from(buf, head)
+                head += _LEN64.size
+            if len(buf) < head + size:
+                return
+            msg = ForkingPickler.loads(buf[head:head + size])
+            del buf[:head + size]
+            self._on_message(msg)
+
+    def connection_lost(self, exc: "Exception | None") -> None:
+        self.lost.set_result(None)
+        self._on_lost()
+
+    def send(self, msg: Any) -> None:
+        # A closing pipe drops the message; connection_lost follows.
+        if not self.transport.is_closing():
+            self.transport.write(_frame(msg))
+
+
+# ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
 
@@ -155,28 +230,23 @@ def _build_index(spec: WorkerSpec, keys: np.ndarray,
     return cls(keys)
 
 
-def _worker_main(conn, spec: WorkerSpec, opts: WorkerOptions) -> None:
+def _worker_main(sock: socket.socket, spec: WorkerSpec,
+                 opts: WorkerOptions) -> None:
     """Worker process entry point: build the shard, serve the pipe."""
-    try:
-        keys = _shard_keys(spec)
-        index = _build_index(spec, keys)
-    except Exception as exc:  # startup failure: report, don't hang
+    with sock:
         try:
-            conn.send((_READY_ID, False, f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
-    try:
-        asyncio.run(_worker_serve(conn, spec, keys, index, opts))
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+            keys = _shard_keys(spec)
+            index = _build_index(spec, keys)
+        except Exception as exc:  # startup failure: report, don't hang
+            sock.sendall(_frame(
+                (_READY_ID, False, f"{type(exc).__name__}: {exc}")))
+            return
+        asyncio.run(_worker_serve(sock, spec, keys, index, opts))
 
 
-async def _worker_serve(conn, spec: WorkerSpec, keys: np.ndarray,
-                        index: Any, opts: WorkerOptions) -> None:
+async def _worker_serve(sock: socket.socket, spec: WorkerSpec,
+                        keys: np.ndarray, index: Any,
+                        opts: WorkerOptions) -> None:
     server = IndexServer(
         index,
         max_batch_size=opts.max_batch_size,
@@ -185,50 +255,48 @@ async def _worker_serve(conn, spec: WorkerSpec, keys: np.ndarray,
         shed_policy="block",  # backpressure into the pipe, never shed
     )
     loop = asyncio.get_running_loop()
-    recv_pool = ThreadPoolExecutor(
-        max_workers=1, thread_name_prefix=f"shard{spec.shard_id}-recv"
-    )
     frames: "set[asyncio.Task]" = set()
-    stop_id: "int | None" = None
+    #: The ``stop`` message's id, or ``None`` when the parent went away.
+    stopped: "asyncio.Future[int | None]" = loop.create_future()
+
+    def on_message(msg: tuple) -> None:
+        kind, msg_id, payload = msg
+        if stopped.done():
+            return  # draining: nothing new starts
+        if kind == "reqs":
+            coro = _serve_frame(server, pipe, msg_id, payload)
+        elif kind == "bulk":
+            coro = _serve_bulk_frame(server, pipe, msg_id, payload)
+        elif kind == "write":
+            coro = _write_frame(server, pipe, msg_id, payload)
+        elif kind == "swap":
+            coro = _swap_frame(server, pipe, msg_id, spec, keys, payload)
+        elif kind == "metrics":
+            pipe.send((msg_id, True, server.metrics.state()))
+            return
+        elif kind == "stop":
+            stopped.set_result(msg_id)
+            return
+        elif kind == "die":
+            os._exit(17)  # fault injection: crash, no cleanup
+        else:
+            pipe.send((msg_id, False, f"unknown message kind {kind!r}"))
+            return
+        task = loop.create_task(coro)
+        frames.add(task)
+        task.add_done_callback(frames.discard)
+
+    def on_lost() -> None:
+        if not stopped.done():
+            stopped.set_result(None)  # parent went away: drain and exit
+
+    pipe = _Pipe(on_message, on_lost)
+    await loop.connect_accepted_socket(lambda: pipe, sock)
     async with server:
-        conn.send((_READY_ID, True,
+        pipe.send((_READY_ID, True,
                    {"shard": spec.shard_id, "n": len(keys),
                     "pid": os.getpid()}))
-        while True:
-            try:
-                msg = await loop.run_in_executor(recv_pool, conn.recv)
-            except (EOFError, OSError):
-                break  # parent went away: drain and exit
-            kind, msg_id, payload = msg
-            if kind == "stop":
-                stop_id = msg_id
-                break
-            if kind == "die":
-                os._exit(17)  # fault injection: crash, no cleanup
-            if kind == "reqs":
-                task = asyncio.create_task(
-                    _serve_frame(server, conn, msg_id, payload)
-                )
-            elif kind == "bulk":
-                task = asyncio.create_task(
-                    _serve_bulk_frame(server, conn, msg_id, payload)
-                )
-            elif kind == "write":
-                task = asyncio.create_task(
-                    _write_frame(server, conn, msg_id, payload)
-                )
-            elif kind == "swap":
-                task = asyncio.create_task(
-                    _swap_frame(server, conn, msg_id, spec, keys, payload)
-                )
-            elif kind == "metrics":
-                conn.send((msg_id, True, server.metrics.state()))
-                continue
-            else:
-                conn.send((msg_id, False, f"unknown message kind {kind!r}"))
-                continue
-            frames.add(task)
-            task.add_done_callback(frames.discard)
+        stop_id = await stopped
         # Graceful drain: finish every in-flight frame (their requests
         # resolve through the still-running server), then the context
         # exit drains the server itself.
@@ -236,14 +304,14 @@ async def _worker_serve(conn, spec: WorkerSpec, keys: np.ndarray,
             await asyncio.gather(*frames, return_exceptions=True)
         final_state = server.metrics.state()
     if stop_id is not None:
-        try:
-            conn.send((stop_id, True, final_state))
-        except (OSError, BrokenPipeError):
-            pass
-    recv_pool.shutdown(wait=False)
+        pipe.send((stop_id, True, final_state))
+    # close() flushes what is still buffered (the stop reply) before
+    # connection_lost fires.
+    pipe.transport.close()
+    await pipe.lost
 
 
-async def _serve_frame(server: IndexServer, conn, msg_id: int,
+async def _serve_frame(server: IndexServer, pipe, msg_id: int,
                        items: "list[tuple]") -> None:
     """Serve one frame of requests through the worker's micro-batcher."""
     coros = []
@@ -258,34 +326,34 @@ async def _serve_frame(server: IndexServer, conn, msg_id: int,
         responses = await asyncio.gather(*coros)
         payload = [(r.status, r.position, r.count, r.batch_size, r.error)
                    for r in responses]
-        conn.send((msg_id, True, payload))
+        pipe.send((msg_id, True, payload))
     except Exception as exc:
-        _send_error(conn, msg_id, exc)
+        _send_error(pipe, msg_id, exc)
 
 
-async def _serve_bulk_frame(server: IndexServer, conn, msg_id: int,
+async def _serve_bulk_frame(server: IndexServer, pipe, msg_id: int,
                             payload: "tuple") -> None:
     points, lows, highs = payload
     try:
         positions, starts, counts = await server.serve_bulk(points, lows,
                                                             highs)
-        conn.send((msg_id, True, (positions, starts, counts)))
+        pipe.send((msg_id, True, (positions, starts, counts)))
     except Exception as exc:
-        _send_error(conn, msg_id, exc)
+        _send_error(pipe, msg_id, exc)
 
 
-async def _write_frame(server: IndexServer, conn, msg_id: int,
+async def _write_frame(server: IndexServer, pipe, msg_id: int,
                        payload: "tuple") -> None:
     """Apply one write burst; reply ``(applied, live_cardinality)``."""
     keys, ops = payload
     try:
         applied = await server.apply_writes(keys, ops)
-        conn.send((msg_id, True, (applied, len(server.index.keys))))
+        pipe.send((msg_id, True, (applied, len(server.index.keys))))
     except Exception as exc:
-        _send_error(conn, msg_id, exc)
+        _send_error(pipe, msg_id, exc)
 
 
-async def _swap_frame(server: IndexServer, conn, msg_id: int,
+async def _swap_frame(server: IndexServer, pipe, msg_id: int,
                       spec: WorkerSpec, keys: np.ndarray,
                       payload: Any) -> None:
     """Rebuild this shard's index and hot-swap it (zero-loss)."""
@@ -303,7 +371,7 @@ async def _swap_frame(server: IndexServer, conn, msg_id: int,
                 )
             await loop.run_in_executor(None, rebuild)
             server.swap_index(windex)
-            conn.send((msg_id, True, "@rebuild"))
+            pipe.send((msg_id, True, "@rebuild"))
             return
         if callable(payload):
             new_index = await loop.run_in_executor(None, payload, keys)
@@ -312,17 +380,14 @@ async def _swap_frame(server: IndexServer, conn, msg_id: int,
                 None, _build_index, spec, keys, str(payload)
             )
         server.swap_index(new_index)
-        conn.send((msg_id, True, getattr(new_index, "name",
+        pipe.send((msg_id, True, getattr(new_index, "name",
                                          type(new_index).__name__)))
     except Exception as exc:
-        _send_error(conn, msg_id, exc)
+        _send_error(pipe, msg_id, exc)
 
 
-def _send_error(conn, msg_id: int, exc: Exception) -> None:
-    try:
-        conn.send((msg_id, False, f"{type(exc).__name__}: {exc}"))
-    except (OSError, BrokenPipeError):
-        pass
+def _send_error(pipe, msg_id: int, exc: Exception) -> None:
+    pipe.send((msg_id, False, f"{type(exc).__name__}: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +456,8 @@ class Cluster:
         self._ship_keys = ship_keys if ship_keys is not None \
             else not (cache_dir is not None and dataset is not None)
         self._procs: "list[mp.process.BaseProcess]" = []
-        self._conns: "list[Any]" = []
-        self._readers: "list[threading.Thread]" = []
-        self._alive: "list[bool]" = []
+        self._pipes: "list[_Pipe]" = []
+        self._alive: "list[bool]" = [False] * self.plan.num_shards
         self._pending: "list[dict[int, asyncio.Future]]" = []
         #: Per shard: bulk parts ``(points, lows, highs, future)``
         #: queued for the next flush (see the module docstring).
@@ -417,53 +481,59 @@ class Cluster:
         return sum(self._alive)
 
     async def start(self) -> "Cluster":
+        """Start every worker and wait until each reports ready.
+
+        If any worker fails to start, every worker is killed and joined
+        and the error is raised (a worker's own start-up error as
+        :class:`~repro.serve.router.ShardDeadError`); the cluster is
+        then stopped and can start again.
+        """
         if self._procs:
             raise RuntimeError("cluster is already running")
-        self._loop = asyncio.get_running_loop()
-        ready: "list[asyncio.Future]" = []
-        # Spawn every worker before starting any reader thread: forking
-        # a process that already carries extra threads is fragile.
-        for shard_id in range(self.num_shards):
-            lo = int(self.plan.offsets[shard_id])
-            hi = int(self.plan.offsets[shard_id + 1])
-            spec = WorkerSpec(
-                shard_id=shard_id, lo=lo, hi=hi,
-                index_type=self.index_type,
-                keys=self.keys[lo:hi] if self._ship_keys else None,
-                dataset=self._dataset, n=self._n, seed=self._seed,
-                cache_dir=self._cache_dir,
-                index_factory=self._index_factory,
-            )
-            parent_conn, child_conn = self._ctx.Pipe()
-            proc = self._ctx.Process(
-                target=_worker_main, args=(child_conn, spec, self._opts),
-                name=f"repro-shard-{shard_id}", daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            self._procs.append(proc)
-            self._conns.append(parent_conn)
-            self._alive.append(True)
-            self._pending.append({})
-            fut = self._loop.create_future()
-            self._pending[shard_id][_READY_ID] = fut
-            ready.append(fut)
-        self.worker_info = [None] * self.num_shards
-        for shard_id in range(self.num_shards):
-            thread = threading.Thread(
-                target=self._read_loop, args=(shard_id,),
-                name=f"repro-shard-{shard_id}-reader", daemon=True,
-            )
-            thread.start()
-            self._readers.append(thread)
+        loop = self._loop = asyncio.get_running_loop()
+        self._alive = [True] * self.num_shards
+        self._pending = [{_READY_ID: loop.create_future()}
+                         for _ in range(self.num_shards)]
+        ready = [pending[_READY_ID] for pending in self._pending]
         try:
-            for shard_id, fut in enumerate(ready):
-                self.worker_info[shard_id] = await asyncio.wait_for(
-                    fut, timeout=60
+            for shard_id in range(self.num_shards):
+                lo = int(self.plan.offsets[shard_id])
+                hi = int(self.plan.offsets[shard_id + 1])
+                spec = WorkerSpec(
+                    shard_id=shard_id, lo=lo, hi=hi,
+                    index_type=self.index_type,
+                    keys=self.keys[lo:hi] if self._ship_keys else None,
+                    dataset=self._dataset, n=self._n, seed=self._seed,
+                    cache_dir=self._cache_dir,
+                    index_factory=self._index_factory,
                 )
-        except Exception:
+                parent_sock, child_sock = socket.socketpair()
+                with child_sock:
+                    pipe = _Pipe(
+                        functools.partial(self._on_message, shard_id),
+                        functools.partial(self._on_death, shard_id),
+                    )
+                    await loop.connect_accepted_socket(lambda: pipe,
+                                                       parent_sock)
+                    self._pipes.append(pipe)
+                    proc = self._ctx.Process(
+                        target=_worker_main,
+                        args=(child_sock, spec, self._opts),
+                        name=f"repro-shard-{shard_id}", daemon=True,
+                    )
+                    proc.start()
+                self._procs.append(proc)
+            self.worker_info = list(await asyncio.wait_for(
+                asyncio.gather(*ready), timeout=60
+            ))
+        except BaseException:
+            for fut in ready:  # leave no exception unretrieved
+                if fut.done() and not fut.cancelled():
+                    fut.exception()
+                fut.cancel()
             for proc in self._procs:
                 proc.kill()
+            await self._close()
             raise
         log.info("cluster up: %d shards, sizes %s", self.num_shards,
                  [int(x) for x in self.plan.shard_sizes()])
@@ -482,22 +552,24 @@ class Cluster:
                 states[shard_id] = await asyncio.wait_for(fut, timeout=30)
             except Exception:
                 states[shard_id] = None
+        await self._close()
+        return states
+
+    async def _close(self) -> None:
+        """Join every worker (killing one that outlives the wait), close
+        every pipe, and clear the per-shard state."""
         loop = asyncio.get_running_loop()
         for proc in self._procs:
             await loop.run_in_executor(None, proc.join, 10)
             if proc.is_alive():
                 proc.kill()
                 await loop.run_in_executor(None, proc.join, 5)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._readers:
-            thread.join(timeout=5)
-        self._procs, self._conns, self._readers = [], [], []
+        for pipe in self._pipes:
+            pipe.transport.abort()
+        # connection_lost -> _on_death fails whatever is still pending.
+        await asyncio.gather(*(pipe.lost for pipe in self._pipes))
+        self._procs, self._pipes = [], []
         self._alive = [False] * self.num_shards
-        return states
 
     async def __aenter__(self) -> "Cluster":
         return await self.start()
@@ -516,23 +588,9 @@ class Cluster:
             self._procs[shard_id].kill()
         else:
             self._flush(shard_id)
-            try:
-                self._conns[shard_id].send(("die", next(self._ids), None))
-            except (OSError, BrokenPipeError):
-                pass
+            self._pipes[shard_id].send(("die", next(self._ids), None))
 
-    # -- reader threads / RPC --------------------------------------------
-
-    def _read_loop(self, shard_id: int) -> None:
-        conn = self._conns[shard_id]
-        loop = self._loop
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            loop.call_soon_threadsafe(self._on_message, shard_id, msg)
-        loop.call_soon_threadsafe(self._on_death, shard_id)
+    # -- pipe callbacks / RPC --------------------------------------------
 
     def _on_message(self, shard_id: int, msg: "tuple") -> None:
         msg_id, ok, payload = msg
@@ -571,15 +629,8 @@ class Cluster:
             ))
             return fut
         msg_id = next(self._ids)
+        self._pipes[shard_id].send((kind, msg_id, payload))
         self._pending[shard_id][msg_id] = fut
-        try:
-            self._conns[shard_id].send((kind, msg_id, payload))
-        except (OSError, BrokenPipeError):
-            self._pending[shard_id].pop(msg_id, None)
-            if not fut.done():
-                fut.set_exception(ShardDeadError(
-                    f"shard {shard_id} pipe is broken"
-                ))
         return fut
 
     def _flush(self, shard_id: int) -> None:

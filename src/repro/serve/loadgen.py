@@ -57,11 +57,12 @@ async def run_open_loop(
     are interleaved deterministically from ``seed``, so two runs offer
     byte-identical streams.
 
-    Latency is ``Response.latency_s``: it starts when the server stamps
-    the request, not at its scheduled send time.  The server runs index
-    calls on the loop thread, so a request that falls due while a batch
-    executes is stamped only after that batch returns, and its latency
-    omits up to one batch's run time.
+    Latency runs from each request's scheduled send time
+    (``t0 + offsets[i]``) to its response, so a request that falls due
+    while the server blocks the loop -- index calls run on the loop
+    thread -- counts that wait too.  At ``qps=None`` every request is
+    due at ``t0``.  ``send_lag_ms`` reports how late the generator sent:
+    the p99 and maximum of actual minus scheduled send time.
     """
     if not 0.0 <= range_fraction <= 1.0:
         raise ValueError("range_fraction must be within [0, 1]")
@@ -86,9 +87,11 @@ async def run_open_loop(
     wall_start = time.monotonic()
 
     async def fire(i: int, slot: int, range_op: bool):
-        delay = t0 + offsets[i] - loop.time()
+        due = t0 + offsets[i]
+        delay = due - loop.time()
         if delay > 0:
             await asyncio.sleep(delay)
+        sent = loop.time()
         if range_op:
             resp = await server.range_query(
                 int(range_wl.lows[slot]), int(range_wl.highs[slot]),
@@ -101,7 +104,7 @@ async def run_open_loop(
                 int(point_wl.queries[slot]), timeout_s=timeout_s
             )
             want = (int(point_wl.expected_positions[slot]), None)
-        return resp, want
+        return resp, want, loop.time() - due, sent - due
 
     tasks = []
     point_slot = range_slot = 0
@@ -119,10 +122,11 @@ async def run_open_loop(
     wrong = 0
     ok_latencies = []
     batch_sizes = []
-    for resp, (want_pos, want_count) in outcomes:
+    lags = np.array([lag for *_, lag in outcomes], dtype=np.float64)
+    for resp, (want_pos, want_count), latency_s, _ in outcomes:
         statuses[resp.status] = statuses.get(resp.status, 0) + 1
         if resp.status == STATUS_OK:
-            ok_latencies.append(resp.latency_s)
+            ok_latencies.append(latency_s)
             batch_sizes.append(resp.batch_size)
             if resp.position != want_pos:
                 wrong += 1
@@ -151,6 +155,11 @@ async def run_open_loop(
             "p95": round(float(np.percentile(lat, 95)) * 1e3, 3),
             "p99": round(float(np.percentile(lat, 99)) * 1e3, 3),
             "max": round(float(lat.max()) * 1e3, 3),
+        }
+    if len(lags):
+        report["send_lag_ms"] = {
+            "p99": round(float(np.percentile(lags, 99)) * 1e3, 3),
+            "max": round(float(lags.max()) * 1e3, 3),
         }
     return report
 
@@ -378,4 +387,7 @@ def loadgen_report(report: "dict[str, Any]") -> str:
             f"  latency ms: mean {lm['mean']}  p50 {lm['p50']}  "
             f"p95 {lm['p95']}  p99 {lm['p99']}  max {lm['max']}"
         )
+    if "send_lag_ms" in report:
+        sl = report["send_lag_ms"]
+        lines.append(f"  send lag ms: p99 {sl['p99']}  max {sl['max']}")
     return "\n".join(lines)

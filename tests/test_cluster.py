@@ -15,6 +15,10 @@ Two layers, mirroring the module split:
   incorrect responses and monotone counters, gathered bulk calls
   sharing one pipe frame per shard, and the committed
   ``BENCH_serve.json`` scaling section.
+* **The pipe transport**: the event loop serves both ends of every
+  pipe (no thread in the parent or a worker), frames far larger than
+  the socket buffer cross in both directions at once, and spawned
+  workers speak the same protocol as forked ones.
 
 No pytest-asyncio in the container, so every test drives its own event
 loop with ``asyncio.run``.
@@ -24,6 +28,10 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
+import socket
+import struct
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +392,127 @@ def test_cluster_worker_swap_with_custom_factory(cluster_keys):
     assert resp.position == int(np.searchsorted(
         cluster_keys, cluster_keys[7], side="left"
     ))
+
+
+# ----------------------------------------------------------------------
+# The pipe transport
+# ----------------------------------------------------------------------
+
+
+def test_pipe_frames_speak_the_connection_wire_format():
+    """``_Pipe`` frames are ``multiprocessing.Connection`` frames both
+    ways, including the 8-byte length form, however the bytes split."""
+    from multiprocessing.connection import Connection
+
+    from repro.serve.cluster import _frame, _Pipe
+
+    msg = (3, True, (np.arange(5000, dtype=np.uint64), "x" * 100))
+    a, b = socket.socketpair()
+    with a, Connection(b.detach()) as conn:
+        a.sendall(_frame(msg))
+        assert repr(conn.recv()) == repr(msg)
+        conn.send(msg)
+        wire = a.recv(1 << 20)
+        while len(wire) < 4 + struct.unpack_from("!i", wire)[0]:
+            wire += a.recv(1 << 20)
+    payload = wire[4:]
+    long_form = struct.pack("!i", -1) + struct.pack("!Q", len(payload))
+
+    async def parse() -> list:
+        got = []
+        pipe = _Pipe(got.append, lambda: None)
+        stream = wire + long_form + payload
+        for i in range(0, len(stream), 7):
+            pipe.data_received(stream[i:i + 7])
+        return got
+
+    got = asyncio.run(parse())
+    assert [repr(m) for m in got] == [repr(msg)] * 2
+
+
+def test_cluster_pipes_run_on_the_event_loop(cluster_keys):
+    """Cluster.start adds no thread to the parent, and a worker that
+    has served bulk frames runs exactly one thread (Linux only)."""
+    keys = cluster_keys
+    points = keys[::7]
+
+    async def run():
+        before = threading.active_count()
+        async with Cluster(keys=keys, num_shards=2,
+                           index_type="binary-search") as cluster:
+            started = threading.active_count()
+            async with ShardRouter(cluster) as router:
+                got = [await asyncio.wait_for(router.lookup_batch(points),
+                                              30) for _ in range(3)]
+                threads = None
+                if os.path.isdir("/proc/self/task"):
+                    threads = [len(os.listdir(f"/proc/{info['pid']}/task"))
+                               for info in cluster.worker_info]
+        return before, started, got, threads
+
+    before, started, got, threads = asyncio.run(run())
+    assert started == before
+    for positions in got:
+        np.testing.assert_array_equal(positions,
+                                      lower_bound_oracle(keys, points))
+    if threads is not None:
+        assert threads == [1, 1]
+
+
+def test_cluster_large_frames_cross_in_both_directions(cluster_keys):
+    """A worker replies to one ~8 MB bulk frame while the router sends
+    it the next: neither end blocks on a full socket, and every answer
+    matches the oracle."""
+    keys = cluster_keys
+    rng = np.random.default_rng(17)
+    # About 1M points (8 MB) per shard and frame; replies are as large.
+    chunks = [rng.choice(keys, size=2_000_000) for _ in range(2)]
+
+    async def run():
+        async with Cluster(keys=keys, num_shards=2,
+                           index_type="binary-search") as cluster:
+            async with ShardRouter(cluster) as router:
+                first = asyncio.ensure_future(router.lookup_batch(chunks[0]))
+                # Let the first frames go out before the second call
+                # queues its parts, so each call is its own frame.
+                await asyncio.sleep(0.01)
+                second = asyncio.ensure_future(
+                    router.lookup_batch(chunks[1]))
+                return await asyncio.wait_for(
+                    asyncio.gather(first, second), 120)
+
+    got = asyncio.run(run())
+    for chunk, positions in zip(chunks, got):
+        np.testing.assert_array_equal(positions,
+                                      lower_bound_oracle(keys, chunk))
+
+
+def test_cluster_spawned_workers_answer_a_mixed_chunk(cluster_keys):
+    """Workers started with the spawn method answer a point/range
+    chunk like forked ones, every answer oracle-exact."""
+    keys = cluster_keys
+    rng = np.random.default_rng(23)
+    points = rng.choice(keys, size=3000)
+    i = rng.integers(0, len(keys) - 64, size=300)
+    lows, highs = keys[i], keys[i + rng.integers(0, 64, size=300)]
+
+    async def run():
+        async with Cluster(keys=keys, num_shards=2,
+                           index_type="binary-search",
+                           mp_method="spawn") as cluster:
+            async with ShardRouter(cluster) as router:
+                return await asyncio.wait_for(asyncio.gather(
+                    router.lookup_batch(points),
+                    router.range_query_batch(lows, highs),
+                ), 60)
+
+    positions, (starts, counts) = asyncio.run(run())
+    np.testing.assert_array_equal(positions,
+                                  lower_bound_oracle(keys, points))
+    want = lower_bound_oracle(keys, lows)
+    np.testing.assert_array_equal(starts, want)
+    np.testing.assert_array_equal(counts,
+                                  lower_bound_oracle(keys, highs) - want)
 
 
 # ----------------------------------------------------------------------

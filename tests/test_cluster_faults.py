@@ -15,6 +15,8 @@ loop with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import gc
+import logging
 
 import numpy as np
 import pytest
@@ -38,6 +40,10 @@ WAIT = 20
 @pytest.fixture(scope="module")
 def fault_keys():
     return data.generate("books", n=12_000)
+
+
+def _refuse_to_build(keys: np.ndarray):
+    raise ValueError("this shard refuses to build")
 
 
 async def _wait_dead(cluster: Cluster, shard_id: int) -> None:
@@ -267,3 +273,28 @@ def test_stop_after_kill_returns_partial_states(fault_keys):
     assert states[1] is None
     assert states[0] is not None
     assert states[0]["counters"]["completed"] > 0
+
+
+def test_failed_start_leaves_a_stopped_cluster(fault_keys, caplog):
+    """Every worker's index factory raises: start() fails with an error
+    naming the factory's exception, no worker's ready future is left
+    unretrieved, and the stopped cluster can start (and fail) again."""
+
+    async def run():
+        cluster = Cluster(keys=fault_keys, num_shards=2,
+                          index_factory=_refuse_to_build)
+        errors = []
+        for _ in range(2):
+            with pytest.raises(ShardDeadError) as failed:
+                await asyncio.wait_for(cluster.start(), WAIT * 2)
+            errors.append(str(failed.value))
+        return cluster, errors
+
+    with caplog.at_level(logging.ERROR, logger="asyncio"):
+        cluster, errors = asyncio.run(run())
+        gc.collect()
+    for error in errors:
+        assert "ValueError: this shard refuses to build" in error
+    assert cluster.alive_count() == 0
+    assert not [r for r in caplog.records
+                if "never retrieved" in r.getMessage()]

@@ -58,6 +58,18 @@ class SlowIndex(BinarySearchIndex):
         return super().serve_batch(point_queries, range_lows, range_highs)
 
 
+class StallOnceIndex(BinarySearchIndex):
+    """An index whose next batch, once ``stall_s`` is set, blocks for
+    that long."""
+
+    stall_s = 0.0
+
+    def serve_batch(self, point_queries, range_lows, range_highs):
+        stall, self.stall_s = self.stall_s, 0.0
+        time.sleep(stall)
+        return super().serve_batch(point_queries, range_lows, range_highs)
+
+
 class BrokenIndex(BinarySearchIndex):
     """An index whose every batch raises."""
 
@@ -143,6 +155,28 @@ def test_open_loop_with_ranges_and_zipf(serve_keys):
     assert report["statuses"] == {STATUS_OK: 800}
     assert report["wrong"] == 0
     assert report["latency_ms"]["p50"] <= report["latency_ms"]["p99"]
+
+
+def test_open_loop_latency_counts_from_the_scheduled_send(serve_keys):
+    """One ``serve_batch`` blocks the loop thread for 50 ms: requests
+    that fall due during it are sent late and report that wait."""
+    index = StallOnceIndex(serve_keys)
+
+    async def run():
+        server = IndexServer(index, max_batch_size=64, max_wait_s=0.001,
+                             shed_policy="block")
+        async with server:
+            index.stall_s = 0.05  # the run's first batch stalls
+            return await run_open_loop(server, serve_keys,
+                                       num_requests=200, qps=2000, seed=5)
+
+    report = asyncio.run(run())
+    assert report["statuses"] == {STATUS_OK: 200}
+    assert report["wrong"] == 0
+    # About half of the requests (0.5 ms apart) fall due during the
+    # stall and wait up to 50 ms for it.
+    assert report["latency_ms"]["p95"] >= 25.0
+    assert report["send_lag_ms"]["max"] >= 25.0
 
 
 # ----------------------------------------------------------------------
