@@ -1,13 +1,15 @@
 """Multi-process worker tier of the range-sharded serving cluster.
 
-:class:`Cluster` spawns one OS process per shard.  Each worker runs the
-*existing* serving stack -- an :class:`~repro.serve.server.IndexServer`
-whose micro-batcher coalesces everything arriving over the control pipe
-into fused ``serve_batch`` calls -- over its contiguous slice of the
-keyspace, with the dataset and the built index resolved through the
-artifact cache when one is active (workers activate it themselves via
-the spec's ``cache_dir``).  The parent side implements the backend
-contract :class:`~repro.serve.router.ShardRouter` routes through.
+:class:`Cluster` spawns one OS process per shard.  Each worker runs an
+:class:`~repro.serve.server.IndexServer` over its contiguous slice of
+the keyspace and answers every read frame with
+:meth:`~repro.serve.server.IndexServer.serve_bulk`, one fused
+``serve_batch`` per frame; the router batched the requests already, so
+the worker's micro-batcher sees no pipe traffic.  The dataset and the
+built index resolve through the artifact cache when one is active
+(workers activate it themselves via the spec's ``cache_dir``).  The
+parent side implements the backend contract
+:class:`~repro.serve.router.ShardRouter` routes through.
 
 **Wire protocol**: pickled tuples over a socket pair, one frame each
 in ``multiprocessing.Connection``'s wire format (a 4-byte big-endian
@@ -17,8 +19,7 @@ length, or ``-1`` and an 8-byte length above 2 GiB, then the
     parent -> worker   (kind, msg_id, payload)
     worker -> parent   (msg_id, ok, payload)
 
-Kinds: ``reqs`` (a frame of point/range requests, served through the
-worker's micro-batcher), ``bulk`` (a pre-formed array batch, served via
+Kinds: ``bulk`` (a ``(points, lows, highs)`` array batch, served via
 :meth:`IndexServer.serve_bulk`; one frame may carry several callers'
 parts, see below), ``write`` (a key/op burst applied to a
 writable shard via :meth:`IndexServer.apply_writes`; the reply carries
@@ -52,11 +53,9 @@ marks the shard dead and fails every pending reply future with
 into per-request ``error`` responses.  A dead shard never hangs the
 router, and the remaining shards keep serving.  A failed
 :meth:`Cluster.start` kills every worker and leaves a stopped cluster
-that can start again.
-
-Deadlines cross the process boundary as absolute ``time.monotonic()``
-values; on Linux that clock is system-wide, so the worker's dispatcher
-applies the same expiry rule as a single-process server.
+that can start again.  A forked worker first closes the parent ends
+of every pipe opened so far, its own included, so the death of the
+router's process is an EOF on its pipe too, and it drains and exits.
 """
 
 from __future__ import annotations
@@ -69,14 +68,12 @@ import multiprocessing as mp
 import os
 import socket
 import struct
-import time
 from dataclasses import dataclass, field
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable
 
 import numpy as np
 
-from .batcher import OP_LOOKUP, OP_RANGE
 from .router import ShardDeadError, ShardPlan, plan_shards
 from .server import IndexServer
 
@@ -117,7 +114,11 @@ class WorkerSpec:
 
 @dataclass
 class WorkerOptions:
-    """Per-worker ``IndexServer`` tuning (picklable)."""
+    """Per-worker ``IndexServer`` batcher settings (picklable).
+
+    No pipe traffic reaches the worker's micro-batcher: reads arrive as
+    ``bulk`` frames and are served by ``serve_bulk``.
+    """
 
     max_batch_size: int = 512
     max_wait_s: float = 0.001
@@ -231,8 +232,15 @@ def _build_index(spec: WorkerSpec, keys: np.ndarray,
 
 
 def _worker_main(sock: socket.socket, spec: WorkerSpec,
-                 opts: WorkerOptions) -> None:
-    """Worker process entry point: build the shard, serve the pipe."""
+                 opts: WorkerOptions, parent_fds: "tuple[int, ...]") -> None:
+    """Worker process entry point: build the shard, serve the pipe.
+
+    ``parent_fds`` are the parent's pipe ends a forked worker inherited
+    (empty under spawn).  Closing them leaves the parent process the
+    only holder of this pipe's other end, so its death is an EOF here.
+    """
+    for fd in parent_fds:
+        os.close(fd)
     with sock:
         try:
             keys = _shard_keys(spec)
@@ -263,9 +271,7 @@ async def _worker_serve(sock: socket.socket, spec: WorkerSpec,
         kind, msg_id, payload = msg
         if stopped.done():
             return  # draining: nothing new starts
-        if kind == "reqs":
-            coro = _serve_frame(server, pipe, msg_id, payload)
-        elif kind == "bulk":
+        if kind == "bulk":
             coro = _serve_bulk_frame(server, pipe, msg_id, payload)
         elif kind == "write":
             coro = _write_frame(server, pipe, msg_id, payload)
@@ -309,26 +315,6 @@ async def _worker_serve(sock: socket.socket, spec: WorkerSpec,
     # connection_lost fires.
     pipe.transport.close()
     await pipe.lost
-
-
-async def _serve_frame(server: IndexServer, pipe, msg_id: int,
-                       items: "list[tuple]") -> None:
-    """Serve one frame of requests through the worker's micro-batcher."""
-    coros = []
-    now = time.monotonic()
-    for op, key, low, high, deadline in items:
-        timeout_s = None if deadline is None else max(deadline - now, 0.0)
-        if op == OP_LOOKUP:
-            coros.append(server.lookup(key, timeout_s=timeout_s))
-        else:
-            coros.append(server.range_query(low, high, timeout_s=timeout_s))
-    try:
-        responses = await asyncio.gather(*coros)
-        payload = [(r.status, r.position, r.count, r.batch_size, r.error)
-                   for r in responses]
-        pipe.send((msg_id, True, payload))
-    except Exception as exc:
-        _send_error(pipe, msg_id, exc)
 
 
 async def _serve_bulk_frame(server: IndexServer, pipe, msg_id: int,
@@ -495,6 +481,9 @@ class Cluster:
         self._pending = [{_READY_ID: loop.create_future()}
                          for _ in range(self.num_shards)]
         ready = [pending[_READY_ID] for pending in self._pending]
+        # A forked worker inherits every parent end opened before it.
+        forked = self._ctx.get_start_method() == "fork"
+        parent_fds: "list[int]" = []
         try:
             for shard_id in range(self.num_shards):
                 lo = int(self.plan.offsets[shard_id])
@@ -508,6 +497,8 @@ class Cluster:
                     index_factory=self._index_factory,
                 )
                 parent_sock, child_sock = socket.socketpair()
+                if forked:
+                    parent_fds.append(parent_sock.fileno())
                 with child_sock:
                     pipe = _Pipe(
                         functools.partial(self._on_message, shard_id),
@@ -518,7 +509,8 @@ class Cluster:
                     self._pipes.append(pipe)
                     proc = self._ctx.Process(
                         target=_worker_main,
-                        args=(child_sock, spec, self._opts),
+                        args=(child_sock, spec, self._opts,
+                              tuple(parent_fds)),
                         name=f"repro-shard-{shard_id}", daemon=True,
                     )
                     proc.start()
@@ -645,11 +637,6 @@ class Cluster:
         reply.add_done_callback(functools.partial(_split_reply, parts))
 
     # -- backend contract (consumed by ShardRouter) ----------------------
-
-    async def execute_requests(self, shard_id: int, requests):
-        items = [(r.op, r.key, r.low, r.high, r.deadline)
-                 for r in requests]
-        return await self._rpc(shard_id, "reqs", items)
 
     async def execute_bulk(self, shard_id: int, points, lows, highs):
         """Serve one ``(points, lows, highs)`` part on a shard; returns

@@ -30,37 +30,35 @@ offsets[first] + local_start(first)`` and ``count = sum(local
 counts)``, exact because shards outside the span contribute zero and
 key order is preserved across shard boundaries.
 
-**Per-shard dispatch.**  The router reuses the
-:class:`~repro.serve.batcher.MicroBatcher` per shard as a transport
-coalescer: requests bound for the same shard ride one backend call
-(one pipe message in the cluster), and multiple frames stay in flight
-per shard -- the worker's own micro-batcher coalesces across frames.
-Expired requests are answered ``timeout`` at dispatch, a dead shard's
-requests are answered ``error`` immediately (never a hang), and
-shard-level hot-swap reuses the worker ``swap_index`` protocol.
+**One request lane.**  ``lookup`` / ``range_query`` queue on one
+:class:`~repro.serve.batcher.MicroBatcher`; admission, deadlines and
+resolution are :class:`~repro.serve.server.RequestFront`'s, the code
+:class:`~repro.serve.server.IndexServer` runs.  Each collected batch
+answers its expired requests ``timeout`` and sends the rest as
+``(points, lows, highs)`` arrays through the point and range splits of
+``lookup_batch`` / ``range_query_batch``, so a request reaches its
+shards inside a bulk part (in the cluster: one ``bulk`` frame per shard
+and event-loop pass).  A shard that fails answers ``error`` to the
+requests routed to it and only to those -- a range fails if any shard
+it spans fails -- while the bulk methods raise its exception.  Batching
+happens once, here: ``max_queue`` bounds the router's one queue,
+``Response.batch_size`` is the router batch's size, and a request that
+expires after its batch was dispatched is still answered.  Shard-level
+hot-swap reuses the worker ``swap_index`` protocol.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .batcher import (
-    OP_LOOKUP,
-    OP_RANGE,
-    STATUS_ERROR,
-    STATUS_OK,
-    STATUS_REJECTED,
-    STATUS_TIMEOUT,
-    MicroBatcher,
-    Request,
-    Response,
-)
+from .batcher import STATUS_ERROR, MicroBatcher, Request
 from .metrics import ServeMetrics, rollup_states
+from .server import SHED_POLICIES, RequestFront
 
 __all__ = [
     "ShardPlan",
@@ -71,10 +69,6 @@ __all__ = [
 ]
 
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
-
-#: Worse statuses win when a scattered range's parts disagree.
-_STATUS_RANK = {STATUS_OK: 0, STATUS_REJECTED: 1, STATUS_TIMEOUT: 2,
-                STATUS_ERROR: 3}
 
 
 class ShardDeadError(RuntimeError):
@@ -118,11 +112,6 @@ class ShardPlan:
     def shard_of(self, key: int) -> int:
         return int(self.route_points(np.array([key], dtype=np.uint64))[0])
 
-    def range_span(self, low: int, high: int) -> "tuple[int, int]":
-        """Inclusive shard span ``[i_lo, i_hi]`` of range ``[low, high)``."""
-        span = self.route_points(np.array([low, high], dtype=np.uint64))
-        return int(span[0]), int(span[1])
-
     def slice_keys(self, keys: np.ndarray, shard_id: int) -> np.ndarray:
         return keys[int(self.offsets[shard_id]):
                     int(self.offsets[shard_id + 1])]
@@ -160,16 +149,13 @@ def _by_shard(ids: np.ndarray) -> "Iterator[tuple[int, np.ndarray]]":
 # multi-process implementation is ``repro.serve.cluster.Cluster``):
 #
 #   plan: ShardPlan
-#   def alive(shard_id) -> bool
-#   async def execute_requests(shard_id, requests) -> list of
-#       (status, position, count, batch_size, error) tuples, in order,
-#       positions/counts in *local* shard coordinates
 #   async def execute_bulk(shard_id, points, lows, highs)
-#       -> (positions, starts, counts) ndarrays, local coordinates
+#       -> (positions, starts, counts) ndarrays, local coordinates;
+#       raises (ShardDeadError for a dead shard) when it cannot answer
+#   async def execute_writes(shard_id, keys, ops) -> (applied, live)
 #   async def swap_shard(shard_id, index_spec) -> None
 #   async def shard_metrics() -> list of ServeMetrics.state() | None
 #   async def stop() -> list of final states | None
-
 
 class LocalBackend:
     """In-process backend: one built index per shard, no processes.
@@ -200,33 +186,6 @@ class LocalBackend:
         if shard_id in self._dead:
             raise ShardDeadError(f"shard {shard_id} worker is dead")
         return self._indexes[shard_id]
-
-    async def execute_requests(self, shard_id: int,
-                               requests: "Sequence[Request]"):
-        points = np.array([r.key for r in requests if r.op == OP_LOOKUP],
-                          dtype=np.uint64)
-        lows = np.array([r.low for r in requests if r.op == OP_RANGE],
-                        dtype=np.uint64)
-        highs = np.array([r.high for r in requests if r.op == OP_RANGE],
-                         dtype=np.uint64)
-        index = self._index(shard_id)
-        positions, starts, counts = index.serve_batch(points, lows, highs)
-        metrics = self.shard_metric_objs[shard_id]
-        metrics.submitted.inc(len(requests))
-        metrics.record_batch(len(requests), 0)
-        metrics.completed.inc(len(requests))
-        out = []
-        p = r = 0
-        for req in requests:
-            if req.op == OP_LOOKUP:
-                out.append((STATUS_OK, int(positions[p]), None,
-                            len(requests), None))
-                p += 1
-            else:
-                out.append((STATUS_OK, int(starts[r]), int(counts[r]),
-                            len(requests), None))
-                r += 1
-        return out
 
     async def execute_writes(self, shard_id: int, keys,
                              ops) -> "tuple[int, int]":
@@ -294,48 +253,24 @@ class LocalBackend:
 
 
 # ---------------------------------------------------------------------------
-# Scattered range aggregation
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class _Scatter:
-    """Aggregation state of one range query fanned over several shards."""
-
-    parent: Request
-    first_shard: int
-    parts_total: int
-    parts_done: int = 0
-    start: "int | None" = None  # global, from the first spanned shard
-    count: int = 0
-    batch_size: int = 0
-    worst: str = STATUS_OK
-    error: "str | None" = None
-
-
-@dataclass
-class _SubRequest(Request):
-    """One shard's slice of a scattered range query."""
-
-    scatter: "_Scatter | None" = field(default=None, repr=False)
-
-
-# ---------------------------------------------------------------------------
 # The router
 # ---------------------------------------------------------------------------
 
 
-class ShardRouter:
+class ShardRouter(RequestFront):
     """Scatter/gather front of a sharded serving tier.
 
-    Mirrors the :class:`~repro.serve.server.IndexServer` request API
+    Serves the :class:`~repro.serve.server.IndexServer` request API
     (``lookup`` / ``range_query`` coroutines returning
-    :class:`~repro.serve.batcher.Response`), so the open-loop load
+    :class:`~repro.serve.batcher.Response`, from the shared
+    :class:`~repro.serve.server.RequestFront`), so the open-loop load
     generator drives a cluster unchanged.  Additionally exposes the
     bulk lanes ``lookup_batch`` / ``range_query_batch`` used by the
     scaling benchmark, per-shard hot-swap, and the cluster-wide metrics
     roll-up.
     """
+
+    _role = "router"
 
     def __init__(
         self,
@@ -349,7 +284,7 @@ class ShardRouter:
         metrics: "ServeMetrics | None" = None,
         samplers: "Sequence[Any] | None" = None,
     ) -> None:
-        if shed_policy not in ("reject", "block"):
+        if shed_policy not in SHED_POLICIES:
             raise ValueError(f"unknown shed policy {shed_policy!r}")
         self._backend = backend
         self.plan: ShardPlan = backend.plan
@@ -365,21 +300,22 @@ class ShardRouter:
         self.default_timeout_s = default_timeout_s
         self.metrics = metrics if metrics is not None else ServeMetrics()
         #: Optional per-shard workload samplers (:class:`~repro.autotune.
-        #: sampler.WorkloadSampler`), fed each shard's dispatched batches
-        #: -- shards see different traffic, so each gets its own profile
-        #: and the autotuner may converge them to different configs.
+        #: sampler.WorkloadSampler`), fed each shard's part of every
+        #: dispatched batch -- shards see different traffic, so each gets
+        #: its own profile and the autotuner may converge them to
+        #: different configs.
         if samplers is not None and len(samplers) != backend.plan.num_shards:
             raise ValueError(
                 f"samplers must match num_shards "
                 f"({len(samplers)} != {backend.plan.num_shards})"
             )
         self.samplers = list(samplers) if samplers is not None else None
-        self._batchers = [
-            MicroBatcher(max_batch_size=max_batch_size,
-                         max_wait_s=max_wait_s, max_queue=max_queue)
-            for _ in range(self.plan.num_shards)
-        ]
-        self._dispatchers: "list[asyncio.Task]" = []
+        self.batcher = MicroBatcher(max_batch_size=max_batch_size,
+                                    max_wait_s=max_wait_s,
+                                    max_queue=max_queue)
+        #: The one batcher, as a list: servebench reads its knobs here.
+        self._batchers = [self.batcher]
+        self._dispatcher: "asyncio.Task | None" = None
         self._inflight: "set[asyncio.Task]" = set()
         self._accepting = False
 
@@ -390,14 +326,11 @@ class ShardRouter:
         return self.plan.num_shards
 
     async def start(self) -> "ShardRouter":
-        if self._dispatchers:
+        if self._dispatcher is not None:
             raise RuntimeError("router is already running")
         self._accepting = True
-        self._dispatchers = [
-            asyncio.create_task(self._dispatch_loop(i),
-                                name=f"repro-route-shard{i}")
-            for i in range(self.num_shards)
-        ]
+        self._dispatcher = asyncio.create_task(self._dispatch_loop(),
+                                               name="repro-route")
         return self
 
     async def stop(self) -> None:
@@ -407,18 +340,14 @@ class ShardRouter:
         LocalBackend) shuts it down after the router is quiesced.
         """
         self._accepting = False
-        for batcher in self._batchers:
-            batcher.close()
-        if self._dispatchers:
-            await asyncio.gather(*self._dispatchers)
-            self._dispatchers = []
+        self.batcher.close()
+        if self._dispatcher is not None:
+            await self._dispatcher
+            self._dispatcher = None
         while self._inflight:
             await asyncio.gather(*list(self._inflight),
                                  return_exceptions=True)
-        for shard_id, batcher in enumerate(self._batchers):
-            for req in batcher.drain_nowait():
-                self._deliver(shard_id, req, STATUS_REJECTED, None, None,
-                              0, "router shut down before service")
+        self._reject_queued()
 
     async def __aenter__(self) -> "ShardRouter":
         return await self.start()
@@ -426,216 +355,48 @@ class ShardRouter:
     async def __aexit__(self, *exc_info) -> None:
         await self.stop()
 
-    # -- request API (server-compatible) ---------------------------------
-
-    async def lookup(self, key: int,
-                     timeout_s: "float | None" = None) -> Response:
-        """Global lower-bound position of ``key`` (single-shard route)."""
-        request = Request(op=OP_LOOKUP, key=int(key))
-        shard_id = self.plan.shard_of(int(key))
-        return await self._submit_one(shard_id, request, timeout_s)
-
-    async def range_query(self, low: int, high: int,
-                          timeout_s: "float | None" = None) -> Response:
-        """Global ``(start, count)`` of ``[low, high)``; scatter/gathers
-        across every spanned shard and stitches the windows in key
-        order."""
-        if high < low:
-            raise ValueError("range_query requires low <= high")
-        i_lo, i_hi = self.plan.range_span(int(low), int(high))
-        if i_lo == i_hi:
-            request = Request(op=OP_RANGE, low=int(low), high=int(high))
-            return await self._submit_one(i_lo, request, timeout_s)
-        return await self._submit_scattered(i_lo, i_hi, int(low), int(high),
-                                            timeout_s)
-
-    # -- admission -------------------------------------------------------
-
-    def _prepare(self, request: Request,
-                 timeout_s: "float | None") -> None:
-        now = time.monotonic()
-        request.enqueued_at = now
-        timeout_s = timeout_s if timeout_s is not None \
-            else self.default_timeout_s
-        if timeout_s is not None:
-            request.deadline = now + timeout_s
-        request.future = asyncio.get_running_loop().create_future()
-
-    async def _admit(self, shard_id: int, request: Request) -> bool:
-        if self.shed_policy == "reject":
-            return self._batchers[shard_id].try_put(request)
-        return await self._batchers[shard_id].put(request)
-
-    async def _submit_one(self, shard_id: int, request: Request,
-                          timeout_s: "float | None") -> Response:
-        self._prepare(request, timeout_s)
-        self.metrics.submitted.inc()
-        if not self._accepting:
-            return self._immediate(request, "router is not accepting "
-                                   "requests")
-        if not await self._admit(shard_id, request):
-            return self._immediate(request, "queue full")
-        return await request.future
-
-    async def _submit_scattered(self, i_lo: int, i_hi: int, low: int,
-                                high: int,
-                                timeout_s: "float | None") -> Response:
-        parent = Request(op=OP_RANGE, low=low, high=high)
-        self._prepare(parent, timeout_s)
-        self.metrics.submitted.inc()
-        if not self._accepting:
-            return self._immediate(parent, "router is not accepting "
-                                   "requests")
-        scatter = _Scatter(parent=parent, first_shard=i_lo,
-                           parts_total=i_hi - i_lo + 1)
-        for shard_id in range(i_lo, i_hi + 1):
-            part = _SubRequest(op=OP_RANGE, low=low, high=high,
-                               scatter=scatter)
-            part.enqueued_at = parent.enqueued_at
-            part.deadline = parent.deadline
-            if not await self._admit(shard_id, part):
-                # The part never reached a dispatcher; account for it
-                # here.  Parts already admitted still execute and feed
-                # the aggregate, which resolves once all arrive.
-                self._scatter_feed(shard_id, scatter, STATUS_REJECTED,
-                                   None, None, 0, "queue full")
-        return await parent.future
-
-    def _immediate(self, request: Request, reason: str) -> Response:
-        response = Response(
-            op=request.op,
-            status=STATUS_REJECTED,
-            latency_s=time.monotonic() - request.enqueued_at,
-            error=reason,
-        )
-        self.metrics.record_response(response.status, response.latency_s)
-        return response
-
     # -- dispatch --------------------------------------------------------
 
-    async def _dispatch_loop(self, shard_id: int) -> None:
-        batcher = self._batchers[shard_id]
+    async def _dispatch_loop(self) -> None:
         while True:
-            batch = await batcher.collect()
+            batch = await self.batcher.collect()
             if batch is None:
                 return
-            self.metrics.record_batch(len(batch), batcher.depth())
-            now = time.monotonic()
-            live: "list[Request]" = []
-            for req in batch:
-                if req.expired(now):
-                    self._deliver(shard_id, req, STATUS_TIMEOUT, None,
-                                  None, len(batch),
-                                  "deadline expired before dispatch")
-                else:
-                    live.append(req)
-            if not live:
+            live = self._open_batch(batch)
+            if live is None:
                 continue
-            sampler = (self.samplers[shard_id]
-                       if self.samplers is not None else None)
-            if sampler is not None:
-                sampler.observe(
-                    np.array([r.key for r in live if r.op == OP_LOOKUP],
-                             dtype=np.uint64),
-                    np.array([r.low for r in live if r.op == OP_RANGE],
-                             dtype=np.uint64),
-                    np.array([r.high for r in live if r.op == OP_RANGE],
-                             dtype=np.uint64),
-                )
-            if not self._backend.alive(shard_id):
-                for req in live:
-                    self._deliver(shard_id, req, STATUS_ERROR, None, None,
-                                  0, f"shard {shard_id} worker is dead")
-                continue
-            # Fire and track without awaiting the reply inline: frames
-            # pipeline per shard, and the worker's own micro-batcher
-            # coalesces requests across frames.
-            task = asyncio.create_task(
-                self._finish(shard_id, live,
-                             self._backend.execute_requests(shard_id,
-                                                            live))
-            )
+            # Not awaited inline: the next batch is collected while this
+            # one's parts are in flight.
+            task = asyncio.create_task(self._serve(len(batch), *live))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
 
-    async def _finish(self, shard_id: int, live: "list[Request]",
-                      reply: Any) -> None:
-        try:
-            results = await reply
-        except Exception as exc:
-            reason = f"{type(exc).__name__}: {exc}"
-            for req in live:
-                self._deliver(shard_id, req, STATUS_ERROR, None, None, 0,
-                              reason)
-            return
-        for req, (status, pos, count, batch_size, err) in zip(live,
-                                                              results):
-            self._deliver(shard_id, req, status, pos, count, batch_size,
-                          err)
-
-    # -- delivery / stitching --------------------------------------------
-
-    def _deliver(self, shard_id: int, request: Request, status: str,
-                 position: "int | None", count: "int | None",
-                 batch_size: int, error: "str | None") -> None:
-        """Resolve one dispatched request with shard-local results."""
-        scatter = getattr(request, "scatter", None)
-        if scatter is not None:
-            self._scatter_feed(shard_id, scatter, status, position, count,
-                               batch_size, error)
-            return
-        if status == STATUS_OK and position is not None:
-            position = int(position) + int(self._offsets[shard_id])
-        self._resolve(request, Response(
-            op=request.op,
-            status=status,
-            position=position if status == STATUS_OK else None,
-            count=count if status == STATUS_OK else None,
-            latency_s=time.monotonic() - request.enqueued_at,
-            batch_size=batch_size,
-            error=error,
-        ))
-
-    def _scatter_feed(self, shard_id: int, scatter: _Scatter, status: str,
-                      position: "int | None", count: "int | None",
-                      batch_size: int, error: "str | None") -> None:
-        """Fold one shard's window into a scattered range aggregate."""
-        scatter.parts_done += 1
-        scatter.batch_size = max(scatter.batch_size, batch_size)
-        if status == STATUS_OK:
-            scatter.count += int(count or 0)
-            if shard_id == scatter.first_shard:
-                scatter.start = (int(position)
-                                 + int(self._offsets[shard_id]))
-        elif _STATUS_RANK[status] > _STATUS_RANK[scatter.worst]:
-            scatter.worst = status
-            scatter.error = error
-        if scatter.parts_done < scatter.parts_total:
-            return
-        parent = scatter.parent
-        if scatter.worst == STATUS_OK:
-            response = Response(
-                op=OP_RANGE,
-                status=STATUS_OK,
-                position=scatter.start,
-                count=scatter.count,
-                latency_s=time.monotonic() - parent.enqueued_at,
-                batch_size=scatter.batch_size,
-            )
-        else:
-            response = Response(
-                op=OP_RANGE,
-                status=scatter.worst,
-                latency_s=time.monotonic() - parent.enqueued_at,
-                batch_size=scatter.batch_size,
-                error=scatter.error,
-            )
-        self._resolve(parent, response)
-
-    def _resolve(self, request: Request, response: Response) -> None:
-        self.metrics.record_response(response.status, response.latency_s)
-        if request.future is not None and not request.future.done():
-            request.future.set_result(response)
+    async def _serve(self, size: int, requests: "list[Request]",
+                     points: np.ndarray, lows: np.ndarray,
+                     highs: np.ndarray) -> None:
+        """Send one opened batch through the point and range splits, then
+        answer ``error`` to the requests a failed shard owed and ``ok``
+        to the rest."""
+        (positions, point_failures), (starts, counts, range_failures) = \
+            await asyncio.gather(self._split_points(points),
+                                 self._split_ranges(lows, highs))
+        done = time.monotonic()
+        n = len(points)
+        failures = point_failures + [(sel + n, exc)
+                                     for sel, exc in range_failures]
+        if failures:
+            failed = np.zeros(len(requests), dtype=bool)
+            for idx, exc in failures:
+                fresh = idx[~failed[idx]]
+                failed[fresh] = True
+                self._resolve_all([requests[i] for i in fresh.tolist()],
+                                  STATUS_ERROR, done, size,
+                                  error=f"{type(exc).__name__}: {exc}")
+            ok = ~failed
+            requests = [r for r, keep in zip(requests, ok.tolist()) if keep]
+            positions = positions[ok[:n]]
+            starts, counts = starts[ok[n:]], counts[ok[n:]]
+        self._resolve_ok(requests, done, size, positions, starts, counts)
 
     # -- bulk scatter/gather lanes ---------------------------------------
 
@@ -647,25 +408,11 @@ class ShardRouter:
         offsets applied.  Raises :class:`ShardDeadError` (or the
         backend's failure) if any touched shard cannot answer.
         """
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
-        out = np.empty(len(queries), dtype=np.int64)
-        if not len(queries):
-            return out
-        ids = self.plan.route_points(queries)
-
-        async def one(shard_id: int, idx: np.ndarray) -> None:
-            if self.samplers is not None \
-                    and self.samplers[shard_id] is not None:
-                self.samplers[shard_id].observe(queries[idx], _EMPTY_U64,
-                                                _EMPTY_U64)
-            positions, _, _ = await self._backend.execute_bulk(
-                shard_id, queries[idx], _EMPTY_U64, _EMPTY_U64
-            )
-            out[idx] = (np.asarray(positions, dtype=np.int64)
-                        + int(self._offsets[shard_id]))
-
-        await asyncio.gather(*(one(s, idx) for s, idx in _by_shard(ids)))
-        return out
+        positions, failures = await self._split_points(
+            np.ascontiguousarray(queries, dtype=np.uint64))
+        if failures:
+            raise failures[0][1]
+        return positions
 
     async def range_query_batch(
         self, lows: np.ndarray, highs: np.ndarray
@@ -677,27 +424,74 @@ class ShardRouter:
             raise ValueError("range_query_batch needs equal-length bounds")
         if np.any(highs < lows):
             raise ValueError("range_query_batch requires low <= high")
+        starts, counts, failures = await self._split_ranges(lows, highs)
+        if failures:
+            raise failures[0][1]
+        return starts, counts
+
+    async def _split_points(
+        self, queries: np.ndarray
+    ) -> "tuple[np.ndarray, list[tuple[np.ndarray, Exception]]]":
+        """Global positions of ``queries``: one backend call per touched
+        shard.  A shard that fails leaves its queries' positions unset
+        and adds ``(their indices, its exception)`` to the list returned
+        beside them."""
+        out = np.empty(len(queries), dtype=np.int64)
+        failures: "list[tuple[np.ndarray, Exception]]" = []
+        if not len(queries):
+            return out, failures
+        ids = self.plan.route_points(queries)
+
+        async def one(shard_id: int, idx: np.ndarray) -> None:
+            part = queries[idx]
+            if self.samplers is not None \
+                    and self.samplers[shard_id] is not None:
+                self.samplers[shard_id].observe(part, _EMPTY_U64, _EMPTY_U64)
+            try:
+                positions, _, _ = await self._backend.execute_bulk(
+                    shard_id, part, _EMPTY_U64, _EMPTY_U64
+                )
+            except Exception as exc:  # this shard failed, not the batch
+                failures.append((idx, exc))
+                return
+            out[idx] = (np.asarray(positions, dtype=np.int64)
+                        + int(self._offsets[shard_id]))
+
+        await asyncio.gather(*(one(s, idx) for s, idx in _by_shard(ids)))
+        return out, failures
+
+    async def _split_ranges(
+        self, lows: np.ndarray, highs: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, Exception]]]":
+        """Global ``(starts, counts)`` of ``[lows, highs)``: every spanned
+        shard answers the same bounds over its slice, stitched in key
+        order.  A shard that fails adds ``(the indices of the ranges
+        spanning it, its exception)`` to the list returned beside them."""
         m = len(lows)
         starts_out = np.zeros(m, dtype=np.int64)
         counts_out = np.zeros(m, dtype=np.int64)
+        failures: "list[tuple[np.ndarray, Exception]]" = []
         if not m:
-            return starts_out, counts_out
+            return starts_out, counts_out, failures
         first = self.plan.route_points(lows)
         last = self.plan.route_points(highs)
 
         async def one(shard_id: int, sel: np.ndarray) -> None:
+            part_lows, part_highs = lows[sel], highs[sel]
             if self.samplers is not None \
                     and self.samplers[shard_id] is not None:
-                self.samplers[shard_id].observe(_EMPTY_U64, lows[sel],
-                                                highs[sel])
-            _, starts, counts = await self._backend.execute_bulk(
-                shard_id, _EMPTY_U64, lows[sel], highs[sel]
-            )
-            starts = np.asarray(starts, dtype=np.int64)
-            counts = np.asarray(counts, dtype=np.int64)
-            counts_out[sel] += counts
+                self.samplers[shard_id].observe(_EMPTY_U64, part_lows,
+                                                part_highs)
+            try:
+                _, starts, counts = await self._backend.execute_bulk(
+                    shard_id, _EMPTY_U64, part_lows, part_highs
+                )
+            except Exception as exc:  # this shard failed, not the batch
+                failures.append((sel, exc))
+                return
+            counts_out[sel] += np.asarray(counts, dtype=np.int64)
             owns = first[sel] == shard_id
-            starts_out[sel[owns]] = (starts[owns]
+            starts_out[sel[owns]] = (np.asarray(starts, dtype=np.int64)[owns]
                                      + int(self._offsets[shard_id]))
 
         # One mask per spanned shard; a shard no range touches gets no
@@ -705,7 +499,7 @@ class ShardRouter:
         spans = ((s, np.flatnonzero((first <= s) & (last >= s)))
                  for s in range(int(first.min()), int(last.max()) + 1))
         await asyncio.gather(*(one(s, sel) for s, sel in spans if len(sel)))
-        return starts_out, counts_out
+        return starts_out, counts_out, failures
 
     # -- write lane ------------------------------------------------------
 

@@ -17,7 +17,9 @@ deadline at dispatch), run the survivors through the served index's
 :meth:`~repro.baselines.interfaces.OrderedIndex.serve_batch` on the
 event-loop thread, after one yield, then resolve every future.  No
 worker thread: measured, its hop costs more than the overlap it could
-buy, on one CPU and on two (``docs/architecture.md``).
+buy, on one CPU and on two (``docs/architecture.md``).  Admission,
+batch opening and resolution live in :class:`RequestFront`, which the
+sharded tier's :class:`~repro.serve.router.ShardRouter` shares.
 
 **Backpressure / load shedding**: the queue is bounded.  Policy
 ``"reject"`` answers a full queue with an immediate ``rejected``
@@ -60,15 +62,157 @@ from .batcher import (
 )
 from .metrics import ServeMetrics
 
-__all__ = ["IndexServer"]
+__all__ = ["IndexServer", "RequestFront"]
 
 log = logging.getLogger("repro.serve")
 
 #: Admission-control policies for a full queue.
 SHED_POLICIES = ("reject", "block")
 
+#: The largest key a request may carry: keys are uint64.
+_MAX_KEY = (1 << 64) - 1
 
-class IndexServer:
+
+class RequestFront:
+    """Admission and batch resolution shared by :class:`IndexServer` and
+    :class:`~repro.serve.router.ShardRouter`.
+
+    Both queue every request on one
+    :class:`~repro.serve.batcher.MicroBatcher`, open each collected
+    batch with :meth:`_open_batch` and answer it through
+    :meth:`_resolve_all`.  A subclass sets ``batcher``, ``metrics``,
+    ``shed_policy``, ``default_timeout_s`` and ``_accepting``;
+    ``_role`` names it in rejection reasons.  Keys are checked at the
+    caller: one that does not fit a uint64 would otherwise fail building
+    the arrays of the whole batch it joined.
+    """
+
+    _role = "server"
+
+    async def lookup(self, key: int,
+                     timeout_s: "float | None" = None) -> Response:
+        """Lower-bound position of ``key`` (micro-batched)."""
+        key = int(key)
+        if not 0 <= key <= _MAX_KEY:
+            raise OverflowError(f"key {key} is out of bounds for uint64")
+        return await self._submit(Request(op=OP_LOOKUP, key=key), timeout_s)
+
+    async def range_query(self, low: int, high: int,
+                          timeout_s: "float | None" = None) -> Response:
+        """``(start, count)`` of keys in ``[low, high)`` (micro-batched)."""
+        low, high = int(low), int(high)
+        if high < low:
+            raise ValueError("range_query requires low <= high")
+        if low < 0 or high > _MAX_KEY:
+            raise OverflowError(
+                f"range [{low}, {high}) is out of bounds for uint64")
+        return await self._submit(
+            Request(op=OP_RANGE, low=low, high=high), timeout_s
+        )
+
+    async def _submit(self, request: Request,
+                      timeout_s: "float | None") -> Response:
+        now = time.monotonic()
+        request.enqueued_at = now
+        timeout_s = timeout_s if timeout_s is not None \
+            else self.default_timeout_s
+        if timeout_s is not None:
+            request.deadline = now + timeout_s
+        request.future = asyncio.get_running_loop().create_future()
+        self.metrics.submitted.inc()
+        if not self._accepting:
+            return self._immediate(request, STATUS_REJECTED,
+                                   f"{self._role} is not accepting requests")
+        if self.shed_policy == "reject":
+            admitted = self.batcher.try_put(request)
+        else:
+            admitted = await self.batcher.put(request)
+        if not admitted:
+            return self._immediate(request, STATUS_REJECTED, "queue full")
+        return await request.future
+
+    def _immediate(self, request: Request, status: str,
+                   reason: str) -> Response:
+        response = Response(
+            op=request.op,
+            status=status,
+            latency_s=time.monotonic() - request.enqueued_at,
+            error=reason,
+        )
+        self.metrics.record_response(status, response.latency_s)
+        return response
+
+    def _open_batch(self, batch: "list[Request]") -> "tuple | None":
+        """Record ``batch``, answer its expired requests ``timeout``
+        (never a value computed after the deadline) and return the rest
+        as ``(requests, point_keys, lows, highs)``, lookups first, or
+        ``None`` when none is left."""
+        size = len(batch)
+        self.metrics.record_batch(size, self.batcher.depth())
+        now = time.monotonic()
+        expired: "list[Request]" = []
+        lookups: "list[Request]" = []
+        ranges: "list[Request]" = []
+        for req in batch:
+            if req.expired(now):
+                expired.append(req)
+            elif req.op == OP_LOOKUP:
+                lookups.append(req)
+            else:
+                ranges.append(req)
+        self._resolve_all(expired, STATUS_TIMEOUT, now, size,
+                          error="deadline expired before service")
+        if not lookups and not ranges:
+            return None
+        return (lookups + ranges,
+                np.array([r.key for r in lookups], dtype=np.uint64),
+                np.array([r.low for r in ranges], dtype=np.uint64),
+                np.array([r.high for r in ranges], dtype=np.uint64))
+
+    def _resolve_ok(self, requests: "list[Request]", done: float,
+                    batch_size: int, positions: np.ndarray,
+                    starts: np.ndarray, counts: np.ndarray) -> None:
+        """Answer an opened batch ``ok`` from its result arrays."""
+        self._resolve_all(
+            requests, STATUS_OK, done, batch_size,
+            positions=positions.tolist() + starts.tolist(),
+            counts=[None] * len(positions) + counts.tolist(),
+        )
+
+    def _resolve_all(self, requests: "list[Request]", status: str,
+                     done: float, batch_size: int, *,
+                     positions: "list[int] | None" = None,
+                     counts: "list[int | None] | None" = None,
+                     error: "str | None" = None) -> None:
+        """Answer ``requests`` with one ``status`` as of time ``done``.
+
+        ``positions``/``counts`` carry an ``ok`` batch's results in
+        request order.  Latency and the status counter are recorded for
+        all of them in one update, then every pending future resolves.
+        """
+        if not requests:
+            return
+        latencies = [done - r.enqueued_at for r in requests]
+        self.metrics.record_responses(status, latencies)
+        if positions is None:
+            positions = counts = [None] * len(requests)
+        for req, latency, position, count in zip(requests, latencies,
+                                                 positions, counts):
+            future = req.future
+            if future is not None and not future.done():
+                future.set_result(Response(req.op, status, position, count,
+                                           latency, batch_size, error))
+
+    def _reject_queued(self) -> None:
+        """Answer whatever is still queued ``rejected`` (the last step
+        of ``stop``): a ``block``-policy putter can land a request
+        between the collector's final empty check and its exit."""
+        self._resolve_all(self.batcher.drain_nowait(), STATUS_REJECTED,
+                          time.monotonic(), 0,
+                          error=f"{self._role} shut down before service")
+
+
+class IndexServer(RequestFront):
     """Serve one ``OrderedIndex`` behind a micro-batched async API."""
 
     def __init__(
@@ -168,12 +312,7 @@ class IndexServer:
         if self._task is not None:
             await self._task
             self._task = None
-        # A ``block``-policy putter can land a request in the window
-        # between the collector's final empty check and its exit; sweep
-        # such stragglers into rejections so every future resolves.
-        self._resolve_all(self.batcher.drain_nowait(), STATUS_REJECTED,
-                          time.monotonic(), 0,
-                          error="server shut down before service")
+        self._reject_queued()
         if self._logger_task is not None:
             self._logger_task.cancel()
             try:
@@ -249,23 +388,7 @@ class IndexServer:
             log.warning("kernel warm-up failed; serving will fall back",
                         exc_info=True)
 
-    # -- request API -----------------------------------------------------
-
-    async def lookup(self, key: int,
-                     timeout_s: "float | None" = None) -> Response:
-        """Lower-bound position of ``key`` (micro-batched)."""
-        return await self._submit(
-            Request(op=OP_LOOKUP, key=int(key)), timeout_s
-        )
-
-    async def range_query(self, low: int, high: int,
-                          timeout_s: "float | None" = None) -> Response:
-        """``(start, count)`` of keys in ``[low, high)`` (micro-batched)."""
-        if high < low:
-            raise ValueError("range_query requires low <= high")
-        return await self._submit(
-            Request(op=OP_RANGE, low=int(low), high=int(high)), timeout_s
-        )
+    # -- bulk and write lanes --------------------------------------------
 
     async def serve_bulk(
         self,
@@ -340,38 +463,6 @@ class IndexServer:
         self._sample_staleness()
         return int(n)
 
-    async def _submit(self, request: Request,
-                      timeout_s: "float | None") -> Response:
-        now = time.monotonic()
-        request.enqueued_at = now
-        timeout_s = timeout_s if timeout_s is not None \
-            else self.default_timeout_s
-        if timeout_s is not None:
-            request.deadline = now + timeout_s
-        request.future = asyncio.get_running_loop().create_future()
-        self.metrics.submitted.inc()
-        if not self._accepting:
-            return self._immediate(request, STATUS_REJECTED,
-                                   "server is not accepting requests")
-        if self.shed_policy == "reject":
-            admitted = self.batcher.try_put(request)
-        else:
-            admitted = await self.batcher.put(request)
-        if not admitted:
-            return self._immediate(request, STATUS_REJECTED, "queue full")
-        return await request.future
-
-    def _immediate(self, request: Request, status: str,
-                   reason: str) -> Response:
-        response = Response(
-            op=request.op,
-            status=status,
-            latency_s=time.monotonic() - request.enqueued_at,
-            error=reason,
-        )
-        self.metrics.record_response(status, response.latency_s)
-        return response
-
     # -- executor loop ---------------------------------------------------
 
     @staticmethod
@@ -391,28 +482,12 @@ class IndexServer:
             batch = await self.batcher.collect()
             if batch is None:
                 return
-            size = len(batch)
-            self.metrics.record_batch(size, self.batcher.depth())
             self._sample_staleness()
-            now = time.monotonic()
-            expired: "list[Request]" = []
-            lookups: "list[Request]" = []
-            ranges: "list[Request]" = []
-            for req in batch:
-                if req.expired(now):
-                    expired.append(req)
-                elif req.op == OP_LOOKUP:
-                    lookups.append(req)
-                else:
-                    ranges.append(req)
-            self._resolve_all(expired, STATUS_TIMEOUT, now, size,
-                              error="deadline expired before service")
-            if not lookups and not ranges:
+            live = self._open_batch(batch)
+            if live is None:
                 continue
+            requests, point_keys, lows, highs = live
             index = self._index  # captured: swaps affect later batches
-            point_keys = np.array([r.key for r in lookups], dtype=np.uint64)
-            lows = np.array([r.low for r in ranges], dtype=np.uint64)
-            highs = np.array([r.high for r in ranges], dtype=np.uint64)
             if self.sampler is not None:
                 self.sampler.observe(point_keys, lows, highs)
             try:
@@ -420,39 +495,12 @@ class IndexServer:
                     index.serve_batch, point_keys, lows, highs)
             except Exception as exc:  # index bug: fail the batch, not
                 log.exception("batch execution failed")  # the server
-                self._resolve_all(lookups + ranges, STATUS_ERROR,
-                                  time.monotonic(), size,
+                self._resolve_all(requests, STATUS_ERROR, time.monotonic(),
+                                  len(batch),
                                   error=f"{type(exc).__name__}: {exc}")
                 continue
-            self._resolve_all(
-                lookups + ranges, STATUS_OK, time.monotonic(), size,
-                positions=positions.tolist() + starts.tolist(),
-                counts=[None] * len(lookups) + counts.tolist(),
-            )
-
-    def _resolve_all(self, requests: "list[Request]", status: str,
-                     done: float, batch_size: int, *,
-                     positions: "list[int] | None" = None,
-                     counts: "list[int | None] | None" = None,
-                     error: "str | None" = None) -> None:
-        """Answer ``requests`` with one ``status`` as of time ``done``.
-
-        ``positions``/``counts`` carry an ``ok`` batch's results in
-        request order.  Latency and the status counter are recorded for
-        all of them in one update, then every pending future resolves.
-        """
-        if not requests:
-            return
-        latencies = [done - r.enqueued_at for r in requests]
-        self.metrics.record_responses(status, latencies)
-        if positions is None:
-            positions = counts = [None] * len(requests)
-        for req, latency, position, count in zip(requests, latencies,
-                                                 positions, counts):
-            future = req.future
-            if future is not None and not future.done():
-                future.set_result(Response(req.op, status, position, count,
-                                           latency, batch_size, error))
+            self._resolve_ok(requests, time.monotonic(), len(batch),
+                             positions, starts, counts)
 
     async def _log_periodically(self) -> None:
         while True:

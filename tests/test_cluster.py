@@ -8,13 +8,14 @@ Two layers, mirroring the module split:
   of ``test_conformance`` and randomized shard boundaries, the router's
   split-then-gather answers must be bit-identical to the single-index
   ``np.searchsorted`` oracle -- including boundary-straddling ranges,
-  duplicate runs crossing shard boundaries, and out-of-range keys.
+  duplicate runs crossing shard boundaries, and out-of-range keys;
+  requests past their deadline answer ``timeout``, never a value.
 * **Multi-process end-to-end tests** against a real
   :class:`~repro.serve.cluster.Cluster`: open-loop traffic with oracle
   validation, shard-level hot-swap under live load with zero lost or
-  incorrect responses and monotone counters, gathered bulk calls
-  sharing one pipe frame per shard, and the committed
-  ``BENCH_serve.json`` scaling section.
+  incorrect responses and monotone counters, gathered bulk calls and
+  a burst of per-request lookups each sharing one pipe frame per shard,
+  and the committed ``BENCH_serve.json`` scaling section.
 * **The pipe transport**: the event loop serves both ends of every
   pipe (no thread in the parent or a worker), frames far larger than
   the socket buffer cross in both directions at once, and spawned
@@ -41,6 +42,7 @@ from repro import data
 from repro.baselines import BinarySearchIndex, PGMIndex
 from repro.serve import (
     STATUS_OK,
+    STATUS_TIMEOUT,
     Cluster,
     LocalBackend,
     ShardRouter,
@@ -232,6 +234,36 @@ def test_local_backend_metrics_rollup_counts_union():
     assert sum(view["shard_sizes"]) == len(keys)
 
 
+def test_router_deadlines_answer_timeout_never_a_value():
+    """A lookup and a range spanning every shard, both already past
+    their deadline at dispatch, resolve ``timeout`` with no value; the
+    untimed requests beside them stay oracle-exact."""
+    keys = np.arange(0, 3000, dtype=np.uint64) * np.uint64(5)
+
+    async def run():
+        backend, router = _local_router(keys, 3)
+        async with router:
+            responses = await asyncio.gather(
+                router.lookup(int(keys[10]), timeout_s=0.0),
+                router.range_query(int(keys[0]), int(keys[-1]),
+                                   timeout_s=0.0),
+                router.lookup(int(keys[2500])),
+                router.range_query(int(keys[5]), int(keys[2995])),
+            )
+        return router, responses
+
+    router, (late_point, late_range, point, span) = asyncio.run(run())
+    # Both ranges span all three shards.
+    assert list(router.plan.route_points(keys[[0, 5, 2995, -1]])) \
+        == [0, 0, 2, 2]
+    for resp in (late_point, late_range):
+        assert resp.status == STATUS_TIMEOUT
+        assert (resp.position, resp.count) == (None, None)
+    assert (point.status, point.position) == (STATUS_OK, 2500)
+    assert (span.status, span.position, span.count) == (STATUS_OK, 5, 2990)
+    assert router.metrics.timeouts.value == 2
+
+
 # ----------------------------------------------------------------------
 # Multi-process end-to-end
 # ----------------------------------------------------------------------
@@ -342,6 +374,37 @@ def test_cluster_gathered_bulk_calls_share_one_frame_per_shard(
         np.testing.assert_array_equal(starts, want)
         np.testing.assert_array_equal(
             counts, lower_bound_oracle(keys, highs) - want)
+    for b, a in zip(before, after):
+        assert (a["histograms"]["latency_s"]["count"]
+                - b["histograms"]["latency_s"]["count"]) == 1
+
+
+def test_cluster_request_burst_rides_one_bulk_frame_per_shard(
+        cluster_keys):
+    """A burst of 200 ``lookup`` calls is one router batch, and each
+    worker serves its part of it as one ``serve_bulk`` dispatch (its
+    latency histogram gains one observation), every answer
+    oracle-exact."""
+    keys = cluster_keys
+    queries = keys[::100][:200]
+
+    async def run():
+        async with Cluster(keys=keys, num_shards=2,
+                           index_type="binary-search") as cluster:
+            assert set(cluster.plan.route_points(queries)) == {0, 1}
+            async with ShardRouter(cluster) as router:
+                before = await cluster.shard_metrics()
+                got = await asyncio.wait_for(asyncio.gather(*(
+                    router.lookup(int(k)) for k in queries
+                )), 30)
+                after = await cluster.shard_metrics()
+        return got, before, after
+
+    got, before, after = asyncio.run(run())
+    assert [r.status for r in got] == [STATUS_OK] * len(queries)
+    np.testing.assert_array_equal([r.position for r in got],
+                                  lower_bound_oracle(keys, queries))
+    assert {r.batch_size for r in got} == {len(queries)}
     for b, a in zip(before, after):
         assert (a["histograms"]["latency_s"]["count"]
                 - b["histograms"]["latency_s"]["count"]) == 1

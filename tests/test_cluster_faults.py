@@ -4,7 +4,8 @@ The failure contract under test: a killed worker's shard answers
 **per-request errors, never hangs** -- pending replies fail when the
 pipe EOFs, later requests fail at dispatch -- while every other shard
 keeps serving oracle-correct answers; graceful drain resolves every
-in-flight future no matter what.  Every await that could hang is
+in-flight future no matter what; and workers exit when the process
+holding the cluster is killed.  Every await that could hang is
 wrapped in ``asyncio.wait_for`` so a regression fails the test instead
 of wedging the suite.
 
@@ -15,8 +16,16 @@ loop with ``asyncio.run``.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import logging
+import multiprocessing as mp
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,6 +45,26 @@ from repro.serve import (
 #: Global ceiling on any single await in this file: a hang is a bug.
 WAIT = 20
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Started by ``test_workers_exit_when_the_router_process_is_killed``:
+#: holds a started 2-shard cluster, prints its worker pids, and sleeps.
+_HOLDER = """
+import asyncio, sys
+import numpy as np
+from repro.serve import Cluster
+
+async def main():
+    keys = np.arange(0, 20_000, dtype=np.uint64) * np.uint64(3)
+    cluster = Cluster(keys=keys, num_shards=2, index_type="binary-search",
+                      mp_method=sys.argv[1])
+    await cluster.start()
+    print(*(info["pid"] for info in cluster.worker_info), flush=True)
+    await asyncio.sleep(3600)
+
+asyncio.run(main())
+"""
+
 
 @pytest.fixture(scope="module")
 def fault_keys():
@@ -44,6 +73,16 @@ def fault_keys():
 
 def _refuse_to_build(keys: np.ndarray):
     raise ValueError("this shard refuses to build")
+
+
+def _exited(pid: int) -> bool:
+    """The process is gone, or a zombie no one reaped (an orphan's new
+    parent, such as a container's PID 1, may never reap it)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return True
+    return stat[stat.rindex(")") + 2] == "Z"
 
 
 async def _wait_dead(cluster: Cluster, shard_id: int) -> None:
@@ -134,6 +173,58 @@ def test_range_spanning_dead_shard_resolves_as_error(fault_keys):
     full, ok = asyncio.run(run())
     assert full.status == STATUS_ERROR
     assert ok.status == STATUS_OK
+
+
+@pytest.mark.parametrize("backend", ["local", "cluster"])
+def test_one_batch_with_a_dead_shard_fails_only_its_requests(fault_keys,
+                                                             backend):
+    """Shard 1 is dead.  One batch holds lookups on shards 0, 1 and 2, a
+    range spanning all three and a range inside shard 2: only the
+    lookup and the range routed to shard 1 answer ``error``, and the
+    rest are oracle-exact."""
+    keys = fault_keys
+    plan = plan_shards(keys, 3)
+    lo2 = int(plan.offsets[2])
+    points = [int(keys[int(plan.offsets[s]) + 10]) for s in range(3)]
+    inside = (int(keys[lo2 + 10]), int(keys[lo2 + 500]))
+    assert list(plan.route_points(np.array(points, dtype=np.uint64))) \
+        == [0, 1, 2]
+    assert set(plan.route_points(np.array(inside, dtype=np.uint64))) \
+        == {2}
+
+    async def batch(router: ShardRouter) -> list:
+        return await asyncio.wait_for(asyncio.gather(
+            *(router.lookup(k) for k in points),
+            router.range_query(int(keys[0]), int(keys[-1])),
+            router.range_query(*inside),
+        ), WAIT)
+
+    async def run():
+        if backend == "local":
+            local = LocalBackend([BinarySearchIndex(plan.slice_keys(keys, i))
+                                  for i in range(3)], plan)
+            local.kill(1)
+            async with ShardRouter(local) as router:
+                return router, await batch(router)
+        async with Cluster(keys=keys, num_shards=3,
+                           index_type="binary-search") as cluster:
+            cluster.kill_shard(1, hard=True)
+            await _wait_dead(cluster, 1)
+            async with ShardRouter(cluster) as router:
+                return router, await batch(router)
+
+    router, responses = asyncio.run(run())
+    assert [r.status for r in responses] == [
+        STATUS_OK, STATUS_ERROR, STATUS_OK, STATUS_ERROR, STATUS_OK]
+    want = np.searchsorted(keys, np.array(points + list(inside),
+                                          dtype=np.uint64), side="left")
+    assert responses[0].position == want[0]
+    assert responses[2].position == want[2]
+    assert (responses[4].position, responses[4].count) \
+        == (want[3], want[4] - want[3])
+    assert all("shard 1" in r.error for r in responses[1::2])
+    assert router.metrics.completed.value == 3
+    assert router.metrics.errors.value == 2
 
 
 def test_graceful_drain_resolves_every_inflight_future(fault_keys):
@@ -298,3 +389,35 @@ def test_failed_start_leaves_a_stopped_cluster(fault_keys, caplog):
     assert cluster.alive_count() == 0
     assert not [r for r in caplog.records
                 if "never retrieved" in r.getMessage()]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                    reason="reads process states from /proc")
+@pytest.mark.parametrize("method", ["fork", "spawn"])
+def test_workers_exit_when_the_router_process_is_killed(method):
+    """SIGKILL a process holding a started 2-shard cluster: with no
+    parent end of a pipe left open elsewhere, each worker sees EOF and
+    exits within seconds, forked or spawned."""
+    if method not in mp.get_all_start_methods():
+        pytest.skip(f"no {method} start method here")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    holder = subprocess.Popen([sys.executable, "-c", _HOLDER, method],
+                              stdout=subprocess.PIPE, text=True, env=env)
+    try:
+        pids = [int(pid) for pid in holder.stdout.readline().split()]
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    assert len(pids) == 2, "the cluster holder did not start"
+    deadline = time.monotonic() + 10
+    while time.monotonic() < deadline \
+            and not all(_exited(pid) for pid in pids):
+        time.sleep(0.05)
+    alive = [pid for pid in pids if not _exited(pid)]
+    for pid in alive:  # leave no orphan behind a failure
+        with contextlib.suppress(ProcessLookupError):
+            os.kill(pid, signal.SIGKILL)
+    assert not alive, f"workers {alive} outlived their router's process"

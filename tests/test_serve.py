@@ -215,6 +215,38 @@ def test_expired_requests_get_timeouts_not_wrong_answers(serve_keys):
     assert timeouts + ok == 64
 
 
+@pytest.mark.parametrize("front", ["server", "router"])
+def test_out_of_range_key_fails_only_its_caller(front):
+    """A key that does not fit a uint64 raises at the caller; requests
+    submitted beside it are answered."""
+    from repro.serve import LocalBackend, ShardRouter, plan_shards
+
+    keys = np.arange(0, 2000, dtype=np.uint64) * np.uint64(3)
+
+    async def run():
+        if front == "server":
+            target = IndexServer(BinarySearchIndex(keys))
+        else:
+            plan = plan_shards(keys, 2)
+            target = ShardRouter(LocalBackend(
+                [BinarySearchIndex(plan.slice_keys(keys, i))
+                 for i in range(2)], plan))
+        async with target:
+            return await asyncio.wait_for(asyncio.gather(
+                target.lookup(-1),
+                target.range_query(5, 2**64),
+                target.lookup(int(keys[7])),
+                target.range_query(int(keys[10]), int(keys[20])),
+                return_exceptions=True,
+            ), 10)
+
+    bad_point, bad_range, point, span = asyncio.run(run())
+    assert isinstance(bad_point, OverflowError)
+    assert isinstance(bad_range, OverflowError)
+    assert (point.status, point.position) == (STATUS_OK, 7)
+    assert (span.status, span.position, span.count) == (STATUS_OK, 10, 10)
+
+
 def test_full_queue_sheds_with_reject_policy(serve_keys):
     async def run():
         server = IndexServer(SlowIndex(serve_keys), max_batch_size=4,
