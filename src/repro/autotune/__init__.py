@@ -6,9 +6,11 @@ WorkloadSampler` taps live traffic into a bounded reservoir; the
 :class:`~repro.autotune.planner.Planner` scores candidate index
 configurations (families, RMI tuning grid, kernel backends) with the
 calibrated cost model against the observed profile; the
-:class:`~repro.autotune.controller.AutoTuner` applies hysteresis,
-builds the winner off-thread, verifies it, hot-swaps it with zero
-request loss, and rolls back if the measured p99 regresses.  Every
+:class:`~repro.autotune.controller.AutoTuner` applies hysteresis, then
+swaps the winner in through the served index's one rebuild path (built
+off-thread over the live keys, probe-checked before it is published,
+zero request loss) and rolls back -- another rebuild, with the previous
+factory -- if the measured p99 regresses.  Every
 decision is auditable through the :class:`~repro.autotune.report.
 DecisionJournal`, including how each swap's predicted improvement held
 up against the measured one.
@@ -16,15 +18,13 @@ up against the measured one.
 
 from .controller import (
     AutoTuner,
-    ServerTarget,
-    ShardTarget,
     TunerConfig,
+    TunerTarget,
     infer_config,
 )
 from .planner import (
     DEFAULT_FAMILIES,
     CandidateConfig,
-    CandidateFactory,
     CandidateScore,
     Plan,
     Planner,
@@ -39,14 +39,12 @@ __all__ = [
     "Planner",
     "Plan",
     "CandidateConfig",
-    "CandidateFactory",
     "CandidateScore",
     "DEFAULT_FAMILIES",
     "kernel_family",
     "AutoTuner",
     "TunerConfig",
-    "ServerTarget",
-    "ShardTarget",
+    "TunerTarget",
     "infer_config",
     "DecisionJournal",
 ]

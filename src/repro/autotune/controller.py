@@ -17,10 +17,16 @@ configs).  Each control window it:
    only when the winner's *predicted* p99 beats the incumbent's by the
    improvement threshold for ``hysteresis_windows`` consecutive windows
    (transient traffic shifts don't churn the index);
-4. acting means: build the winner off the event loop, verify it against
-   a ``searchsorted`` oracle on a probe set (a wrong index is journaled
-   and never swapped), then hot-swap -- zero in-flight requests dropped,
-   by the swap primitives' contract.
+4. acting means one rebuild of the target with the winner's factory
+   (:meth:`~repro.serve.server.IndexServer.rebuild`, in a cluster
+   worker for a shard): the winner is built once, off the event loop,
+   over the live keys, and checked against a ``searchsorted`` oracle on
+   a probe set before it is published (a wrong index is journaled
+   ``verify_failed`` and never swapped in), then hot-swapped -- zero
+   in-flight requests dropped, and a writable index keeps its writes.
+   The rebuild returns the previous factory; a rollback is another
+   rebuild with it, over the keys live at that moment (one that raises
+   is journaled ``rollback_failed`` and the swap keeps serving).
 
 ``dry_run`` stops at step 3: the ranked plan is journaled as a ``plan``
 record and nothing is built or swapped.  Every decision (including the
@@ -43,14 +49,15 @@ import numpy as np
 
 from ..baselines import INDEX_TYPES, RMIAsIndex
 from ..serve.metrics import window_between
-from .planner import CandidateConfig, CandidateFactory, Plan, Planner
+from ..writable import WritableIndex
+from .planner import CandidateConfig, Plan, Planner
 from .report import DecisionJournal
 
 __all__ = [
     "TunerConfig",
     "AutoTuner",
-    "ServerTarget",
-    "ShardTarget",
+    "TunerTarget",
+    "ProbedFactory",
     "infer_config",
 ]
 
@@ -60,13 +67,16 @@ def infer_config(index: Any, backend: "str | None" = None) \
     """Reverse-map a served index object to its :class:`CandidateConfig`.
 
     Lets the controller score the incumbent without being told what it
-    is.  Returns ``None`` for indexes outside the registry (e.g. a
-    writable wrapper) -- the tuner then treats the first planned winner
-    as an unconditional improvement candidate.
+    is.  A writable index is scored by its base, which is what the
+    tuner swaps.  Returns ``None`` for indexes outside the registry --
+    the tuner then takes the first planned winner at exactly the
+    improvement threshold.
     """
     from ..kernels import get_backend
 
     be = get_backend(backend).name
+    if isinstance(index, WritableIndex):
+        index = index.base
     if isinstance(index, RMIAsIndex):
         cfg = index.config
         return CandidateConfig(
@@ -111,95 +121,78 @@ class TunerConfig:
     measure_patience: int = 5
 
 
-class ServerTarget:
-    """Adapter: one :class:`~repro.serve.server.IndexServer`.
+class TunerTarget:
+    """The tuner's handle on an :class:`~repro.serve.server.IndexServer`
+    or on shard ``shard_id`` of a :class:`~repro.serve.router.ShardRouter`.
 
-    Rollback keeps the old index object returned by ``swap_index`` --
-    undoing a bad swap is another swap, not a rebuild.
+    Swap and rollback are both :meth:`rebuild`: the server's
+    :meth:`~repro.serve.server.IndexServer.rebuild` (for a shard, run
+    by ``swap_shard`` where the shard lives), which returns the previous
+    factory -- the rollback token.  A cluster shard's index lives in its
+    worker, so its planning ``keys`` must be passed.
     """
 
-    name = "server"
-
-    def __init__(self, server: Any, sampler: Any = None) -> None:
-        self.server = server
-        self.sampler = sampler if sampler is not None else server.sampler
-        if self.sampler is None:
-            raise ValueError("target needs a workload sampler (pass one "
-                             "here or construct the server with one)")
-
-    @property
-    def keys(self) -> np.ndarray:
-        return self.server.index.keys
-
-    def current_index(self) -> Any:
-        return self.server.index
-
-    async def metrics_state(self) -> "dict[str, Any] | None":
-        return self.server.metrics.state()
-
-    async def swap(self, built: Any, factory: CandidateFactory,
-                   prev_factory: "CandidateFactory | None") -> Any:
-        return self.server.swap_index(built)
-
-    async def rollback(self, token: Any) -> None:
-        self.server.swap_index(token)
-
-
-class ShardTarget:
-    """Adapter: one shard of a :class:`~repro.serve.router.ShardRouter`.
-
-    Swaps ship the picklable :class:`~repro.autotune.planner.
-    CandidateFactory` through the router's swap protocol, so they work
-    identically for the in-process backend and the multi-process
-    cluster (whose worker rebuilds over its own shard keys).  Rollback
-    re-ships the previous config's factory.
-    """
-
-    def __init__(self, router: Any, shard_id: int,
-                 sampler: Any = None, keys: "np.ndarray | None" = None):
-        self.router = router
-        self.shard_id = int(shard_id)
-        self.name = f"shard{self.shard_id}"
-        if sampler is None and router.samplers is not None:
-            sampler = router.samplers[self.shard_id]
+    def __init__(self, front: Any, shard_id: "int | None" = None,
+                 sampler: Any = None,
+                 keys: "np.ndarray | None" = None) -> None:
+        self.front = front
+        self.shard_id = shard_id
+        self.name = "server" if shard_id is None else f"shard{shard_id}"
+        if sampler is None and shard_id is None:
+            sampler = front.sampler
+        elif sampler is None and front.samplers is not None:
+            sampler = front.samplers[shard_id]
         if sampler is None:
-            raise ValueError(f"shard {shard_id} has no workload sampler")
+            raise ValueError(f"{self.name} has no workload sampler (pass "
+                             "one here or construct the front with one)")
         self.sampler = sampler
-        if keys is None:
-            indexes = getattr(router._backend, "_indexes", None)
-            if indexes is None:
-                raise ValueError(
-                    "pass keys= explicitly for non-local backends (the "
-                    "controller plans in the parent process)"
-                )
-            keys = indexes[self.shard_id].keys
-        self._keys = np.asarray(keys)
+        if keys is None and self.current_index() is None:
+            raise ValueError("pass keys= for a cluster shard (the "
+                             "controller plans in the parent process)")
+        self._keys = keys
 
     @property
     def keys(self) -> np.ndarray:
-        return self._keys
+        """Planning keys: the live keys when the index is in-process."""
+        if self._keys is not None:
+            return self._keys
+        return self.current_index().keys
 
     def current_index(self) -> Any:
-        indexes = getattr(self.router._backend, "_indexes", None)
-        if indexes is not None:
-            return indexes[self.shard_id]
-        return None
+        if self.shard_id is None:
+            return self.front.index
+        servers = getattr(self.front._backend, "_servers", None)
+        return servers[self.shard_id].index if servers else None
 
     async def metrics_state(self) -> "dict[str, Any] | None":
-        states = await self.router._backend.shard_metrics()
-        return states[self.shard_id]
+        if self.shard_id is None:
+            return self.front.metrics.state()
+        return (await self.front._backend.shard_metrics())[self.shard_id]
 
-    async def swap(self, built: Any, factory: CandidateFactory,
-                   prev_factory: "CandidateFactory | None") -> Any:
-        await self.router.swap_shard(self.shard_id, factory)
-        return prev_factory
+    async def rebuild(self, factory: Any) -> Any:
+        if self.shard_id is None:
+            return await self.front.rebuild(factory)
+        return await self.front.swap_shard(self.shard_id, factory)
 
-    async def rollback(self, token: Any) -> None:
-        if token is None:
-            raise RuntimeError(
-                f"{self.name}: no previous config to roll back to"
-            )
-        await self.router.swap_shard(self.shard_id, token)
+
+class ProbedFactory:
+    """Picklable ``factory(keys)`` that raises unless its build answers
+    ``probes`` exactly over ``keys``: the tuner's check, run where the
+    rebuild runs, on the index it built, before anything is published."""
+
+    def __init__(self, factory: Any, probes: np.ndarray) -> None:
+        self.factory = factory
+        self.probes = np.ascontiguousarray(probes, dtype=np.uint64)
+
+    def __call__(self, keys: np.ndarray) -> Any:
+        built = self.factory(keys)
+        expect = np.searchsorted(keys, self.probes, side="left")
+        bad = int(np.count_nonzero(
+            np.asarray(built.lookup_batch(self.probes)) != expect))
+        if bad:
+            raise ValueError(f"built index mis-answered {bad} of "
+                             f"{len(self.probes)} probe queries")
+        return built
 
 
 class AutoTuner:
@@ -292,18 +285,21 @@ class AutoTuner:
         pre = pending["pre_p99_ms"]
         self._pending = None
         if pre and p99_ms > pre * (1.0 + cfg.rollback_threshold):
-            await self.target.rollback(pending["token"])
-            self.current = pending["prev_config"]
             self._streak_key, self._streak = None, 0
-            return self.journal.record(
-                "rollback", target=self.target.name,
-                frm=record.get("to"), to=record.get("frm"),
-                measured_pre_p99_ms=pre,
-                measured_post_p99_ms=round(p99_ms, 4),
-                reason=f"measured p99 regressed "
-                       f"{p99_ms / pre:.2f}x > "
-                       f"1+{cfg.rollback_threshold}",
-            )
+            fields = {"target": self.target.name, "frm": record.get("to"),
+                      "to": record.get("frm"), "measured_pre_p99_ms": pre,
+                      "measured_post_p99_ms": round(p99_ms, 4)}
+            reason = (f"measured p99 regressed {p99_ms / pre:.2f}x > "
+                      f"1+{cfg.rollback_threshold}")
+            try:
+                await self.target.rebuild(pending["token"])
+            except Exception as exc:  # the swap keeps serving
+                return self.journal.record(
+                    "rollback_failed", reason=f"{reason}; rebuild raised "
+                                              f"{type(exc).__name__}: {exc}",
+                    **fields)
+            self.current = pending["prev_config"]
+            return self.journal.record("rollback", reason=reason, **fields)
         return None  # swap confirmed; its record now carries both sides
 
     async def _plan_and_act(self, completed: int,
@@ -368,19 +364,16 @@ class AutoTuner:
 
     async def _build_verify_swap(self, winner, keys, p99_ms,
                                  base) -> "dict[str, Any]":
-        cfg = self.config
-        factory = winner.config.factory()
-        built = await asyncio.to_thread(factory, keys)
-        bad = await asyncio.to_thread(self._verify, built, keys)
         self._streak_key, self._streak = None, 0
-        if bad:
+        factory = ProbedFactory(winner.config.factory(), self._probes(keys))
+        try:
+            token = await self.target.rebuild(factory)
+        except Exception as exc:  # the probe check, or the build itself
             return self.journal.record(
-                "verify_failed", reason=f"built winner mis-answered "
-                                        f"{bad} probe queries; not "
-                                        "swapped", **base)
+                "verify_failed", reason=f"built winner not swapped in: "
+                                        f"{type(exc).__name__}: {exc}",
+                **base)
         prev_config = self.current
-        prev_factory = prev_config.factory() if prev_config else None
-        token = await self.target.swap(built, factory, prev_factory)
         self.current = winner.config
         self.swaps_done += 1
         record = self.journal.record(
@@ -397,22 +390,15 @@ class AutoTuner:
         }
         return record
 
-    def _verify(self, built: Any, keys: np.ndarray) -> int:
-        """Probe the built winner against a ``searchsorted`` oracle;
-        returns the number of wrong answers (0 = safe to swap)."""
+    def _probes(self, keys: np.ndarray) -> np.ndarray:
+        """The probe set a built winner must answer exactly: keys spread
+        over the key space plus a slice of the sampled traffic."""
         n = len(keys)
         take = np.linspace(0, n - 1, min(self.config.probe_set_size, n),
                            dtype=np.int64)
-        probes = np.asarray(keys)[take]
-        sampled = self.target.sampler.sample
-        if len(sampled):
-            extra = sampled[: self.config.probe_set_size]
-            probes = np.concatenate((probes,
-                                     np.asarray(extra, dtype=np.uint64)))
-        expect = np.searchsorted(keys, probes, side="left")
-        got = built.lookup_batch(np.ascontiguousarray(probes,
-                                                      dtype=np.uint64))
-        return int(np.sum(np.asarray(got) != expect))
+        sampled = np.asarray(self.target.sampler.sample, dtype=np.uint64)
+        return np.concatenate((np.asarray(keys, dtype=np.uint64)[take],
+                               sampled[: self.config.probe_set_size]))
 
     # -- the loop ---------------------------------------------------------
 

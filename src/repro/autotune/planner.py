@@ -46,11 +46,11 @@ from ..baselines import INDEX_TYPES, RMIAsIndex, UnsupportedDataError
 from ..core.advisor import WorkloadRequirements, eligible_families
 from ..core.builder import RMIConfig
 from ..cost.model import CostModel
+from ..writable.rebuild import IndexFactory
 from .sampler import WorkloadProfile
 
 __all__ = [
     "CandidateConfig",
-    "CandidateFactory",
     "CandidateScore",
     "Plan",
     "Planner",
@@ -125,35 +125,12 @@ class CandidateConfig:
             search=self.search,
         )
 
-    def factory(self) -> "CandidateFactory":
-        return CandidateFactory(self)
-
-
-class CandidateFactory:
-    """Picklable ``factory(keys) -> index`` for one candidate.
-
-    Both swap transports accept it: :class:`~repro.serve.router.
-    LocalBackend` calls it in-process and the multi-process cluster
-    ships it over the control pipe and calls it in the worker over the
-    shard's own keys -- which is how per-shard tuning lets shards
-    converge to different families.
-    """
-
-    def __init__(self, config: CandidateConfig) -> None:
-        self.config = config
-
-    def __call__(self, keys: np.ndarray) -> Any:
-        cfg = self.config
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        if cfg.family == "rmi":
-            # layer2_size must ride along explicitly: RMIAsIndex
-            # re-applies it over any provided config.
-            return RMIAsIndex(keys, layer2_size=int(cfg.layer2_size or 1024),
-                              config=cfg.rmi_config())
-        return INDEX_TYPES[cfg.family](keys)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"CandidateFactory({self.config.key()})"
+    def factory(self) -> "IndexFactory":
+        """Picklable ``factory(keys)`` building this candidate; it carries
+        the whole configuration, so every later rebuild keeps it."""
+        if self.family == "rmi":
+            return IndexFactory(RMIAsIndex, self.rmi_config())
+        return IndexFactory(INDEX_TYPES[self.family])
 
 
 @dataclass

@@ -38,8 +38,10 @@ class DecisionJournal:
     #: ``hold`` (no candidate beat the threshold), ``plan`` (dry-run:
     #: winner found, swap suppressed), ``verify_failed`` (built winner
     #: answered the probe set wrong; never swapped), ``swap``,
-    #: ``rollback``.
-    KINDS = ("idle", "hold", "plan", "verify_failed", "swap", "rollback")
+    #: ``rollback``, ``rollback_failed`` (the rollback's rebuild raised;
+    #: the swap keeps serving).
+    KINDS = ("idle", "hold", "plan", "verify_failed", "swap", "rollback",
+             "rollback_failed")
 
     def __init__(self, maxlen: "int | None" = 4096,
                  clock=time.time) -> None:

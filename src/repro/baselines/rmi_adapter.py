@@ -28,10 +28,14 @@ class RMIAsIndex(OrderedIndex):
 
     name = "rmi"
 
-    def __init__(self, keys: np.ndarray, layer2_size: int = 1024,
+    def __init__(self, keys: np.ndarray, layer2_size: "int | None" = None,
                  config: RMIConfig | None = None):
+        # ``layer2_size`` overrides the config's; ``None`` keeps it
+        # (1024 leaves for the default config).
         super().__init__(keys)
-        cfg = (config or RMIConfig()).with_layer2_size(layer2_size)
+        cfg = config or RMIConfig()
+        if layer2_size is not None:
+            cfg = cfg.with_layer2_size(layer2_size)
         self.config = cfg
         self.rmi: RMI = cfg.build(self.keys)
 

@@ -68,8 +68,8 @@ import numpy as np
 from ..autotune import (
     AutoTuner,
     Planner,
-    ServerTarget,
     TunerConfig,
+    TunerTarget,
     WorkloadSampler,
 )
 from ..baselines import RMIAsIndex
@@ -110,7 +110,7 @@ async def _run(
         # from stretching bulk dispatch latencies on a single core.
         gil_switch_interval_s=0.0005,
     )
-    tuner = AutoTuner(ServerTarget(server), planner, tuner_config)
+    tuner = AutoTuner(TunerTarget(server), planner, tuner_config)
     windows: "list[dict[str, Any]]" = []
     empty = np.empty(0, dtype=np.uint64)
     fired = 0

@@ -71,6 +71,7 @@ __all__ = [
     "dataset",
     "rmi_for",
     "index_for",
+    "restore_or_build",
     "figure_result",
 ]
 
@@ -244,6 +245,32 @@ def _savez(tmp: Path, arrays: "dict[str, np.ndarray]") -> None:
 # ---------------------------------------------------------------------------
 
 
+def restore_or_build(fingerprint: Mapping[str, Any], cls: type,
+                     keys: np.ndarray,
+                     build: Callable[[np.ndarray], Any]) -> Any:
+    """The index the active cache holds under ``fingerprint``, restored
+    onto ``keys`` through ``cls``'s snapshot hooks; on a miss (or with
+    no active cache), ``build(keys)``, whose snapshot is then stored."""
+    cache = active_cache()
+    if cache is None:
+        return build(keys)
+    path = cache.get("indexes", fingerprint)
+    if path is not None:
+        try:
+            with np.load(path, allow_pickle=False) as data:
+                state = {k: data[k] for k in data.files}
+            return cls.restore_state(keys, state)
+        except Exception:
+            cache.discard("indexes", fingerprint)
+    index = build(keys)
+    try:
+        state = index.snapshot_state()
+        cache.put("indexes", fingerprint, lambda tmp: _savez(tmp, state))
+    except (TypeError, pickle.PicklingError):
+        pass  # not snapshottable: rebuilt on every miss
+    return index
+
+
 def index_for(
     name: str,
     n: int,
@@ -268,29 +295,12 @@ def index_for(
     if hit is not None:
         return hit
     keys = dataset(name, n, seed)
-    cache = active_cache()
-    index = None
-    fp = None
-    if cache is not None and cls is not None:
+    if active_cache() is None or cls is None:
+        index = factory(keys)
+    else:
         fp = index_fingerprint(_dataset_digest(name, n, seed),
                                cls.__name__, dict(spec, index=index_name))
-        path = cache.get("indexes", fp)
-        if path is not None:
-            try:
-                with np.load(path, allow_pickle=False) as data:
-                    state = {k: data[k] for k in data.files}
-                index = cls.restore_state(keys, state)
-            except Exception:
-                cache.discard("indexes", fp)
-                index = None
-    if index is None:
-        index = factory(keys)
-        if cache is not None and fp is not None:
-            try:
-                state = index.snapshot_state()
-                cache.put("indexes", fp, lambda tmp: _savez(tmp, state))
-            except (TypeError, pickle.PicklingError):
-                pass  # not snapshottable: rebuild on every cold run
+        index = restore_or_build(fp, cls, keys, factory)
     _memo_put(_index_memo, key, index, _INDEX_MEMO_MAX)
     return index
 

@@ -602,8 +602,8 @@ async def _tune_session(args: argparse.Namespace, index: Any, keys):
     from ..autotune import (
         AutoTuner,
         Planner,
-        ServerTarget,
         TunerConfig,
+        TunerTarget,
         WorkloadSampler,
     )
 
@@ -624,7 +624,7 @@ async def _tune_session(args: argparse.Namespace, index: Any, keys):
         ),
     )
     tuner = AutoTuner(
-        ServerTarget(server),
+        TunerTarget(server),
         planner,
         TunerConfig(
             improvement_threshold=args.improvement_threshold,

@@ -24,9 +24,10 @@ Kinds: ``bulk`` (a ``(points, lows, highs)`` array batch, served via
 parts, see below), ``write`` (a key/op burst applied to a
 writable shard via :meth:`IndexServer.apply_writes`; the reply carries
 the shard's post-write live cardinality for the router's offset
-stitching), ``swap`` (rebuild + zero-loss ``swap_index``; the
-``"@rebuild"`` payload compacts a writable shard's delta in place
-instead of replacing the index), ``metrics`` (full-fidelity
+stitching), ``swap`` (a ``factory(keys)`` or ``None``: the worker runs
+:meth:`IndexServer.rebuild` over the shard's live keys -- a writable
+shard keeps its writes -- and replies with the factory of what it
+served before), ``metrics`` (full-fidelity
 :meth:`~repro.serve.metrics.ServeMetrics.state`), ``stop`` (graceful
 drain: every in-flight frame finishes, the server drains, the final
 metrics state comes back), and ``die`` (fault injection: the worker
@@ -208,23 +209,19 @@ def _shard_keys(spec: WorkerSpec) -> np.ndarray:
     return np.ascontiguousarray(full[spec.lo:spec.hi], dtype=np.uint64)
 
 
-def _build_index(spec: WorkerSpec, keys: np.ndarray,
-                 index_type: "str | None" = None,
-                 factory: "Callable | None" = None) -> Any:
+def _build_index(spec: WorkerSpec, keys: np.ndarray) -> Any:
     """Build (or restore from the artifact cache) this shard's index."""
     from ..baselines import INDEX_TYPES
 
-    factory = factory if factory is not None else spec.index_factory
-    if factory is not None:
-        return factory(keys)
-    name = index_type if index_type is not None else spec.index_type
-    cls = INDEX_TYPES[name]
+    if spec.index_factory is not None:
+        return spec.index_factory(keys)
+    cls = INDEX_TYPES[spec.index_type]
     if spec.cache_dir is not None and spec.dataset is not None:
         from .. import cache as artifact_cache
 
         artifact_cache.activate(spec.cache_dir)
         return artifact_cache.index_for(
-            spec.dataset, spec.n, spec.seed, name,
+            spec.dataset, spec.n, spec.seed, spec.index_type,
             {"shard_lo": spec.lo, "shard_hi": spec.hi},
             lambda _full: cls(keys), cls=cls,
         )
@@ -276,7 +273,7 @@ async def _worker_serve(sock: socket.socket, spec: WorkerSpec,
         elif kind == "write":
             coro = _write_frame(server, pipe, msg_id, payload)
         elif kind == "swap":
-            coro = _swap_frame(server, pipe, msg_id, spec, keys, payload)
+            coro = _swap_frame(server, pipe, msg_id, payload)
         elif kind == "metrics":
             pipe.send((msg_id, True, server.metrics.state()))
             return
@@ -340,34 +337,11 @@ async def _write_frame(server: IndexServer, pipe, msg_id: int,
 
 
 async def _swap_frame(server: IndexServer, pipe, msg_id: int,
-                      spec: WorkerSpec, keys: np.ndarray,
-                      payload: Any) -> None:
-    """Rebuild this shard's index and hot-swap it (zero-loss)."""
-    loop = asyncio.get_running_loop()
+                      factory: Any) -> None:
+    """Rebuild this shard with ``factory`` (``None``: its own) and
+    hot-swap it; reply with the factory of what it served before."""
     try:
-        if isinstance(payload, str) and payload == "@rebuild":
-            # Compact a writable shard's delta into its base and re-arm
-            # the serving metrics through the normal swap protocol.
-            windex = server.index
-            rebuild = getattr(windex, "rebuild", None)
-            if not callable(rebuild):
-                raise TypeError(
-                    f"shard index {type(windex).__name__} is not "
-                    "writable; '@rebuild' needs a WritableIndex"
-                )
-            await loop.run_in_executor(None, rebuild)
-            server.swap_index(windex)
-            pipe.send((msg_id, True, "@rebuild"))
-            return
-        if callable(payload):
-            new_index = await loop.run_in_executor(None, payload, keys)
-        else:
-            new_index = await loop.run_in_executor(
-                None, _build_index, spec, keys, str(payload)
-            )
-        server.swap_index(new_index)
-        pipe.send((msg_id, True, getattr(new_index, "name",
-                                         type(new_index).__name__)))
+        pipe.send((msg_id, True, await server.rebuild(factory)))
     except Exception as exc:
         _send_error(pipe, msg_id, exc)
 
@@ -659,15 +633,11 @@ class Cluster:
             np.ascontiguousarray(ops, dtype=np.int8),
         ))
 
-    async def swap_shard(self, shard_id: int, index_spec: Any) -> None:
-        """Zero-loss hot-swap of one shard's index.
-
-        ``index_spec`` is an index-type name (the worker rebuilds over
-        its shard keys, through the artifact cache when active), a
-        picklable ``factory(keys)`` callable, or the string
-        ``"@rebuild"`` to compact a writable shard's delta in place.
-        """
-        await self._rpc(shard_id, "swap", index_spec)
+    async def swap_shard(self, shard_id: int, factory: Any) -> Any:
+        """Zero-loss rebuild of one shard in its worker: ``factory`` is
+        a picklable ``factory(keys)``, or ``None`` for the shard's own.
+        Returns the factory of what the shard served before."""
+        return await self._rpc(shard_id, "swap", factory)
 
     async def shard_metrics(self) -> "list[dict | None]":
         out: "list[dict | None]" = [None] * self.num_shards

@@ -43,8 +43,10 @@ requests routed to it and only to those -- a range fails if any shard
 it spans fails -- while the bulk methods raise its exception.  Batching
 happens once, here: ``max_queue`` bounds the router's one queue,
 ``Response.batch_size`` is the router batch's size, and a request that
-expires after its batch was dispatched is still answered.  Shard-level
-hot-swap reuses the worker ``swap_index`` protocol.
+expires after its batch was dispatched is still answered.  A shard
+swap is the shard server's
+:meth:`~repro.serve.server.IndexServer.rebuild`, in a worker or in
+:class:`LocalBackend`.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ import numpy as np
 
 from .batcher import STATUS_ERROR, MicroBatcher, Request
 from .metrics import ServeMetrics, rollup_states
-from .server import SHED_POLICIES, RequestFront
+from .server import SHED_POLICIES, IndexServer, RequestFront
 
 __all__ = [
     "ShardPlan",
@@ -153,7 +155,8 @@ def _by_shard(ids: np.ndarray) -> "Iterator[tuple[int, np.ndarray]]":
 #       -> (positions, starts, counts) ndarrays, local coordinates;
 #       raises (ShardDeadError for a dead shard) when it cannot answer
 #   async def execute_writes(shard_id, keys, ops) -> (applied, live)
-#   async def swap_shard(shard_id, index_spec) -> None
+#   async def swap_shard(shard_id, factory | None) -> previous factory
+#       (the shard server's IndexServer.rebuild)
 #   async def shard_metrics() -> list of ServeMetrics.state() | None
 #   async def stop() -> list of final states | None
 
@@ -163,17 +166,22 @@ class LocalBackend:
     The reference implementation of the backend contract, used by the
     property tests (split-then-gather must be bit-identical to the
     single-index oracle) and usable as a zero-dependency single-process
-    emulation of the cluster.  ``kill(shard_id)`` simulates a worker
-    crash for fault-injection tests.
+    emulation of the cluster.  Each shard is a never-started
+    :class:`~repro.serve.server.IndexServer` whose index answers calls
+    directly and whose ``rebuild`` is the shard swap, as in a worker.
+    ``kill(shard_id)`` simulates a worker crash for fault-injection
+    tests.
     """
 
     def __init__(self, indexes: "Sequence[Any]", plan: ShardPlan) -> None:
         if len(indexes) != plan.num_shards:
             raise ValueError("one index per shard required")
         self.plan = plan
-        self._indexes = list(indexes)
-        self._dead: "set[int]" = set()
         self.shard_metric_objs = [ServeMetrics() for _ in indexes]
+        self._servers = [IndexServer(index, metrics=metrics)
+                         for index, metrics in zip(indexes,
+                                                   self.shard_metric_objs)]
+        self._dead: "set[int]" = set()
 
     def alive(self, shard_id: int) -> bool:
         return shard_id not in self._dead
@@ -182,10 +190,10 @@ class LocalBackend:
         """Simulate a worker crash: subsequent executions fail."""
         self._dead.add(shard_id)
 
-    def _index(self, shard_id: int) -> Any:
+    def _server(self, shard_id: int) -> IndexServer:
         if shard_id in self._dead:
             raise ShardDeadError(f"shard {shard_id} worker is dead")
-        return self._indexes[shard_id]
+        return self._servers[shard_id]
 
     async def execute_writes(self, shard_id: int, keys,
                              ops) -> "tuple[int, int]":
@@ -195,7 +203,7 @@ class LocalBackend:
         router rebuilds its global stitch offsets from these, since
         writes change shard sizes out from under the static plan.
         """
-        index = self._index(shard_id)
+        index = self._server(shard_id).index
         apply = getattr(index, "apply", None)
         if not callable(apply):
             raise TypeError(
@@ -212,37 +220,26 @@ class LocalBackend:
         return n, len(index.keys)
 
     async def execute_bulk(self, shard_id: int, points, lows, highs):
-        index = self._index(shard_id)
+        index = self._server(shard_id).index
         n = len(points) + len(lows)
         metrics = self.shard_metric_objs[shard_id]
         metrics.submitted.inc(n)
-        if n:
-            metrics.record_batch(n, 0)
-            metrics.completed.inc(n)
-        return index.serve_batch(
+        start = time.monotonic()
+        result = index.serve_batch(
             np.asarray(points, dtype=np.uint64),
             np.asarray(lows, dtype=np.uint64),
             np.asarray(highs, dtype=np.uint64),
         )
+        if n:  # one latency per call, as a worker's serve_bulk records
+            metrics.latency_s.observe(time.monotonic() - start)
+            metrics.record_batch(n, 0)
+            metrics.completed.inc(n)
+        return result
 
-    async def swap_shard(self, shard_id: int, index_spec: Any) -> None:
-        """Swap one shard's index; ``index_spec`` is a built index or a
-        ``factory(keys)`` callable over the shard's current keys."""
-        if shard_id in self._dead:
-            raise ShardDeadError(f"shard {shard_id} worker is dead")
-        old = self._indexes[shard_id]
-        if isinstance(index_spec, str) and index_spec == "@rebuild":
-            # In-place delta compaction of a writable shard (the
-            # cluster's "@rebuild" swap payload, single-process form).
-            old.rebuild()
-            self.shard_metric_objs[shard_id].swaps.inc()
-            self.shard_metric_objs[shard_id].staleness_s.reset(
-                float(old.staleness_s())
-            )
-            return
-        new = index_spec(old.keys) if callable(index_spec) else index_spec
-        self._indexes[shard_id] = new
-        self.shard_metric_objs[shard_id].swaps.inc()
+    async def swap_shard(self, shard_id: int, factory: Any) -> Any:
+        """Rebuild one shard with ``factory`` (``None``: the shard's
+        own); returns the factory of what it served before."""
+        return await self._server(shard_id).rebuild(factory)
 
     async def shard_metrics(self):
         return [m.state() if self.alive(i) else None
@@ -544,17 +541,27 @@ class ShardRouter(RequestFront):
 
     # -- shard management / metrics --------------------------------------
 
-    async def swap_shard(self, shard_id: int, index_spec: Any) -> None:
-        """Hot-swap one shard's index via the worker swap protocol.
+    async def swap_shard(self, shard_id: int, spec: Any) -> Any:
+        """Rebuild one shard's index over its live keys and hot-swap it.
 
-        Zero-loss: the worker's ``swap_index`` applies to batches
-        dispatched after the swap; everything in flight completes
-        against the index it captured.
+        ``spec`` is a ``factory(keys)``, an index type name, or
+        ``"@rebuild"`` for the shard's own factory; the backend gets a
+        factory or ``None`` and runs the shard server's
+        :meth:`~repro.serve.server.IndexServer.rebuild`.  Zero-loss, and
+        a writable shard keeps its writes.  Returns the shard's previous
+        factory (the token that undoes the swap).
         """
         if not 0 <= shard_id < self.num_shards:
             raise ValueError(f"no shard {shard_id}")
-        await self._backend.swap_shard(shard_id, index_spec)
+        if isinstance(spec, str):
+            from ..baselines import INDEX_TYPES
+            from ..writable.rebuild import IndexFactory
+
+            spec = None if spec == "@rebuild" \
+                else IndexFactory(INDEX_TYPES[spec])
+        previous = await self._backend.swap_shard(shard_id, spec)
         self.metrics.swaps.inc()
+        return previous
 
     async def cluster_metrics(self) -> "dict[str, Any]":
         """Router + per-shard + rolled-up cluster-wide metrics view.

@@ -31,9 +31,9 @@ the pressure back into the caller.
 *subsequent* batches -- a plain reference assignment on the event-loop
 thread, while the batch currently executing keeps the reference it
 captured at dispatch.  No in-flight request is dropped or re-routed
-mid-execution; combined with the PR-3 artifact cache
-(``cache.index_for`` / ``cache.rmi_for``) this reloads a rebuilt
-snapshot under live traffic with zero downtime.
+mid-execution.  :meth:`rebuild` -- the rebuild daemon's, the
+autotuner's and every shard swap's path -- builds over the live keys
+off the loop and publishes through :meth:`swap_index`.
 
 **Drain**: :meth:`stop` closes admission (late ``submit`` calls get
 ``rejected``), lets the executor task empty the queue without further
@@ -264,6 +264,11 @@ class IndexServer(RequestFront):
         #: the event-loop thread, the autotuner's view of live traffic.
         self.sampler = sampler
         self.log_interval_s = log_interval_s
+        #: What :meth:`rebuild` builds with when given none: the last
+        #: factory it was given, or (``None``, also after a direct
+        #: :meth:`swap_index`) one derived from the served index.
+        self.factory: "Any | None" = None
+        self._rebuilding = asyncio.Lock()
         self._task: "asyncio.Task | None" = None
         self._logger_task: "asyncio.Task | None" = None
         self._accepting = False
@@ -340,7 +345,9 @@ class IndexServer(RequestFront):
         Must be called on the event-loop thread (as all coroutines
         are).  The previous index is returned; any batch already
         dispatched keeps executing against it -- zero in-flight
-        requests are dropped by a swap.
+        requests are dropped by a swap.  :attr:`factory` is cleared, so
+        a later :meth:`rebuild` given no factory rebuilds ``new_index``
+        as it is; :meth:`rebuild` sets its own factory after the swap.
         """
         # Warm the incoming index before it becomes visible.  The
         # backend's kernels were already compiled at start() (they are
@@ -349,6 +356,7 @@ class IndexServer(RequestFront):
         # is safe on the event-loop thread.
         self._warm_index(new_index)
         old, self._index = self._index, new_index
+        self.factory = None
         self.metrics.swaps.inc()
         # A rebuild swap drains the writable tier's delta; re-arm the
         # staleness gauge from the incoming index's current level (its
@@ -358,6 +366,40 @@ class IndexServer(RequestFront):
                  getattr(old, "name", type(old).__name__),
                  getattr(new_index, "name", type(new_index).__name__))
         return old
+
+    async def rebuild(self, factory: Any = None) -> Any:
+        """Rebuild the served index over its live keys and swap it in.
+
+        The one path that changes what this server serves: the rebuild
+        daemon, the tuner and shard swaps call it.  The live keys are
+        snapshotted on the loop thread (a read-only index is the case
+        with an empty delta), ``factory(keys)`` is built in a worker
+        thread, published through ``finish_rebuild`` into a writable
+        index (the writes that raced the build survive), and hot-swapped
+        by :meth:`swap_index`.  One rebuild runs at a time.  ``factory``
+        becomes :attr:`factory`.  Returns the previous factory -- the
+        token that undoes this rebuild -- or ``None`` when a writable
+        index has no live key.  A factory that raises publishes nothing.
+        """
+        from ..writable.rebuild import IndexFactory
+
+        async with self._rebuilding:
+            index = self._index
+            begin = getattr(index, "begin_rebuild", None)
+            ticket = begin() if begin is not None else None
+            keys = index.keys if ticket is None else ticket.live_keys
+            if not len(keys):
+                return None
+            previous = self.factory or IndexFactory.of(
+                index if ticket is None else ticket.base)
+            factory = factory or previous
+            built = await asyncio.to_thread(factory, keys)
+            if ticket is not None:
+                index.finish_rebuild(built, ticket.watermark)
+                built = index
+            self.swap_index(built)
+            self.factory = factory
+            return previous
 
     @staticmethod
     def _staleness_of(index: Any) -> float:

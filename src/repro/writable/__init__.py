@@ -12,10 +12,11 @@ index's build or lookup code:
   batch contract (``lookup_batch`` / ``range_query_batch`` /
   ``serve_batch``), merging base and delta in three vectorized passes
   and publishing all state through one atomic view reference;
-* :mod:`repro.writable.rebuild` -- the background rebuild loop:
-  merge-sort the delta into the base, rebuild through the grouped-fit
-  fast path and the artifact cache, hot-swap through the server's
-  existing ``swap_index`` protocol.
+* :mod:`repro.writable.rebuild` -- the background rebuild loop, which
+  drives the server's one rebuild path (fold the delta into a new base
+  of the same configuration, through the grouped-fit fast path and the
+  artifact cache, then hot-swap it), and the factory that path derives
+  from the base it replaces.
 
 The mixed read/write workload generator and loadgen driver live in
 :mod:`repro.workload.generator` / :mod:`repro.serve.loadgen`; the gated
@@ -24,12 +25,7 @@ benchmark is ``python -m repro.bench updates`` (``BENCH_updates.json``).
 
 from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta
 from .index import RebuildTicket, WritableIndex
-from .rebuild import (
-    RebuildDaemon,
-    WritableFactory,
-    default_base_factory,
-    rebuilt_base_for,
-)
+from .rebuild import IndexFactory, RebuildDaemon, WritableFactory
 
 __all__ = [
     "OP_INSERT",
@@ -38,8 +34,7 @@ __all__ = [
     "empty_delta",
     "RebuildTicket",
     "WritableIndex",
+    "IndexFactory",
     "RebuildDaemon",
     "WritableFactory",
-    "default_base_factory",
-    "rebuilt_base_for",
 ]

@@ -42,7 +42,10 @@ artifact cache when active -- see :mod:`repro.writable.rebuild`), and
 the finish step compacts the delta down to writes newer than the
 watermark and publishes the new view.  Writes racing the rebuild are
 never lost, and queries are answered identically before, during, and
-after the swap.
+after the swap.  Two rebuilds must not overlap (the later snapshot's
+compaction would drop the writes between the two), so a served index
+rebuilds only through :meth:`~repro.serve.server.IndexServer.rebuild`,
+which runs one at a time.
 """
 
 from __future__ import annotations
@@ -437,19 +440,18 @@ class WritableIndex(OrderedIndex):
         """Synchronous merge-sort + rebuild + swap (the inline path).
 
         Builds the new base with ``factory(live_keys)`` (default: the
-        cache-aware same-type factory from
-        :mod:`repro.writable.rebuild`) and swaps it in.  Returns the
-        new base, or ``None`` when every key is deleted -- an
-        ``OrderedIndex`` cannot be built over zero keys, so the delta
-        keeps serving until an insert arrives.
+        base's own type and configuration, cache-aware -- see
+        :class:`~repro.writable.rebuild.IndexFactory`) and swaps it in.
+        Returns the new base, or ``None`` when every key is deleted --
+        an ``OrderedIndex`` cannot be built over zero keys, so the
+        delta keeps serving until an insert arrives.
         """
+        from .rebuild import IndexFactory
+
         ticket = self.begin_rebuild()
         if not len(ticket.live_keys):
             return None
-        if factory is None:
-            from .rebuild import default_base_factory
-
-            factory = default_base_factory(ticket.base)
+        factory = factory or IndexFactory.of(ticket.base)
         new_base = factory(ticket.live_keys)
         self.finish_rebuild(new_base, ticket.watermark)
         return new_base

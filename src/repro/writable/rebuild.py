@@ -1,22 +1,22 @@
-"""Background rebuild: merge-sorted base construction + hot-swap.
+"""Rebuilds of a served index: the derived factory and the daemon.
 
-The rebuild loop is what keeps the writable tier fast under sustained
-writes: the delta buffer answers correctly at any size, but every
-dirty lookup pays the three-pass merge arithmetic, and the base
-index's compiled kernels are bypassed until the delta drains.  PR 2's
-grouped closed-form fits (44x at 1M keys) are what make *continuous*
-rebuilding affordable -- the default factory below rebuilds through
-exactly that fast path (``RMIConfig.grouped_fit`` defaults on), and
-through the artifact cache when one is active, so a rebuild over keys
-this process (or a previous run) already built is a snapshot restore.
+A served index changes in one place,
+:meth:`~repro.serve.server.IndexServer.rebuild`: snapshot the live keys
+on the event-loop thread, build ``factory(keys)`` in a worker thread
+(NumPy releases the GIL, so serving continues), publish -- through
+:meth:`~repro.writable.index.WritableIndex.finish_rebuild` for a
+writable index, so writes racing the build survive -- and hot-swap
+through ``swap_index``.  This module holds:
 
-:class:`RebuildDaemon` runs the loop on the server's event loop:
-snapshot (:meth:`~repro.writable.index.WritableIndex.begin_rebuild`),
-build in a worker thread (NumPy releases the GIL, so serving
-continues), publish (:meth:`finish_rebuild`), then notify the
-:class:`~repro.serve.server.IndexServer` through ``swap_index`` -- the
-swap counter, kernel warm-up, and the staleness gauge reset all ride
-the server's existing hot-swap protocol.
+* :class:`IndexFactory` -- what a rebuild given no factory builds: the
+  type and whole configuration of the index it replaces, restored from
+  the artifact cache when one is active;
+* :class:`RebuildDaemon` -- rebuilds a served ``WritableIndex`` once its
+  delta is large enough: the delta answers correctly at any size, but
+  dirty lookups pay the merge arithmetic and bypass the base's compiled
+  kernels, and the RMI's grouped closed-form fits (44x at 1M keys) make
+  continuous rebuilding affordable;
+* :class:`WritableFactory` -- the factory of writable cluster shards.
 """
 
 from __future__ import annotations
@@ -28,57 +28,57 @@ from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["default_base_factory", "rebuilt_base_for", "RebuildDaemon",
-           "WritableFactory"]
+__all__ = ["IndexFactory", "RebuildDaemon", "WritableFactory"]
 
 log = logging.getLogger("repro.writable")
 
 
-def rebuilt_base_for(base: Any, live_keys: np.ndarray) -> Any:
-    """Build (or cache-restore) a same-type base over ``live_keys``.
+class IndexFactory:
+    """Picklable ``factory(keys)``: one index type in one configuration.
 
-    The writable tier's rebuild inputs are ad-hoc merged key arrays, so
-    unlike :func:`repro.cache.index_for` (keyed by dataset coordinates)
-    the cache address here is the SHA-256 of the key bytes themselves
-    plus the base class name -- content-addressed like every other
-    artifact.  Without an active cache this is a plain same-type build,
-    which for ``RMIAsIndex`` takes the grouped-fit fast path.
+    ``IndexFactory.of(index)`` is what a rebuild given no factory
+    builds: the index's type with its whole configuration (an
+    ``RMIAsIndex`` carries its ``RMIConfig``), so a rebuild changes the
+    keys, never the configuration.  With an active artifact cache the
+    SHA-256 of the key bytes, the class and the configuration address
+    the build, so a rebuild over keys already built in that
+    configuration is a snapshot restore.
     """
-    from .. import cache as artifact_cache
-    from ..cache.fingerprint import index_fingerprint
 
-    live_keys = np.ascontiguousarray(live_keys, dtype=np.uint64)
-    cls = type(base)
-    store = artifact_cache.active_cache()
-    if store is None:
-        return cls(live_keys)
-    digest = hashlib.sha256(live_keys.tobytes()).hexdigest()
-    fp = index_fingerprint(digest, cls.__name__, {"rebuild": "writable"})
-    path = store.get("indexes", fp)
-    if path is not None:
+    def __init__(self, cls: type, config: Any = None) -> None:
+        self.cls = cls
+        self.config = config
+
+    @classmethod
+    def of(cls, index: Any) -> "IndexFactory":
+        return cls(type(index), getattr(index, "config", None))
+
+    def _build(self, keys: np.ndarray) -> Any:
+        if self.config is None:
+            return self.cls(keys)
+        return self.cls(keys, config=self.config)
+
+    def __call__(self, keys: np.ndarray) -> Any:
+        from .. import cache as artifact_cache
+        from ..cache.fingerprint import canonicalize, index_fingerprint
+
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        if artifact_cache.active_cache() is None:
+            return self._build(keys)
         try:
-            with np.load(path, allow_pickle=False) as data:
-                state = {k: data[k] for k in data.files}
-            return cls.restore_state(live_keys, state)
-        except Exception:
-            store.discard("indexes", fp)
-    index = cls(live_keys)
-    try:
-        state = index.snapshot_state()
-        store.put("indexes", fp, lambda tmp: _savez(tmp, state))
-    except Exception:
-        pass  # not snapshottable: rebuilt on every miss
-    return index
+            config = canonicalize(self.config)
+        except TypeError:
+            return self._build(keys)  # no canonical name: not cacheable
+        if isinstance(config, dict):
+            config.pop("kernels", None)  # backends answer bit-identically
+        fp = index_fingerprint(hashlib.sha256(keys.tobytes()).hexdigest(),
+                               self.cls.__name__,
+                               {"rebuild": "writable", "config": config})
+        return artifact_cache.restore_or_build(fp, self.cls, keys,
+                                               self._build)
 
-
-def _savez(tmp, arrays: "dict[str, np.ndarray]") -> None:
-    with open(tmp, "wb") as f:
-        np.savez(f, **arrays)
-
-
-def default_base_factory(base: Any) -> "Callable[[np.ndarray], Any]":
-    """The factory :meth:`WritableIndex.rebuild` uses when given none."""
-    return lambda live_keys: rebuilt_base_for(base, live_keys)
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"IndexFactory({self.cls.__name__}, {self.config!r})"
 
 
 class WritableFactory:
@@ -87,7 +87,8 @@ class WritableFactory:
     Cluster worker specs cross a process boundary, so a closure cannot
     carry the wrap-in-``WritableIndex`` step; this class can.  Pass as
     ``Cluster(index_factory=WritableFactory("rmi"))`` to make every
-    shard accept the ``write`` and ``"@rebuild"`` messages.
+    shard accept ``write`` messages; a shard rebuild then folds the
+    delta into a new base (``router.swap_shard(i, "@rebuild")``).
     """
 
     def __init__(self, index_type: str = "binary-search") -> None:
@@ -108,19 +109,18 @@ class RebuildDaemon:
     """Periodic background rebuild of one served ``WritableIndex``.
 
     Every ``interval_s`` the daemon checks the delta; once it holds at
-    least ``min_delta`` entries, a rebuild runs in a worker thread and
-    the result is swapped in.  With a ``server`` attached the swap goes
-    through ``IndexServer.swap_index`` (same object, new base), which
-    warms the new base's kernels, bumps the swap counter, and resets
-    the staleness gauge.  ``rebuild_now`` forces one cycle -- the
-    cluster's ``"@rebuild"`` shard swap and the tests use it.
+    least ``min_delta`` entries it runs the server's
+    :meth:`~repro.serve.server.IndexServer.rebuild` with no factory, so
+    each cycle keeps what the index was last built with (a tuner's
+    choice included); ``factory`` only seeds it.  ``rebuild_now``
+    forces one cycle -- drains and tests use it.
     """
 
     def __init__(
         self,
         windex: Any,
         *,
-        server: Any = None,
+        server: Any,
         interval_s: float = 0.05,
         min_delta: int = 1,
         factory: "Callable[[np.ndarray], Any] | None" = None,
@@ -129,15 +129,15 @@ class RebuildDaemon:
             raise ValueError("interval_s must be positive")
         if min_delta < 1:
             raise ValueError("min_delta must be >= 1")
+        if factory is not None:
+            server.factory = factory
         self.windex = windex
         self.server = server
         self.interval_s = float(interval_s)
         self.min_delta = int(min_delta)
-        self.factory = factory
         self.rebuilds = 0
         self.skipped = 0
         self._task: "asyncio.Task | None" = None
-        self._rebuilding = False
 
     @property
     def running(self) -> bool:
@@ -182,30 +182,12 @@ class RebuildDaemon:
         delta rebuilds) -- the drain path of benchmarks and tests that
         want a fully compacted final state regardless of batch sizing.
         """
-        if self._rebuilding:
-            return False  # a forced cycle raced the periodic one
-        windex = self.windex
-        if windex.delta_len < (1 if force else self.min_delta):
+        if self.windex.delta_len < (1 if force else self.min_delta):
             return False
-        ticket = windex.begin_rebuild()
-        if not len(ticket.live_keys):
+        if await self.server.rebuild() is None:
             self.skipped += 1
             return False  # everything deleted: nothing to build over
-        factory = self.factory
-        if factory is None:
-            factory = default_base_factory(ticket.base)
-        self._rebuilding = True
-        try:
-            new_base = await asyncio.to_thread(factory, ticket.live_keys)
-            windex.finish_rebuild(new_base, ticket.watermark)
-        finally:
-            self._rebuilding = False
         self.rebuilds += 1
-        if self.server is not None:
-            # Re-swapping the same wrapper rides the server's hot-swap
-            # protocol: kernel warm-up for the new base, swap counter,
-            # staleness gauge reset.
-            self.server.swap_index(windex)
-        log.debug("rebuild %d: %d live keys, delta now %d",
-                  self.rebuilds, len(ticket.live_keys), windex.delta_len)
+        log.debug("rebuild %d: delta now %d", self.rebuilds,
+                  self.windex.delta_len)
         return True

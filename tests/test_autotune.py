@@ -33,9 +33,8 @@ from repro.autotune import (
     AutoTuner,
     CandidateConfig,
     Planner,
-    ServerTarget,
-    ShardTarget,
     TunerConfig,
+    TunerTarget,
     WorkloadSampler,
     infer_config,
 )
@@ -44,6 +43,7 @@ from repro.baselines import BinarySearchIndex, BTreeIndex, RMIAsIndex
 from repro.core.advisor import WorkloadRequirements, eligible_families
 from repro.serve import IndexServer, LocalBackend, ShardRouter, plan_shards
 from repro.serve.metrics import ServeMetrics
+from repro.writable import IndexFactory
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -285,8 +285,9 @@ class FakeTarget:
         self._index = RMIAsIndex(self._keys, layer2_size=start_layer2)
         self.metrics = ServeMetrics()
         self.sampler = WorkloadSampler(capacity=1_024, seed=4)
-        self.swaps: list = []
-        self.rollbacks: list = []
+        self.factory = None
+        #: Layer-2 size of every index a rebuild published, in order.
+        self.built: list = []
 
     @property
     def keys(self) -> np.ndarray:
@@ -298,15 +299,12 @@ class FakeTarget:
     async def metrics_state(self):
         return self.metrics.state()
 
-    async def swap(self, built, factory, prev_factory):
-        old = self._index
-        self._index = built
-        self.swaps.append(factory.config.key())
-        return old
-
-    async def rollback(self, token):
-        self._index = token
-        self.rollbacks.append(token)
+    async def rebuild(self, factory):
+        previous = self.factory or IndexFactory.of(self._index)
+        self._index = factory(self._keys)  # a raise publishes nothing
+        self.factory = factory
+        self.built.append(self._index.config.layer_sizes[-1])
+        return previous
 
     # -- window scripting ---------------------------------------------
 
@@ -359,7 +357,9 @@ def test_controller_hysteresis_then_swap_then_measure(tune_keys):
     target, tuner, records, post = asyncio.run(run())
     assert [r["kind"] for r in records] == ["idle", "hold", "swap"]
     assert "hysteresis" in records[1]["reason"]
-    assert target.swaps == ["rmi[l2=4096,labs,bin]@" + tuner.planner.backend]
+    assert records[2]["to"] == "rmi[l2=4096,labs,bin]@" \
+        + tuner.planner.backend
+    assert target.built == [4_096]
     assert tuner.current.layer2_size == 4_096
     # The post-swap window measured clean: step() returned None and the
     # swap record now carries both sides of the measurement.
@@ -390,7 +390,7 @@ def test_controller_rolls_back_an_injected_regression(tune_keys):
 
     target, tuner, swap_rec, rollback_rec = asyncio.run(run())
     assert rollback_rec["kind"] == "rollback"
-    assert len(target.rollbacks) == 1
+    assert target.built == [4_096, 16]  # the swap, then its rollback
     # Rolled back to the incumbent, and the journal shows one window
     # between swap and rollback.
     assert tuner.current.layer2_size == 16
@@ -399,6 +399,39 @@ def test_controller_rolls_back_an_injected_regression(tune_keys):
     assert len(tuner.journal.rollbacks) == 1
     # The regressed measurement is still attached to the swap record.
     assert swap_rec["measured_post_p99_ms"] == pytest.approx(10.0, rel=0.15)
+
+
+def test_controller_journals_a_rollback_whose_rebuild_raises(tune_keys):
+    """A rollback is a rebuild; one that raises is journaled
+    ``rollback_failed``, the swap keeps serving, and the next window
+    plans from it instead of the tuner dying inside ``step``."""
+    async def run():
+        target = FakeTarget(tune_keys, start_layer2=16)
+        tuner = _tuner(target, tune_keys, hysteresis_windows=1)
+        target.traffic(200, 2.0)
+        await tuner.step()  # baseline
+        target.traffic(200, 2.0)
+        assert (await tuner.step())["kind"] == "swap"
+
+        async def broken(factory):
+            raise RuntimeError("rollback build failed")
+
+        target.rebuild = broken
+        target.traffic(200, 10.0)
+        failed = await tuner.step()
+        target.traffic(200, 10.0)
+        after = await tuner.step()
+        return target, tuner, failed, after
+
+    target, tuner, failed, after = asyncio.run(run())
+    assert failed["kind"] == "rollback_failed"
+    assert "RuntimeError: rollback build failed" in failed["reason"]
+    assert failed["frm"].startswith("rmi[l2=4096,")
+    assert not tuner.pending_swap and tuner.journal.rollbacks == []
+    assert tuner.current.layer2_size == 4_096
+    assert target.built == [4_096]
+    assert target.current_index().config.layer_sizes[-1] == 4_096
+    assert after["kind"] == "hold"
 
 
 def test_controller_dry_run_plans_but_never_swaps(tune_keys):
@@ -417,7 +450,7 @@ def test_controller_dry_run_plans_but_never_swaps(tune_keys):
     target, tuner, recs = asyncio.run(run())
     assert all(r["kind"] == "plan" for r in recs)
     assert all("ranking" in r and r["ranking"] for r in recs)
-    assert target.swaps == [] and tuner.swaps_done == 0
+    assert target.built == [] and tuner.swaps_done == 0
     assert tuner.current.layer2_size == 16
 
 
@@ -488,7 +521,7 @@ def test_controller_never_swaps_in_a_wrong_index(tune_keys):
 
     target, rec = asyncio.run(run())
     assert rec["kind"] == "verify_failed"
-    assert target.swaps == []
+    assert target.built == []
     assert target.current_index().config.layer_sizes[-1] == 16
 
 
@@ -509,7 +542,7 @@ def test_server_target_end_to_end_swap(tune_keys):
                                        min_window_requests=32)
         rng = np.random.default_rng(12)
         async with server:
-            tuner = AutoTuner(ServerTarget(server), planner, config)
+            tuner = AutoTuner(TunerTarget(server), planner, config)
             await tuner.step()  # baseline
             for _ in range(2):
                 qs = tune_keys[rng.integers(0, len(tune_keys), 300)]
@@ -551,7 +584,7 @@ def test_shard_target_swaps_one_shard_only(tune_keys):
             assert samplers[0].observed > 0
             assert samplers[1].observed == 0  # per-shard profiles differ
 
-            target = ShardTarget(router, 0)
+            target = TunerTarget(router, 0)
             planner, config = _tuner_parts(hysteresis_windows=1,
                                            min_window_requests=1)
             tuner = AutoTuner(target, planner, config)
@@ -562,8 +595,8 @@ def test_shard_target_swaps_one_shard_only(tune_keys):
             assert rec["kind"] == "swap"
 
             # Shard 0 rebuilt on the winner; shard 1 untouched.
-            l2_of = [backend._indexes[i].config.layer_sizes[-1]
-                     if isinstance(backend._indexes[i], RMIAsIndex)
+            l2_of = [backend._servers[i].index.config.layer_sizes[-1]
+                     if isinstance(backend._servers[i].index, RMIAsIndex)
                      else None for i in range(2)]
             # Answers still correct after the swap.
             got2 = await router.lookup_batch(qs)
@@ -587,16 +620,13 @@ def test_shard_target_rollback_reships_previous_config(tune_keys):
         samplers = [WorkloadSampler(capacity=512, seed=i)
                     for i in range(2)]
         async with ShardRouter(backend, samplers=samplers) as router:
-            target = ShardTarget(router, 0)
-            prev = target.current_index()
+            target = TunerTarget(router, 0)
             factory = CandidateConfig(family="rmi",
                                       layer2_size=2_048).factory()
-            built = factory(target.keys)
-            prev_factory = infer_config(prev, "numpy").factory()
-            token = await target.swap(built, factory, prev_factory)
-            assert backend._indexes[0].config.layer_sizes[-1] == 2_048
-            await target.rollback(token)
-            assert backend._indexes[0].config.layer_sizes[-1] == 16
+            token = await target.rebuild(factory)
+            assert backend._servers[0].index.config.layer_sizes[-1] == 2_048
+            await target.rebuild(token)
+            assert backend._servers[0].index.config.layer_sizes[-1] == 16
 
     asyncio.run(run())
 

@@ -161,7 +161,7 @@ def test_router_write_lane_restitches_global_positions():
     assert report["writes"] == workload.num_writes
     assert int(router.metrics.writes.value) == workload.num_writes
     live = np.concatenate([
-        np.asarray(backend._indexes[i].keys)
+        np.asarray(backend._servers[i].index.keys)
         for i in range(plan.num_shards)
     ])
     np.testing.assert_array_equal(live, workload.final_live_keys)
@@ -186,14 +186,14 @@ def test_router_shard_rebuild_compacts_in_place():
             fresh, np.ones(len(fresh), dtype=np.int8)
         )
         before = await router.lookup_batch(keys[::11])
-        assert backend._indexes[0].delta_len > 0
+        assert backend._servers[0].index.delta_len > 0
         await router.swap_shard(0, "@rebuild")
         after = await router.lookup_batch(keys[::11])
         return before, after
 
     before, after = asyncio.run(run())
     np.testing.assert_array_equal(before, after)
-    assert backend._indexes[0].delta_len == 0
+    assert backend._servers[0].index.delta_len == 0
     assert int(backend.shard_metric_objs[0].swaps.value) == 1
     assert backend.shard_metric_objs[0].staleness_s.value == 0.0
 
