@@ -47,6 +47,7 @@ from .models import (
     ConstantModel,
     CubicSpline,
     LinearRegression,
+    LinearSpline,
     Model,
     grouped_fitter,
     resolve_model_type,
@@ -320,14 +321,21 @@ class RMI:
             # --- choose targets --------------------------------------
             # Each key's array position in training order, scaled to
             # next-layer model indexes for inner layers trained on them.
+            fit_keys, fit_offsets = ordered_keys, offsets
             if routed is not None:
                 targets = None  # the fit kernel targets key positions
             else:
-                targets = (
-                    np.arange(n, dtype=np.float64)
-                    if order is None
-                    else order.astype(np.float64)
-                )
+                if fanout == 1 and model_type is LinearSpline:
+                    # LinearSpline.fit reads the first and last point
+                    # only, so it is fitted on those two, not n targets.
+                    ends = np.array([0, n - 1])
+                    fit_keys, fit_offsets = ordered_keys[ends], [0, 2]
+                    targets = (ends if order is None
+                               else order[ends]).astype(np.float64)
+                elif order is None:
+                    targets = np.arange(n, dtype=np.float64)
+                else:
+                    targets = order.astype(np.float64)
                 if not last_layer and self.train_on_model_index:
                     targets *= next_fanout / n
 
@@ -342,7 +350,7 @@ class RMI:
                 layer = LayerTable(*kernels.rmi_fit_leaves(self.keys, offsets))
                 layer_fit_path = "grouped"
             elif fitter is not None:
-                codes, params = fitter(ordered_keys, targets, offsets)
+                codes, params = fitter(fit_keys, targets, fit_offsets)
                 layer = LayerTable(codes, params)
                 layer_fit_path = "grouped"
             else:
@@ -358,8 +366,8 @@ class RMI:
                     [
                         _fit_model(
                             model_type,
-                            ordered_keys[offsets[j] : offsets[j + 1]],
-                            targets[offsets[j] : offsets[j + 1]],
+                            fit_keys[fit_offsets[j] : fit_offsets[j + 1]],
+                            targets[fit_offsets[j] : fit_offsets[j + 1]],
                             self.cs_fallback,
                         )
                         for j in range(fanout)
@@ -486,8 +494,6 @@ class RMI:
         if hasattr(leaves, "linear_params"):
             self._leaf_linear = leaves.linear_params()
             return
-        from .models import LinearRegression, LinearSpline
-
         slopes = np.empty(len(leaves), dtype=np.float64)
         intercepts = np.empty(len(leaves), dtype=np.float64)
         for j, m in enumerate(leaves):

@@ -13,6 +13,10 @@ A backend provides the hot kernels of the lookup path over flat arrays
     bound over the sorted delta buffer plus a per-rank position
     correction gather, fused into one pass
     (``repro.writable.index._View.lookup`` dispatches here).
+``merge_live``
+    The writable tier's snapshot: the base keys merged with the delta
+    buffer into the sorted live key array a rebuild builds over
+    (``repro.writable.index._View.live_keys`` dispatches here).
 ``rmi_predict`` / ``rmi_lookup`` / ``rmi_serve``
     The RMI-specific fused paths: Equation-3 routing + Equation-4 leaf
     prediction, the full predict→bounds→bounded-search lookup, and the
@@ -101,6 +105,24 @@ class KernelBackend:
         )
         return np.asarray(base_positions, dtype=np.int64) + \
             np.asarray(corr, dtype=np.int64)[idx]
+
+    def merge_live(
+        self,
+        base_keys: np.ndarray,
+        delta_keys: np.ndarray,
+        delta_ops: np.ndarray,
+        size: int,
+    ) -> np.ndarray:
+        """The writable tier's live key array (``uint64``, sorted).
+
+        ``base_keys`` is the sorted base multiset; ``delta_keys`` the
+        sorted, per-key-unique delta buffer with one op per key
+        (``delta_ops``: 1 insert, 0 tombstone).  Every base copy of a
+        delta key is dropped, and each insert key appears once.
+        ``size`` is the length of the result, which the caller counts
+        from prefix sums it already holds.
+        """
+        raise NotImplementedError
 
     def rmi_predict(
         self, packed, queries: np.ndarray

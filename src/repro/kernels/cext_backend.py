@@ -11,11 +11,9 @@ setuptools, no Python.h: the library is plain C called through
 ``ctypes``, so building needs nothing beyond a C compiler.
 
 The C functions replay exactly the arithmetic of the NumPy backend
-(:mod:`repro.kernels.numpy_backend`; the source comments' "staged
-lookup_batch" of the PLA and tree baselines is now that backend's
-``pla_*``/``tree_*`` kernels); positions are additionally guaranteed
-equal by construction because the window search plus escape repair
-always lands on the global ``searchsorted`` answer.
+(:mod:`repro.kernels.numpy_backend`); positions are additionally
+guaranteed equal by construction because the window search plus escape
+repair always lands on the global ``searchsorted`` answer.
 
 Availability: :func:`load` raises :class:`CExtUnavailable` when no C
 compiler is present or compilation fails; the registry treats that as
@@ -50,6 +48,7 @@ class CExtUnavailable(RuntimeError):
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <string.h>
 #include <math.h>
 
 /* Lower bound (numpy.searchsorted side="left") on the half-open range
@@ -327,15 +326,15 @@ static void lookup_batch(const uint64_t *keys, int64_t n,
     }
 }
 
-/* One PLA query's data window, replaying the staged lookup_batch
- * arithmetic of the matching baseline.  kind: 0 PGM-style multi-level
- * descent (PGMIndex / CompressedPGM), 1 predecessor segment routing
- * (FITing-Tree), 2 spline-knot interpolation (RadixSpline).  The float
- * pipeline copies each baseline's operation order exactly; "nan or
- * negative -> 0, over cap -> cap" is np.clip(np.nan_to_num(x), 0, cap)
- * for the kinds that apply it (the spline path, like its staged twin,
- * clips without a nan_to_num -- spline interpolation over finite knots
- * cannot produce one). */
+/* One PLA query's data window, replaying the NumPy backend's PLA
+ * window arithmetic for the matching baseline.  kind: 0 PGM-style
+ * multi-level descent (PGMIndex / CompressedPGM), 1 predecessor segment
+ * routing (FITing-Tree), 2 spline-knot interpolation (RadixSpline).
+ * The float pipeline copies each baseline's operation order exactly;
+ * "nan or negative -> 0, over cap -> cap" is
+ * np.clip(np.nan_to_num(x), 0, cap) for the kinds that apply it (the
+ * spline path, like its NumPy twin, clips without a nan_to_num --
+ * spline interpolation over finite knots cannot produce one). */
 static void pla_window_one(const uint64_t *seg_keys, const double *slopes,
                            const double *icepts, const int64_t *offsets,
                            int64_t num_levels, int32_t kind,
@@ -427,8 +426,8 @@ static void pla_window_one(const uint64_t *seg_keys, const double *slopes,
 /* One tree query's data window.  kind: 0 sparse B+-tree directory
  * (predecessor over the sampled keys, window spans the entry's gap),
  * 1 Hist-Tree shift-descent over the breadth-first node arrays --
- * both replay the staged lookup_batch windows exactly (the grouped
- * NumPy descent computes the same per-query function). */
+ * both replay the NumPy backend's tree windows exactly (its grouped
+ * descent computes the same per-query function). */
 static void tree_window_one(int64_t n, int32_t kind,
                             const uint64_t *entry_keys,
                             const int64_t *positions, int64_t num_entries,
@@ -558,6 +557,38 @@ void repro_delta_correct(const uint64_t *delta_keys, int64_t dn,
             out[b + i] = base_pos[b + i] + corr[idx[i]];
         }
     }
+}
+
+/* Writable-tier snapshot: the sorted base keys merged with the sorted,
+ * per-key-unique delta in one linear pass.  The base run below each
+ * delta key is copied whole, every base copy of the delta key is
+ * skipped, and an insert (op != 0) writes the key once.  Writes at most
+ * cap keys and returns how many it wrote, or -1 when the live keys
+ * exceed cap (the caller counts them from prefix sums it holds, so
+ * that means inconsistent input). */
+int64_t repro_merge_live(const uint64_t *base, int64_t n,
+                         const uint64_t *delta_keys,
+                         const int8_t *delta_ops, int64_t dn,
+                         uint64_t *out, int64_t cap) {
+    int64_t i = 0, o = 0;
+    for (int64_t j = 0; j <= dn; j++) {
+        int64_t start = i;
+        if (j < dn) {
+            while (i < n && base[i] < delta_keys[j]) i++;
+        } else {
+            i = n;
+        }
+        if (i - start > cap - o) return -1;
+        memcpy(out + o, base + start, (size_t)(i - start) * sizeof *out);
+        o += i - start;
+        if (j == dn) break;
+        while (i < n && base[i] == delta_keys[j]) i++;
+        if (delta_ops[j]) {
+            if (o == cap) return -1;
+            out[o++] = delta_keys[j];
+        }
+    }
+    return o;
 }
 
 void repro_rmi_predict(const int8_t *codes, const double *params,
@@ -969,6 +1000,8 @@ _SIGNATURES = {
         [_u64, _c_i64, _u64, _c_i64, _i64, _i64, _i64],
     "repro_delta_correct":
         [_u64, _c_i64, _i64, _i64, _u64, _c_i64, _i64],
+    "repro_merge_live":
+        [_u64, _c_i64, _u64, _i8, _c_i64, _u64, _c_i64],
     "repro_rmi_predict":
         [_i8, _f64, _i64, _c_i64, _f64, _c_i32, _c_i64,
          _u64, _c_i64, _i64, _i64],
@@ -998,7 +1031,8 @@ _SIGNATURES = {
 }
 
 #: Return types of the kernels that return a value (the rest are void).
-_RESTYPES = {"repro_rmi_route_counts": ctypes.c_int32}
+_RESTYPES = {"repro_rmi_route_counts": ctypes.c_int32,
+             "repro_merge_live": ctypes.c_int64}
 
 
 def load() -> "CExtBackend":
@@ -1091,6 +1125,23 @@ class CExtBackend(KernelBackend):
             delta_keys, len(delta_keys), corr, base_positions,
             queries, len(queries), out,
         )
+        return out
+
+    def merge_live(self, base_keys, delta_keys, delta_ops, size):
+        base_keys = np.ascontiguousarray(base_keys, dtype=np.uint64)
+        delta_keys = np.ascontiguousarray(delta_keys, dtype=np.uint64)
+        delta_ops = np.ascontiguousarray(delta_ops, dtype=np.int8)
+        if len(delta_ops) != len(delta_keys):
+            raise ValueError("merge_live needs one op per delta key")
+        out = np.empty(size, dtype=np.uint64)
+        written = self._lib.repro_merge_live(
+            base_keys, len(base_keys), delta_keys, delta_ops,
+            len(delta_keys), out, size,
+        )
+        if written != size:
+            got = "more" if written < 0 else written
+            raise ValueError(f"merge_live: {size} live keys expected, "
+                             f"the merge gives {got}")
         return out
 
     def rmi_predict(self, packed: PackedRMI, queries):

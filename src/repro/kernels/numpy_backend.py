@@ -1,7 +1,8 @@
 """Pure-NumPy kernel backend: the reference and universal fallback.
 
 ``lower_bound_window`` delegates to the staged implementation in
-:mod:`repro.core.search`; the ``rmi_*`` kernels replay the exact
+:mod:`repro.core.search`; ``merge_live`` is the writable tier's
+sort-based snapshot; the ``rmi_*`` kernels replay the exact
 arithmetic of :class:`repro.core.rmi.RMI`'s staged batch path over the
 packed arrays.  The ``pla_*``/``tree_*`` kernels *are* the NumPy batch
 lookup of the packable baselines (PGM, CompressedPGM, RadixSpline,
@@ -58,6 +59,24 @@ class NumpyBackend(KernelBackend):
         from ..core.search import _batch_lower_bound_window_numpy
 
         return _batch_lower_bound_window_numpy(keys, queries, lo, hi)
+
+    # -- writable-tier snapshot ------------------------------------------
+
+    def merge_live(self, base_keys, delta_keys, delta_ops, size):
+        base_keys = np.asarray(base_keys, dtype=np.uint64)
+        delta_keys = np.asarray(delta_keys, dtype=np.uint64)
+        lo = np.searchsorted(base_keys, delta_keys, side="left")
+        hi = np.searchsorted(base_keys, delta_keys, side="right")
+        # Interval marks: +1 at each shadowed run start, -1 past its
+        # end; positive prefix sums mark shadowed entries.
+        marks = np.zeros(len(base_keys) + 1, dtype=np.int64)
+        np.add.at(marks, lo, 1)
+        np.add.at(marks, hi, -1)
+        shadowed = np.cumsum(marks[:-1]) > 0
+        return np.sort(np.concatenate([
+            base_keys[~shadowed],
+            delta_keys[np.asarray(delta_ops) != 0],
+        ]), kind="stable")
 
     # -- fused RMI path --------------------------------------------------
 

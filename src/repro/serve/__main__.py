@@ -714,7 +714,11 @@ def _tune_main(argv: "list[str]") -> int:
     print(f"decisions: {summary['counts']}")
     pvm = summary["predicted_vs_measured"]
     if pvm["swaps_measured"]:
-        print(f"predicted-vs-measured: {pvm['swaps_measured']} swap(s), "
+        # Informational: window p99s over a few hundred live requests
+        # are noise-level, so the measured direction flips from run to
+        # run; the gated comparison is ``python -m repro.bench tune``.
+        print(f"predicted-vs-measured (informational, not a check): "
+              f"{pvm['swaps_measured']} swap(s), "
               f"max abs ratio error {pvm['max_abs_error']:.3f}, "
               f"directions agree: {pvm['directions_agree']}")
     if args.journal_out:

@@ -331,7 +331,7 @@ async def _write_frame(server: IndexServer, pipe, msg_id: int,
     keys, ops = payload
     try:
         applied = await server.apply_writes(keys, ops)
-        pipe.send((msg_id, True, (applied, len(server.index.keys))))
+        pipe.send((msg_id, True, (applied, server.index.n)))
     except Exception as exc:
         _send_error(pipe, msg_id, exc)
 

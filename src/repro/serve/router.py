@@ -217,7 +217,7 @@ class LocalBackend:
         staleness = getattr(index, "staleness_s", None)
         if callable(staleness):
             metrics.staleness_s.set(float(staleness()))
-        return n, len(index.keys)
+        return n, index.n
 
     async def execute_bulk(self, shard_id: int, points, lows, highs):
         index = self._server(shard_id).index

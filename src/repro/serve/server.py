@@ -252,10 +252,13 @@ class IndexServer(RequestFront):
         #: Optional ``sys.setswitchinterval`` override while running.
         #: Index calls run on the loop thread, but off-thread work (a
         #: background rebuild, a tuner build) competes with it for the
-        #: GIL; CPython's default 5 ms slice makes the loop wait up to
-        #: that much whenever such a thread is CPU-bound.  A
-        #: sub-millisecond interval cuts that wait by an order of
-        #: magnitude.  Restored on stop.
+        #: GIL, and CPython's default 5 ms slice bounds how long the
+        #: loop waits for a thread holding it.  On one CPU that is not
+        #: what slows reads that overlap a rebuild: the scheduler
+        #: preempts them for the build thread (involuntary context
+        #: switches), which the interval does not touch -- at 0.5 ms
+        #: the ``mixed_writes`` read p95 did not move.  Restored on
+        #: stop.
         self.gil_switch_interval_s = gil_switch_interval_s
         self._saved_switch_interval: "float | None" = None
         self.metrics = metrics if metrics is not None else ServeMetrics()

@@ -38,7 +38,8 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["OP_INSERT", "OP_TOMBSTONE", "DeltaState", "empty_delta"]
+__all__ = ["OP_INSERT", "OP_TOMBSTONE", "DeltaState", "empty_delta",
+           "splice"]
 
 #: Operation flags (int8), matching ``dynamic_pgm``'s run entries.
 OP_INSERT = np.int8(1)
@@ -53,8 +54,7 @@ _EMPTY_F64 = np.empty(0, dtype=np.float64)
 class DeltaState:
     """One immutable snapshot of the delta buffer (sorted, per-key unique)."""
 
-    __slots__ = ("keys", "ops", "seqs", "born", "_insert_keys",
-                 "_insert_cum")
+    __slots__ = ("keys", "ops", "seqs", "born", "added", "_insert_cum")
 
     def __init__(self, keys: np.ndarray, ops: np.ndarray,
                  seqs: np.ndarray, born: np.ndarray) -> None:
@@ -62,24 +62,13 @@ class DeltaState:
         self.ops = ops
         self.seqs = seqs
         self.born = born
-        self._insert_keys: "np.ndarray | None" = None
+        #: Positions of the keys that the batch which made this state
+        #: added (:meth:`merged_with`); ``None`` for any other state.
+        self.added: "np.ndarray | None" = None
         self._insert_cum: "np.ndarray | None" = None
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    @property
-    def insert_keys(self) -> np.ndarray:
-        """Delta keys whose newest op is an insert (sorted).
-
-        Cached: the state is immutable and the merged lookup path
-        touches this on every batch.
-        """
-        cached = self._insert_keys
-        if cached is None:
-            cached = self.keys[self.ops == OP_INSERT]
-            self._insert_keys = cached
-        return cached
 
     @property
     def insert_cum(self) -> np.ndarray:
@@ -123,6 +112,13 @@ class DeltaState:
         has been unmerged since the first write -- and takes the new
         ``seq``, so a post-rebuild compaction never drops a write that
         arrived after the rebuild snapshot.
+
+        The deduplicated batch is spliced into the sorted buffer: one
+        ``searchsorted`` of the batch, then linear copies -- O(batch
+        log delta + delta), with no sort of the buffer.  The new
+        state's :attr:`added` holds the positions of the keys the batch
+        added, so :meth:`~repro.writable.index._View.inherit_shadow` can
+        carry per-entry data across the splice by position.
         """
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         ops = np.ascontiguousarray(ops, dtype=np.int8)
@@ -142,30 +138,32 @@ class DeltaState:
         last[-1] = True
         sel = order[last]  # last occurrence per key, ascending key order
         batch_keys = keys[sel]
-        batch_ops = ops[sel]
-        batch_seqs = np.int64(seq_start) + sel.astype(np.int64)
         batch_born = np.full(len(sel), float(now), dtype=np.float64)
-        if not len(self.keys):
-            return DeltaState(batch_keys, batch_ops, batch_seqs, batch_born)
-        # Merge with the existing buffer: batch entries replace older
-        # entries for the same key but inherit their older born stamp.
+        # Batch entries replace older entries for the same key but
+        # inherit their older born stamp; the rest are new keys.
         pos = np.searchsorted(self.keys, batch_keys, side="left")
-        clipped = np.minimum(pos, len(self.keys) - 1)
-        hit = self.keys[clipped] == batch_keys
+        hit = pos < len(self.keys)
+        hit[hit] = self.keys[pos[hit]] == batch_keys[hit]
         batch_born[hit] = np.minimum(batch_born[hit], self.born[pos[hit]])
-        keep = np.ones(len(self.keys), dtype=bool)
-        keep[pos[hit]] = False
-        merged_keys = np.concatenate([self.keys[keep], batch_keys])
-        merged_ops = np.concatenate([self.ops[keep], batch_ops])
-        merged_seqs = np.concatenate([self.seqs[keep], batch_seqs])
-        merged_born = np.concatenate([self.born[keep], batch_born])
-        order = np.argsort(merged_keys, kind="stable")
-        return DeltaState(
-            np.ascontiguousarray(merged_keys[order]),
-            np.ascontiguousarray(merged_ops[order]),
-            np.ascontiguousarray(merged_seqs[order]),
-            np.ascontiguousarray(merged_born[order]),
+        fresh = ~hit
+        # Each batch entry's slot: its insertion point plus the new keys
+        # spliced in before it (a replaced entry keeps its slot).
+        slots = pos + (np.cumsum(fresh) - fresh)
+        added = slots[fresh]
+
+        def merge(old: np.ndarray, batch: np.ndarray) -> np.ndarray:
+            out = splice(old, added, batch[fresh])
+            out[slots[hit]] = batch[hit]
+            return out
+
+        state = DeltaState(
+            merge(self.keys, batch_keys),
+            merge(self.ops, ops[sel]),
+            merge(self.seqs, np.int64(seq_start) + sel.astype(np.int64)),
+            merge(self.born, batch_born),
         )
+        state.added = added
+        return state
 
     def compacted(self, watermark: int) -> "DeltaState":
         """Entries newer than ``watermark`` (the post-rebuild buffer).
@@ -192,6 +190,18 @@ class DeltaState:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DeltaState {len(self)} entries, "
                 f"watermark={self.watermark}>")
+
+
+def splice(old: np.ndarray, added: np.ndarray,
+           values: np.ndarray) -> np.ndarray:
+    """``old`` with ``values`` spliced in at ``added``, their sorted
+    positions in the result (as in :attr:`DeltaState.added`)."""
+    out = np.empty(len(old) + len(added), dtype=old.dtype)
+    kept = np.ones(len(out), dtype=bool)
+    kept[added] = False
+    out[kept] = old
+    out[added] = values
+    return out
 
 
 def empty_delta() -> DeltaState:

@@ -58,7 +58,7 @@ from typing import Any, Callable
 import numpy as np
 
 from ..baselines.interfaces import OrderedIndex, SearchBounds
-from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta
+from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta, splice
 
 __all__ = ["WritableIndex", "RebuildTicket"]
 
@@ -108,40 +108,24 @@ class _View:
     def inherit_shadow(self, prev: "_View") -> None:
         """Seed the shadow sums from the previous view of the same base.
 
-        A write batch replaces only a few delta entries, but a fresh
-        full recomputation searches the whole delta against the base --
-        O(delta x log base) per apply, the dominant write-path cost at
-        high write fractions.  Base multiplicities of keys already in
-        the previous delta are copied over (they depend only on the
-        base, which is unchanged); only the batch's genuinely new keys
-        hit the base.  Callers must guarantee ``prev.base is
-        self.base``.
+        A fresh full recomputation searches the whole delta against the
+        base -- O(delta x log base) per apply.  The base multiplicity of
+        a key depends only on the base, which is unchanged, so the
+        previous view's multiplicities are spliced across by position
+        (the delta's :attr:`~repro.writable.delta.DeltaState.added`
+        slots) and only the keys the batch added hit the base.  Callers
+        must guarantee ``prev.base is self.base`` and that this view's
+        delta was merged from ``prev``'s.
         """
-        dk = self.delta.keys
-        prev_dk = prev.delta.keys
-        if self._shadow_cum is not None:
+        added = self.delta.added
+        if self._shadow_cum is not None or added is None:
             return
-        if prev._shadow_cum is None and len(prev_dk):
-            return  # nothing cached to inherit; compute lazily instead
-        # An empty previous delta has the trivial cached form -- taking
-        # it keeps the inheritance chain unbroken from the first apply.
-        prev_mult = np.diff(prev.shadow_cum())
-        mult = np.empty(len(dk), dtype=np.int64)
-        if len(prev_dk):
-            pos = np.searchsorted(prev_dk, dk, side="left")
-            clipped = np.minimum(pos, len(prev_dk) - 1)
-            hit = prev_dk[clipped] == dk
-            mult[hit] = prev_mult[clipped[hit]]
-        else:
-            hit = np.zeros(len(dk), dtype=bool)
-        fresh = ~hit
-        if fresh.any():
-            base_keys = self.base.keys
-            nk = dk[fresh]
-            mult[fresh] = (
-                np.searchsorted(base_keys, nk, side="right")
-                - np.searchsorted(base_keys, nk, side="left")
-            )
+        base_keys = self.base.keys
+        new_keys = self.delta.keys[added]
+        mult = splice(
+            np.diff(prev.shadow_cum()), added,
+            np.searchsorted(base_keys, new_keys, side="right")
+            - np.searchsorted(base_keys, new_keys, side="left"))
         self._shadow_cum = np.concatenate([
             np.zeros(1, dtype=np.int64),
             np.cumsum(mult, dtype=np.int64),
@@ -183,6 +167,11 @@ class _View:
             self.delta.keys, self.correction(), base_pos, queries
         )
 
+    def live_count(self) -> int:
+        """``len(live_keys())`` without building the live array."""
+        return (len(self.base.keys) - int(self.shadow_cum()[-1])
+                + int(self.delta.insert_cum[-1]))
+
     def live_keys(self) -> np.ndarray:
         """The merged live key array (materialized once per view)."""
         live = self._live
@@ -191,18 +180,11 @@ class _View:
             if not len(self.delta):
                 live = base_keys
             else:
-                dk = self.delta.keys
-                lo = np.searchsorted(base_keys, dk, side="left")
-                hi = np.searchsorted(base_keys, dk, side="right")
-                # Interval marks: +1 at each shadowed run start, -1 past
-                # its end; positive prefix sums mark shadowed entries.
-                marks = np.zeros(len(base_keys) + 1, dtype=np.int64)
-                np.add.at(marks, lo, 1)
-                np.add.at(marks, hi, -1)
-                shadowed = np.cumsum(marks[:-1]) > 0
-                live = np.sort(np.concatenate([
-                    base_keys[~shadowed], self.delta.insert_keys
-                ]), kind="stable")
+                from ..kernels import get_backend
+
+                live = get_backend().merge_live(
+                    base_keys, self.delta.keys, self.delta.ops,
+                    self.live_count())
             live.setflags(write=False)
             self._live = live
         return live
@@ -253,7 +235,8 @@ class WritableIndex(OrderedIndex):
 
     @property
     def n(self) -> int:  # type: ignore[override]
-        return len(self.keys)
+        """Number of live keys, counted without building :attr:`keys`."""
+        return self._view.live_count()
 
     @property
     def delta_len(self) -> int:
@@ -342,7 +325,7 @@ class WritableIndex(OrderedIndex):
         view = self._view
         if not len(view.delta):
             return view.base.search_bounds(key)
-        n = len(view.live_keys())
+        n = view.live_count()
         return SearchBounds(lo=0, hi=n - 1, hint=self.lower_bound(key))
 
     def range_query_batch(
@@ -473,7 +456,7 @@ class WritableIndex(OrderedIndex):
         return {
             "name": self.name,
             "base": view.base.stats(),
-            "n": len(view.live_keys()),
+            "n": view.live_count(),
             "delta_len": len(view.delta),
             "staleness_s": self.staleness_s(),
             "bytes": self.size_in_bytes(),
