@@ -49,7 +49,8 @@ import numpy as np
 
 from ..baselines import INDEX_TYPES, RMIAsIndex
 from ..serve.metrics import window_between
-from ..writable import WritableIndex
+from ..serve.router import ShardDeadError, answer_shard
+from ..writable import IndexFactory, WritableIndex
 from .planner import CandidateConfig, Plan, Planner
 from .report import DecisionJournal
 
@@ -64,7 +65,8 @@ __all__ = [
 
 def infer_config(index: Any, backend: "str | None" = None) \
         -> "CandidateConfig | None":
-    """Reverse-map a served index object to its :class:`CandidateConfig`.
+    """Reverse-map a served index, or the ``IndexFactory`` that builds
+    it, to its :class:`CandidateConfig`.
 
     Lets the controller score the incumbent without being told what it
     is.  A writable index is scored by its base, which is what the
@@ -75,9 +77,11 @@ def infer_config(index: Any, backend: "str | None" = None) \
     from ..kernels import get_backend
 
     be = get_backend(backend).name
-    if isinstance(index, WritableIndex):
-        index = index.base
-    if isinstance(index, RMIAsIndex):
+    if not isinstance(index, IndexFactory):
+        if isinstance(index, WritableIndex):
+            index = index.base
+        index = IndexFactory.of(index)
+    if index.cls is RMIAsIndex:
         cfg = index.config
         return CandidateConfig(
             family="rmi",
@@ -87,7 +91,7 @@ def infer_config(index: Any, backend: "str | None" = None) \
             backend=be,
         )
     for name, cls in INDEX_TYPES.items():
-        if type(index) is cls:
+        if index.cls is cls:
             return CandidateConfig(family=name, backend=be)
     return None
 
@@ -125,16 +129,18 @@ class TunerTarget:
     """The tuner's handle on an :class:`~repro.serve.server.IndexServer`
     or on shard ``shard_id`` of a :class:`~repro.serve.router.ShardRouter`.
 
-    Swap and rollback are both :meth:`rebuild`: the server's
-    :meth:`~repro.serve.server.IndexServer.rebuild` (for a shard, run
-    by ``swap_shard`` where the shard lives), which returns the previous
-    factory -- the rollback token.  A cluster shard's index lives in its
-    worker, so its planning ``keys`` must be passed.
+    It asks the target the shard calls of
+    :func:`~repro.serve.router.answer_shard`: ``describe`` (what it
+    serves, over which live keys), ``metrics`` and ``swap`` -- on the
+    server directly, or through the router wherever the shard lives (a
+    cluster shard answers in its worker).  Swap and rollback are both
+    :meth:`rebuild`, the server's
+    :meth:`~repro.serve.server.IndexServer.rebuild`, which returns the
+    previous factory -- the rollback token.
     """
 
     def __init__(self, front: Any, shard_id: "int | None" = None,
-                 sampler: Any = None,
-                 keys: "np.ndarray | None" = None) -> None:
+                 sampler: Any = None) -> None:
         self.front = front
         self.shard_id = shard_id
         self.name = "server" if shard_id is None else f"shard{shard_id}"
@@ -146,32 +152,25 @@ class TunerTarget:
             raise ValueError(f"{self.name} has no workload sampler (pass "
                              "one here or construct the front with one)")
         self.sampler = sampler
-        if keys is None and self.current_index() is None:
-            raise ValueError("pass keys= for a cluster shard (the "
-                             "controller plans in the parent process)")
-        self._keys = keys
 
-    @property
-    def keys(self) -> np.ndarray:
-        """Planning keys: the live keys when the index is in-process."""
-        if self._keys is not None:
-            return self._keys
-        return self.current_index().keys
-
-    def current_index(self) -> Any:
+    async def _call(self, kind: str, payload: Any = None) -> Any:
         if self.shard_id is None:
-            return self.front.index
-        servers = getattr(self.front._backend, "_servers", None)
-        return servers[self.shard_id].index if servers else None
+            return await answer_shard(self.front, kind, payload)
+        return await self.front.call_shard(self.shard_id, kind, payload)
+
+    async def describe(self) -> "tuple[Any, np.ndarray]":
+        """``(IndexFactory of the served base, live keys)``."""
+        return await self._call("describe")
 
     async def metrics_state(self) -> "dict[str, Any] | None":
-        if self.shard_id is None:
-            return self.front.metrics.state()
-        return (await self.front._backend.shard_metrics())[self.shard_id]
+        try:
+            return await self._call("metrics")
+        except ShardDeadError:
+            return None
 
     async def rebuild(self, factory: Any) -> Any:
         if self.shard_id is None:
-            return await self.front.rebuild(factory)
+            return await self._call("swap", factory)
         return await self.front.swap_shard(self.shard_id, factory)
 
 
@@ -209,9 +208,9 @@ class AutoTuner:
         self.planner = planner or Planner()
         self.config = config or TunerConfig()
         self.journal = journal or DecisionJournal()
-        self.current: "CandidateConfig | None" = infer_config(
-            target.current_index(), getattr(self.planner, "backend", None)
-        ) if target.current_index() is not None else None
+        #: The served configuration, learned from the target in the
+        #: first window (:meth:`describe_target`).
+        self.current: "CandidateConfig | None" = None
         self.swaps_done = 0
         self.last_plan: "Plan | None" = None
         self._prev_state: "dict[str, Any] | None" = None
@@ -240,6 +239,7 @@ class AutoTuner:
                                        reason="target metrics unavailable")
         if self._prev_state is None:
             self._prev_state = state
+            await self.describe_target()
             return self.journal.record(
                 "idle", target=self.target.name,
                 reason="first window establishes the baseline",
@@ -258,6 +258,15 @@ class AutoTuner:
                        f"({completed} < {cfg.min_window_requests})",
             )
         return await self._plan_and_act(completed, p99_ms)
+
+    async def describe_target(self) -> np.ndarray:
+        """Ask the target what it serves: the live keys to plan over,
+        and, while it is unknown, the incumbent configuration."""
+        factory, keys = await self.target.describe()
+        if self.current is None:
+            self.current = infer_config(
+                factory, getattr(self.planner, "backend", None))
+        return np.asarray(keys)
 
     async def _watch_pending(self, completed: int,
                              p99_ms: "float | None") -> "dict | None":
@@ -305,7 +314,7 @@ class AutoTuner:
     async def _plan_and_act(self, completed: int,
                             p99_ms: "float | None") -> "dict[str, Any]":
         cfg = self.config
-        keys = np.asarray(self.target.keys)
+        keys = await self.describe_target()
         profile = self.target.sampler.profile(keys)
         plan = await asyncio.to_thread(self.planner.plan, keys, profile,
                                        self.current)

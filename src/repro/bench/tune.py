@@ -161,6 +161,9 @@ async def _run(
         })
 
     async with server:
+        # The start windows run before the tuner's first step; they are
+        # labeled with the incumbent it learns here.
+        await tuner.describe_target()
         # One unrecorded warmup window: first-touch page faults, numpy
         # temp allocation, thread-pool spin-up.
         await drive("uniform", max(chunks_per_window // 4, 8), seed)

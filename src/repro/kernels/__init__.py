@@ -18,7 +18,7 @@ interface over the flat packed arrays
 Selection precedence, resolved by :func:`get_backend`:
 
 1. an explicit ``spec`` argument (``RMIConfig.kernels``,
-   ``IndexServer(kernels=...)``, ``RMI(kernels=...)``);
+   ``RMI(kernels=...)``);
 2. a process-wide default installed by :func:`set_default_backend` or
    the :func:`use_backend` context manager;
 3. the ``REPRO_KERNELS`` environment variable;

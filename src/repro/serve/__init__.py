@@ -37,7 +37,7 @@ from .batcher import (
     Request,
     Response,
 )
-from .cluster import Cluster, WorkerOptions, WorkerSpec, cluster_for_dataset
+from .cluster import Cluster, WorkerOptions, WorkerSpec
 from .loadgen import (
     run_batch_closed_loop,
     run_mixed_closed_loop,
@@ -82,7 +82,6 @@ __all__ = [
     "STATUS_TIMEOUT",
     "WorkerOptions",
     "WorkerSpec",
-    "cluster_for_dataset",
     "plan_shards",
     "rollup_states",
     "run_batch_closed_loop",

@@ -19,19 +19,16 @@ length, or ``-1`` and an 8-byte length above 2 GiB, then the
     parent -> worker   (kind, msg_id, payload)
     worker -> parent   (msg_id, ok, payload)
 
-Kinds: ``bulk`` (a ``(points, lows, highs)`` array batch, served via
-:meth:`IndexServer.serve_bulk`; one frame may carry several callers'
-parts, see below), ``write`` (a key/op burst applied to a
-writable shard via :meth:`IndexServer.apply_writes`; the reply carries
-the shard's post-write live cardinality for the router's offset
-stitching), ``swap`` (a ``factory(keys)`` or ``None``: the worker runs
-:meth:`IndexServer.rebuild` over the shard's live keys -- a writable
-shard keeps its writes -- and replies with the factory of what it
-served before), ``metrics`` (full-fidelity
-:meth:`~repro.serve.metrics.ServeMetrics.state`), ``stop`` (graceful
-drain: every in-flight frame finishes, the server drains, the final
-metrics state comes back), and ``die`` (fault injection: the worker
-``os._exit``\\ s without cleanup, simulating a crash).
+Kinds: ``stop`` (graceful drain: every in-flight frame finishes, the
+server drains, the final metrics state comes back), ``die`` (fault
+injection: the worker ``os._exit``\\ s without cleanup, simulating a
+crash), and the calls of :func:`~repro.serve.router.answer_shard`:
+``bulk`` (a ``(points, lows, highs)`` array batch; one frame may carry
+several callers' parts, see below), ``write``, ``swap``, ``metrics``
+and ``describe``.  The worker answers each on its server with that
+handler, the one :class:`~repro.serve.router.LocalBackend` runs
+in-process; a call that raises is answered ``(msg_id, False, "Type:
+message")``.
 
 **Bulk outbox**: a pipe frame costs far more than the bytes it carries,
 so :meth:`Cluster.execute_bulk` does not send at once.  It queues its
@@ -75,10 +72,10 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .router import ShardDeadError, ShardPlan, plan_shards
+from .router import ShardDeadError, ShardPlan, answer_shard, plan_shards
 from .server import IndexServer
 
-__all__ = ["WorkerSpec", "Cluster", "cluster_for_dataset"]
+__all__ = ["WorkerSpec", "Cluster"]
 
 log = logging.getLogger("repro.serve.cluster")
 
@@ -268,26 +265,21 @@ async def _worker_serve(sock: socket.socket, spec: WorkerSpec,
         kind, msg_id, payload = msg
         if stopped.done():
             return  # draining: nothing new starts
-        if kind == "bulk":
-            coro = _serve_bulk_frame(server, pipe, msg_id, payload)
-        elif kind == "write":
-            coro = _write_frame(server, pipe, msg_id, payload)
-        elif kind == "swap":
-            coro = _swap_frame(server, pipe, msg_id, payload)
-        elif kind == "metrics":
-            pipe.send((msg_id, True, server.metrics.state()))
-            return
-        elif kind == "stop":
+        if kind == "stop":
             stopped.set_result(msg_id)
-            return
         elif kind == "die":
             os._exit(17)  # fault injection: crash, no cleanup
         else:
-            pipe.send((msg_id, False, f"unknown message kind {kind!r}"))
-            return
-        task = loop.create_task(coro)
-        frames.add(task)
-        task.add_done_callback(frames.discard)
+            task = loop.create_task(answer(msg_id, kind, payload))
+            frames.add(task)
+            task.add_done_callback(frames.discard)
+
+    async def answer(msg_id: int, kind: str, payload: Any) -> None:
+        try:
+            reply = (msg_id, True, await answer_shard(server, kind, payload))
+        except Exception as exc:
+            reply = (msg_id, False, f"{type(exc).__name__}: {exc}")
+        pipe.send(reply)
 
     def on_lost() -> None:
         if not stopped.done():
@@ -305,49 +297,13 @@ async def _worker_serve(sock: socket.socket, spec: WorkerSpec,
         # exit drains the server itself.
         if frames:
             await asyncio.gather(*frames, return_exceptions=True)
-        final_state = server.metrics.state()
+        final_state = await answer_shard(server, "metrics", None)
     if stop_id is not None:
         pipe.send((stop_id, True, final_state))
     # close() flushes what is still buffered (the stop reply) before
     # connection_lost fires.
     pipe.transport.close()
     await pipe.lost
-
-
-async def _serve_bulk_frame(server: IndexServer, pipe, msg_id: int,
-                            payload: "tuple") -> None:
-    points, lows, highs = payload
-    try:
-        positions, starts, counts = await server.serve_bulk(points, lows,
-                                                            highs)
-        pipe.send((msg_id, True, (positions, starts, counts)))
-    except Exception as exc:
-        _send_error(pipe, msg_id, exc)
-
-
-async def _write_frame(server: IndexServer, pipe, msg_id: int,
-                       payload: "tuple") -> None:
-    """Apply one write burst; reply ``(applied, live_cardinality)``."""
-    keys, ops = payload
-    try:
-        applied = await server.apply_writes(keys, ops)
-        pipe.send((msg_id, True, (applied, server.index.n)))
-    except Exception as exc:
-        _send_error(pipe, msg_id, exc)
-
-
-async def _swap_frame(server: IndexServer, pipe, msg_id: int,
-                      factory: Any) -> None:
-    """Rebuild this shard with ``factory`` (``None``: its own) and
-    hot-swap it; reply with the factory of what it served before."""
-    try:
-        pipe.send((msg_id, True, await server.rebuild(factory)))
-    except Exception as exc:
-        _send_error(pipe, msg_id, exc)
-
-
-def _send_error(pipe, msg_id: int, exc: Exception) -> None:
-    pipe.send((msg_id, False, f"{type(exc).__name__}: {exc}"))
 
 
 # ---------------------------------------------------------------------------
@@ -380,10 +336,8 @@ class Cluster:
         n: int = 0,
         seed: int = 42,
         cache_dir: "str | None" = None,
-        worker_opts: "WorkerOptions | None" = None,
         index_factory: "Callable[[np.ndarray], Any] | None" = None,
         mp_method: "str | None" = None,
-        ship_keys: "bool | None" = None,
     ) -> None:
         if keys is None:
             if dataset is None:
@@ -400,8 +354,7 @@ class Cluster:
         self._n = int(n)
         self._seed = int(seed)
         self._cache_dir = cache_dir
-        self._opts = worker_opts if worker_opts is not None \
-            else WorkerOptions()
+        self._opts = WorkerOptions()
         self._index_factory = index_factory
         # Fork shares the parent's key array copy-on-write and skips
         # re-importing numpy per worker; spawn stays available for
@@ -413,8 +366,7 @@ class Cluster:
         )
         # Ship key slices in the spec unless the workers can load the
         # dataset from the artifact cache themselves.
-        self._ship_keys = ship_keys if ship_keys is not None \
-            else not (cache_dir is not None and dataset is not None)
+        self._ship_keys = cache_dir is None or dataset is None
         self._procs: "list[mp.process.BaseProcess]" = []
         self._pipes: "list[_Pipe]" = []
         self._alive: "list[bool]" = [False] * self.plan.num_shards
@@ -625,19 +577,10 @@ class Cluster:
                        np.asarray(highs, dtype=np.uint64), fut))
         return await fut
 
-    async def execute_writes(self, shard_id: int, keys,
-                             ops) -> "tuple[int, int]":
-        """Apply a write burst on one shard; ``(applied, live)``."""
-        return await self._rpc(shard_id, "write", (
-            np.ascontiguousarray(keys, dtype=np.uint64),
-            np.ascontiguousarray(ops, dtype=np.int8),
-        ))
-
-    async def swap_shard(self, shard_id: int, factory: Any) -> Any:
-        """Zero-loss rebuild of one shard in its worker: ``factory`` is
-        a picklable ``factory(keys)``, or ``None`` for the shard's own.
-        Returns the factory of what the shard served before."""
-        return await self._rpc(shard_id, "swap", factory)
+    async def call(self, shard_id: int, kind: str, payload: Any) -> Any:
+        """One :func:`~repro.serve.router.answer_shard` call, answered
+        in the shard's worker (``swap``'s factory must pickle)."""
+        return await self._rpc(shard_id, kind, payload)
 
     async def shard_metrics(self) -> "list[dict | None]":
         out: "list[dict | None]" = [None] * self.num_shards
@@ -675,25 +618,3 @@ def _split_reply(parts: "list[tuple]", reply: "asyncio.Future") -> None:
             fut.set_result((positions[p:p_end], starts[r:r_end],
                             counts[r:r_end]))
         p, r = p_end, r_end
-
-
-def cluster_for_dataset(
-    dataset: str,
-    n: int,
-    seed: int,
-    *,
-    num_shards: int,
-    index_type: str = "rmi",
-    cache_dir: "str | None" = None,
-    worker_opts: "WorkerOptions | None" = None,
-) -> Cluster:
-    """Convenience constructor matching the CLI's vocabulary."""
-    return Cluster(
-        num_shards=num_shards,
-        index_type=index_type,
-        dataset=dataset,
-        n=n,
-        seed=seed,
-        cache_dir=cache_dir,
-        worker_opts=worker_opts,
-    )

@@ -35,18 +35,22 @@ key order is preserved across shard boundaries.
 resolution are :class:`~repro.serve.server.RequestFront`'s, the code
 :class:`~repro.serve.server.IndexServer` runs.  Each collected batch
 answers its expired requests ``timeout`` and sends the rest as
-``(points, lows, highs)`` arrays through the point and range splits of
-``lookup_batch`` / ``range_query_batch``, so a request reaches its
-shards inside a bulk part (in the cluster: one ``bulk`` frame per shard
-and event-loop pass).  A shard that fails answers ``error`` to the
-requests routed to it and only to those -- a range fails if any shard
-it spans fails -- while the bulk methods raise its exception.  Batching
-happens once, here: ``max_queue`` bounds the router's one queue,
-``Response.batch_size`` is the router batch's size, and a request that
-expires after its batch was dispatched is still answered.  A shard
-swap is the shard server's
-:meth:`~repro.serve.server.IndexServer.rebuild`, in a worker or in
-:class:`LocalBackend`.
+``(points, lows, highs)`` arrays through the one split behind
+``lookup_batch`` / ``range_query_batch``: every touched shard gets one
+part, the points it owns and the ranges that span it (in the cluster:
+one ``bulk`` frame per shard and event-loop pass).  A shard that fails
+answers ``error`` to the requests routed to it and only to those -- a
+range fails if any shard it spans fails -- while the bulk methods raise
+its exception.  Batching happens once, here: ``max_queue`` bounds the
+router's one queue, ``Response.batch_size`` is the router batch's size,
+and a request that expires after its batch was dispatched is still
+answered.
+
+**One shard handler.**  :func:`answer_shard` answers every shard call
+(``bulk``, ``write``, ``swap``, ``metrics``, ``describe``) on the
+shard's :class:`~repro.serve.server.IndexServer` -- in a cluster worker
+for every pipe message but ``stop`` and ``die``, in
+:class:`LocalBackend` for every call -- and no other code answers one.
 """
 
 from __future__ import annotations
@@ -66,11 +70,13 @@ __all__ = [
     "ShardPlan",
     "plan_shards",
     "ShardDeadError",
+    "answer_shard",
     "LocalBackend",
     "ShardRouter",
 ]
 
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
 
 
 class ShardDeadError(RuntimeError):
@@ -152,35 +158,72 @@ def _by_shard(ids: np.ndarray) -> "Iterator[tuple[int, np.ndarray]]":
 #
 #   plan: ShardPlan
 #   async def execute_bulk(shard_id, points, lows, highs)
-#       -> (positions, starts, counts) ndarrays, local coordinates;
+#       -> (positions, starts, counts) ndarrays, local coordinates (the
+#       ``bulk`` call; a backend may batch parts into one call)
+#   async def call(shard_id, kind, payload) -> answer_shard's reply;
 #       raises (ShardDeadError for a dead shard) when it cannot answer
-#   async def execute_writes(shard_id, keys, ops) -> (applied, live)
-#   async def swap_shard(shard_id, factory | None) -> previous factory
-#       (the shard server's IndexServer.rebuild)
 #   async def shard_metrics() -> list of ServeMetrics.state() | None
 #   async def stop() -> list of final states | None
 
+
+async def answer_shard(server: IndexServer, kind: str, payload: Any) -> Any:
+    """Answer one shard call on the shard's ``server``.
+
+    The only code that answers one, in a cluster worker and in
+    :class:`LocalBackend` alike:
+
+    * ``bulk`` -- a ``(points, lows, highs)`` batch, served by
+      :meth:`~repro.serve.server.IndexServer.serve_bulk`;
+    * ``write`` -- a ``(keys, ops)`` burst applied by
+      :meth:`~repro.serve.server.IndexServer.apply_writes`; the reply
+      ``(applied, live)`` carries the shard's live cardinality, from
+      which the router restitches its global offsets;
+    * ``swap`` -- a ``factory(keys)`` or ``None``: the shard's
+      :meth:`~repro.serve.server.IndexServer.rebuild`, whose reply is
+      the factory of what it served before;
+    * ``metrics`` -- the server's full-fidelity
+      :meth:`~repro.serve.metrics.ServeMetrics.state`;
+    * ``describe`` -- ``(IndexFactory.of(base), live keys)``: what the
+      shard serves (the base of a writable index) and over which keys.
+    """
+    if kind == "bulk":
+        return await server.serve_bulk(*payload)
+    if kind == "write":
+        applied = await server.apply_writes(*payload)
+        return applied, server.index.n
+    if kind == "swap":
+        return await server.rebuild(payload)
+    if kind == "metrics":
+        return server.metrics.state()
+    if kind == "describe":
+        from ..writable import IndexFactory, WritableIndex
+
+        index = server.index
+        base = index.base if isinstance(index, WritableIndex) else index
+        return IndexFactory.of(base), np.asarray(index.keys)
+    raise ValueError(f"unknown shard call {kind!r}")
+
+
 class LocalBackend:
-    """In-process backend: one built index per shard, no processes.
+    """In-process backend: one :class:`~repro.serve.server.IndexServer`
+    per shard, no processes.
 
     The reference implementation of the backend contract, used by the
     property tests (split-then-gather must be bit-identical to the
     single-index oracle) and usable as a zero-dependency single-process
-    emulation of the cluster.  Each shard is a never-started
-    :class:`~repro.serve.server.IndexServer` whose index answers calls
-    directly and whose ``rebuild`` is the shard swap, as in a worker.
-    ``kill(shard_id)`` simulates a worker crash for fault-injection
-    tests.
+    emulation of the cluster.  Every call is :func:`answer_shard` on the
+    shard's server, as in a worker; a server starts on its shard's first
+    call, and :meth:`stop` stops them.  ``kill(shard_id)`` simulates a
+    worker crash for fault-injection tests.
     """
 
     def __init__(self, indexes: "Sequence[Any]", plan: ShardPlan) -> None:
         if len(indexes) != plan.num_shards:
             raise ValueError("one index per shard required")
         self.plan = plan
-        self.shard_metric_objs = [ServeMetrics() for _ in indexes]
-        self._servers = [IndexServer(index, metrics=metrics)
-                         for index, metrics in zip(indexes,
-                                                   self.shard_metric_objs)]
+        self._servers = [IndexServer(index) for index in indexes]
+        #: Each shard server's metrics.
+        self.shard_metric_objs = [server.metrics for server in self._servers]
         self._dead: "set[int]" = set()
 
     def alive(self, shard_id: int) -> bool:
@@ -190,63 +233,27 @@ class LocalBackend:
         """Simulate a worker crash: subsequent executions fail."""
         self._dead.add(shard_id)
 
-    def _server(self, shard_id: int) -> IndexServer:
+    async def call(self, shard_id: int, kind: str, payload: Any) -> Any:
         if shard_id in self._dead:
             raise ShardDeadError(f"shard {shard_id} worker is dead")
-        return self._servers[shard_id]
-
-    async def execute_writes(self, shard_id: int, keys,
-                             ops) -> "tuple[int, int]":
-        """Apply a write burst to one shard; return ``(applied, live)``.
-
-        ``live`` is the shard's post-write live cardinality -- the
-        router rebuilds its global stitch offsets from these, since
-        writes change shard sizes out from under the static plan.
-        """
-        index = self._server(shard_id).index
-        apply = getattr(index, "apply", None)
-        if not callable(apply):
-            raise TypeError(
-                f"shard {shard_id} index {type(index).__name__} is not "
-                "writable; wrap it in repro.writable.WritableIndex"
-            )
-        n = int(apply(np.asarray(keys, dtype=np.uint64),
-                      np.asarray(ops, dtype=np.int8)))
-        metrics = self.shard_metric_objs[shard_id]
-        metrics.writes.inc(n)
-        staleness = getattr(index, "staleness_s", None)
-        if callable(staleness):
-            metrics.staleness_s.set(float(staleness()))
-        return n, index.n
+        server = self._servers[shard_id]
+        if not server.running:
+            await server.start()
+        return await answer_shard(server, kind, payload)
 
     async def execute_bulk(self, shard_id: int, points, lows, highs):
-        index = self._server(shard_id).index
-        n = len(points) + len(lows)
-        metrics = self.shard_metric_objs[shard_id]
-        metrics.submitted.inc(n)
-        start = time.monotonic()
-        result = index.serve_batch(
-            np.asarray(points, dtype=np.uint64),
-            np.asarray(lows, dtype=np.uint64),
-            np.asarray(highs, dtype=np.uint64),
-        )
-        if n:  # one latency per call, as a worker's serve_bulk records
-            metrics.latency_s.observe(time.monotonic() - start)
-            metrics.record_batch(n, 0)
-            metrics.completed.inc(n)
-        return result
-
-    async def swap_shard(self, shard_id: int, factory: Any) -> Any:
-        """Rebuild one shard with ``factory`` (``None``: the shard's
-        own); returns the factory of what it served before."""
-        return await self._server(shard_id).rebuild(factory)
+        return await self.call(shard_id, "bulk", (points, lows, highs))
 
     async def shard_metrics(self):
-        return [m.state() if self.alive(i) else None
-                for i, m in enumerate(self.shard_metric_objs)]
+        return [await self.call(i, "metrics", None) if self.alive(i)
+                else None for i in range(self.plan.num_shards)]
 
     async def stop(self):
-        return await self.shard_metrics()
+        states = await self.shard_metrics()
+        for server in self._servers:
+            if server.running:
+                await server.stop()
+        return states
 
 
 # ---------------------------------------------------------------------------
@@ -371,17 +378,14 @@ class ShardRouter(RequestFront):
     async def _serve(self, size: int, requests: "list[Request]",
                      points: np.ndarray, lows: np.ndarray,
                      highs: np.ndarray) -> None:
-        """Send one opened batch through the point and range splits, then
-        answer ``error`` to the requests a failed shard owed and ``ok``
-        to the rest."""
-        (positions, point_failures), (starts, counts, range_failures) = \
-            await asyncio.gather(self._split_points(points),
-                                 self._split_ranges(lows, highs))
+        """Send one opened batch through the split, then answer
+        ``error`` to the requests a failed shard owed and ``ok`` to the
+        rest."""
+        positions, starts, counts, failures = await self._split(
+            points, lows, highs)
         done = time.monotonic()
-        n = len(points)
-        failures = point_failures + [(sel + n, exc)
-                                     for sel, exc in range_failures]
         if failures:
+            n = len(points)
             failed = np.zeros(len(requests), dtype=bool)
             for idx, exc in failures:
                 fresh = idx[~failed[idx]]
@@ -405,8 +409,9 @@ class ShardRouter(RequestFront):
         offsets applied.  Raises :class:`ShardDeadError` (or the
         backend's failure) if any touched shard cannot answer.
         """
-        positions, failures = await self._split_points(
-            np.ascontiguousarray(queries, dtype=np.uint64))
+        positions, _, _, failures = await self._split(
+            np.ascontiguousarray(queries, dtype=np.uint64),
+            _EMPTY_U64, _EMPTY_U64)
         if failures:
             raise failures[0][1]
         return positions
@@ -421,82 +426,72 @@ class ShardRouter(RequestFront):
             raise ValueError("range_query_batch needs equal-length bounds")
         if np.any(highs < lows):
             raise ValueError("range_query_batch requires low <= high")
-        starts, counts, failures = await self._split_ranges(lows, highs)
+        _, starts, counts, failures = await self._split(_EMPTY_U64, lows,
+                                                        highs)
         if failures:
             raise failures[0][1]
         return starts, counts
 
-    async def _split_points(
-        self, queries: np.ndarray
-    ) -> "tuple[np.ndarray, list[tuple[np.ndarray, Exception]]]":
-        """Global positions of ``queries``: one backend call per touched
-        shard.  A shard that fails leaves its queries' positions unset
-        and adds ``(their indices, its exception)`` to the list returned
-        beside them."""
-        out = np.empty(len(queries), dtype=np.int64)
-        failures: "list[tuple[np.ndarray, Exception]]" = []
-        if not len(queries):
-            return out, failures
-        ids = self.plan.route_points(queries)
+    async def _split(
+        self, points: np.ndarray, lows: np.ndarray, highs: np.ndarray
+    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, list]":
+        """Global ``(positions, starts, counts)`` of one batch, and its
+        failures.
 
-        async def one(shard_id: int, idx: np.ndarray) -> None:
-            part = queries[idx]
+        Every touched shard gets one backend call: the points it owns
+        and the ranges that span it, each range with the same bounds on
+        every shard it spans (stitched in key order).  No shard that
+        nothing touches is called -- it may be dead while every request
+        avoids it.  A shard that fails leaves its answers unset and adds
+        ``(indices into points + ranges, its exception)`` to the list
+        returned beside them.
+        """
+        n, m = len(points), len(lows)
+        positions = np.empty(n, dtype=np.int64)
+        starts = np.zeros(m, dtype=np.int64)
+        counts = np.zeros(m, dtype=np.int64)
+        failures: "list[tuple[np.ndarray, Exception]]" = []
+        # The bulk lanes send one side only; an empty side does no work
+        # (each NumPy call costs about a microsecond even on an empty
+        # array, and on one CPU the router's time is the cluster's).
+        point_idx = dict(_by_shard(self.plan.route_points(points))) \
+            if n else {}
+        range_idx: "dict[int, np.ndarray]" = {}
+        first = _EMPTY_I64
+        if m:
+            first = self.plan.route_points(lows)
+            last = self.plan.route_points(highs)
+            for shard_id in range(int(first.min()), int(last.max()) + 1):
+                sel = np.flatnonzero((first <= shard_id) & (last >= shard_id))
+                if len(sel):
+                    range_idx[shard_id] = sel
+
+        async def one(shard_id: int) -> None:
+            pidx = point_idx.get(shard_id, _EMPTY_I64)
+            ridx = range_idx.get(shard_id, _EMPTY_I64)
+            part = (points[pidx], lows[ridx], highs[ridx])
             if self.samplers is not None \
                     and self.samplers[shard_id] is not None:
-                self.samplers[shard_id].observe(part, _EMPTY_U64, _EMPTY_U64)
+                self.samplers[shard_id].observe(*part)
             try:
-                positions, _, _ = await self._backend.execute_bulk(
-                    shard_id, part, _EMPTY_U64, _EMPTY_U64
-                )
+                got, local_starts, local_counts = \
+                    await self._backend.execute_bulk(shard_id, *part)
             except Exception as exc:  # this shard failed, not the batch
-                failures.append((idx, exc))
+                failures.append((np.concatenate((pidx, ridx + n)), exc))
                 return
-            out[idx] = (np.asarray(positions, dtype=np.int64)
-                        + int(self._offsets[shard_id]))
+            offset = int(self._offsets[shard_id])
+            if len(pidx):
+                positions[pidx] = np.asarray(got, dtype=np.int64) + offset
+            if len(ridx):
+                counts[ridx] += np.asarray(local_counts, dtype=np.int64)
+                owns = first[ridx] == shard_id
+                starts[ridx[owns]] = (np.asarray(local_starts,
+                                                 dtype=np.int64)[owns]
+                                      + offset)
 
-        await asyncio.gather(*(one(s, idx) for s, idx in _by_shard(ids)))
-        return out, failures
-
-    async def _split_ranges(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, Exception]]]":
-        """Global ``(starts, counts)`` of ``[lows, highs)``: every spanned
-        shard answers the same bounds over its slice, stitched in key
-        order.  A shard that fails adds ``(the indices of the ranges
-        spanning it, its exception)`` to the list returned beside them."""
-        m = len(lows)
-        starts_out = np.zeros(m, dtype=np.int64)
-        counts_out = np.zeros(m, dtype=np.int64)
-        failures: "list[tuple[np.ndarray, Exception]]" = []
-        if not m:
-            return starts_out, counts_out, failures
-        first = self.plan.route_points(lows)
-        last = self.plan.route_points(highs)
-
-        async def one(shard_id: int, sel: np.ndarray) -> None:
-            part_lows, part_highs = lows[sel], highs[sel]
-            if self.samplers is not None \
-                    and self.samplers[shard_id] is not None:
-                self.samplers[shard_id].observe(_EMPTY_U64, part_lows,
-                                                part_highs)
-            try:
-                _, starts, counts = await self._backend.execute_bulk(
-                    shard_id, _EMPTY_U64, part_lows, part_highs
-                )
-            except Exception as exc:  # this shard failed, not the batch
-                failures.append((sel, exc))
-                return
-            counts_out[sel] += np.asarray(counts, dtype=np.int64)
-            owns = first[sel] == shard_id
-            starts_out[sel[owns]] = (np.asarray(starts, dtype=np.int64)[owns]
-                                     + int(self._offsets[shard_id]))
-
-        # One mask per spanned shard; a shard no range touches gets no
-        # call (it may be dead while every range avoids it).
-        spans = ((s, np.flatnonzero((first <= s) & (last >= s)))
-                 for s in range(int(first.min()), int(last.max()) + 1))
-        await asyncio.gather(*(one(s, sel) for s, sel in spans if len(sel)))
-        return starts_out, counts_out, failures
+        await asyncio.gather(*(one(shard_id) for shard_id
+                               in sorted(point_idx.keys() | range_idx)))
+        return positions, starts, counts, failures
 
     # -- write lane ------------------------------------------------------
 
@@ -522,9 +517,8 @@ class ShardRouter(RequestFront):
         ids = self.plan.route_points(keys)
 
         async def one(shard_id: int, idx: np.ndarray) -> int:
-            applied, live = await self._backend.execute_writes(
-                shard_id, keys[idx], ops[idx]
-            )
+            applied, live = await self._backend.call(
+                shard_id, "write", (keys[idx], ops[idx]))
             self._live_counts[shard_id] = int(live)
             return int(applied)
 
@@ -551,17 +545,24 @@ class ShardRouter(RequestFront):
         a writable shard keeps its writes.  Returns the shard's previous
         factory (the token that undoes the swap).
         """
-        if not 0 <= shard_id < self.num_shards:
-            raise ValueError(f"no shard {shard_id}")
         if isinstance(spec, str):
             from ..baselines import INDEX_TYPES
             from ..writable.rebuild import IndexFactory
 
             spec = None if spec == "@rebuild" \
                 else IndexFactory(INDEX_TYPES[spec])
-        previous = await self._backend.swap_shard(shard_id, spec)
+        previous = await self.call_shard(shard_id, "swap", spec)
         self.metrics.swaps.inc()
         return previous
+
+    async def call_shard(self, shard_id: int, kind: str,
+                         payload: Any = None) -> Any:
+        """One :func:`answer_shard` call on shard ``shard_id``, wherever
+        the shard lives (``describe`` and ``metrics`` are the tuner's);
+        raises :class:`ShardDeadError` for a dead shard."""
+        if not 0 <= shard_id < self.num_shards:
+            raise ValueError(f"no shard {shard_id}")
+        return await self._backend.call(shard_id, kind, payload)
 
     async def cluster_metrics(self) -> "dict[str, Any]":
         """Router + per-shard + rolled-up cluster-wide metrics view.

@@ -227,7 +227,6 @@ class IndexServer(RequestFront):
         metrics: "ServeMetrics | None" = None,
         sampler: Any = None,
         log_interval_s: "float | None" = None,
-        kernels: "str | None" = None,
         gil_switch_interval_s: "float | None" = None,
     ) -> None:
         if shed_policy not in SHED_POLICIES:
@@ -243,12 +242,6 @@ class IndexServer(RequestFront):
         )
         self.shed_policy = shed_policy
         self.default_timeout_s = default_timeout_s
-        #: Kernel backend to serve with (``"numpy"``/``"cext"``/
-        #: ``"auto"``); installed as the process-wide default
-        #: at :meth:`start` so every index this process serves -- the
-        #: swapped-in ones included -- uses it.  ``None`` leaves the
-        #: ``REPRO_KERNELS`` / auto-detection chain in charge.
-        self.kernels = kernels
         #: Optional ``sys.setswitchinterval`` override while running.
         #: Index calls run on the loop thread, but off-thread work (a
         #: background rebuild, a tuner build) competes with it for the
@@ -295,10 +288,6 @@ class IndexServer(RequestFront):
 
             self._saved_switch_interval = sys.getswitchinterval()
             sys.setswitchinterval(self.gil_switch_interval_s)
-        if self.kernels is not None:
-            from ..kernels import set_default_backend
-
-            set_default_backend(self.kernels)
         # Warm the kernel backend before accepting traffic: the C
         # backend compiles its library on a cold build cache, and the
         # first probe packs the index; neither must land inside a live

@@ -282,10 +282,6 @@ class WritableIndex(OrderedIndex):
             # first read after a write should pay read costs only.
             new_view.correction()
             self._view = new_view
-            # The packed-kernel cache reflects the (now stale) clean
-            # view; drop it so pack() soft-falls back to the staged
-            # merge path until the delta drains.
-            self.__dict__.pop("_packed_cache", None)
         return len(keys)
 
     def insert(self, key: int) -> None:
@@ -378,19 +374,6 @@ class WritableIndex(OrderedIndex):
 
     # -- compiled kernels ------------------------------------------------
 
-    def pack(self):
-        """The base's packed form when clean; ``None`` when dirty.
-
-        The soft-fallback contract of ``OrderedIndex.pack``: with
-        unmerged writes the flat kernel representation cannot answer
-        merged queries, so the staged (NumPy) merge path stays
-        canonical until a rebuild drains the delta.
-        """
-        view = self._view
-        if len(view.delta):
-            return None
-        return view.base.pack()
-
     def warm_kernels(self) -> None:
         self._view.base.warm_kernels()
 
@@ -415,7 +398,6 @@ class WritableIndex(OrderedIndex):
         with self._mutate:
             delta = self._view.delta.compacted(watermark)
             self._view = _View(new_base, delta)
-            self.__dict__.pop("_packed_cache", None)
 
     def rebuild(self,
                 factory: "Callable[[np.ndarray], Any] | None" = None

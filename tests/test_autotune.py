@@ -289,12 +289,11 @@ class FakeTarget:
         #: Layer-2 size of every index a rebuild published, in order.
         self.built: list = []
 
-    @property
-    def keys(self) -> np.ndarray:
-        return self._keys
-
     def current_index(self):
         return self._index
+
+    async def describe(self):
+        return IndexFactory.of(self._index), self._keys
 
     async def metrics_state(self):
         return self.metrics.state()
@@ -342,11 +341,11 @@ def test_controller_hysteresis_then_swap_then_measure(tune_keys):
     async def run():
         target = FakeTarget(tune_keys, start_layer2=16)
         tuner = _tuner(target, tune_keys)
-        assert tuner.current.key().startswith("rmi[l2=16,")
 
         records = []
         target.traffic(200, 2.0)
         records.append(await tuner.step())  # baseline window
+        assert tuner.current.key().startswith("rmi[l2=16,")
         for _ in range(2):  # hysteresis: 1 hold, then the swap
             target.traffic(200, 2.0)
             records.append(await tuner.step())

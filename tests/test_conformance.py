@@ -447,34 +447,6 @@ class TestWritableTier:
             err_msg=f"{name} rebuilt",
         )
 
-    def test_pack_soft_fallback_and_cache_invalidation(
-        self, built, small_datasets, name
-    ):
-        """``pack()`` is the base's packed form only while clean, and
-        the ``_packed_cache`` slot drops on every apply and rebuild."""
-        from repro.writable import WritableIndex
-
-        base = built(name, "books")
-        keys = small_datasets["books"]
-        windex = WritableIndex(base)
-        base_packs = base.pack() is not None
-
-        # clean: delegate to the base (and cache whatever it returns)
-        assert (windex.pack() is not None) == base_packs, name
-        windex._packed()
-        assert "_packed_cache" in windex.__dict__
-
-        windex.insert(int(keys[0]) + 1)
-        assert "_packed_cache" not in windex.__dict__, name
-        assert windex.pack() is None, f"{name} must soft-fallback dirty"
-        assert windex._packed() is None
-
-        # finish_rebuild (via the inline path) must drop the cached None
-        windex.rebuild()
-        assert "_packed_cache" not in windex.__dict__, name
-        assert (windex.pack() is not None) == base_packs, name
-        assert (windex._packed() is not None) == base_packs, name
-
 
 # ----------------------------------------------------------------------
 # Batch throughput smoke benchmark

@@ -12,6 +12,8 @@ call it.  This file pins what that buys where those features meet:
   artifact cache keys a rebuild by that configuration;
 * a factory swap of a writable shard keeps the writes it holds, and the
   tuner's rollback on a cluster shard rebuilds the previous factory;
+* the tuner scores a cluster shard's incumbent and plans over its live
+  keys, both learned from the shard's ``describe`` call;
 * overlapping rebuild requests run one at a time and lose no write;
 * one seeded run composes writes, both read lanes, daemon cycles, a
   tuner swap and a forced rollback, on a server and on a router, with
@@ -205,8 +207,8 @@ def test_infer_config_reads_a_writable_index_by_its_base():
         sampler = WorkloadSampler(capacity=1_024, seed=2)
         async with IndexServer(windex, sampler=sampler) as server:
             tuner = _tuner(TunerTarget(server), hysteresis_windows=2)
-            assert tuner.current is not None
             await tuner.step()  # baseline
+            assert tuner.current is not None
             rng = np.random.default_rng(4)
             records = []
             for _ in range(2):
@@ -347,7 +349,8 @@ def test_cluster_shard_factory_swap_keeps_its_writes():
 
 
 def test_tuner_rolls_back_a_cluster_shard_to_its_previous_factory():
-    """The merged target on a cluster shard: the swap builds once, in
+    """The merged target on a mis-tuned cluster shard: the tuner scores
+    the 16-leaf incumbent the worker describes, the swap builds once, in
     the worker, and the forced rollback rebuilds the factory the worker
     returned for what it served before."""
     keys = _keys(n=12_000, seed=37)
@@ -355,13 +358,12 @@ def test_tuner_rolls_back_a_cluster_shard_to_its_previous_factory():
     async def run():
         plan = plan_shards(keys, 2)
         samplers = [WorkloadSampler(capacity=512, seed=i) for i in range(2)]
+        start = CandidateConfig("rmi", layer2_size=16).factory()
         async with Cluster(keys=keys, num_shards=2,
-                           index_type="rmi") as cluster:
+                           index_factory=start) as cluster:
             async with ShardRouter(cluster, samplers=samplers) as router:
-                target = TunerTarget(router, 0,
-                                     keys=plan.slice_keys(keys, 0))
                 # rollback_threshold -1: any measured window rolls back.
-                tuner = _tuner(target, min_window_requests=1,
+                tuner = _tuner(TunerTarget(router, 0), min_window_requests=1,
                                rollback_threshold=-1.0)
                 shard0 = plan.slice_keys(keys, 0)
                 rng = np.random.default_rng(41)
@@ -377,8 +379,41 @@ def test_tuner_rolls_back_a_cluster_shard_to_its_previous_factory():
 
     records, serving = asyncio.run(run())
     assert [r["kind"] for r in records] == ["idle", "swap", "rollback"]
+    swap = records[1]
+    assert swap["incumbent"]["config"].startswith("rmi[l2=16,")
+    assert swap["frm"].startswith("rmi[l2=16,")
+    assert swap["predicted_ratio"] < 1 - 0.05
     assert isinstance(serving, IndexFactory)
-    assert serving.config.layer_sizes[-1] == 1_024
+    assert serving.config.layer_sizes[-1] == 16
+
+
+def test_tuner_plans_a_cluster_shard_over_its_live_keys():
+    """Writes land on a writable cluster shard: the tuner plans over the
+    keys the shard holds now, not the slice it was built from."""
+    keys = _keys(n=12_000, seed=59)
+    plan = plan_shards(keys, 2)
+    shard0 = plan.slice_keys(keys, 0)
+    fresh = _fresh(shard0, 300, seed=61)
+
+    async def run():
+        samplers = [WorkloadSampler(capacity=512, seed=i) for i in range(2)]
+        async with Cluster(keys=keys, num_shards=2,
+                           index_factory=WritableFactory("rmi")) as cluster:
+            async with ShardRouter(cluster, samplers=samplers) as router:
+                tuner = _tuner(TunerTarget(router, 0), min_window_requests=1,
+                               dry_run=True)
+                await tuner.step()  # baseline
+                await router.apply_writes(fresh,
+                                          np.ones(len(fresh), np.int8))
+                await router.lookup_batch(fresh)
+                record = await tuner.step()
+                live = (await router.cluster_metrics())["shard_sizes"][0]
+        return tuner, record, live
+
+    tuner, record, live = asyncio.run(run())
+    assert record["kind"] in ("hold", "plan")
+    assert live == len(shard0) + len(fresh)
+    assert tuner.last_plan.n == live
 
 
 # ----------------------------------------------------------------------
