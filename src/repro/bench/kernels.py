@@ -17,6 +17,11 @@ entry points is timed on every loadable backend:
 ``serve``
     the fused point+range serving unit (``rmi_serve``).
 
+Next to them, ``call_us`` states the fixed cost of one kernel call: the
+mean of a loop of one-key ``serve`` calls, best of ``runs``.  A small
+batch pays it whole, so it is what divides a per-request batch's
+ns per key from a bulk chunk's.
+
 Beyond the RMI smoke, the report carries one section per *family
 baseline* (``--index`` selects which): each packable index of Table 5
 -- PGM, CompressedPGM, RadixSpline, FITing-Tree (``pla`` family),
@@ -131,14 +136,28 @@ def _windows(packed, pos: np.ndarray, ids: np.ndarray, n: int):
     return np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
 
 
-def _best_of(fn, runs: int) -> float:
+def _best_of(fn, runs: int, loop: int = 1) -> float:
+    """Best of ``runs`` timings of ``fn``, each the mean of ``loop``
+    calls."""
     fn()  # warm: page-fault outputs, load code paths
     best = float("inf")
     for _ in range(max(runs, 1)):
         t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for _ in range(loop):
+            fn()
+        best = min(best, (time.perf_counter() - t0) / loop)
     return best
+
+
+#: One-key ``serve`` calls per timing of ``call_us``.
+CALL_LOOP = 200
+
+
+def _call_us(serve, runs: int) -> float:
+    """The fixed cost of one kernel call, in µs: ``serve`` of one point
+    and no ranges, the mean of a ``CALL_LOOP``-call loop, best of
+    ``runs``."""
+    return _best_of(serve, runs, CALL_LOOP) * 1e6
 
 
 def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
@@ -170,6 +189,7 @@ def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
             f"numpy backend disagrees with the oracle on {index.name}"
         )
     ref_serve = reference.serve(packed, index.keys, qs, qs, qs)
+    one, none = qs[:1], qs[:0]
     for name, backend in loaded.items():
         got = backend.lookup(packed, index.keys, qs)
         got_serve = backend.serve(packed, index.keys, qs, qs, qs)
@@ -195,6 +215,9 @@ def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
                 kernel: {"best_s": t, "ns_per_op": t / m * 1e9}
                 for kernel, t in timings.items()
             },
+            "call_us": _call_us(
+                lambda b=backend: b.serve(packed, index.keys, one, none,
+                                          none), runs),
         }
     section["speedups"] = _speedups(section["backends"], FAMILY_KERNELS)
     return section
@@ -365,6 +388,7 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
         raise RuntimeError("numpy backend disagrees with the oracle")
 
     m = len(qs)
+    one, none = qs[:1], qs[:0]
     report_backends: "dict[str, dict]" = {}
     for name in names:
         if name not in loaded:
@@ -420,6 +444,9 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
                 }
                 for kernel in KERNELS
             },
+            "call_us": _call_us(
+                lambda b=backend: b.rmi_serve(packed, keys, one, none, none),
+                runs),
         }
 
     return report_backends, _speedups(report_backends, KERNELS)
@@ -485,6 +512,11 @@ def resolve_gate_backend(report: dict, gate_backend: str) -> "str | None":
     return best_name
 
 
+def _call_line(prefix: str, entry: dict) -> str:
+    """The ``call_us`` line of one backend."""
+    return f"{prefix} call (1-key serve) {entry['call_us']:8.2f}us"
+
+
 def render_kernels_report(report: dict) -> str:
     """Human-readable summary of a :func:`kernels_report` dict."""
     lines = [
@@ -507,6 +539,7 @@ def render_kernels_report(report: dict) -> str:
                 f"  {name:6s} {kernel:18s} {t['best_s'] * 1e3:8.2f}ms  "
                 f"{t['ns_per_op']:7.1f}ns/op{suffix}"
             )
+        lines.append(_call_line(f"  {name:6s}", entry))
     for fam_name, fam in report.get("families", {}).items():
         if not fam.get("built"):
             lines.append(
@@ -524,6 +557,7 @@ def render_kernels_report(report: dict) -> str:
                     f"{t['best_s'] * 1e3:8.2f}ms  "
                     f"{t['ns_per_op']:7.1f}ns/op{suffix}"
                 )
+            lines.append(_call_line(f"  {tag:24s} {name:6s}", entry))
         if not fam.get("packed"):
             lines.append(f"  {tag:24s} unpackable: no kernels to time")
     narrowing = report.get("sorted_narrowing")

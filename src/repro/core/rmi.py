@@ -272,8 +272,12 @@ class RMI:
         # the reference path, and the per-layer gathers/scatters through
         # it are skipped while it does.  ``routed`` holds the route
         # kernel's per-leaf counts: keys then stay in array order,
-        # segmented by the counts.
-        assign = np.zeros(n, dtype=np.int64)
+        # segmented by the counts.  The root takes every key, so the
+        # first assignment is all zeros; only the copy_keys argsort and
+        # a one-layer RMI's leaf ids read it before the root's routing
+        # replaces it (the route kernel never does).
+        assign = (np.zeros(n, dtype=np.int64)
+                  if self.copy_keys or num_layers == 1 else None)
         order: "np.ndarray | None" = None
         routed: "np.ndarray | None" = None
 

@@ -50,7 +50,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["KernelBackend", "PACKED_DISPATCH"]
+__all__ = [
+    "KernelBackend",
+    "PACKED_DISPATCH",
+    "check_delta",
+    "check_windows",
+]
 
 #: ``packed_kind`` tag -> (lookup method, serve method) names.
 PACKED_DISPATCH = {
@@ -58,6 +63,25 @@ PACKED_DISPATCH = {
     "pla": ("pla_lookup", "pla_serve"),
     "tree": ("tree_lookup", "tree_serve"),
 }
+
+
+def check_windows(queries, lo, hi) -> None:
+    """``lower_bound_window``'s argument check, shared by every
+    backend: one ``lo`` and one ``hi`` per query."""
+    if len(lo) != len(queries) or len(hi) != len(queries):
+        raise ValueError("lower_bound_window needs one lo and one hi "
+                         "per query")
+
+
+def check_delta(delta_keys, corr, base_positions, queries) -> None:
+    """``delta_correct``'s argument check, shared by every backend:
+    ``len(delta_keys) + 1`` corrections and one base position per
+    query."""
+    if len(corr) != len(delta_keys) + 1:
+        raise ValueError("delta_correct needs len(delta_keys) + 1 "
+                         "corrections")
+    if len(base_positions) != len(queries):
+        raise ValueError("delta_correct needs one base position per query")
 
 
 class KernelBackend:
@@ -78,7 +102,13 @@ class KernelBackend:
         lo: np.ndarray,
         hi: np.ndarray,
     ) -> np.ndarray:
-        """Batch lower bound inside inclusive ``[lo, hi]`` windows."""
+        """Batch lower bound inside inclusive ``[lo, hi]`` windows.
+
+        Equals ``np.searchsorted(keys, queries, side="left")`` for any
+        windows inside the array; over empty ``keys`` every answer is 0.
+        Raises ``ValueError`` unless there is one ``lo`` and one ``hi``
+        per query (:func:`check_windows`).
+        """
         raise NotImplementedError
 
     def delta_correct(
@@ -96,8 +126,10 @@ class KernelBackend:
         + 1`` entries).  This staged form is the reference every
         backend must match bit-for-bit; the C backend overrides it
         with a fused single-pass kernel
-        (:meth:`CExtBackend.delta_correct`).
+        (:meth:`CExtBackend.delta_correct`).  Raises ``ValueError`` on
+        a length mismatch (:func:`check_delta`).
         """
+        check_delta(delta_keys, corr, base_positions, queries)
         idx = np.searchsorted(
             np.ascontiguousarray(delta_keys, dtype=np.uint64),
             np.ascontiguousarray(queries, dtype=np.uint64),

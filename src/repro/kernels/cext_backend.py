@@ -32,9 +32,9 @@ import time
 from pathlib import Path
 
 import numpy as np
-from numpy.ctypeslib import ndpointer
 
-from .base import KernelBackend
+from .base import KernelBackend, check_delta, check_windows
+from .binding import address, run_argtypes
 from .packed import PACKABLE_MODEL_CODES, PackedRMI
 from .packed_pla import PackedPLA
 from .packed_tree import PackedTree
@@ -976,58 +976,44 @@ def _build_library() -> Path:
     return lib_path
 
 
-_u64 = ndpointer(np.uint64, flags="C_CONTIGUOUS")
-_i64 = ndpointer(np.int64, flags="C_CONTIGUOUS")
-_i8 = ndpointer(np.int8, flags="C_CONTIGUOUS")
-_f64 = ndpointer(np.float64, flags="C_CONTIGUOUS")
+_ptr = ctypes.c_void_p
 _c_i64 = ctypes.c_int64
-_c_i32 = ctypes.c_int32
-_c_u64 = ctypes.c_uint64
 
-#: The (seg_keys, slopes, icepts, offsets, num_levels, kind, eps,
-#: eps_internal) argument run shared by the pla entry points.
-_PLA_ARGS = [_u64, _f64, _f64, _i64, _c_i64, _c_i32, _c_i64, _c_i64]
+#: The per-call tails of the fused entry points: ``(queries, m, out)``
+#: and ``(points, mp, lows, highs, mr, pos_out, start_out, count_out)``.
+_LOOKUP_TAIL = [_ptr, _c_i64, _ptr]
+_SERVE_TAIL = [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _ptr, _ptr]
 
-#: The (kind, entry_keys, positions, num_entries, node_lo, node_shift,
-#: node_base, node_pref, node_child, num_bins, min_key) run shared by
-#: the tree entry points.
-_TREE_ARGS = [_c_i32, _u64, _i64, _c_i64, _u64, _i64, _i64, _i64,
-              _i64, _c_i64, _c_u64]
+#: The fused entry points take ``(keys, n)`` and their packed form's
+#: ``KERNEL_RUN`` first; ``repro_rmi_predict`` takes the head of the
+#: RMI run (the models, not the bounds), then ``n``.
+_RMI_HEAD = [_ptr, _c_i64, *run_argtypes(PackedRMI.KERNEL_RUN)]
+_PLA_HEAD = [_ptr, _c_i64, *run_argtypes(PackedPLA.KERNEL_RUN)]
+_TREE_HEAD = [_ptr, _c_i64, *run_argtypes(PackedTree.KERNEL_RUN)]
+_PREDICT_RUN = 6
 
-#: (name, argtypes) for every exported kernel.
+#: (name, argtypes) for every exported kernel.  Every array is passed
+#: by address (:mod:`repro.kernels.binding`).
 _SIGNATURES = {
     "repro_lower_bound_window":
-        [_u64, _c_i64, _u64, _c_i64, _i64, _i64, _i64],
+        [_ptr, _c_i64, _ptr, _c_i64, _ptr, _ptr, _ptr],
     "repro_delta_correct":
-        [_u64, _c_i64, _i64, _i64, _u64, _c_i64, _i64],
+        [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr],
     "repro_merge_live":
-        [_u64, _c_i64, _u64, _i8, _c_i64, _u64, _c_i64],
+        [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _c_i64],
     "repro_rmi_predict":
-        [_i8, _f64, _i64, _c_i64, _f64, _c_i32, _c_i64,
-         _u64, _c_i64, _i64, _i64],
-    "repro_rmi_lookup":
-        [_u64, _c_i64, _i8, _f64, _i64, _c_i64, _f64, _c_i32,
-         _c_i32, _i64, _i64, _u64, _c_i64, _i64],
-    "repro_rmi_serve":
-        [_u64, _c_i64, _i8, _f64, _i64, _c_i64, _f64, _c_i32,
-         _c_i32, _i64, _i64, _u64, _c_i64, _u64, _u64, _c_i64,
-         _i64, _i64, _i64],
-    "repro_pla_lookup":
-        [_u64, _c_i64, *_PLA_ARGS, _u64, _c_i64, _i64],
-    "repro_pla_serve":
-        [_u64, _c_i64, *_PLA_ARGS, _u64, _c_i64, _u64, _u64, _c_i64,
-         _i64, _i64, _i64],
-    "repro_tree_lookup":
-        [_u64, _c_i64, *_TREE_ARGS, _u64, _c_i64, _i64],
-    "repro_tree_serve":
-        [_u64, _c_i64, *_TREE_ARGS, _u64, _c_i64, _u64, _u64, _c_i64,
-         _i64, _i64, _i64],
-    "repro_rmi_route_counts":
-        [_u64, _c_i64, _i8, _f64, _c_i64, _i64],
-    "repro_rmi_fit_leaves":
-        [_u64, _i64, _c_i64, _f64],
+        [*run_argtypes(PackedRMI.KERNEL_RUN[:_PREDICT_RUN]), _c_i64,
+         _ptr, _c_i64, _ptr, _ptr],
+    "repro_rmi_lookup": _RMI_HEAD + _LOOKUP_TAIL,
+    "repro_rmi_serve": _RMI_HEAD + _SERVE_TAIL,
+    "repro_pla_lookup": _PLA_HEAD + _LOOKUP_TAIL,
+    "repro_pla_serve": _PLA_HEAD + _SERVE_TAIL,
+    "repro_tree_lookup": _TREE_HEAD + _LOOKUP_TAIL,
+    "repro_tree_serve": _TREE_HEAD + _SERVE_TAIL,
+    "repro_rmi_route_counts": [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr],
+    "repro_rmi_fit_leaves": [_ptr, _ptr, _c_i64, _ptr],
     "repro_rmi_leaf_extremes":
-        [_u64, _c_i64, _f64, _f64, _i64, _c_i64, _i64, _i64],
+        [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr, _ptr],
 }
 
 #: Return types of the kernels that return a value (the rest are void).
@@ -1052,36 +1038,18 @@ def load() -> "CExtBackend":
     return CExtBackend(lib)
 
 
-def _packed_args(packed: PackedRMI):
-    return (
-        packed.codes, packed.params, packed.offsets,
-        packed.num_layers, packed.scales,
-        1 if packed.scaled else 0, packed.bkind,
-        packed.blo, packed.bhi,
-    )
+def _u64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.uint64)
 
 
-def _pla_args(packed: PackedPLA):
-    return (
-        packed.seg_keys, packed.slopes, packed.icepts, packed.offsets,
-        packed.num_levels, packed.kind, packed.eps, packed.eps_internal,
-    )
-
-
-def _tree_args(packed: PackedTree):
-    return (
-        packed.kind, packed.entry_keys, packed.positions,
-        packed.num_entries, packed.node_lo, packed.node_shift,
-        packed.node_base, packed.node_pref, packed.node_child,
-        packed.num_bins, packed.min_key,
-    )
+def _i64(a) -> np.ndarray:
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def _segments(keys, offsets):
     """``(keys, offsets)`` as the build kernels index them, checked:
     ``offsets`` must run from 0 to ``len(keys)`` without decreasing."""
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    offsets = np.ascontiguousarray(offsets, dtype=np.int64)
+    keys, offsets = _u64(keys), _i64(offsets)
     if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(keys) \
             or np.any(offsets[1:] < offsets[:-1]):
         raise ValueError("segment offsets must run from 0 to len(keys) "
@@ -1090,7 +1058,13 @@ def _segments(keys, offsets):
 
 
 class CExtBackend(KernelBackend):
-    """ctypes wrapper over the gcc-compiled kernel library."""
+    """ctypes wrapper over the gcc-compiled kernel library.
+
+    Every array crosses by address (:mod:`repro.kernels.binding`), so
+    these wrappers are the only guard in front of C: each converts its
+    per-call arrays to the kernel's dtype and C order and checks their
+    lengths before it takes their addresses.
+    """
 
     name = "cext"
     compiled = True
@@ -1099,44 +1073,45 @@ class CExtBackend(KernelBackend):
         self._lib = lib
 
     def lower_bound_window(self, keys, queries, lo, hi):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
+        keys, queries = _u64(keys), _u64(queries)
+        check_windows(queries, lo, hi)
         n = len(keys)
+        if not n:
+            return np.zeros(len(queries), dtype=np.int64)
         # Same clamp every in-repo caller already applies; defensive
         # here because the C loop indexes without probe clipping.
-        lo = np.clip(np.ascontiguousarray(lo, dtype=np.int64), 0, n - 1)
-        hi = np.clip(np.ascontiguousarray(hi, dtype=np.int64), 0, n - 1)
+        lo = np.clip(_i64(lo), 0, n - 1)
+        hi = np.clip(_i64(hi), 0, n - 1)
         out = np.empty(len(queries), dtype=np.int64)
         self._lib.repro_lower_bound_window(
-            keys, n, queries, len(queries), lo, hi, out
+            address(keys), n, address(queries), len(queries),
+            address(lo), address(hi), address(out),
         )
         return out
 
     def delta_correct(self, delta_keys, corr, base_positions, queries):
-        delta_keys = np.ascontiguousarray(delta_keys, dtype=np.uint64)
-        corr = np.ascontiguousarray(corr, dtype=np.int64)
-        base_positions = np.ascontiguousarray(base_positions,
-                                              dtype=np.int64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
+        delta_keys, queries = _u64(delta_keys), _u64(queries)
+        corr, base_positions = _i64(corr), _i64(base_positions)
+        check_delta(delta_keys, corr, base_positions, queries)
         if not len(delta_keys):
             return base_positions + corr[0]
         out = np.empty(len(queries), dtype=np.int64)
         self._lib.repro_delta_correct(
-            delta_keys, len(delta_keys), corr, base_positions,
-            queries, len(queries), out,
+            address(delta_keys), len(delta_keys), address(corr),
+            address(base_positions), address(queries), len(queries),
+            address(out),
         )
         return out
 
     def merge_live(self, base_keys, delta_keys, delta_ops, size):
-        base_keys = np.ascontiguousarray(base_keys, dtype=np.uint64)
-        delta_keys = np.ascontiguousarray(delta_keys, dtype=np.uint64)
+        base_keys, delta_keys = _u64(base_keys), _u64(delta_keys)
         delta_ops = np.ascontiguousarray(delta_ops, dtype=np.int8)
         if len(delta_ops) != len(delta_keys):
             raise ValueError("merge_live needs one op per delta key")
         out = np.empty(size, dtype=np.uint64)
         written = self._lib.repro_merge_live(
-            base_keys, len(base_keys), delta_keys, delta_ops,
-            len(delta_keys), out, size,
+            address(base_keys), len(base_keys), address(delta_keys),
+            address(delta_ops), len(delta_keys), address(out), size,
         )
         if written != size:
             got = "more" if written < 0 else written
@@ -1145,95 +1120,72 @@ class CExtBackend(KernelBackend):
         return out
 
     def rmi_predict(self, packed: PackedRMI, queries):
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
+        queries = _u64(queries)
         m = len(queries)
         ids = np.empty(m, dtype=np.int64)
         pos = np.empty(m, dtype=np.int64)
         self._lib.repro_rmi_predict(
-            packed.codes, packed.params, packed.offsets,
-            packed.num_layers, packed.scales,
-            1 if packed.scaled else 0, packed.n,
-            queries, m, ids, pos,
+            *packed.kernel_run()[:_PREDICT_RUN], packed.n,
+            address(queries), m, address(ids), address(pos),
         )
         return ids, pos
 
-    def rmi_lookup(self, packed: PackedRMI, keys, queries):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
+    def _lookup(self, kernel, packed, keys, queries):
+        """One fused lookup: ``kernel(keys, n, *run, queries, m, out)``."""
+        # ``keys`` stays referenced here through the call: another
+        # thread may rebind ``packed`` and drop a converted copy.
+        keys = _u64(keys)
+        args = packed.bind(keys)
+        queries = _u64(queries)
         out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_rmi_lookup(
-            keys, len(keys), *_packed_args(packed),
-            queries, len(queries), out,
-        )
+        kernel(*args, address(queries), len(queries), address(out))
         return out
+
+    def _serve(self, kernel, packed, keys, point_queries, range_lows,
+               range_highs):
+        """One fused serving unit: three lookups in one kernel call."""
+        keys = _u64(keys)  # referenced through the call, as in _lookup
+        args = packed.bind(keys)
+        points = _u64(point_queries)
+        lows, highs = _u64(range_lows), _u64(range_highs)
+        if len(lows) != len(highs):
+            raise ValueError("serve needs one high per range low")
+        positions = np.empty(len(points), dtype=np.int64)
+        starts = np.empty(len(lows), dtype=np.int64)
+        counts = np.empty(len(lows), dtype=np.int64)
+        kernel(
+            *args, address(points), len(points),
+            address(lows), address(highs), len(lows),
+            address(positions), address(starts), address(counts),
+        )
+        return positions, starts, counts
+
+    def rmi_lookup(self, packed: PackedRMI, keys, queries):
+        return self._lookup(self._lib.repro_rmi_lookup, packed, keys,
+                            queries)
 
     def rmi_serve(self, packed: PackedRMI, keys, point_queries,
                   range_lows, range_highs):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        points = np.ascontiguousarray(point_queries, dtype=np.uint64)
-        lows = np.ascontiguousarray(range_lows, dtype=np.uint64)
-        highs = np.ascontiguousarray(range_highs, dtype=np.uint64)
-        positions = np.empty(len(points), dtype=np.int64)
-        starts = np.empty(len(lows), dtype=np.int64)
-        counts = np.empty(len(lows), dtype=np.int64)
-        self._lib.repro_rmi_serve(
-            keys, len(keys), *_packed_args(packed),
-            points, len(points), lows, highs, len(lows),
-            positions, starts, counts,
-        )
-        return positions, starts, counts
+        return self._serve(self._lib.repro_rmi_serve, packed, keys,
+                           point_queries, range_lows, range_highs)
 
     def pla_lookup(self, packed: PackedPLA, keys, queries):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
-        out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_pla_lookup(
-            keys, len(keys), *_pla_args(packed),
-            queries, len(queries), out,
-        )
-        return out
+        return self._lookup(self._lib.repro_pla_lookup, packed, keys,
+                            queries)
 
     def pla_serve(self, packed: PackedPLA, keys, point_queries,
                   range_lows, range_highs):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        points = np.ascontiguousarray(point_queries, dtype=np.uint64)
-        lows = np.ascontiguousarray(range_lows, dtype=np.uint64)
-        highs = np.ascontiguousarray(range_highs, dtype=np.uint64)
-        positions = np.empty(len(points), dtype=np.int64)
-        starts = np.empty(len(lows), dtype=np.int64)
-        counts = np.empty(len(lows), dtype=np.int64)
-        self._lib.repro_pla_serve(
-            keys, len(keys), *_pla_args(packed),
-            points, len(points), lows, highs, len(lows),
-            positions, starts, counts,
-        )
-        return positions, starts, counts
+        return self._serve(self._lib.repro_pla_serve, packed, keys,
+                           point_queries, range_lows, range_highs)
 
     def tree_lookup(self, packed: PackedTree, keys, queries):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        queries = np.ascontiguousarray(queries, dtype=np.uint64)
-        out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_tree_lookup(
-            keys, len(keys), *_tree_args(packed),
-            queries, len(queries), out,
-        )
-        return out
+        return self._lookup(self._lib.repro_tree_lookup, packed, keys,
+                            queries)
 
     def tree_serve(self, packed: PackedTree, keys, point_queries,
                    range_lows, range_highs):
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        points = np.ascontiguousarray(point_queries, dtype=np.uint64)
-        lows = np.ascontiguousarray(range_lows, dtype=np.uint64)
-        highs = np.ascontiguousarray(range_highs, dtype=np.uint64)
-        positions = np.empty(len(points), dtype=np.int64)
-        starts = np.empty(len(lows), dtype=np.int64)
-        counts = np.empty(len(lows), dtype=np.int64)
-        self._lib.repro_tree_serve(
-            keys, len(keys), *_tree_args(packed),
-            points, len(points), lows, highs, len(lows),
-            positions, starts, counts,
-        )
-        return positions, starts, counts
+        return self._serve(self._lib.repro_tree_serve, packed, keys,
+                           point_queries, range_lows, range_highs)
 
     # -- RMI build kernels ------------------------------------------------
 
@@ -1244,12 +1196,17 @@ class CExtBackend(KernelBackend):
         if codes is None or len(codes) != 1 or \
                 int(codes[0]) not in PACKABLE_MODEL_CODES:
             return None
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        if fanout < 1:
+            raise ValueError("rmi_route_counts needs at least one leaf")
+        keys = _u64(keys)
+        code = np.ascontiguousarray(codes, dtype=np.int8)
+        params = np.ascontiguousarray(root.params, dtype=np.float64)
+        if params.size != 6:
+            raise ValueError("rmi_route_counts needs one 6-parameter root")
         counts = np.empty(fanout, dtype=np.int64)
         ordered = self._lib.repro_rmi_route_counts(
-            keys, len(keys), np.ascontiguousarray(codes, dtype=np.int8),
-            np.ascontiguousarray(root.params, dtype=np.float64), fanout,
-            counts,
+            address(keys), len(keys), address(code), address(params),
+            fanout, address(counts),
         )
         return counts if ordered else None
 
@@ -1260,7 +1217,9 @@ class CExtBackend(KernelBackend):
         keys, offsets = _segments(keys, offsets)
         fanout = len(offsets) - 1
         params = np.empty((fanout, 6), dtype=np.float64)
-        self._lib.repro_rmi_fit_leaves(keys, offsets, fanout, params)
+        self._lib.repro_rmi_fit_leaves(
+            address(keys), address(offsets), fanout, address(params),
+        )
         codes = np.where(
             offsets[1:] > offsets[:-1], SOA_MODEL_CODES[LinearRegression],
             SOA_MODEL_CODES[ConstantModel],
@@ -1277,7 +1236,8 @@ class CExtBackend(KernelBackend):
         lo = np.empty(fanout, dtype=np.int64)
         hi = np.empty(fanout, dtype=np.int64)
         self._lib.repro_rmi_leaf_extremes(
-            keys, len(keys), slopes, intercepts, offsets, fanout, lo, hi,
+            address(keys), len(keys), address(slopes), address(intercepts),
+            address(offsets), fanout, address(lo), address(hi),
         )
         return lo, hi
 

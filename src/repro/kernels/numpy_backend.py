@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KernelBackend
+from .base import KernelBackend, check_windows
 from .packed import BOUNDS_NONE, BOUNDS_PER_MODEL, PackedRMI
 from .packed_pla import PLA_DESCEND, PLA_SEGMENT, PackedPLA
 from .packed_tree import TREE_SPARSE, PackedTree
@@ -58,6 +58,10 @@ class NumpyBackend(KernelBackend):
     def lower_bound_window(self, keys, queries, lo, hi):
         from ..core.search import _batch_lower_bound_window_numpy
 
+        keys = np.asarray(keys, dtype=np.uint64)
+        check_windows(queries, lo, hi)
+        if not len(keys):
+            return np.zeros(len(queries), dtype=np.int64)
         return _batch_lower_bound_window_numpy(keys, queries, lo, hi)
 
     # -- writable-tier snapshot ------------------------------------------
@@ -128,6 +132,8 @@ class NumpyBackend(KernelBackend):
     def _fused_serve(self, lookup, packed, keys, point_queries,
                      range_lows, range_highs):
         """Serving unit shared by all families: point + range lookups."""
+        if len(range_lows) != len(range_highs):
+            raise ValueError("serve needs one high per range low")
         if len(point_queries):
             positions = lookup(packed, keys, point_queries)
         else:

@@ -21,9 +21,12 @@ packability.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+from .binding import Bindable
 
 __all__ = ["PackedRMI", "pack_rmi", "PACKABLE_MODEL_CODES"]
 
@@ -39,7 +42,7 @@ BOUNDS_GLOBAL = 2     # blo/bhi are length-1 arrays
 
 
 @dataclass(frozen=True)
-class PackedRMI:
+class PackedRMI(Bindable):
     """One RMI as flat arrays, ready for a compiled lookup kernel.
 
     ``codes``/``params`` are all layers' SoA tables concatenated in
@@ -55,6 +58,14 @@ class PackedRMI:
     #: Dispatch tag consumed by ``KernelBackend.lookup``/``serve``.
     packed_kind = "rmi"
 
+    #: The ``rmi_*`` kernels' argument run after ``(keys, n)``.
+    KERNEL_RUN = (
+        ("codes", np.int8), ("params", np.float64), ("offsets", np.int64),
+        ("num_layers", ctypes.c_int64), ("scales", np.float64),
+        ("scaled", ctypes.c_int32), ("bkind", ctypes.c_int32),
+        ("blo", np.int64), ("bhi", np.int64),
+    )
+
     codes: np.ndarray    # (total_models,) int8
     params: np.ndarray   # (total_models, 6) float64, C-contiguous
     offsets: np.ndarray  # (num_layers + 1,) int64
@@ -68,6 +79,25 @@ class PackedRMI:
     @property
     def num_layers(self) -> int:
         return len(self.offsets) - 1
+
+    def check_lengths(self) -> None:
+        offsets = self.offsets
+        if self.num_layers < 1 or offsets[0] != 0 \
+                or np.any(offsets[1:] <= offsets[:-1]):
+            raise ValueError("PackedRMI offsets must start at 0 and give "
+                             "every layer a model")
+        rows = int(offsets[-1])
+        if len(self.codes) != rows or self.params.shape != (rows, 6) \
+                or len(self.scales) != self.num_layers - 1:
+            raise ValueError("PackedRMI codes, params and scales disagree "
+                             "with its offsets")
+        bound_rows = {BOUNDS_NONE: 0, BOUNDS_GLOBAL: 1,
+                      BOUNDS_PER_MODEL: rows - int(offsets[-2])}
+        if self.bkind not in bound_rows:
+            raise ValueError(f"unknown PackedRMI bounds kind {self.bkind}")
+        need = bound_rows[self.bkind]
+        if len(self.blo) < need or len(self.bhi) < need:
+            raise ValueError("PackedRMI bounds are shorter than its leaves")
 
 
 def _pack_bounds(bounds, num_leaves: int):

@@ -37,9 +37,12 @@ bit-identical across backends.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+from .binding import Bindable
 
 __all__ = [
     "PackedPLA",
@@ -58,7 +61,7 @@ _KINDS = (PLA_DESCEND, PLA_SEGMENT, PLA_SPLINE)
 
 
 @dataclass(frozen=True)
-class PackedPLA:
+class PackedPLA(Bindable):
     """One PLA index as flat arrays, ready for a compiled lookup kernel.
 
     Level ``d`` occupies rows ``offsets[d]:offsets[d+1]`` of
@@ -72,6 +75,14 @@ class PackedPLA:
 
     #: Dispatch tag consumed by ``KernelBackend.lookup``/``serve``.
     packed_kind = "pla"
+
+    #: The ``pla_*`` kernels' argument run after ``(keys, n)``.
+    KERNEL_RUN = (
+        ("seg_keys", np.uint64), ("slopes", np.float64),
+        ("icepts", np.float64), ("offsets", np.int64),
+        ("num_levels", ctypes.c_int64), ("kind", ctypes.c_int32),
+        ("eps", ctypes.c_int64), ("eps_internal", ctypes.c_int64),
+    )
 
     family: str          # index name, e.g. "pgm-index" (reporting)
     kind: int            # PLA_DESCEND / PLA_SEGMENT / PLA_SPLINE
@@ -90,6 +101,20 @@ class PackedPLA:
     @property
     def num_segments(self) -> int:
         return len(self.seg_keys)
+
+    def check_lengths(self) -> None:
+        offsets = self.offsets
+        if self.kind not in _KINDS:
+            raise ValueError(f"unknown PackedPLA kind {self.kind}")
+        if self.num_levels < 1 or offsets[0] != 0 \
+                or np.any(offsets[1:] <= offsets[:-1]):
+            raise ValueError("PackedPLA offsets must start at 0 and give "
+                             "every level a segment")
+        total = int(offsets[-1])
+        if not len(self.seg_keys) == len(self.slopes) == len(self.icepts) \
+                == total:
+            raise ValueError("PackedPLA segment arrays disagree with its "
+                             "offsets")
 
 
 def pack_pla_levels(

@@ -29,9 +29,12 @@ backends.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
+
+from .binding import Bindable
 
 __all__ = [
     "PackedTree",
@@ -50,7 +53,7 @@ _EMPTY_I64 = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
-class PackedTree:
+class PackedTree(Bindable):
     """One tree index as flat arrays, ready for a compiled lookup kernel.
 
     Exactly one of the two field groups is populated, selected by
@@ -60,6 +63,16 @@ class PackedTree:
 
     #: Dispatch tag consumed by ``KernelBackend.lookup``/``serve``.
     packed_kind = "tree"
+
+    #: The ``tree_*`` kernels' argument run after ``(keys, n)``.
+    KERNEL_RUN = (
+        ("kind", ctypes.c_int32), ("entry_keys", np.uint64),
+        ("positions", np.int64), ("num_entries", ctypes.c_int64),
+        ("node_lo", np.uint64), ("node_shift", np.int64),
+        ("node_base", np.int64), ("node_pref", np.int64),
+        ("node_child", np.int64), ("num_bins", ctypes.c_int64),
+        ("min_key", ctypes.c_uint64),
+    )
 
     family: str            # index name, e.g. "b-tree" (reporting)
     kind: int              # TREE_SPARSE / TREE_HIST
@@ -85,6 +98,22 @@ class PackedTree:
     @property
     def num_nodes(self) -> int:
         return len(self.node_lo)
+
+    def check_lengths(self) -> None:
+        if self.kind == TREE_SPARSE:
+            if not 0 < len(self.positions) == self.num_entries:
+                raise ValueError("PackedTree needs one position per "
+                                 "directory entry")
+            return
+        if self.kind != TREE_HIST:
+            raise ValueError(f"unknown PackedTree kind {self.kind}")
+        nodes, bins = self.num_nodes, self.num_bins
+        if nodes < 1 or bins < 1 \
+                or not len(self.node_shift) == len(self.node_base) == nodes \
+                or len(self.node_pref) != nodes * (bins + 1) \
+                or len(self.node_child) != nodes * bins:
+            raise ValueError("PackedTree node arrays disagree with its "
+                             "node and bin counts")
 
 
 def pack_sparse_directory(
