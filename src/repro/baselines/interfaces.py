@@ -60,6 +60,7 @@ from typing import Any
 
 import numpy as np
 
+from .. import kernels
 from ..core.search import binary_search
 
 __all__ = ["SearchBounds", "OrderedIndex", "UnsupportedDataError"]
@@ -227,9 +228,7 @@ class OrderedIndex:
         packed = self._packed()
         if packed is None:
             return None
-        from ..kernels import get_backend
-
-        return get_backend(getattr(self, "kernels", None)), packed
+        return kernels.get_backend(getattr(self, "kernels", None)), packed
 
     def serve_batch(
         self,
@@ -283,9 +282,7 @@ class OrderedIndex:
         (:meth:`pack` via :meth:`_packed`), so the first real request
         never pays the packing cost.  Idempotent and cheap when warm.
         """
-        from ..kernels import get_backend
-
-        get_backend().warmup()
+        kernels.get_backend().warmup()
         probe = self.keys[:1]
         self.serve_batch(probe, probe, probe)
 

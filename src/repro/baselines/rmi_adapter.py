@@ -23,6 +23,14 @@ from .interfaces import OrderedIndex, SearchBounds
 __all__ = ["RMIAsIndex"]
 
 
+def _resolve_config(layer2_size: "int | None",
+                    config: "RMIConfig | None") -> RMIConfig:
+    """``config`` (default ``RMIConfig()``) with ``layer2_size``, when
+    given, overriding its leaf count (1024 for the default config)."""
+    cfg = config or RMIConfig()
+    return cfg if layer2_size is None else cfg.with_layer2_size(layer2_size)
+
+
 class RMIAsIndex(OrderedIndex):
     """The paper's fixed comparison RMI (LS→LR, LAbs) as an OrderedIndex."""
 
@@ -30,18 +38,33 @@ class RMIAsIndex(OrderedIndex):
 
     def __init__(self, keys: np.ndarray, layer2_size: "int | None" = None,
                  config: RMIConfig | None = None):
-        # ``layer2_size`` overrides the config's; ``None`` keeps it
-        # (1024 leaves for the default config).
-        cfg = config or RMIConfig()
-        if layer2_size is not None:
-            cfg = cfg.with_layer2_size(layer2_size)
-        self.config = cfg
         # No OrderedIndex.__init__: the RMI rejects empty and unsorted
         # keys itself, and checking them twice costs every rebuild a
         # second O(n) pass (about 2.6 ms at 2M keys).
-        self.rmi: RMI = cfg.build(keys)
-        self.keys = self.rmi.keys
-        self.n = self.rmi.n
+        self.config = _resolve_config(layer2_size, config)
+        self._adopt(self.config.build(keys))
+
+    @classmethod
+    def build_steps(cls, keys: np.ndarray, layer2_size: "int | None" = None,
+                    config: RMIConfig | None = None):
+        """``RMIAsIndex(keys, layer2_size, config)`` in bounded steps, or
+        ``None`` when the build has none (:meth:`RMI.build_steps`)."""
+        cfg = _resolve_config(layer2_size, config)
+        steps = cfg.build_steps(keys)
+        return None if steps is None else cls._adopting(cfg, steps)
+
+    @classmethod
+    def _adopting(cls, cfg: RMIConfig, steps):
+        rmi = yield from steps
+        index = cls.__new__(cls)
+        index.config = cfg
+        index._adopt(rmi)
+        return index
+
+    def _adopt(self, rmi: RMI) -> None:
+        self.rmi = rmi
+        self.keys = rmi.keys
+        self.n = rmi.n
 
     def search_bounds(self, key: int) -> SearchBounds:
         model_id, pred = self.rmi.predict(int(key))

@@ -99,8 +99,9 @@ def _run_leg(
 
     async def drive() -> "dict[str, Any]":
         # Sub-ms GIL slices: every leg (baseline included) serves with
-        # short GIL waits behind the rebuild thread, so the retention
-        # ratio compares index paths, not thread-scheduling noise.
+        # short GIL waits behind a rebuild thread (a build without a
+        # stepwise form, as on NumPy), so the retention ratio compares
+        # index paths, not thread-scheduling noise.
         async with IndexServer(windex,
                                gil_switch_interval_s=0.0005) as server:
             daemon = RebuildDaemon(

@@ -112,8 +112,15 @@ class RMIConfig:
 
     def build(self, keys: np.ndarray) -> RMI:
         """Train an RMI with this configuration over ``keys``."""
-        return RMI(
-            keys,
+        return RMI(keys, **self._rmi_params())
+
+    def build_steps(self, keys: np.ndarray):
+        """:meth:`build` in bounded steps, or ``None`` when it has none
+        (:meth:`RMI.build_steps`)."""
+        return RMI.build_steps(keys, **self._rmi_params())
+
+    def _rmi_params(self) -> dict:
+        return dict(
             layer_sizes=self.layer_sizes,
             model_types=self.model_types,
             bound_type=self.bound_type,

@@ -55,6 +55,11 @@ class LayerTable:
     unregistered model types).
     """
 
+    #: Mutation counter of every table: bumped by ``__setitem__`` so
+    #: consumers caching derived views (the kernels' ``PackedRMI``) can
+    #: detect staleness with one read.
+    mutations = 0
+
     def __init__(self, codes: np.ndarray, params: np.ndarray) -> None:
         codes = np.asarray(codes, dtype=np.int8)
         params = np.asarray(params, dtype=np.float64)
@@ -67,9 +72,6 @@ class LayerTable:
         self.params: "np.ndarray | None" = params
         self._cache: dict[int, Model] = {}
         self._objects: "list[Model] | None" = None
-        # Mutation counter: bumped by __setitem__ so consumers caching
-        # derived views (the kernels' PackedRMI) can detect staleness.
-        self._version = 0
 
     @classmethod
     def from_models(
@@ -101,7 +103,6 @@ class LayerTable:
         table.params = None
         table._cache = {}
         table._objects = list(models)
-        table._version = 0
         return table
 
     # -- list-of-models interface --------------------------------------
@@ -130,7 +131,7 @@ class LayerTable:
         return model
 
     def __setitem__(self, j: int, model: Model) -> None:
-        self._version += 1
+        LayerTable.mutations += 1
         if self._objects is not None:
             self._objects[j] = model
             return

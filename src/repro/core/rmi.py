@@ -35,6 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .. import kernels as _kernels
+from ..kernels.base import run_steps
 from .bounds import (
     BOUND_TYPES,
     ErrorBounds,
@@ -215,11 +217,53 @@ class RMI:
         grouped_fit: bool = True,
         kernels: "str | None" = None,
     ) -> None:
+        self._configure(keys, layer_sizes, model_types, bound_type, search,
+                        copy_keys, train_on_model_index, cs_fallback,
+                        grouped_fit, kernels)
+        run_steps(self._build_steps())
+
+    @classmethod
+    def build_steps(cls, keys: np.ndarray, **params):
+        """The build of ``RMI(keys, **params)`` in bounded steps.
+
+        A generator whose every ``next()`` runs one step of at most the
+        backend's ``step_keys`` key visits (a leaf larger than a step is
+        fitted whole) and yields the keys it covered; it returns the
+        RMI, which equals ``RMI(keys, **params)`` bit for bit (the
+        constructor runs the same steps back to back).  ``None`` when
+        the build has no bounded steps: the backend's build kernel does
+        not cover it, or its root fit reads every key (only an LS root
+        is fitted on the two end keys).
+        """
+        rmi = cls.__new__(cls)
+        rmi._configure(keys, **params)
+        kernels = rmi._build_kernels()
+        if kernels is None or rmi.model_types[0] is not LinearSpline:
+            return None
+        return rmi._steps_to_self()
+
+    def _steps_to_self(self):
+        yield from self._build_steps()
+        return self
+
+    def _configure(
+        self,
+        keys: np.ndarray,
+        layer_sizes: Sequence[int] = (1024,),
+        model_types: Sequence[str | type[Model]] = ("ls", "lr"),
+        bound_type: "str | type[ErrorBounds]" = "labs",
+        search: str = "bin",
+        copy_keys: bool = False,
+        train_on_model_index: bool = True,
+        cs_fallback: bool = True,
+        grouped_fit: bool = True,
+        kernels: "str | None" = None,
+    ) -> None:
+        """Check and store the parameters (O(1); the key order is
+        checked by the build's first steps)."""
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         if len(keys) == 0:
             raise ValueError("cannot build an RMI over an empty key array")
-        if np.any(keys[1:] < keys[:-1]):
-            raise ValueError("keys must be sorted in non-decreasing order")
         if len(model_types) != len(layer_sizes) + 1:
             raise ValueError(
                 "need one model type per layer: "
@@ -248,38 +292,94 @@ class RMI:
         self._leaf_model_ids: np.ndarray | None = None
         self._leaf_counts: np.ndarray | None = None
         self._leaf_linear: tuple[np.ndarray, np.ndarray] | None = None
-        self._build()
 
     # ------------------------------------------------------------------
     # Training
     # ------------------------------------------------------------------
 
+    def _build_steps(self):
+        """Train: on the backend's build kernel in bounded steps when it
+        covers this build (its pass checks the key order), else -- or
+        when it gives up -- the staged NumPy build (the reference),
+        after the order check, in one step."""
+        kernels = self._build_kernels()
+        if kernels is not None and (yield from self._kernel_build(kernels)):
+            return
+        if np.any(self.keys[1:] < self.keys[:-1]):
+            raise ValueError("keys must be sorted in non-decreasing order")
+        self._build()
+        yield self.n
+
+    def _kernel_build(self, kernels):
+        """The two-layer build on ``kernels``' build kernel, in its
+        steps: the staged root fit, then the fused segment, leaves and
+        bounds pass, bit-identical to the staged steps it replaces.  In
+        :attr:`build_stats` the pass is booked as the segment step (it
+        routes); the leaves and bounds steps assemble its output.  Returns
+        ``False``, having built nothing, when the root is not monotone or
+        does not route the keys in order; the staged build then runs.
+        The seconds in :attr:`build_stats` are wall time, which for a
+        build run between other work includes that work."""
+        stats = BuildStats(fit_path="grouped")
+        keys, n = self.keys, self.n
+        fanout = self.layer_sizes[1]
+        t0 = time.perf_counter()
+        model_type = self.model_types[0]
+        if model_type is LinearSpline:
+            # LinearSpline.fit reads the first and last point only, so
+            # it is fitted on those two, not n targets.
+            ends = np.array([0, n - 1])
+            fit_keys, targets = keys[ends], ends.astype(np.float64)
+        else:
+            fit_keys, targets = keys, np.arange(n, dtype=np.float64)
+        targets *= fanout / n
+        root = LayerTable.from_models(
+            [_fit_model(model_type, fit_keys, targets, self.cs_fallback)],
+            soa=self.grouped_fit,
+        )
+        t1 = time.perf_counter()
+        stats.train_root_seconds = t1 - t0
+        if not root[0].is_monotonic():
+            return False
+        built = yield from kernels.rmi_build_leaves_steps(keys, root,
+                                                          fanout)
+        if built is None:
+            return False
+        counts, codes, params, lo, hi = built
+        t2 = time.perf_counter()
+        stats.segment_seconds = t2 - t1
+        self.layers = [root, LayerTable(codes, params)]
+        self._leaf_counts = counts
+        self._cache_linear_leaves()
+        t3 = time.perf_counter()
+        stats.train_leaves_seconds = t3 - t2
+        self.bounds = self.bound_type.from_extremes(lo, hi)
+        stats.bounds_seconds = time.perf_counter() - t3
+        stats.keys_touched = 2 * n
+        self.build_stats = stats
+        return True
+
     def _build(self) -> None:
+        """The staged NumPy build: Figure 11's steps, layer by layer."""
         stats = BuildStats(
             fit_path="grouped" if self.grouped_fit else "per_segment"
         )
         n = self.n
         num_layers = len(self.layer_sizes)
-        # The backend's build kernels, when they cover this build: they
-        # replace the segment, leaves and bounds steps below and keep no
-        # per-key array; the staged NumPy steps stay the reference.
-        kernels = self._build_kernels()
+        self.layers = []
 
         # Current key->model assignment, non-decreasing when the no-copy
         # path applies.  ``order`` maps the training order back to array
         # positions; it stays ``None`` (the identity) unless a
         # non-monotonic model interleaved segments or copy_keys forced
         # the reference path, and the per-layer gathers/scatters through
-        # it are skipped while it does.  ``routed`` holds the route
-        # kernel's per-leaf counts: keys then stay in array order,
-        # segmented by the counts.  The root takes every key, so the
-        # first assignment is all zeros; only the copy_keys argsort and
-        # a one-layer RMI's leaf ids read it before the root's routing
-        # replaces it (the route kernel never does).
+        # it are skipped while it does.  The root takes every key, so
+        # the first assignment is all zeros; only the copy_keys argsort
+        # and a one-layer RMI's leaf ids read it before the root's
+        # routing replaces it.
         assign = (np.zeros(n, dtype=np.int64)
                   if self.copy_keys or num_layers == 1 else None)
         order: "np.ndarray | None" = None
-        routed: "np.ndarray | None" = None
 
         for depth in range(num_layers):
             fanout = self.layer_sizes[depth]
@@ -313,8 +413,6 @@ class RMI:
                 stats.keys_copied += n
             if fanout == 1:
                 counts = np.asarray([n], dtype=np.int64)
-            elif routed is not None:
-                counts = routed
             else:
                 counts = np.bincount(assign, minlength=fanout)
             offsets = np.concatenate(([0], np.cumsum(counts)))
@@ -326,22 +424,19 @@ class RMI:
             # Each key's array position in training order, scaled to
             # next-layer model indexes for inner layers trained on them.
             fit_keys, fit_offsets = ordered_keys, offsets
-            if routed is not None:
-                targets = None  # the fit kernel targets key positions
+            if fanout == 1 and model_type is LinearSpline:
+                # LinearSpline.fit reads the first and last point only,
+                # so it is fitted on those two, not n targets.
+                ends = np.array([0, n - 1])
+                fit_keys, fit_offsets = ordered_keys[ends], [0, 2]
+                targets = (ends if order is None
+                           else order[ends]).astype(np.float64)
+            elif order is None:
+                targets = np.arange(n, dtype=np.float64)
             else:
-                if fanout == 1 and model_type is LinearSpline:
-                    # LinearSpline.fit reads the first and last point
-                    # only, so it is fitted on those two, not n targets.
-                    ends = np.array([0, n - 1])
-                    fit_keys, fit_offsets = ordered_keys[ends], [0, 2]
-                    targets = (ends if order is None
-                               else order[ends]).astype(np.float64)
-                elif order is None:
-                    targets = np.arange(n, dtype=np.float64)
-                else:
-                    targets = order.astype(np.float64)
-                if not last_layer and self.train_on_model_index:
-                    targets *= next_fanout / n
+                targets = order.astype(np.float64)
+            if not last_layer and self.train_on_model_index:
+                targets *= next_fanout / n
 
             # --- train models ----------------------------------------
             t2 = time.perf_counter()
@@ -350,10 +445,7 @@ class RMI:
                 if self.grouped_fit and fanout > 1
                 else None
             )
-            if routed is not None:
-                layer = LayerTable(*kernels.rmi_fit_leaves(self.keys, offsets))
-                layer_fit_path = "grouped"
-            elif fitter is not None:
+            if fitter is not None:
                 codes, params = fitter(fit_keys, targets, fit_offsets)
                 layer = LayerTable(codes, params)
                 layer_fit_path = "grouped"
@@ -391,27 +483,18 @@ class RMI:
             # --- assign keys to the next layer ------------------------
             if not last_layer:
                 t4 = time.perf_counter()
-                if kernels is not None and layer[0].is_monotonic():
-                    # Only the root routes here (the kernels cover two
-                    # layers); None means the staged step must run.
-                    routed = kernels.rmi_route_counts(
-                        self.keys, layer, next_fanout
+                if fanout == 1:
+                    preds = _predict_routed(layer, ordered_keys, None)
+                else:
+                    seg_ids = np.repeat(
+                        np.arange(fanout, dtype=np.int64), counts
                     )
-                if routed is None:
-                    if fanout == 1:
-                        preds = _predict_routed(layer, ordered_keys, None)
-                    else:
-                        seg_ids = np.repeat(
-                            np.arange(fanout, dtype=np.int64), counts
-                        )
-                        preds = _predict_routed(layer, ordered_keys, seg_ids)
-                    assign = _assignments(
-                        preds, next_fanout, n, self.train_on_model_index
-                    )
+                    preds = _predict_routed(layer, ordered_keys, seg_ids)
+                assign = _assignments(
+                    preds, next_fanout, n, self.train_on_model_index
+                )
                 stats.keys_touched += n
                 stats.segment_seconds += time.perf_counter() - t4
-            elif routed is not None:
-                self._leaf_counts = routed
             elif order is None:
                 self._leaf_model_ids = assign
             else:
@@ -430,25 +513,15 @@ class RMI:
             self.bounds = NoBounds(n)
         else:
             t5 = time.perf_counter()
-            if routed is not None:
-                slopes, intercepts = self._leaf_linear
-                self.bounds = self.bound_type.from_extremes(
-                    *kernels.rmi_leaf_extremes(
-                        self.keys, slopes, intercepts, offsets
-                    )
-                )
-            else:
-                preds = self._predict_positions(
-                    self.keys, self._leaf_model_ids
-                )
-                self.bounds = compute_bounds(
-                    self.bound_type,
-                    preds,
-                    np.arange(n, dtype=np.int64),
-                    self._leaf_model_ids,
-                    self.layer_sizes[-1],
-                    n,
-                )
+            preds = self._predict_positions(self.keys, self._leaf_model_ids)
+            self.bounds = compute_bounds(
+                self.bound_type,
+                preds,
+                np.arange(n, dtype=np.int64),
+                self._leaf_model_ids,
+                self.layer_sizes[-1],
+                n,
+            )
             stats.keys_touched += n
             stats.bounds_seconds += time.perf_counter() - t5
         self.build_stats = stats
@@ -475,10 +548,8 @@ class RMI:
             and self.bound_type in BOUND_TYPES.values()
         ):
             return None
-        from ..kernels import get_backend
-
         try:
-            backend = get_backend(self.kernels)
+            backend = _kernels.get_backend(self.kernels)
         except (RuntimeError, ValueError):
             # An unloadable explicit backend is reported by the first
             # lookup, as it always was; the build does not need it.
@@ -519,26 +590,24 @@ class RMI:
     def _packed_rmi(self):
         """Kernel-ready packing of this RMI, cached until mutation.
 
-        The cache token is the bounds object's identity plus every
-        layer's mutation counter, so in-place model replacement
-        (``rmi.layers[d][j] = model``) or a bounds swap re-packs on the
-        next batch call.  Returns ``None`` for representations the
-        kernels cannot evaluate (object-mode layers, extension model
-        families, custom bounds) -- callers then stay on the staged
-        NumPy path.
+        The cache token is the bounds object's identity plus
+        :attr:`LayerTable.mutations`, which every in-place model
+        replacement (``rmi.layers[d][j] = model``) bumps, so a mutated
+        layer or a bounds swap re-packs on the next batch call.  Returns
+        ``None`` for representations the kernels cannot evaluate
+        (object-mode layers, extension model families, custom bounds)
+        -- callers then stay on the staged NumPy path.
         """
-        versions = tuple(getattr(l, "_version", 0) for l in self.layers)
         cached = self._packed_cache
+        token = LayerTable.mutations
         if (
             cached is not None
             and cached[0] is self.bounds
-            and cached[1] == versions
+            and cached[1] == token
         ):
             return cached[2]
-        from ..kernels import pack_rmi
-
-        packed = pack_rmi(self)
-        self._packed_cache = (self.bounds, versions, packed)
+        packed = _kernels.pack_rmi(self)
+        self._packed_cache = (self.bounds, token, packed)
         return packed
 
     def _kernel_state(self):
@@ -550,9 +619,7 @@ class RMI:
         it is faster than the ``rmi_*`` replay, which stays the
         reference the compiled kernels are tested against.
         """
-        from ..kernels import get_backend
-
-        backend = get_backend(self.kernels)
+        backend = _kernels.get_backend(self.kernels)
         if not backend.compiled:
             return None
         packed = self._packed_rmi()
@@ -567,9 +634,7 @@ class RMI:
         kernel entry point (routing, prediction, bounded search, fused
         serve) is loaded before live traffic arrives.
         """
-        from ..kernels import get_backend
-
-        get_backend(self.kernels).warmup()
+        _kernels.get_backend(self.kernels).warmup()
         probe = self.keys[:1]
         self.serve_batch(probe, probe, probe)
 
@@ -693,9 +758,7 @@ class RMI:
         # interval (absent keys or duplicate runs crossing the edge),
         # the batch counterpart of _escape_interval.  It runs on this
         # RMI's backend, not the process default.
-        from ..kernels import get_backend
-
-        return get_backend(self.kernels).lower_bound_window(
+        return _kernels.get_backend(self.kernels).lower_bound_window(
             self.keys, queries, lo, hi
         )
 
@@ -732,7 +795,7 @@ class RMI:
         highs = np.asarray(range_highs, dtype=np.uint64)
         if len(lows) != len(highs):
             raise ValueError("serve_batch needs equal-length range bounds")
-        if np.any(highs < lows):
+        if len(lows) and np.any(highs < lows):
             raise ValueError("serve_batch requires low <= high")
         state = self._kernel_state()
         if state is not None:

@@ -13,10 +13,19 @@ A backend provides the hot kernels of the lookup path over flat arrays
     bound over the sorted delta buffer plus a per-rank position
     correction gather, fused into one pass
     (``repro.writable.index._View.lookup`` dispatches here).
-``merge_live``
+``merge_delta``
+    The writable tier's write: a sorted write batch merged into the
+    sorted delta buffer, with the merged lookup's correction array, in
+    one pass (``repro.writable.index._View.merged_with`` dispatches
+    here).
+``compact_delta``
+    The writable tier's publication: the delta entries newer than a
+    rebuild's watermark, with their correction against the rebuilt base
+    (``WritableIndex.finish_rebuild`` dispatches here).
+``merge_live`` / ``merge_live_steps``
     The writable tier's snapshot: the base keys merged with the delta
     buffer into the sorted live key array a rebuild builds over
-    (``repro.writable.index._View.live_keys`` dispatches here).
+    (``repro.writable.index._View.live_keys_steps`` dispatches here).
 ``rmi_predict`` / ``rmi_lookup`` / ``rmi_serve``
     The RMI-specific fused paths: Equation-3 routing + Equation-4 leaf
     prediction, the full predict→bounds→bounded-search lookup, and the
@@ -28,10 +37,19 @@ A backend provides the hot kernels of the lookup path over flat arrays
 ``tree_lookup`` / ``tree_serve``
     Fused descent over a :class:`~repro.kernels.packed_tree.PackedTree`
     (sparse B+-tree directory, Hist-Tree bin descent).
-``rmi_route_counts`` / ``rmi_fit_leaves`` / ``rmi_leaf_extremes``
-    Optional RMI build kernels (``build_kernels``): the segment, leaves
-    and bounds steps of the two-layer grouped LR build, in place of the
-    staged NumPy steps of ``RMI._build``, which stay the reference.
+``rmi_build_leaves``
+    Optional RMI build kernel (``build_kernels``): the segment, leaves
+    and bounds steps of the two-layer grouped LR build fused into one
+    pass, in place of the staged NumPy steps of ``RMI._build``, which
+    stay the reference.
+
+**Steps.**  The snapshot and the build kernel also come as step
+generators (``*_steps``): each ``next()`` runs one bounded step, at
+most :attr:`KernelBackend.step_keys` key visits, and yields the number
+of keys it covered; the generator returns the result.  A
+served index rebuilds through them on the event-loop thread, one step
+at a time (:meth:`~repro.serve.server.IndexServer.rebuild`); the
+one-shot methods run the same steps back to back (:func:`run_steps`).
 
 :meth:`KernelBackend.lookup` / :meth:`KernelBackend.serve` dispatch a
 packed structure of any family to the right kernel via its
@@ -53,8 +71,11 @@ import numpy as np
 __all__ = [
     "KernelBackend",
     "PACKED_DISPATCH",
+    "check_compact",
     "check_delta",
+    "check_merge",
     "check_windows",
+    "run_steps",
 ]
 
 #: ``packed_kind`` tag -> (lookup method, serve method) names.
@@ -84,6 +105,40 @@ def check_delta(delta_keys, corr, base_positions, queries) -> None:
         raise ValueError("delta_correct needs one base position per query")
 
 
+def check_merge(delta, batch) -> None:
+    """``merge_delta``'s argument check, shared by every backend: one
+    op, seq and born stamp per key on each side, ``len(keys) + 1``
+    corrections for the delta and one base multiplicity per batch
+    key."""
+    for side, extra in ((delta, 1), (batch, 0)):
+        if any(len(a) != len(side[0]) for a in side[1:4]) or \
+                len(side[4]) != len(side[0]) + extra:
+            raise ValueError("merge_delta needs one op, seq and born stamp "
+                             "per key, len(keys) + 1 delta corrections and "
+                             "one base multiplicity per batch key")
+
+
+def check_compact(delta, snapshot) -> None:
+    """``compact_delta``'s argument check, shared by every backend: one
+    op, seq and born stamp per delta key, ``len(keys) + 1``
+    corrections, and one op per snapshot key."""
+    if any(len(a) != len(delta[0]) for a in delta[1:4]) or \
+            len(delta[4]) != len(delta[0]) + 1 or \
+            len(snapshot[1]) != len(snapshot[0]):
+        raise ValueError("compact_delta needs one op, seq and born stamp "
+                         "per delta key, len(keys) + 1 corrections and one "
+                         "op per snapshot key")
+
+
+def run_steps(steps):
+    """Run a step generator to the end; returns what it returns."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
+
+
 class KernelBackend:
     """One implementation of the hot lookup kernels."""
 
@@ -94,6 +149,12 @@ class KernelBackend:
     #: faster than the NumPy replay.  The packable baselines call every
     #: backend, NumPy included.
     compiled: bool = False
+    #: The work bound of one step of a ``*_steps`` generator, in key
+    #: visits: a pass that visits each key ``v`` times covers
+    #: ``step_keys // v`` keys per step -- the snapshot merge one visit
+    #: per key, the RMI build pass four (route, two fit sums, bounds).
+    #: About 1 ms of C on one core.
+    step_keys: int = 1 << 19
 
     def lower_bound_window(
         self,
@@ -138,6 +199,36 @@ class KernelBackend:
         return np.asarray(base_positions, dtype=np.int64) + \
             np.asarray(corr, dtype=np.int64)[idx]
 
+    def merge_delta(self, delta, batch):
+        """The writable tier's write: ``batch`` merged into ``delta``.
+
+        ``delta`` is ``(keys, ops, seqs, born, corr)``: the sorted,
+        per-key-unique ``uint64`` keys, their ``int8`` ops (1 insert, 0
+        tombstone), ``int64`` sequence numbers and ``float64`` born
+        stamps, and the ``int64`` correction -- ``corr[i]`` is the
+        number of insert entries minus the base multiplicities of the
+        first ``i`` keys (``len(keys) + 1`` entries).  ``batch`` is
+        ``(keys, ops, seqs, born, mult)``, with each key's base
+        multiplicity.  A batch entry replaces the delta entry of its key
+        and keeps the older born stamp.  Returns the merged ``(keys,
+        ops, seqs, born, corr)``.  Raises ``ValueError`` on a length
+        mismatch (:func:`check_merge`).
+        """
+        raise NotImplementedError
+
+    def compact_delta(self, delta, snapshot, watermark: int):
+        """The writable tier's publication: the entries of ``delta`` --
+        ``(keys, ops, seqs, born, corr)`` as in :meth:`merge_delta` --
+        with a sequence number above ``watermark``, and their correction
+        against the base rebuilt over a rebuild's snapshot, whose delta
+        was ``snapshot`` (``(keys, ops)``, sorted).  A key the snapshot
+        holds has the multiplicity the snapshot's op gave it (1 for an
+        insert, else 0); any other keeps its old base multiplicity.
+        Returns the kept ``(keys, ops, seqs, born, corr)``.  Raises
+        ``ValueError`` on a length mismatch (:func:`check_compact`).
+        """
+        raise NotImplementedError
+
     def merge_live(
         self,
         base_keys: np.ndarray,
@@ -154,6 +245,11 @@ class KernelBackend:
         ``size`` is the length of the result, which the caller counts
         from prefix sums it already holds.
         """
+        return run_steps(self.merge_live_steps(base_keys, delta_keys,
+                                               delta_ops, size))
+
+    def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
+        """:meth:`merge_live` as a step generator."""
         raise NotImplementedError
 
     def rmi_predict(
@@ -213,45 +309,41 @@ class KernelBackend:
         """Fused tree serving unit: ``(positions, starts, counts)``."""
         raise NotImplementedError
 
-    # -- RMI build kernels -----------------------------------------------
+    # -- RMI build kernel ------------------------------------------------
     #
     # The staged NumPy steps of ``RMI._build`` are the reference build.
     # A backend with ``build_kernels`` replaces three of them for the
     # two-layer grouped LR build (see ``RMI._build_kernels``) and must
-    # reproduce them bit for bit.  Only the C backend has them.
+    # reproduce them bit for bit.  Only the C backend has it.
 
-    #: True when the backend implements the three build kernels below.
+    #: True when the backend implements :meth:`rmi_build_leaves`.
     build_kernels: bool = False
 
-    def rmi_route_counts(
+    def rmi_build_leaves(
         self, keys: np.ndarray, root, fanout: int
-    ) -> "np.ndarray | None":
-        """Segment step: per-leaf key counts of routing ``keys`` through
-        the one-model ``root`` layer (trained on model indexes).
+    ) -> "tuple[np.ndarray, ...] | None":
+        """The segment, leaves and bounds steps in one pass.
 
-        ``None`` when the root is not one the kernel evaluates, or when
-        the routing decreases somewhere; the caller then runs the staged
-        step.
+        Routes ``keys`` through the one-model ``root`` layer (trained on
+        model indexes) into ``fanout`` leaves; fits each leaf like
+        ``LinearRegression.fit_grouped`` with each key's index as its
+        target; and takes each leaf's minimum and maximum signed error
+        of the clamped integral linear prediction (``(0, 0)`` for an
+        empty leaf).  Returns ``(counts, codes, params, lo, hi)``: keys
+        per leaf, the leaf layer's SoA table, and the extremes.  ``None``
+        when the root is not one the kernel evaluates, or when the
+        routing decreases somewhere; the caller then runs the staged
+        steps.  Raises ``ValueError`` when ``keys`` decrease somewhere:
+        the pass checks their order too.
         """
-        raise NotImplementedError
+        return run_steps(self.rmi_build_leaves_steps(keys, root, fanout))
 
-    def rmi_fit_leaves(
-        self, keys: np.ndarray, offsets: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Leaves step: ``LinearRegression.fit_grouped(keys, positions,
-        offsets)`` with each key's index as its target."""
-        raise NotImplementedError
-
-    def rmi_leaf_extremes(
-        self,
-        keys: np.ndarray,
-        slopes: np.ndarray,
-        intercepts: np.ndarray,
-        offsets: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        """Bounds step: per-segment minimum and maximum signed error of
-        the clamped integral linear prediction, ``(0, 0)`` for an empty
-        segment."""
+    def rmi_build_leaves_steps(self, keys, root, fanout):
+        """:meth:`rmi_build_leaves` in steps that route ``step_keys //
+        4`` keys each; a leaf is fitted in the step that routes its last
+        key, so a step fits at most as many keys plus those of the leaf
+        it found open.  Each step yields the keys it routed plus the
+        keys it fitted."""
         raise NotImplementedError
 
     # -- generic dispatch ------------------------------------------------

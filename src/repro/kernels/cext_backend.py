@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import KernelBackend, check_delta, check_windows
+from .base import KernelBackend, check_compact, check_delta, check_merge, \
+    check_windows
 from .binding import address, run_argtypes
 from .packed import PACKABLE_MODEL_CODES, PackedRMI
 from .packed_pla import PackedPLA
@@ -559,36 +560,148 @@ void repro_delta_correct(const uint64_t *delta_keys, int64_t dn,
     }
 }
 
+/* Lower bound of q in keys[i, n), searched outward from i in doubling
+ * steps: O(log d) probes when the answer is d keys past i. */
+static int64_t gallop(const uint64_t *keys, int64_t i, int64_t n,
+                      uint64_t q) {
+    int64_t lo = i, hi = i, step = 1;
+    while (hi < n && keys[hi] < q) {
+        lo = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    return lower_bound(keys, lo, hi < n ? hi : n, q);
+}
+
+/* Writable-tier write: merge a sorted, per-key-unique write batch into
+ * the sorted, per-key-unique delta buffer in one linear pass.  Both
+ * hold keys, ops, seqs and born stamps; the delta also its correction
+ * (dcorr, dn + 1 entries: insert entries minus base multiplicities
+ * among the first i), the batch each key's base multiplicity.  A batch
+ * entry replaces the delta entry of its key but keeps the older born
+ * stamp.  Each delta run between two batch keys is found by galloping
+ * and block-copied, and its correction is the old one shifted by what
+ * the batch added before it.  The outputs hold dn + bn entries (ocorr
+ * one more); returns how many were written. */
+int64_t repro_merge_delta(const uint64_t *dk, const int8_t *dops,
+                          const int64_t *dseq, const double *dborn,
+                          const int64_t *dcorr, int64_t dn,
+                          const uint64_t *bk, const int8_t *bops,
+                          const int64_t *bseq, const double *bborn,
+                          const int64_t *bmult, int64_t bn,
+                          uint64_t *ok, int8_t *oops, int64_t *oseq,
+                          double *oborn, int64_t *ocorr) {
+    int64_t i = 0, o = 0;
+    ocorr[0] = 0;
+    for (int64_t j = 0; j <= bn; j++) {
+        int64_t start = i;
+        i = j < bn ? gallop(dk, i, dn, bk[j]) : dn;
+        int64_t len = i - start, shift = ocorr[o] - dcorr[start];
+        memcpy(ok + o, dk + start, (size_t)len * sizeof *ok);
+        memcpy(oops + o, dops + start, (size_t)len * sizeof *oops);
+        memcpy(oseq + o, dseq + start, (size_t)len * sizeof *oseq);
+        memcpy(oborn + o, dborn + start, (size_t)len * sizeof *oborn);
+        for (int64_t k = 1; k <= len; k++) {
+            ocorr[o + k] = dcorr[start + k] + shift;
+        }
+        o += len;
+        if (j == bn) break;
+        double born = bborn[j];
+        if (i < dn && dk[i] == bk[j]) {
+            if (dborn[i] < born) born = dborn[i];
+            i++;
+        }
+        ok[o] = bk[j];
+        oops[o] = bops[j];
+        oseq[o] = bseq[j];
+        oborn[o] = born;
+        ocorr[o + 1] = ocorr[o] + (bops[j] == 1) - bmult[j];
+        o++;
+    }
+    return o;
+}
+
+/* Writable-tier publication: the delta entries newer than a rebuild's
+ * watermark, with their correction against the base rebuilt over the
+ * rebuild's snapshot.  An entry whose key the snapshot's delta holds
+ * (sk, sops) has the multiplicity the snapshot gave it there (1 for an
+ * insert, else 0); any other keeps its old base multiplicity, so its
+ * share of the correction is the old one.  The outputs hold dn entries
+ * (ocorr one more); returns how many were written. */
+int64_t repro_compact_delta(const uint64_t *dk, const int8_t *dops,
+                            const int64_t *dseq, const double *dborn,
+                            const int64_t *dcorr, int64_t dn,
+                            const uint64_t *sk, const int8_t *sops,
+                            int64_t sn, int64_t watermark,
+                            uint64_t *ok, int8_t *oops, int64_t *oseq,
+                            double *oborn, int64_t *ocorr) {
+    int64_t j = 0, o = 0;
+    ocorr[0] = 0;
+    for (int64_t i = 0; i < dn; i++) {
+        if (dseq[i] <= watermark) continue;
+        j = gallop(sk, j, sn, dk[i]);
+        int64_t share = dcorr[i + 1] - dcorr[i];
+        if (j < sn && sk[j] == dk[i]) {
+            share = (dops[i] == 1) - (sops[j] == 1);
+        }
+        ok[o] = dk[i];
+        oops[o] = dops[i];
+        oseq[o] = dseq[i];
+        oborn[o] = dborn[i];
+        ocorr[o + 1] = ocorr[o] + share;
+        o++;
+    }
+    return o;
+}
+
 /* Writable-tier snapshot: the sorted base keys merged with the sorted,
- * per-key-unique delta in one linear pass.  The base run below each
- * delta key is copied whole, every base copy of the delta key is
- * skipped, and an insert (op != 0) writes the key once.  Writes at most
- * cap keys and returns how many it wrote, or -1 when the live keys
- * exceed cap (the caller counts them from prefix sums it holds, so
- * that means inconsistent input). */
-int64_t repro_merge_live(const uint64_t *base, int64_t n,
+ * per-key-unique delta in one linear pass, resumable.  The base run
+ * below each delta key is copied whole, every base copy of the delta
+ * key is skipped, and an insert (op != 0) writes the key once.  state
+ * holds {base keys consumed, delta entries consumed, keys written}; a
+ * call consumes at most budget base keys and delta entries in all.
+ * Writes at most cap keys.  Returns 1 when the merge is complete, 0
+ * when it stopped on the budget (call again with the same state), -1
+ * when the live keys exceed cap (the caller counts them from prefix
+ * sums it holds, so that means inconsistent input). */
+int32_t repro_merge_live(const uint64_t *base, int64_t n,
                          const uint64_t *delta_keys,
                          const int8_t *delta_ops, int64_t dn,
-                         uint64_t *out, int64_t cap) {
-    int64_t i = 0, o = 0;
-    for (int64_t j = 0; j <= dn; j++) {
+                         uint64_t *out, int64_t cap, int64_t *state,
+                         int64_t budget) {
+    int64_t i = state[0], j = state[1], o = state[2];
+    int64_t end = i + j + budget;
+    int32_t done = 0;
+    for (;;) {
+        int64_t stop = end - j < n ? end - j : n;
         int64_t start = i;
         if (j < dn) {
-            while (i < n && base[i] < delta_keys[j]) i++;
+            while (i < stop && base[i] < delta_keys[j]) i++;
         } else {
-            i = n;
+            i = stop;
         }
         if (i - start > cap - o) return -1;
         memcpy(out + o, base + start, (size_t)(i - start) * sizeof *out);
         o += i - start;
-        if (j == dn) break;
-        while (i < n && base[i] == delta_keys[j]) i++;
+        if (j == dn) {
+            done = i == n;
+            break;
+        }
+        /* Stop on the budget inside a run, inside the skipped copies of
+         * the delta key, or before the delta entry itself. */
+        if (i < n && base[i] < delta_keys[j]) break;
+        while (i < stop && base[i] == delta_keys[j]) i++;
+        if ((i < n && base[i] == delta_keys[j]) || i + j == end) break;
         if (delta_ops[j]) {
             if (o == cap) return -1;
             out[o++] = delta_keys[j];
         }
+        j++;
     }
-    return o;
+    state[0] = i;
+    state[1] = j;
+    state[2] = o;
+    return done;
 }
 
 void repro_rmi_predict(const int8_t *codes, const double *params,
@@ -710,43 +823,12 @@ void repro_tree_serve(const uint64_t *keys, int64_t n, int32_t kind,
     }
 }
 
-/* ---- RMI build kernels -------------------------------------------------
+/* ---- RMI build kernel ---------------------------------------------------
  * The segment, leaves and bounds steps of RMI._build for a two-layer RMI
- * with a one-model root and LR leaves over a sorted routing.  Each one
- * replays its staged NumPy step bit for bit and allocates nothing per
- * key: segment j of the leaf layer is keys[off_j, off_j + count_j), and
- * a key's position is its index. */
-
-/* Segment step: route every key through the root and count keys per
- * leaf.  The arithmetic is route_leaf's on a model-index-trained root
- * (RMI._assignments), except that the clamped estimate is truncated:
- * it is >= 0, so truncation is floor, without a libm call per key.
- * Counting by runs of equal leaves keeps the loop free of a memory
- * increment per key.  Returns 0 as soon as the routing decreases (the
- * staged build then runs instead), 1 for the sorted segmentation the
- * staged build takes for a monotone root. */
-int32_t repro_rmi_route_counts(const uint64_t *keys, int64_t n,
-                               const int8_t *root_code,
-                               const double *root_params,
-                               int64_t fanout, int64_t *counts) {
-    double cap = (double)(fanout - 1);
-    int64_t run_leaf = 0, run_start = 0;
-    for (int64_t j = 0; j < fanout; j++) counts[j] = 0;
-    for (int64_t i = 0; i < n; i++) {
-        double est = eval_model(root_code[0], root_params, keys[i]);
-        if (isnan(est) || est < 0.0) est = 0.0;
-        if (est > cap) est = cap;
-        int64_t leaf = (int64_t)est;
-        if (leaf != run_leaf) {
-            if (leaf < run_leaf) return 0;
-            counts[run_leaf] = i - run_start;
-            run_leaf = leaf;
-            run_start = i;
-        }
-    }
-    counts[run_leaf] = n - run_start;
-    return 1;
-}
+ * with a one-model root and LR leaves over a sorted routing, fused into
+ * one pass.  Each replays its staged NumPy step bit for bit and
+ * allocates nothing per key: leaf j's segment is keys[off_j, off_j +
+ * count_j), and a key's position is its index. */
 
 /* np.add.reduceat's summation order for one segment: the first term
  * plus NumPy's pairwise sum of the rest (pairwise_sum in NumPy's
@@ -807,49 +889,101 @@ DEFINE_SEGMENT_SUMS(moments,
                     ((double)keys[k] - mx) * ((double)keys[k] - mx),
                     ((double)keys[k] - mx) * ((double)k - my))
 
-/* Leaves step: LinearRegression.fit_grouped of every segment against
- * the key positions, into (fanout, 6) rows of (slope, intercept, 0...).
- * Empty segments keep a zero row (the caller codes them constant). */
-void repro_rmi_fit_leaves(const uint64_t *keys, const int64_t *offsets,
-                          int64_t fanout, double *params) {
-    for (int64_t j = 0; j < fanout; j++) {
-        int64_t lo = offsets[j], c = offsets[j + 1] - lo;
-        double *p = params + j * 6;
-        for (int t = 0; t < 6; t++) p[t] = 0.0;
-        if (c == 0) continue;
-        double cnt = (double)c, sx, sy, denom, num;
-        segment_means(keys, lo, c, 0.0, 0.0, &sx, &sy);
-        double mx = sx / cnt, my = sy / cnt;
-        segment_moments(keys, lo, c, mx, my, &denom, &num);
-        double slope = denom > 0.0 ? num / denom : 0.0;
-        p[0] = slope;
-        p[1] = my - slope * mx;
-    }
+/* Leaves step for one non-empty segment keys[lo, lo + c):
+ * LinearRegression.fit_grouped against the key positions, into
+ * p = (slope, intercept). */
+static void fit_leaf(const uint64_t *keys, int64_t lo, int64_t c,
+                     double *p) {
+    double cnt = (double)c, sx, sy, denom, num;
+    segment_means(keys, lo, c, 0.0, 0.0, &sx, &sy);
+    double mx = sx / cnt, my = sy / cnt;
+    segment_moments(keys, lo, c, mx, my, &denom, &num);
+    double slope = denom > 0.0 ? num / denom : 0.0;
+    p[0] = slope;
+    p[1] = my - slope * mx;
 }
 
-/* Bounds step: every segment's minimum and maximum signed error
- * (position - prediction) of the clamped integral prediction, the
- * arithmetic of RMI._predict_positions.  Empty segments get (0, 0), as
- * in core/bounds._per_model_extremes. */
-void repro_rmi_leaf_extremes(const uint64_t *keys, int64_t n,
-                             const double *slopes, const double *icepts,
-                             const int64_t *offsets, int64_t fanout,
-                             int64_t *lo_out, int64_t *hi_out) {
+/* Bounds step for one non-empty segment: the minimum and maximum
+ * signed error (position - prediction) of the clamped integral
+ * prediction, the arithmetic of RMI._predict_positions. */
+static void leaf_extremes(const uint64_t *keys, int64_t n, int64_t lo,
+                          int64_t c, double slope, double icept,
+                          int64_t *lo_out, int64_t *hi_out) {
     double cap = (double)(n - 1);
-    for (int64_t j = 0; j < fanout; j++) {
-        int64_t lo = INT64_MAX, hi = INT64_MIN;
-        for (int64_t k = offsets[j]; k < offsets[j + 1]; k++) {
-            double est = slopes[j] * (double)keys[k] + icepts[j];
-            if (isnan(est) || est < 0.0) est = 0.0;
-            if (est > cap) est = cap;
-            int64_t err = k - (int64_t)est;
-            lo = err < lo ? err : lo;
-            hi = err > hi ? err : hi;
-        }
-        if (lo > hi) lo = hi = 0;
-        lo_out[j] = lo;
-        hi_out[j] = hi;
+    int64_t emin = INT64_MAX, emax = INT64_MIN;
+    for (int64_t k = lo; k < lo + c; k++) {
+        double est = slope * (double)keys[k] + icept;
+        if (isnan(est) || est < 0.0) est = 0.0;
+        if (est > cap) est = cap;
+        int64_t err = k - (int64_t)est;
+        emin = err < emin ? err : emin;
+        emax = err > emax ? err : emax;
     }
+    *lo_out = emin;
+    *hi_out = emax;
+}
+
+/* The fused build pass over keys [lo, hi): route each key through the
+ * root and count keys per leaf, then fit each leaf whose last key the
+ * range routed and take its error extremes, while the range's keys are
+ * still in cache.  Called over consecutive ranges from 0 to n with
+ * counts, params ((fanout, 6) rows) and the extremes zeroed and run =
+ * {0, 0} before the first: an empty leaf keeps a zero row (the caller
+ * codes it constant) and extremes (0, 0), as in
+ * core/bounds._per_model_extremes.  The routing arithmetic is
+ * route_leaf's on a model-index-trained root (RMI._assignments),
+ * except that the clamped estimate is truncated: it is >= 0, so
+ * truncation is floor, without a libm call per key.  Counting by runs
+ * of equal leaves keeps the loop free of a memory increment per key;
+ * run carries the open run's {leaf, first key} across calls.  The pass
+ * also checks the key order.  Returns -1 at the first key below its
+ * predecessor, 0 as soon as the routing decreases (the staged build
+ * then runs instead), 1 for the sorted segmentation the staged build
+ * takes for a monotone root. */
+int32_t repro_rmi_build_leaves(const uint64_t *keys, int64_t n,
+                               int64_t lo, int64_t hi,
+                               const int8_t *root_code,
+                               const double *root_params,
+                               int64_t fanout, int64_t *counts,
+                               int64_t *run, double *params,
+                               int64_t *lo_out, int64_t *hi_out) {
+    double cap = (double)(fanout - 1), root[6];
+    int64_t first_leaf = run[0], run_leaf = run[0], run_start = run[1];
+    int64_t start = run[1];
+    int8_t code = root_code[0];
+    uint64_t prev = lo ? keys[lo - 1] : 0;
+    memcpy(root, root_params, sizeof root);
+    for (int64_t i = lo; i < hi; i++) {
+        uint64_t key = keys[i];
+        if (key < prev) return -1;
+        prev = key;
+        double est = eval_model(code, root, key);
+        if (isnan(est) || est < 0.0) est = 0.0;
+        if (est > cap) est = cap;
+        int64_t leaf = (int64_t)est;
+        if (leaf != run_leaf) {
+            if (leaf < run_leaf) return 0;
+            counts[run_leaf] = i - run_start;
+            run_leaf = leaf;
+            run_start = i;
+        }
+    }
+    run[0] = run_leaf;
+    run[1] = run_start;
+    if (hi == n) counts[run_leaf] = n - run_start;
+    /* The leaves completed in this range, in key order. */
+    int64_t last = hi == n ? run_leaf + 1 : run_leaf;
+    for (int64_t j = first_leaf; j < last; j++) {
+        int64_t c = counts[j];
+        if (c) {
+            double *p = params + j * 6;
+            fit_leaf(keys, start, c, p);
+            leaf_extremes(keys, n, start, c, p[0], p[1], lo_out + j,
+                          hi_out + j);
+        }
+        start += c;
+    }
+    return 1;
 }
 """
 
@@ -999,8 +1133,15 @@ _SIGNATURES = {
         [_ptr, _c_i64, _ptr, _c_i64, _ptr, _ptr, _ptr],
     "repro_delta_correct":
         [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr],
+    "repro_merge_delta":
+        [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64,
+         _ptr, _ptr, _ptr, _ptr, _ptr, _c_i64,
+         _ptr, _ptr, _ptr, _ptr, _ptr],
+    "repro_compact_delta":
+        [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64, _ptr, _ptr, _c_i64, _c_i64,
+         _ptr, _ptr, _ptr, _ptr, _ptr],
     "repro_merge_live":
-        [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _c_i64],
+        [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _c_i64, _ptr, _c_i64],
     "repro_rmi_predict":
         [*run_argtypes(PackedRMI.KERNEL_RUN[:_PREDICT_RUN]), _c_i64,
          _ptr, _c_i64, _ptr, _ptr],
@@ -1010,15 +1151,16 @@ _SIGNATURES = {
     "repro_pla_serve": _PLA_HEAD + _SERVE_TAIL,
     "repro_tree_lookup": _TREE_HEAD + _LOOKUP_TAIL,
     "repro_tree_serve": _TREE_HEAD + _SERVE_TAIL,
-    "repro_rmi_route_counts": [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr],
-    "repro_rmi_fit_leaves": [_ptr, _ptr, _c_i64, _ptr],
-    "repro_rmi_leaf_extremes":
-        [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr, _ptr],
+    "repro_rmi_build_leaves":
+        [_ptr, _c_i64, _c_i64, _c_i64, _ptr, _ptr, _c_i64, _ptr, _ptr,
+         _ptr, _ptr, _ptr],
 }
 
 #: Return types of the kernels that return a value (the rest are void).
-_RESTYPES = {"repro_rmi_route_counts": ctypes.c_int32,
-             "repro_merge_live": ctypes.c_int64}
+_RESTYPES = {"repro_rmi_build_leaves": ctypes.c_int32,
+             "repro_merge_delta": ctypes.c_int64,
+             "repro_compact_delta": ctypes.c_int64,
+             "repro_merge_live": ctypes.c_int32}
 
 
 def load() -> "CExtBackend":
@@ -1046,15 +1188,14 @@ def _i64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _segments(keys, offsets):
-    """``(keys, offsets)`` as the build kernels index them, checked:
-    ``offsets`` must run from 0 to ``len(keys)`` without decreasing."""
-    keys, offsets = _u64(keys), _i64(offsets)
-    if len(offsets) < 1 or offsets[0] != 0 or offsets[-1] != len(keys) \
-            or np.any(offsets[1:] < offsets[:-1]):
-        raise ValueError("segment offsets must run from 0 to len(keys) "
-                         "without decreasing")
-    return keys, offsets
+def _delta_arrays(arrays):
+    """One side of ``merge_delta`` -- ``(keys, ops, seqs, born)`` and
+    the correction or the base multiplicities -- in the kernel's
+    dtypes."""
+    keys, ops, seqs, born, counts = arrays
+    return (_u64(keys), np.ascontiguousarray(ops, dtype=np.int8),
+            _i64(seqs), np.ascontiguousarray(born, dtype=np.float64),
+            _i64(counts))
 
 
 class CExtBackend(KernelBackend):
@@ -1103,21 +1244,54 @@ class CExtBackend(KernelBackend):
         )
         return out
 
-    def merge_live(self, base_keys, delta_keys, delta_ops, size):
+    def merge_delta(self, delta, batch):
+        delta, batch = _delta_arrays(delta), _delta_arrays(batch)
+        check_merge(delta, batch)
+        cap = len(delta[0]) + len(batch[0])
+        out = (np.empty(cap, dtype=np.uint64), np.empty(cap, dtype=np.int8),
+               np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.float64),
+               np.empty(cap + 1, dtype=np.int64))
+        written = self._lib.repro_merge_delta(
+            *map(address, delta), len(delta[0]),
+            *map(address, batch), len(batch[0]), *map(address, out),
+        )
+        return (*(a[:written] for a in out[:4]), out[4][:written + 1])
+
+    def compact_delta(self, delta, snapshot, watermark):
+        delta = _delta_arrays(delta)
+        snap_keys = _u64(snapshot[0])
+        snap_ops = np.ascontiguousarray(snapshot[1], dtype=np.int8)
+        check_compact(delta, (snap_keys, snap_ops))
+        n = len(delta[0])
+        out = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int8),
+               np.empty(n, dtype=np.int64), np.empty(n, dtype=np.float64),
+               np.empty(n + 1, dtype=np.int64))
+        written = self._lib.repro_compact_delta(
+            *map(address, delta), n, address(snap_keys), address(snap_ops),
+            len(snap_keys), int(watermark), *map(address, out),
+        )
+        return (*(a[:written] for a in out[:4]), out[4][:written + 1])
+
+    def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
         base_keys, delta_keys = _u64(base_keys), _u64(delta_keys)
         delta_ops = np.ascontiguousarray(delta_ops, dtype=np.int8)
         if len(delta_ops) != len(delta_keys):
             raise ValueError("merge_live needs one op per delta key")
         out = np.empty(size, dtype=np.uint64)
-        written = self._lib.repro_merge_live(
-            address(base_keys), len(base_keys), address(delta_keys),
-            address(delta_ops), len(delta_keys), address(out), size,
-        )
-        if written != size:
-            got = "more" if written < 0 else written
-            raise ValueError(f"merge_live: {size} live keys expected, "
-                             f"the merge gives {got}")
-        return out
+        state = np.zeros(3, dtype=np.int64)
+        args = (address(base_keys), len(base_keys), address(delta_keys),
+                address(delta_ops), len(delta_keys), address(out), size,
+                address(state), self.step_keys)
+        while True:
+            before = int(state[0] + state[1])
+            done = self._lib.repro_merge_live(*args)
+            if done < 0 or (done and state[2] != size):
+                got = "more" if done < 0 else int(state[2])
+                raise ValueError(f"merge_live: {size} live keys expected, "
+                                 f"the merge gives {got}")
+            yield int(state[0] + state[1]) - before
+            if done:
+                return out
 
     def rmi_predict(self, packed: PackedRMI, queries):
         queries = _u64(queries)
@@ -1191,55 +1365,48 @@ class CExtBackend(KernelBackend):
 
     build_kernels = True
 
-    def rmi_route_counts(self, keys, root, fanout):
+    def rmi_build_leaves_steps(self, keys, root, fanout):
+        from ..core.models import SOA_MODEL_CODES, ConstantModel, \
+            LinearRegression
+
         codes = getattr(root, "codes", None)
         if codes is None or len(codes) != 1 or \
                 int(codes[0]) not in PACKABLE_MODEL_CODES:
             return None
         if fanout < 1:
-            raise ValueError("rmi_route_counts needs at least one leaf")
+            raise ValueError("rmi_build_leaves needs at least one leaf")
         keys = _u64(keys)
         code = np.ascontiguousarray(codes, dtype=np.int8)
-        params = np.ascontiguousarray(root.params, dtype=np.float64)
-        if params.size != 6:
-            raise ValueError("rmi_route_counts needs one 6-parameter root")
-        counts = np.empty(fanout, dtype=np.int64)
-        ordered = self._lib.repro_rmi_route_counts(
-            address(keys), len(keys), address(code), address(params),
-            fanout, address(counts),
-        )
-        return counts if ordered else None
-
-    def rmi_fit_leaves(self, keys, offsets):
-        from ..core.models import SOA_MODEL_CODES, ConstantModel, \
-            LinearRegression
-
-        keys, offsets = _segments(keys, offsets)
-        fanout = len(offsets) - 1
-        params = np.empty((fanout, 6), dtype=np.float64)
-        self._lib.repro_rmi_fit_leaves(
-            address(keys), address(offsets), fanout, address(params),
-        )
+        root_params = np.ascontiguousarray(root.params, dtype=np.float64)
+        if root_params.size != 6:
+            raise ValueError("rmi_build_leaves needs one 6-parameter root")
+        n = len(keys)
+        counts = np.zeros(fanout, dtype=np.int64)
+        run = np.zeros(2, dtype=np.int64)
+        params = np.zeros((fanout, 6), dtype=np.float64)
+        lo_err = np.zeros(fanout, dtype=np.int64)
+        hi_err = np.zeros(fanout, dtype=np.int64)
+        args = (address(code), address(root_params), fanout,
+                address(counts), address(run), address(params),
+                address(lo_err), address(hi_err))
+        step = max(self.step_keys // 4, 1)  # four visits per key
+        for lo in range(0, n, step):
+            hi = min(n, lo + step)
+            fitted = int(run[1])
+            routed = self._lib.repro_rmi_build_leaves(address(keys), n, lo,
+                                                      hi, *args)
+            if routed < 0:
+                raise ValueError("keys must be sorted in non-decreasing "
+                                 "order")
+            if not routed:
+                return None
+            # The keys routed, and those of the leaves fitted.
+            yield (hi - lo) + (n if hi == n else int(run[1])) - fitted
         codes = np.where(
-            offsets[1:] > offsets[:-1], SOA_MODEL_CODES[LinearRegression],
+            counts > 0, SOA_MODEL_CODES[LinearRegression],
             SOA_MODEL_CODES[ConstantModel],
         ).astype(np.int8)
-        return codes, params
-
-    def rmi_leaf_extremes(self, keys, slopes, intercepts, offsets):
-        keys, offsets = _segments(keys, offsets)
-        fanout = len(offsets) - 1
-        slopes = np.ascontiguousarray(slopes, dtype=np.float64)
-        intercepts = np.ascontiguousarray(intercepts, dtype=np.float64)
-        if len(slopes) != fanout or len(intercepts) != fanout:
-            raise ValueError("need one slope and intercept per segment")
-        lo = np.empty(fanout, dtype=np.int64)
-        hi = np.empty(fanout, dtype=np.int64)
-        self._lib.repro_rmi_leaf_extremes(
-            address(keys), len(keys), address(slopes), address(intercepts),
-            address(offsets), fanout, address(lo), address(hi),
-        )
-        return lo, hi
+        return counts, codes, params, lo_err, hi_err
 
     def warmup(self) -> None:
         """The library is ahead-of-time compiled; loading was the warm-up."""

@@ -1,7 +1,8 @@
 """Pure-NumPy kernel backend: the reference and universal fallback.
 
 ``lower_bound_window`` delegates to the staged implementation in
-:mod:`repro.core.search`; ``merge_live`` is the writable tier's
+:mod:`repro.core.search`; ``merge_delta`` is the writable tier's
+splice of a write batch into the delta buffer, and ``merge_live`` its
 sort-based snapshot; the ``rmi_*`` kernels replay the exact
 arithmetic of :class:`repro.core.rmi.RMI`'s staged batch path over the
 packed arrays.  The ``pla_*``/``tree_*`` kernels *are* the NumPy batch
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import KernelBackend, check_windows
+from .base import KernelBackend, check_compact, check_merge, check_windows
 from .packed import BOUNDS_NONE, BOUNDS_PER_MODEL, PackedRMI
 from .packed_pla import PLA_DESCEND, PLA_SEGMENT, PackedPLA
 from .packed_tree import TREE_SPARSE, PackedTree
@@ -64,9 +65,72 @@ class NumpyBackend(KernelBackend):
             return np.zeros(len(queries), dtype=np.int64)
         return _batch_lower_bound_window_numpy(keys, queries, lo, hi)
 
-    # -- writable-tier snapshot ------------------------------------------
+    # -- writable tier ---------------------------------------------------
 
-    def merge_live(self, base_keys, delta_keys, delta_ops, size):
+    def merge_delta(self, delta, batch):
+        delta = tuple(np.asarray(a) for a in delta)
+        batch = tuple(np.asarray(a) for a in batch)
+        check_merge(delta, batch)
+        old_keys, old_born = delta[0].astype(np.uint64), delta[3]
+        keys = batch[0].astype(np.uint64)
+        # The batch is spliced into the buffer: one searchsorted of the
+        # batch, then linear copies, with no sort of the buffer.
+        pos = np.searchsorted(old_keys, keys, side="left")
+        hit = pos < len(old_keys)
+        hit[hit] = old_keys[pos[hit]] == keys[hit]
+        born = np.array(batch[3], dtype=np.float64)
+        born[hit] = np.minimum(born[hit], old_born[pos[hit]])
+        fresh = ~hit
+        # Each batch entry's slot: its insertion point plus the new keys
+        # spliced in before it (a replaced entry keeps its slot).
+        slots = pos + (np.cumsum(fresh) - fresh)
+        added = slots[fresh]
+        kept = np.ones(len(old_keys) + len(added), dtype=bool)
+        kept[added] = False
+
+        def merge(old: np.ndarray, new: np.ndarray,
+                  dtype: type) -> np.ndarray:
+            out = np.empty(len(kept), dtype=dtype)
+            out[kept] = old
+            out[added] = new[fresh]
+            out[slots[hit]] = new[hit]
+            return out
+
+        # Each entry adds its insert flag minus its base multiplicity to
+        # the correction: the old entries' shares are the old
+        # correction's steps.
+        shares = merge(np.diff(np.asarray(delta[4], dtype=np.int64)),
+                       (batch[1] == 1) - np.asarray(batch[4], np.int64),
+                       np.int64)
+        corr = np.zeros(len(kept) + 1, dtype=np.int64)
+        np.cumsum(shares, out=corr[1:])
+        return (merge(old_keys, keys, np.uint64),
+                merge(delta[1], batch[1], np.int8),
+                merge(delta[2], batch[2], np.int64),
+                merge(old_born, born, np.float64), corr)
+
+    def compact_delta(self, delta, snapshot, watermark):
+        delta = tuple(np.asarray(a) for a in delta)
+        snap_keys = np.asarray(snapshot[0], dtype=np.uint64)
+        snap_ops = np.asarray(snapshot[1])
+        check_compact(delta, (snap_keys, snap_ops))
+        keys, ops = delta[0].astype(np.uint64), delta[1]
+        keep = np.asarray(delta[2]) > np.int64(watermark)
+        shares = np.diff(np.asarray(delta[4], dtype=np.int64))[keep]
+        keys = keys[keep]
+        pos = np.searchsorted(snap_keys, keys)
+        hit = pos < len(snap_keys)
+        hit[hit] = snap_keys[pos[hit]] == keys[hit]
+        shares[hit] = ((ops[keep][hit] == 1).astype(np.int64)
+                       - (snap_ops[pos[hit]] == 1))
+        corr = np.zeros(len(keys) + 1, dtype=np.int64)
+        np.cumsum(shares, out=corr[1:])
+        return (keys, ops[keep].astype(np.int8),
+                np.asarray(delta[2], dtype=np.int64)[keep],
+                np.asarray(delta[3], dtype=np.float64)[keep], corr)
+
+    def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
+        """The sort-based reference, in one step."""
         base_keys = np.asarray(base_keys, dtype=np.uint64)
         delta_keys = np.asarray(delta_keys, dtype=np.uint64)
         lo = np.searchsorted(base_keys, delta_keys, side="left")
@@ -77,10 +141,12 @@ class NumpyBackend(KernelBackend):
         np.add.at(marks, lo, 1)
         np.add.at(marks, hi, -1)
         shadowed = np.cumsum(marks[:-1]) > 0
-        return np.sort(np.concatenate([
+        live = np.sort(np.concatenate([
             base_keys[~shadowed],
             delta_keys[np.asarray(delta_ops) != 0],
         ]), kind="stable")
+        yield len(base_keys) + len(delta_keys)
+        return live
 
     # -- fused RMI path --------------------------------------------------
 

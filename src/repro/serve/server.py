@@ -33,7 +33,11 @@ thread, while the batch currently executing keeps the reference it
 captured at dispatch.  No in-flight request is dropped or re-routed
 mid-execution.  :meth:`rebuild` -- the rebuild daemon's, the
 autotuner's and every shard swap's path -- builds over the live keys
-off the loop and publishes through :meth:`swap_index`.
+and publishes through :meth:`swap_index`.  Its snapshot, a build with
+a stepwise form and the publication run on the loop thread in bounded
+steps, one after each write batch (:meth:`apply_writes`), so writes
+pay for them and reads do not; a build without one runs in a worker
+thread.
 
 **Drain**: :meth:`stop` closes admission (late ``submit`` calls get
 ``rejected``), lets the executor task empty the queue without further
@@ -71,6 +75,58 @@ SHED_POLICIES = ("reject", "block")
 
 #: The largest key a request may carry: keys are uint64.
 _MAX_KEY = (1 << 64) - 1
+
+#: A rebuild whose steps no write batch has run for this long runs the
+#: rest itself, one step per loop pass: a server without writes (a
+#: tuner swap) and the end of a write stream still finish.
+IDLE_STEP_S = 0.005
+
+
+class _Steps:
+    """A rebuild's bounded steps, run one at a time on the loop thread
+    by write batches and, once they stop, by the rebuild itself."""
+
+    __slots__ = ("steps", "loop", "done", "idle", "_timer")
+
+    def __init__(self, steps: Any, loop: asyncio.AbstractEventLoop) -> None:
+        self.steps = steps
+        self.loop = loop
+        #: The steps' result, or the exception a step raised.
+        self.done = loop.create_future()
+        #: Resolves once the steps are finished, or once no write has
+        #: run one for :data:`IDLE_STEP_S` (a timer each step re-arms).
+        self.idle = loop.create_future()
+        self._timer = loop.call_later(IDLE_STEP_S, self._wake)
+
+    def _wake(self) -> None:
+        if not self.idle.done():
+            self.idle.set_result(None)
+
+    def run_one(self) -> None:
+        """Run the next step, unless the steps are finished."""
+        if self.done.done():
+            return
+        self._timer.cancel()
+        try:
+            next(self.steps)
+        except StopIteration as stop:
+            self.done.set_result(stop.value)
+        except Exception as exc:
+            self.done.set_exception(exc)
+        if self.done.done():
+            self._wake()
+        elif not self.idle.done():
+            self._timer = self.loop.call_later(IDLE_STEP_S, self._wake)
+
+    def close(self) -> None:
+        self._timer.cancel()
+        self.steps.close()
+
+
+def _ready(value: Any):
+    """A step generator with no step that returns ``value``."""
+    yield from ()
+    return value
 
 
 class RequestFront:
@@ -244,14 +300,14 @@ class IndexServer(RequestFront):
         self.default_timeout_s = default_timeout_s
         #: Optional ``sys.setswitchinterval`` override while running.
         #: Index calls run on the loop thread, but off-thread work (a
-        #: background rebuild, a tuner build) competes with it for the
-        #: GIL, and CPython's default 5 ms slice bounds how long the
-        #: loop waits for a thread holding it.  On one CPU that is not
-        #: what slows reads that overlap a rebuild: the scheduler
-        #: preempts them for the build thread (involuntary context
-        #: switches), which the interval does not touch -- at 0.5 ms
-        #: the ``mixed_writes`` read p95 did not move.  Restored on
-        #: stop.
+        #: build without a stepwise form, in a worker thread) competes
+        #: with it for the GIL, and CPython's default 5 ms slice bounds
+        #: how long the loop waits for a thread holding it.  On one CPU
+        #: that is not what slows reads that overlap such a build: the
+        #: scheduler preempts them for the build thread (involuntary
+        #: context switches), which the interval does not touch -- at
+        #: 0.5 ms the ``mixed_writes`` read p95 did not move, when its
+        #: rebuilds still ran in a thread.  Restored on stop.
         self.gil_switch_interval_s = gil_switch_interval_s
         self._saved_switch_interval: "float | None" = None
         self.metrics = metrics if metrics is not None else ServeMetrics()
@@ -265,6 +321,8 @@ class IndexServer(RequestFront):
         #: :meth:`swap_index`) one derived from the served index.
         self.factory: "Any | None" = None
         self._rebuilding = asyncio.Lock()
+        #: The running rebuild's steps (:meth:`_on_loop`).
+        self._steps: "_Steps | None" = None
         self._task: "asyncio.Task | None" = None
         self._logger_task: "asyncio.Task | None" = None
         self._accepting = False
@@ -363,35 +421,71 @@ class IndexServer(RequestFront):
         """Rebuild the served index over its live keys and swap it in.
 
         The one path that changes what this server serves: the rebuild
-        daemon, the tuner and shard swaps call it.  The live keys are
-        snapshotted on the loop thread (a read-only index is the case
-        with an empty delta), ``factory(keys)`` is built in a worker
-        thread, published through ``finish_rebuild`` into a writable
-        index (the writes that raced the build survive), and hot-swapped
-        by :meth:`swap_index`.  One rebuild runs at a time.  ``factory``
+        daemon, the tuner and shard swaps call it.  A writable index's
+        live keys are snapshotted in bounded steps (a read-only index's
+        keys are its own).  ``factory(keys)`` is built in bounded steps
+        when it has a stepwise form
+        (:func:`~repro.writable.rebuild.build_steps`: an RMI on a
+        backend with build kernels), else in a worker thread.  The
+        result is published through ``finish_rebuild`` into a writable
+        index (the writes that raced the build survive) and hot-swapped
+        by :meth:`swap_index`, as the last step.  Steps run on the loop
+        thread, one after each write batch, so writes pay for them
+        (:meth:`_on_loop`).  One rebuild runs at a time.  ``factory``
         becomes :attr:`factory`.  Returns the previous factory -- the
         token that undoes this rebuild -- or ``None`` when a writable
         index has no live key.  A factory that raises publishes nothing.
         """
-        from ..writable.rebuild import IndexFactory
+        from ..writable.rebuild import IndexFactory, build_steps
 
         async with self._rebuilding:
             index = self._index
-            begin = getattr(index, "begin_rebuild", None)
-            ticket = begin() if begin is not None else None
+            snapshot = getattr(index, "snapshot_steps", None)
+            ticket = None if snapshot is None \
+                else await self._on_loop(snapshot())
             keys = index.keys if ticket is None else ticket.live_keys
             if not len(keys):
                 return None
             previous = self.factory or IndexFactory.of(
                 index if ticket is None else ticket.base)
             factory = factory or previous
-            built = await asyncio.to_thread(factory, keys)
-            if ticket is not None:
-                index.finish_rebuild(built, ticket.watermark)
-                built = index
-            self.swap_index(built)
-            self.factory = factory
+            steps = build_steps(factory, keys)
+            if steps is None:
+                # No stepwise form (the Python PLA builds, ALEX, ART, a
+                # tuner's probed factory, any build on NumPy): a worker
+                # thread, which shares the CPU with serving.
+                steps = _ready(await asyncio.to_thread(factory, keys))
+            await self._on_loop(self._publish(steps, index, ticket, factory))
             return previous
+
+    def _publish(self, steps: Any, index: Any, ticket: Any, factory: Any):
+        """The build's steps, then its publication as one more step."""
+        built = yield from steps
+        if ticket is not None:
+            index.finish_rebuild(built, ticket.watermark, ticket.delta)
+            built = index
+        self.swap_index(built)
+        self.factory = factory
+
+    async def _on_loop(self, steps: Any) -> Any:
+        """Run a step generator on the loop thread; returns its result.
+
+        Each :meth:`apply_writes` call runs at most one step, after its
+        batch, so a rebuild costs the writes that arrive while it runs,
+        not the reads between them.  Once no write has run a step for
+        :data:`IDLE_STEP_S`, this coroutine runs the rest, one step per
+        loop pass.
+        """
+        runner = self._steps = _Steps(steps, asyncio.get_running_loop())
+        try:
+            await runner.idle
+            while not runner.done.done():
+                runner.run_one()
+                await asyncio.sleep(0)
+            return runner.done.result()
+        finally:
+            self._steps = None
+            runner.close()
 
     @staticmethod
     def _staleness_of(index: Any) -> float:
@@ -476,8 +570,10 @@ class IndexServer(RequestFront):
         The write lane of the serving tier: runs the index's ``apply``
         on the event-loop thread like the read batches, so writes and
         reads execute in submission order -- a read submitted after
-        this call resolves sees every write in the batch.  Requires the
-        served index to expose the writable contract
+        this call resolves sees every write in the batch.  Then, inside
+        the same call, it runs the next step of a running rebuild, if
+        any (:meth:`_on_loop`).  Requires the served index to expose
+        the writable contract
         (:class:`~repro.writable.index.WritableIndex`); read-only
         indexes raise ``TypeError``.
         """
@@ -493,6 +589,8 @@ class IndexServer(RequestFront):
         keys = np.ascontiguousarray(keys, dtype=np.uint64)
         ops = np.ascontiguousarray(ops, dtype=np.int8)
         n = await self._execute(apply, keys, ops)
+        if self._steps is not None:
+            self._steps.run_one()
         self.metrics.writes.inc(int(n))
         self._sample_staleness()
         return int(n)

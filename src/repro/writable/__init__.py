@@ -10,13 +10,14 @@ index's build or lookup code:
 * :mod:`repro.writable.index` -- :class:`WritableIndex`, wrapping any
   :class:`~repro.baselines.interfaces.OrderedIndex` behind the same
   batch contract (``lookup_batch`` / ``range_query_batch`` /
-  ``serve_batch``), merging base and delta in three vectorized passes
-  and publishing all state through one atomic view reference;
+  ``serve_batch``), merging base and delta in two passes on top of the
+  base's own batch lookup, folding each write batch into the buffer in
+  one pass, and publishing all state through one atomic view reference;
 * :mod:`repro.writable.rebuild` -- the background rebuild loop, which
   drives the server's one rebuild path (fold the delta into a new base
-  of the same configuration, through the grouped-fit fast path and the
-  artifact cache, then hot-swap it), and the factory that path derives
-  from the base it replaces.
+  of the same configuration, in bounded steps that the writes pay for
+  when the build has them, then hot-swap it), and the factory that path
+  derives from the base it replaces.
 
 The mixed read/write workload generator and loadgen driver live in
 :mod:`repro.workload.generator` / :mod:`repro.serve.loadgen`; the gated

@@ -17,15 +17,19 @@ base and atomically swaps it in under live traffic.
   multiplicity overridden (1 for insert, 0 for tombstone).
 
 **Merged lookup arithmetic.**  A lower-bound query never materializes
-the live array.  With ``dk`` the delta keys, ``shadowed[i]`` the base
-multiplicity of ``dk[i]``, and ``ins`` the delta insert keys::
+the live array.  With ``dk`` the delta keys, ``mult[i]`` the base
+multiplicity of ``dk[i]``, and ``ins[i]`` 1 for an insert entry::
 
-    pos(q) = base.lookup(q)
-           - cumsum(shadowed)[searchsorted(dk, q)]   # shadowed base keys < q
-           + searchsorted(ins, q)                    # delta-live keys < q
+    pos(q) = base.lookup(q) + corr[searchsorted(dk, q)]
+    corr[i] = sum(ins[:i]) - sum(mult[:i])  # delta-live minus shadowed
 
-Three vectorized passes on top of the base index's own batch engine
-(which keeps its compiled kernels), independent of delta size.
+Two passes on top of the base index's own batch engine (which keeps
+its compiled kernels), independent of delta size.  A write batch keeps
+``corr`` current in one pass over the buffer: the backend's
+``merge_delta`` merges the batch in and carries ``corr`` across as it
+goes, and the base multiplicity of each batch key comes from the base
+index itself (the lower bounds of ``k`` and ``k + 1``), which answers
+``lookup_batch`` exactly whatever its type.
 
 **Concurrency.**  All queryable state lives in one immutable
 :class:`_View` (base + delta + lazily derived adjustment arrays)
@@ -35,11 +39,12 @@ rebuild-finish path serialize on a mutex.  This is the same
 capture-at-dispatch discipline :class:`~repro.serve.server.IndexServer`
 uses for hot swaps, extended inside the index.
 
-**Rebuild protocol** (:meth:`begin_rebuild` / :meth:`finish_rebuild`):
-the rebuild snapshots ``(live keys, watermark)``, builds a new base
-off-thread (through the grouped-fit fast path for RMIs and the
-artifact cache when active -- see :mod:`repro.writable.rebuild`), and
-the finish step compacts the delta down to writes newer than the
+**Rebuild protocol** (:meth:`begin_rebuild` or :meth:`snapshot_steps`,
+then :meth:`finish_rebuild`): the rebuild snapshots ``(live keys,
+watermark)``, builds a new base over them (in bounded steps on the
+serving loop when the factory has a stepwise form, otherwise in a
+worker thread -- see :meth:`~repro.serve.server.IndexServer.rebuild`),
+and the finish step compacts the delta down to writes newer than the
 watermark and publishes the new view.  Writes racing the rebuild are
 never lost, and queries are answered identically before, during, and
 after the swap.  Two rebuilds must not overlap (the later snapshot's
@@ -57,12 +62,16 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .. import kernels
 from ..baselines.interfaces import OrderedIndex, SearchBounds
-from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta, splice
+from ..kernels.base import run_steps
+from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta, \
+    last_writes
 
 __all__ = ["WritableIndex", "RebuildTicket"]
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
+_MAX_KEY = np.uint64(2**64 - 1)
 
 
 class _View:
@@ -74,79 +83,71 @@ class _View:
     ``base`` or ``delta``.
     """
 
-    __slots__ = ("base", "delta", "_shadow_cum", "_corr", "_live")
+    __slots__ = ("base", "delta", "_corr", "_live")
 
     def __init__(self, base: Any, delta: DeltaState) -> None:
         self.base = base
         self.delta = delta
-        self._shadow_cum: "np.ndarray | None" = None
         self._corr: "np.ndarray | None" = None
         self._live: "np.ndarray | None" = None
 
     # -- derived adjustment arrays ---------------------------------------
 
-    def shadow_cum(self) -> np.ndarray:
-        """Prefix sums of the base multiplicity of each delta key.
+    def base_counts(self, keys: np.ndarray) -> np.ndarray:
+        """How many copies of each of the sorted ``keys`` the base holds.
 
-        ``shadow_cum()[i]`` is the number of base array entries whose
-        key is one of the first ``i`` delta keys -- every such entry is
-        shadowed (delta ops override the key's multiplicity entirely).
+        The base's own ``lookup_batch`` ranks each key ``k`` and
+        ``k + 1`` in one call; ``k + 1`` wraps for ``2^64 - 1``, whose
+        upper rank is the base's length.
         """
-        cum = self._shadow_cum
-        if cum is None:
-            base_keys = self.base.keys
-            dk = self.delta.keys
-            lo = np.searchsorted(base_keys, dk, side="left")
-            hi = np.searchsorted(base_keys, dk, side="right")
-            cum = np.concatenate([
-                np.zeros(1, dtype=np.int64),
-                np.cumsum(hi - lo, dtype=np.int64),
-            ])
-            self._shadow_cum = cum
-        return cum
-
-    def inherit_shadow(self, prev: "_View") -> None:
-        """Seed the shadow sums from the previous view of the same base.
-
-        A fresh full recomputation searches the whole delta against the
-        base -- O(delta x log base) per apply.  The base multiplicity of
-        a key depends only on the base, which is unchanged, so the
-        previous view's multiplicities are spliced across by position
-        (the delta's :attr:`~repro.writable.delta.DeltaState.added`
-        slots) and only the keys the batch added hit the base.  Callers
-        must guarantee ``prev.base is self.base`` and that this view's
-        delta was merged from ``prev``'s.
-        """
-        added = self.delta.added
-        if self._shadow_cum is not None or added is None:
-            return
-        base_keys = self.base.keys
-        new_keys = self.delta.keys[added]
-        mult = splice(
-            np.diff(prev.shadow_cum()), added,
-            np.searchsorted(base_keys, new_keys, side="right")
-            - np.searchsorted(base_keys, new_keys, side="left"))
-        self._shadow_cum = np.concatenate([
-            np.zeros(1, dtype=np.int64),
-            np.cumsum(mult, dtype=np.int64),
-        ])
+        up = keys + np.uint64(1)
+        ranks = np.asarray(self.base.lookup_batch(np.concatenate([keys, up])),
+                           dtype=np.int64)
+        lo, hi = ranks[:len(keys)], ranks[len(keys):]
+        if len(keys) and keys[-1] == _MAX_KEY:
+            hi[-1] = len(self.base.keys)
+        return hi - lo
 
     def correction(self) -> np.ndarray:
         """Combined per-rank position correction for merged lookups.
 
-        ``correction()[i]`` is ``insert_cum[i] - shadow_cum[i]``: how
-        many positions a query ranking ``i`` delta keys below it shifts
-        relative to the bare base answer (delta-live keys push it up,
-        shadowed base entries pull it down).  Folding both prefix-sum
-        arrays into one ahead of time halves the random gathers on the
-        dirty read path -- a cache-miss-bound loop, so that is a real
-        ~x1.2 on cold query batches.
+        ``correction()[i]`` is the number of insert entries minus the
+        base multiplicities among the first ``i`` delta keys (every base
+        copy of a delta key is shadowed): how many positions a query
+        ranking ``i`` delta keys below it shifts relative to the bare
+        base answer.  A write batch keeps it current in its merge pass
+        (:meth:`merged_with`); a fresh view (after a rebuild) counts it
+        here.
         """
         corr = self._corr
         if corr is None:
-            corr = self.delta.insert_cum - self.shadow_cum()
+            delta = self.delta
+            corr = np.zeros(len(delta) + 1, dtype=np.int64)
+            np.cumsum((delta.ops == OP_INSERT)
+                      - self.base_counts(delta.keys), out=corr[1:])
             self._corr = corr
         return corr
+
+    def merged_with(self, keys: np.ndarray, ops: np.ndarray,
+                    seq_start: int, now: float) -> "_View":
+        """The view after one write batch (newest wins; see
+        :func:`~repro.writable.delta.last_writes`).
+
+        One pass of the backend's ``merge_delta`` over the buffer writes
+        the new delta and its correction, so the first read after a
+        write pays read costs only.  Only the batch's keys meet the
+        base, through :meth:`base_counts`.
+        """
+        bkeys, bops, bseqs = last_writes(keys, ops, seq_start)
+        delta = self.delta
+        *arrays, corr = kernels.get_backend().merge_delta(
+            (delta.keys, delta.ops, delta.seqs, delta.born,
+             self.correction()),
+            (bkeys, bops, bseqs, np.full(len(bkeys), float(now)),
+             self.base_counts(bkeys)))
+        view = _View(self.base, DeltaState(*arrays))
+        view._corr = corr
+        return view
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
         """Merged lower-bound positions for a query batch."""
@@ -161,33 +162,33 @@ class _View:
         # Dispatched through the kernel registry: the compiled fused
         # rank+gather pass is ~2x the staged searchsorted/take/add on
         # cold batches, and this is the dirty read path's hot loop.
-        from ..kernels import get_backend
-
-        return get_backend().delta_correct(
+        return kernels.get_backend().delta_correct(
             self.delta.keys, self.correction(), base_pos, queries
         )
 
     def live_count(self) -> int:
         """``len(live_keys())`` without building the live array."""
-        return (len(self.base.keys) - int(self.shadow_cum()[-1])
-                + int(self.delta.insert_cum[-1]))
+        return len(self.base.keys) + int(self.correction()[-1])
 
-    def live_keys(self) -> np.ndarray:
-        """The merged live key array (materialized once per view)."""
+    def live_keys_steps(self):
+        """:meth:`live_keys` as a step generator (the backend's
+        ``merge_live_steps``)."""
         live = self._live
         if live is None:
             base_keys = np.asarray(self.base.keys, dtype=np.uint64)
             if not len(self.delta):
                 live = base_keys
             else:
-                from ..kernels import get_backend
-
-                live = get_backend().merge_live(
+                live = yield from kernels.get_backend().merge_live_steps(
                     base_keys, self.delta.keys, self.delta.ops,
                     self.live_count())
             live.setflags(write=False)
             self._live = live
         return live
+
+    def live_keys(self) -> np.ndarray:
+        """The merged live key array (materialized once per view)."""
+        return run_steps(self.live_keys_steps())
 
 
 @dataclass(frozen=True)
@@ -197,12 +198,15 @@ class RebuildTicket:
     ``live_keys`` is the merged array to build the new base over;
     ``watermark`` bounds the delta entries the snapshot already folded
     in (pass it to :meth:`WritableIndex.finish_rebuild` verbatim);
-    ``base`` is the current base index, for factory/type decisions.
+    ``base`` is the current base index, for factory/type decisions;
+    ``delta`` is the snapshot's delta buffer, from which
+    ``finish_rebuild`` derives the new base's multiplicities.
     """
 
     live_keys: np.ndarray
     watermark: int
     base: Any
+    delta: DeltaState
 
 
 class WritableIndex(OrderedIndex):
@@ -266,22 +270,13 @@ class WritableIndex(OrderedIndex):
         within the batch the last op per key wins.  The batch becomes
         visible to subsequent queries atomically (one view publish).
         """
-        keys = np.ascontiguousarray(keys, dtype=np.uint64)
-        ops = np.ascontiguousarray(ops, dtype=np.int8)
         if len(keys) == 0:
             return 0
         with self._mutate:
             seq_start = self._next_seq
+            self._view = self._view.merged_with(keys, ops, seq_start,
+                                                self._clock())
             self._next_seq = seq_start + len(keys)
-            view = self._view
-            delta = view.delta.merged_with(keys, ops, seq_start,
-                                           self._clock())
-            new_view = _View(view.base, delta)
-            new_view.inherit_shadow(view)
-            # Warm the merged-lookup arrays on the write path: the
-            # first read after a write should pay read costs only.
-            new_view.correction()
-            self._view = new_view
         return len(keys)
 
     def insert(self, key: int) -> None:
@@ -380,24 +375,48 @@ class WritableIndex(OrderedIndex):
     # -- rebuild protocol ------------------------------------------------
 
     def begin_rebuild(self) -> RebuildTicket:
-        """Snapshot the merged state for an off-thread rebuild."""
-        view = self._view
-        return RebuildTicket(
-            live_keys=view.live_keys(),
-            watermark=view.delta.watermark,
-            base=view.base,
-        )
+        """Snapshot the merged state for a rebuild."""
+        return run_steps(self.snapshot_steps())
 
-    def finish_rebuild(self, new_base: Any, watermark: int) -> None:
+    def snapshot_steps(self):
+        """:meth:`begin_rebuild` as a step generator: the snapshot view
+        is captured at the first step, and its live keys are merged in
+        the backend's bounded steps while writes go on."""
+        view = self._view
+        live_keys = yield from view.live_keys_steps()
+        return RebuildTicket(live_keys=live_keys,
+                             watermark=view.delta.watermark,
+                             base=view.base, delta=view.delta)
+
+    def finish_rebuild(self, new_base: Any, watermark: int,
+                       snapshot: "DeltaState | None" = None) -> None:
         """Publish a rebuilt base; keep writes newer than the snapshot.
 
         The swap is one view assignment: queries in flight keep the
         view they captured, later queries see the new base with the
         compacted delta -- zero-loss, same as the server's hot swap.
+        The compacted delta's correction is counted here, on the
+        publishing path, so no read pays it.  Given the snapshot's
+        delta (``RebuildTicket.delta``; ``new_base`` must hold the
+        ticket's live keys), the backend's ``compact_delta`` derives it
+        in one pass, without searching the new base: a key the snapshot
+        wrote has the multiplicity its op gave it, and any other key
+        keeps its old base multiplicity, which the current correction
+        holds.
         """
         with self._mutate:
-            delta = self._view.delta.compacted(watermark)
-            self._view = _View(new_base, delta)
+            view = self._view
+            if snapshot is None:
+                new_view = _View(new_base, view.delta.compacted(watermark))
+            else:
+                d = view.delta
+                *arrays, corr = kernels.get_backend().compact_delta(
+                    (d.keys, d.ops, d.seqs, d.born, view.correction()),
+                    (snapshot.keys, snapshot.ops), watermark)
+                new_view = _View(new_base, DeltaState(*arrays))
+                new_view._corr = corr
+            new_view.correction()
+            self._view = new_view
 
     def rebuild(self,
                 factory: "Callable[[np.ndarray], Any] | None" = None
@@ -418,7 +437,7 @@ class WritableIndex(OrderedIndex):
             return None
         factory = factory or IndexFactory.of(ticket.base)
         new_base = factory(ticket.live_keys)
-        self.finish_rebuild(new_base, ticket.watermark)
+        self.finish_rebuild(new_base, ticket.watermark, ticket.delta)
         return new_base
 
     # -- accounting ------------------------------------------------------

@@ -1,16 +1,19 @@
 """Rebuilds of a served index: the derived factory and the daemon.
 
 A served index changes in one place,
-:meth:`~repro.serve.server.IndexServer.rebuild`: snapshot the live keys
-on the event-loop thread, build ``factory(keys)`` in a worker thread
-(NumPy releases the GIL, so serving continues), publish -- through
+:meth:`~repro.serve.server.IndexServer.rebuild`: snapshot the live keys,
+build ``factory(keys)``, publish -- through
 :meth:`~repro.writable.index.WritableIndex.finish_rebuild` for a
 writable index, so writes racing the build survive -- and hot-swap
-through ``swap_index``.  This module holds:
+through ``swap_index``.  The snapshot and a build with a stepwise form
+(:func:`build_steps`) run on the event-loop thread in bounded steps
+that writes pay for; a build without one runs in a worker thread.
+This module holds:
 
 * :class:`IndexFactory` -- what a rebuild given no factory builds: the
   type and whole configuration of the index it replaces, restored from
   the artifact cache when one is active;
+* :func:`build_steps` -- the stepwise form of a factory, if it has one;
 * :class:`RebuildDaemon` -- rebuilds a served ``WritableIndex`` once its
   delta is large enough: the delta answers correctly at any size, but
   dirty lookups pay the merge arithmetic and bypass the base's compiled
@@ -22,13 +25,15 @@ through ``swap_index``.  This module holds:
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import logging
 from typing import Any, Callable
 
 import numpy as np
 
-__all__ = ["IndexFactory", "RebuildDaemon", "WritableFactory"]
+__all__ = ["IndexFactory", "RebuildDaemon", "WritableFactory",
+           "build_steps"]
 
 log = logging.getLogger("repro.writable")
 
@@ -77,8 +82,45 @@ class IndexFactory:
         return artifact_cache.restore_or_build(fp, self.cls, keys,
                                                self._build)
 
+    def steps(self, keys: np.ndarray):
+        """``self(keys)`` in bounded steps (the class's ``build_steps``),
+        or ``None``: the class has no stepwise build for this
+        configuration, or an active artifact cache addresses the build
+        by a hash of every key."""
+        from .. import cache as artifact_cache
+
+        build = getattr(self.cls, "build_steps", None)
+        if build is None or artifact_cache.active_cache() is not None:
+            return None
+        if self.config is None:
+            return build(keys)
+        return build(keys, config=self.config)
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"IndexFactory({self.cls.__name__}, {self.config!r})"
+
+
+def build_steps(factory: Any, keys: np.ndarray):
+    """The stepwise form of ``factory(keys)``, or ``None``.
+
+    A stepwise form is a generator whose every ``next()`` runs one
+    bounded step and which returns the built index (for the RMI,
+    :meth:`~repro.core.rmi.RMI.build_steps`).  It is found on an
+    :class:`IndexFactory` (:meth:`IndexFactory.steps`), on an index
+    class with a ``build_steps`` classmethod, and on a
+    ``functools.partial`` of one that binds keywords only.  Any other
+    factory -- the Python PLA builds, ALEX, ART, the tuner's probed
+    factory -- has none, and neither has any build on a backend without
+    build kernels (NumPy).
+    """
+    if isinstance(factory, IndexFactory):
+        return factory.steps(keys)
+    cls, kwargs = factory, {}
+    if isinstance(factory, functools.partial) and not factory.args:
+        cls, kwargs = factory.func, factory.keywords
+    build = getattr(cls, "build_steps", None) \
+        if isinstance(cls, type) else None
+    return None if build is None else build(keys, **kwargs)
 
 
 class WritableFactory:

@@ -312,24 +312,21 @@ class TestKernelBuildParity:
                                (-64 / float(books_keys[-1]), False)):
             root = LayerTable.from_models(
                 [LinearSpline(slope, 32.0 if slope < 0 else 0.0)])
-            counts = cext.rmi_route_counts(books_keys, root, 64)
-            assert (counts is not None) == ordered
+            built = cext.rmi_build_leaves(books_keys, root, 64)
+            assert (built is not None) == ordered
             if ordered:
-                assert counts.sum() == n
+                assert built[0].sum() == n
 
-    def test_kernels_reject_bad_segment_offsets(self, books_keys):
+    def test_build_kernel_refuses_unsorted_keys(self, books_keys):
+        from repro.core.layers import LayerTable
         from repro.kernels import get_backend
 
-        cext = get_backend("cext")
-        n = len(books_keys)
-        for offsets in ([0, n + 1], [1, n], [0, 10, 5, n]):
-            offsets = np.asarray(offsets, dtype=np.int64)
-            with pytest.raises(ValueError, match="offsets"):
-                cext.rmi_fit_leaves(books_keys, offsets)
-            with pytest.raises(ValueError, match="offsets"):
-                cext.rmi_leaf_extremes(
-                    books_keys, np.zeros(len(offsets) - 1),
-                    np.zeros(len(offsets) - 1), offsets)
+        keys = books_keys.copy()
+        keys[100], keys[101] = keys[101], keys[100]
+        root = LayerTable.from_models(
+            [LinearSpline(64 / float(keys[-1]), 0.0)])
+        with pytest.raises(ValueError, match="sorted"):
+            get_backend("cext").rmi_build_leaves(keys, root, 64)
 
     def test_staged_path_outside_the_kernel_configuration(self, books_keys):
         """NB bounds, a one-leaf layer, copied keys and other leaf types

@@ -13,7 +13,9 @@ that boundary on every loadable backend:
 * a packed form called with a different keys array rebinds, also
   while other threads rebind it;
 * the wrappers refuse, with ``ValueError``, the length mismatches that
-  would make C read past an array, and so does the NumPy reference;
+  would make C read past an array, and so does the NumPy reference
+  (``merge_delta``'s and ``compact_delta``'s are in
+  ``tests/test_writable_merge.py``);
 * every array slot of every C prototype is declared ``c_void_p``.
 """
 
@@ -55,6 +57,8 @@ def case():
     pos = np.searchsorted(keys, q).astype(np.int64)
     dkeys = np.unique(rng.integers(0, 2**62, 40, dtype=np.uint64))
     ops = (rng.integers(0, 2, len(dkeys)) * 1).astype(np.int8)
+    bkeys = np.unique(np.concatenate([
+        dkeys[::3], rng.integers(0, 2**62, 20, dtype=np.uint64)]))
     shadow = np.isin(keys, dkeys).sum()
     rmi = RMI(keys, layer_sizes=[64], bound_type="labs")
     return {
@@ -68,6 +72,13 @@ def case():
         "corr": rng.integers(-50, 50, len(dkeys) + 1).astype(np.int64),
         "base": rng.integers(0, n, len(q)).astype(np.int64),
         "ops": ops,
+        "seqs": np.arange(len(dkeys), dtype=np.int64),
+        "born": rng.random(len(dkeys)),
+        "bkeys": bkeys,
+        "bops": (rng.integers(0, 2, len(bkeys)) * 1).astype(np.int8),
+        "bseqs": np.arange(len(bkeys), dtype=np.int64) + len(dkeys),
+        "bborn": rng.random(len(bkeys)),
+        "bmult": rng.integers(0, 3, len(bkeys)).astype(np.int64),
         "live": int(n - shadow + ops.sum()),
         "rmi": rmi,
         "rmi_packed": kernels.pack_rmi(rmi),
@@ -84,6 +95,15 @@ ENTRY_POINTS = {
         f(c["keys"]), f(c["q"]), f(c["lo"]), f(c["hi"])),
     "delta_correct": lambda be, c, f: be.delta_correct(
         f(c["dkeys"]), f(c["corr"]), f(c["base"]), f(c["q"])),
+    "merge_delta": lambda be, c, f: be.merge_delta(
+        tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
+                      c["corr"]))),
+        tuple(map(f, (c["bkeys"], c["bops"], c["bseqs"], c["bborn"],
+                      c["bmult"])))),
+    "compact_delta": lambda be, c, f: be.compact_delta(
+        tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
+                      c["corr"]))),
+        (f(c["bkeys"]), f(c["bops"])), len(c["dkeys"]) // 2),
     "merge_live": lambda be, c, f: be.merge_live(
         f(c["keys"]), f(c["dkeys"]), f(c["ops"]), c["live"]),
     "rmi_predict": lambda be, c, f: be.rmi_predict(
@@ -168,17 +188,9 @@ def test_build_kernels_take_odd_inputs(case):
         pytest.skip("cext backend not available")
     be = kernels.get_backend("cext")
     keys, root = case["keys"], case["rmi"].layers[0]
-    counts = be.rmi_route_counts(keys, root, 64)
-    offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    codes, params = be.rmi_fit_leaves(keys, offsets)
-    slopes, icepts = params[:, 0].copy(), params[:, 1].copy()
-    extremes = be.rmi_leaf_extremes(keys, slopes, icepts, offsets)
+    built = be.rmi_build_leaves(keys, root, 64)
     for f in VARIANTS.values():
-        _same(be.rmi_route_counts(f(keys), root, 64), counts)
-        _same(be.rmi_fit_leaves(f(keys), f(offsets)), (codes, params))
-        # Column views of the (fanout, 6) table are strided already.
-        _same(be.rmi_leaf_extremes(f(keys), f(params[:, 0]),
-                                   f(params[:, 1]), f(offsets)), extremes)
+        _same(be.rmi_build_leaves(f(keys), root, 64), built)
 
 
 # ----------------------------------------------------------------------

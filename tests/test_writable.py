@@ -34,6 +34,7 @@ from repro.writable import (
     WritableIndex,
     empty_delta,
 )
+from repro.writable.index import _View
 
 
 def _ins(*keys):
@@ -71,6 +72,17 @@ class _LiveOracle:
 # Delta buffer unit tests
 # ---------------------------------------------------------------------------
 
+#: A base none of the delta unit tests write to.
+_FAR_BASE = INDEX_TYPES["binary-search"](np.array([2**40], dtype=np.uint64))
+
+
+def _merged(delta: DeltaState, keys, ops, seq_start: int,
+            now: float) -> DeltaState:
+    """``delta`` with one write batch folded in, as a served view
+    merges it."""
+    return _View(_FAR_BASE, delta).merged_with(keys, ops, seq_start,
+                                               now).delta
+
 
 class TestDeltaState:
     def test_empty_delta_properties(self):
@@ -80,8 +92,8 @@ class TestDeltaState:
         assert d.oldest_born == float("inf")
 
     def test_in_batch_last_op_wins(self):
-        d = empty_delta().merged_with(
-            np.array([5, 5, 5], dtype=np.uint64),
+        d = _merged(
+            empty_delta(), np.array([5, 5, 5], dtype=np.uint64),
             np.array([OP_INSERT, OP_TOMBSTONE, OP_INSERT], dtype=np.int8),
             seq_start=0, now=1.0,
         )
@@ -90,25 +102,25 @@ class TestDeltaState:
         assert d.seqs[0] == 2  # the last write's sequence number
 
     def test_newest_wins_across_batches_keeps_oldest_born(self):
-        d = empty_delta().merged_with(*_ins(5), seq_start=0, now=1.0)
-        d = d.merged_with(*_del(5), seq_start=1, now=9.0)
+        d = _merged(empty_delta(), *_ins(5), seq_start=0, now=1.0)
+        d = _merged(d, *_del(5), seq_start=1, now=9.0)
         assert len(d) == 1
         assert d.ops[0] == OP_TOMBSTONE
         assert d.born[0] == 1.0  # unmerged since the first write
         assert d.seqs[0] == 1  # but carries the newest sequence number
 
     def test_merge_keeps_sorted_unique_keys(self):
-        d = empty_delta().merged_with(*_ins(30, 10, 20), seq_start=0,
-                                      now=0.0)
-        d = d.merged_with(*_del(20, 40), seq_start=3, now=1.0)
+        d = _merged(empty_delta(), *_ins(30, 10, 20), seq_start=0,
+                    now=0.0)
+        d = _merged(d, *_del(20, 40), seq_start=3, now=1.0)
         assert d.keys.tolist() == [10, 20, 30, 40]
         assert d.ops.tolist() == [OP_INSERT, OP_TOMBSTONE, OP_INSERT,
                                   OP_TOMBSTONE]
 
     def test_compacted_drops_only_at_or_below_watermark(self):
-        d = empty_delta().merged_with(*_ins(1, 2), seq_start=0, now=0.0)
+        d = _merged(empty_delta(), *_ins(1, 2), seq_start=0, now=0.0)
         watermark = d.watermark
-        d = d.merged_with(*_ins(3), seq_start=5, now=1.0)  # raced write
+        d = _merged(d, *_ins(3), seq_start=5, now=1.0)  # raced write
         survivors = d.compacted(watermark)
         assert survivors.keys.tolist() == [3]
         # Compacting at the full watermark empties the buffer.
@@ -118,22 +130,20 @@ class TestDeltaState:
         # insert(7) snapshot, then delete(7) racing the rebuild: the
         # delete's seq is above the snapshot watermark, so it must
         # survive compaction or the delete would be silently lost.
-        d = empty_delta().merged_with(*_ins(7), seq_start=0, now=0.0)
+        d = _merged(empty_delta(), *_ins(7), seq_start=0, now=0.0)
         watermark = d.watermark
-        d = d.merged_with(*_del(7), seq_start=1, now=1.0)
+        d = _merged(d, *_del(7), seq_start=1, now=1.0)
         survivors = d.compacted(watermark)
         assert survivors.keys.tolist() == [7]
         assert survivors.ops[0] == OP_TOMBSTONE
 
     def test_validation_rejects_malformed_batches(self):
         with pytest.raises(ValueError):
-            empty_delta().merged_with(
-                np.array([1], dtype=np.uint64),
-                np.array([], dtype=np.int8), 0, 0.0)
+            _merged(empty_delta(), np.array([1], dtype=np.uint64),
+                    np.array([], dtype=np.int8), 0, 0.0)
         with pytest.raises(ValueError):
-            empty_delta().merged_with(
-                np.array([1], dtype=np.uint64),
-                np.array([7], dtype=np.int8), 0, 0.0)
+            _merged(empty_delta(), np.array([1], dtype=np.uint64),
+                    np.array([7], dtype=np.int8), 0, 0.0)
 
 
 # ---------------------------------------------------------------------------

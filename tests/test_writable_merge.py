@@ -1,20 +1,23 @@
-"""The writable tier's write path: the delta splice and the live snapshot.
+"""The writable tier's write path: the delta merge and the live snapshot.
 
 * ``merge_live`` (the snapshot a rebuild builds over) on every kernel
   backend equals ``np.sort`` over the live multiset, on adversarial
   bases: duplicate runs around delta keys, keys at 0 and 2^64-1, a
   single repeated key, tombstones of absent keys, re-inserts of base
   keys, an empty delta and a delta deleting every key.
-* ``DeltaState.merged_with`` splices a batch into the buffer; it equals
-  the sort-based merge kept below as the reference, and the shadow sums
-  that ``_View.inherit_shadow`` carries across the splice equal a fresh
-  ``shadow_cum()``.
+* ``_View.merged_with`` merges a batch into the buffer with the
+  backend's ``merge_delta``; on every backend it equals the sort-based
+  merge kept below as the reference, and the base multiplicities and
+  correction it writes equal a fresh view's.  The C kernel's arrays are
+  bit-identical to the NumPy reference's on the conformance suite's
+  adversarial families, and both refuse mismatched lengths.
+* ``finish_rebuild`` derives the compacted delta's correction from the
+  snapshot's delta (the backend's ``compact_delta``), equal to one
+  counted against the new base, bit-identically on every backend.
 * ``WritableIndex.n`` counts the live keys without building them.
 """
 
 from __future__ import annotations
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -30,6 +33,10 @@ from .conftest import kernel_backend_params
 from .test_writable import BASE_FAMILIES, _LiveOracle, _random_batch
 
 MAX = 2**64 - 1
+
+#: The backends that load here: the merge's arrays must agree on all.
+LOADABLE = [name for name in kernels.KNOWN_BACKENDS
+            if kernels.backend_available(name)]
 
 #: Few distinct values, so bases get duplicate runs and deltas hit them.
 _POOL = [0, 1, 2, 5, 6, 7, 2**32, 2**63, MAX - 1, MAX]
@@ -90,7 +97,7 @@ def test_merge_live_rejects_a_wrong_count(backend):
 
 
 # ---------------------------------------------------------------------------
-# The splice against a sort-based merge
+# The merge against a sort-based merge
 # ---------------------------------------------------------------------------
 
 
@@ -115,6 +122,17 @@ def _sort_merge(state, keys, ops, seq_start, now):
     return [a[order] for a in merged]
 
 
+def _view_arrays(view):
+    d = view.delta
+    return (d.keys, d.ops, d.seqs, d.born, view._corr)
+
+
+def _assert_same_arrays(got, want):
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        np.testing.assert_array_equal(g, w)
+
+
 _batches = st.lists(
     st.lists(st.tuples(_key, st.booleans()), min_size=1, max_size=30),
     min_size=1, max_size=8)
@@ -126,41 +144,190 @@ _batches = st.lists(
          batches=[[(5, True), (5, False), (7, True)],
                   [(5, True), (9, False), (9, True), (0, False)]])
 def test_splice_matches_sort_merge_and_fresh_shadow(base, batches):
-    owner = SimpleNamespace(keys=base)
-    state, view, seq = empty_delta(), _View(owner, empty_delta()), 0
+    """On every loadable backend, over a base that answers
+    ``lookup_batch``: the merged buffer equals the sort-based merge,
+    its multiplicities and correction equal a fresh view's, and every
+    backend's arrays are bit-identical."""
+    owner = INDEX_TYPES["binary-search"](base)
+    views = {name: _View(owner, empty_delta()) for name in LOADABLE}
+    state, seq = empty_delta(), 0
     for step, batch in enumerate(batches):
         keys = np.array([k for k, _ in batch], dtype=np.uint64)
         ops = np.array([OP_INSERT if ins else OP_TOMBSTONE
                         for _, ins in batch], dtype=np.int8)
         now = float(step * 7 % 5)  # a clock that also steps back
         want = _sort_merge(state, keys, ops, seq, now)
-        merged = state.merged_with(keys, ops, seq, now)
-        for got, ref in zip((merged.keys, merged.ops, merged.seqs,
-                             merged.born), want):
-            assert got.dtype == ref.dtype
-            np.testing.assert_array_equal(got, ref)
-        # ``added`` marks exactly the keys the buffer did not hold.
-        np.testing.assert_array_equal(
-            merged.keys[merged.added],
-            np.setdiff1d(merged.keys, state.keys))
-        new_view = _View(owner, merged)
-        new_view.inherit_shadow(view)
-        assert new_view._shadow_cum is not None
-        np.testing.assert_array_equal(new_view.shadow_cum(),
-                                      _View(owner, merged).shadow_cum())
-        state, view, seq = merged, new_view, seq + len(keys)
+        for name in LOADABLE:
+            with kernels.use_backend(name):
+                views[name] = views[name].merged_with(keys, ops, seq, now)
+        reference = _view_arrays(views[LOADABLE[0]])
+        _assert_same_arrays(reference[:4], want)
+        fresh = _View(owner, views[LOADABLE[0]].delta)
+        _assert_same_arrays(reference[4:], (fresh.correction(),))
+        for name in LOADABLE[1:]:
+            _assert_same_arrays(_view_arrays(views[name]), reference)
+        state, seq = views[LOADABLE[0]].delta, seq + len(keys)
 
 
 def test_splice_keeps_in_batch_last_wins_oldest_born_newest_seq():
-    d = empty_delta().merged_with(np.array([4, 8], dtype=np.uint64),
-                                  np.array([1, 1], dtype=np.int8), 0, 1.0)
-    d = d.merged_with(np.array([8, 6, 8, 2], dtype=np.uint64),
-                      np.array([1, 1, 0, 0], dtype=np.int8), 2, 5.0)
+    view = _View(INDEX_TYPES["binary-search"](
+        np.array([6, 6, 9], dtype=np.uint64)), empty_delta())
+    view = view.merged_with(np.array([4, 8], dtype=np.uint64),
+                            np.array([1, 1], dtype=np.int8), 0, 1.0)
+    view = view.merged_with(np.array([8, 6, 8, 2], dtype=np.uint64),
+                            np.array([1, 1, 0, 0], dtype=np.int8), 2, 5.0)
+    d = view.delta
     assert d.keys.tolist() == [2, 4, 6, 8]
     assert d.ops.tolist() == [0, 1, 1, 0]  # 8: the last write wins
     assert d.seqs.tolist() == [5, 0, 3, 4]  # 8: the newest seq
     assert d.born.tolist() == [5.0, 1.0, 5.0, 1.0]  # 8: the oldest born
-    assert d.added.tolist() == [0, 2]
+    # 2 and 8 are tombstones of absent keys, 6 an insert shadowing two
+    # base copies.
+    assert view._corr.tolist() == [0, 0, 1, 0, 0]
+
+
+def _write(windex, batch) -> None:
+    windex.apply(np.array([k for k, _ in batch], dtype=np.uint64),
+                 np.array([OP_INSERT if ins else OP_TOMBSTONE
+                           for _, ins in batch], dtype=np.int8))
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=_bases, before=_batches, after=_batches)
+def test_publication_derives_the_fresh_correction(base, before, after):
+    """``finish_rebuild`` given the snapshot's delta derives the
+    compacted delta's correction from it; it equals the correction
+    counted by searching the new base, whatever the writes that raced
+    the rebuild did to the snapshot's keys."""
+    published = {}
+    for name in LOADABLE:
+        windex = WritableIndex(INDEX_TYPES["binary-search"](base),
+                               clock=lambda: 1.0)
+        with kernels.use_backend(name):
+            for batch in before:
+                _write(windex, batch)
+            ticket = windex.begin_rebuild()
+            if not len(ticket.live_keys):
+                return  # nothing to build over
+            for batch in after:
+                _write(windex, batch)
+            new_base = INDEX_TYPES["binary-search"](ticket.live_keys)
+            windex.finish_rebuild(new_base, ticket.watermark, ticket.delta)
+        published[name] = windex._view
+    view = published[LOADABLE[0]]
+    fresh = _View(new_base, view.delta)
+    np.testing.assert_array_equal(view._corr, fresh.correction())
+    for other in published.values():
+        _assert_same_arrays(_view_arrays(other), _view_arrays(view))
+
+
+# ---------------------------------------------------------------------------
+# merge_delta: the C kernel against the NumPy reference
+# ---------------------------------------------------------------------------
+
+_COLLIDED = 2**63 + 8  # 2^63 + 1 ... 2^63 + 16 share one float64
+
+#: ``(base keys, first batch, second batch)``: the conformance suite's
+#: adversarial families, written as batches of ``(key, insert)``.
+MERGE_FAMILIES = {
+    "duplicate-base-keys": (
+        [3, 5, 5, 5, 5, 9, 9, 12],
+        [(5, False), (9, True), (4, True)],
+        [(5, True), (9, False), (12, True), (3, False), (5, False)]),
+    "edge-keys": (
+        [0, 0, 1, MAX - 1, MAX, MAX],
+        [(0, True), (MAX, False)],
+        [(MAX, True), (0, False), (MAX - 1, False), (2, True)]),
+    "float64-collided": (
+        [_COLLIDED + i for i in (-7, -3, 0, 0, 2, 5)],
+        [(_COLLIDED - 3, False), (_COLLIDED + 1, True)],
+        [(_COLLIDED + i, i % 2 == 0) for i in range(-7, 8)]),
+    "tombstones-of-absent-keys": (
+        [10, 20, 30],
+        [(15, False), (25, False)],
+        [(5, False), (35, False), (15, False), (40, False)]),
+    "inserts-of-present-keys": (
+        [10, 20, 20, 30],
+        [(10, True)],
+        [(20, True), (30, True), (10, True), (20, True)]),
+    "rewrites-only": (
+        [10, 20, 30],
+        [(10, True), (20, False), (25, True)],
+        [(25, False), (10, False), (20, True), (25, True)]),
+    "empty-delta": (
+        [10, 20, 30],
+        [],
+        [(20, False), (21, True), (0, True)]),
+}
+
+
+def _batch(writes):
+    return (np.array([k for k, _ in writes], dtype=np.uint64),
+            np.array([OP_INSERT if ins else OP_TOMBSTONE
+                      for _, ins in writes], dtype=np.int8))
+
+
+@pytest.mark.parametrize("backend", kernel_backend_params())
+@pytest.mark.parametrize("family", sorted(MERGE_FAMILIES))
+def test_merge_delta_matches_the_reference(backend, family):
+    base_keys, first, second = MERGE_FAMILIES[family]
+    base = np.array(base_keys, dtype=np.uint64)
+    owner = INDEX_TYPES["binary-search"](base)
+    oracle = _LiveOracle(base)
+    got = {}
+    for name in ("numpy", backend):
+        view, seq = _View(owner, empty_delta()), 0
+        with kernels.use_backend(name):
+            for writes in (first, second):
+                if writes:
+                    view = view.merged_with(*_batch(writes), seq, 1.0 + seq)
+                    seq += len(writes)
+        got[name] = view
+    for writes in (first, second):
+        if writes:
+            oracle.apply(*_batch(writes))
+    _assert_same_arrays(_view_arrays(got[backend]), _view_arrays(got["numpy"]))
+    queries = np.unique(np.concatenate([
+        base, np.array([0, 1, 2, MAX - 1, MAX], dtype=np.uint64),
+        got[backend].delta.keys]))
+    with kernels.use_backend(backend):
+        np.testing.assert_array_equal(
+            got[backend].lookup(queries),
+            np.searchsorted(oracle.live, queries, side="left"))
+        assert got[backend].live_count() == len(oracle.live)
+
+
+@pytest.mark.parametrize("backend", kernel_backend_params())
+def test_compact_delta_refuses_mismatched_lengths(backend):
+    compact = kernels.get_backend(backend).compact_delta
+    keys, ops = np.array([1, 2], dtype=np.uint64), np.array([1, 0], np.int8)
+    delta = (keys, ops, np.array([0, 1], dtype=np.int64), np.zeros(2),
+             np.zeros(3, dtype=np.int64))
+    for slot in range(1, 5):
+        short = tuple(a[:-1] if i == slot else a
+                      for i, a in enumerate(delta))
+        with pytest.raises(ValueError):
+            compact(short, (keys, ops), 0)
+    with pytest.raises(ValueError):
+        compact(delta, (keys, ops[:1]), 0)
+    assert compact(delta, (keys, ops), 0)[0].tolist() == [2]
+
+
+@pytest.mark.parametrize("backend", kernel_backend_params())
+def test_merge_delta_refuses_mismatched_lengths(backend):
+    merge = kernels.get_backend(backend).merge_delta
+    keys, ops = np.array([1, 2], dtype=np.uint64), np.array([1, 0], np.int8)
+    seqs, born = np.array([0, 1], dtype=np.int64), np.zeros(2)
+    delta = (keys, ops, seqs, born, np.zeros(3, dtype=np.int64))
+    batch = (keys + np.uint64(1), ops, seqs, born,
+             np.zeros(2, dtype=np.int64))
+    for slot in range(1, 5):
+        for side in (delta, batch):
+            short = tuple(a[:-1] if i == slot else a
+                          for i, a in enumerate(side))
+            with pytest.raises(ValueError):
+                merge(short, batch) if side is delta else merge(delta, short)
+    assert len(merge(delta, batch)[0]) == 3
 
 
 # ---------------------------------------------------------------------------
