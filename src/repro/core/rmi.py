@@ -227,8 +227,8 @@ class RMI:
         """The build of ``RMI(keys, **params)`` in bounded steps.
 
         A generator whose every ``next()`` runs one step of at most the
-        backend's ``step_keys`` key visits (a leaf larger than a step is
-        fitted whole) and yields the keys it covered; it returns the
+        backend's ``step_keys`` key visits (a leaf's fit resumes across
+        steps) and yields the visits it made; it returns the
         RMI, which equals ``RMI(keys, **params)`` bit for bit (the
         constructor runs the same steps back to back).  ``None`` when
         the build has no bounded steps: the backend's build kernel does
@@ -609,6 +609,14 @@ class RMI:
         packed = _kernels.pack_rmi(self)
         self._packed_cache = (self.bounds, token, packed)
         return packed
+
+    def __getstate__(self) -> dict:
+        """Pickles and copies leave the packed form behind: its cache
+        token, :attr:`LayerTable.mutations`, counts this process's
+        mutations only, so it could match a stale pack elsewhere."""
+        state = self.__dict__.copy()
+        state["_packed_cache"] = None
+        return state
 
     def _kernel_state(self):
         """``(backend, packed)`` when a compiled backend serves this RMI.

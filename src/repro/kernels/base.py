@@ -46,7 +46,7 @@ A backend provides the hot kernels of the lookup path over flat arrays
 **Steps.**  The snapshot and the build kernel also come as step
 generators (``*_steps``): each ``next()`` runs one bounded step, at
 most :attr:`KernelBackend.step_keys` key visits, and yields the number
-of keys it covered; the generator returns the result.  A
+of visits it made; the generator returns the result.  A
 served index rebuilds through them on the event-loop thread, one step
 at a time (:meth:`~repro.serve.server.IndexServer.rebuild`); the
 one-shot methods run the same steps back to back (:func:`run_steps`).
@@ -150,10 +150,9 @@ class KernelBackend:
     #: backend, NumPy included.
     compiled: bool = False
     #: The work bound of one step of a ``*_steps`` generator, in key
-    #: visits: a pass that visits each key ``v`` times covers
-    #: ``step_keys // v`` keys per step -- the snapshot merge one visit
-    #: per key, the RMI build pass four (route, two fit sums, bounds).
-    #: About 1 ms of C on one core.
+    #: visits: the snapshot merge visits each key once, the RMI build
+    #: pass four times (route, two fit sums, bounds).  About 1 ms of C
+    #: on one core.
     step_keys: int = 1 << 19
 
     def lower_bound_window(
@@ -339,11 +338,12 @@ class KernelBackend:
         return run_steps(self.rmi_build_leaves_steps(keys, root, fanout))
 
     def rmi_build_leaves_steps(self, keys, root, fanout):
-        """:meth:`rmi_build_leaves` in steps that route ``step_keys //
-        4`` keys each; a leaf is fitted in the step that routes its last
-        key, so a step fits at most as many keys plus those of the leaf
-        it found open.  Each step yields the keys it routed plus the
-        keys it fitted."""
+        """:meth:`rmi_build_leaves` in steps of at most ``step_keys``
+        key visits: each routes the next ``step_keys // 4`` keys, then
+        spends the rest of the budget fitting and bounding the leaves
+        whose keys are all routed, three visits per key.  A leaf's fit
+        resumes across steps, so a leaf larger than a step costs more
+        steps, not a longer one."""
         raise NotImplementedError
 
     # -- generic dispatch ------------------------------------------------

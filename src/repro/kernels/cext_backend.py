@@ -826,8 +826,8 @@ void repro_tree_serve(const uint64_t *keys, int64_t n, int32_t kind,
 /* ---- RMI build kernel ---------------------------------------------------
  * The segment, leaves and bounds steps of RMI._build for a two-layer RMI
  * with a one-model root and LR leaves over a sorted routing, fused into
- * one pass.  Each replays its staged NumPy step bit for bit and
- * allocates nothing per key: leaf j's segment is keys[off_j, off_j +
+ * one resumable pass.  Each replays its staged NumPy step bit for bit
+ * and allocates nothing per key: leaf j's segment is keys[off_j, off_j +
  * count_j), and a key's position is its index. */
 
 /* np.add.reduceat's summation order for one segment: the first term
@@ -837,14 +837,24 @@ void repro_tree_serve(const uint64_t *keys, int64_t n, int32_t kind,
  * the remainder in order; above 128, halves split at a multiple of 8.
  * The tree depends only on the term count, so each function takes two
  * sums, of TA and TB (the k-th summands, computed on the fly from keys,
- * mx and my), in one pass over the keys. */
+ * mx and my), in one pass over the keys.
+ *
+ * The pairwise sum resumes: block_NAME sums one leaf of the tree (at
+ * most 128 terms), and resume_NAME walks the tree from term *pos,
+ * skipping the subtrees summed before (their sums wait in left, two
+ * per depth), and stops before a block that would take more than
+ * *budget visits.  A block is summed whole, so where the walk stops
+ * does not change the sums. */
 #define PW_BLOCKSIZE 128
 #define TREE8(r) (((r[0] + r[1]) + (r[2] + r[3])) + \
                   ((r[4] + r[5]) + (r[6] + r[7])))
 #define DEFINE_SEGMENT_SUMS(NAME, TA, TB)                                 \
-static void pairwise_##NAME(const uint64_t *keys, int64_t lo, int64_t c, \
-                            double mx, double my,                         \
-                            double *sa, double *sb) {                     \
+static void first_##NAME(const uint64_t *keys, int64_t k, double mx,     \
+                         double my, double *sa, double *sb) {             \
+    *sa = TA; *sb = TB;                                                   \
+}                                                                         \
+static void block_##NAME(const uint64_t *keys, int64_t lo, int64_t c,    \
+                         double mx, double my, double *sa, double *sb) {  \
     int64_t k;                                                            \
     if (c < 8) {                                                          \
         double ra = -0.0, rb = -0.0;                                      \
@@ -852,34 +862,41 @@ static void pairwise_##NAME(const uint64_t *keys, int64_t lo, int64_t c, \
         *sa = ra; *sb = rb;                                               \
         return;                                                           \
     }                                                                     \
-    if (c <= PW_BLOCKSIZE) {                                              \
-        double a[8], b[8], ra, rb;                                        \
-        int64_t end = lo + c - c % 8;                                     \
-        for (int j = 0; j < 8; j++) { k = lo + j; a[j] = TA; b[j] = TB; } \
-        for (int64_t blk = lo + 8; blk < end; blk += 8) {                 \
-            for (int j = 0; j < 8; j++) {                                 \
-                k = blk + j; a[j] += TA; b[j] += TB;                      \
-            }                                                             \
+    double a[8], b[8], ra, rb;                                            \
+    int64_t end = lo + c - c % 8;                                         \
+    for (int j = 0; j < 8; j++) { k = lo + j; a[j] = TA; b[j] = TB; }     \
+    for (int64_t blk = lo + 8; blk < end; blk += 8) {                     \
+        for (int j = 0; j < 8; j++) {                                     \
+            k = blk + j; a[j] += TA; b[j] += TB;                          \
         }                                                                 \
-        ra = TREE8(a); rb = TREE8(b);                                     \
-        for (k = end; k < lo + c; k++) { ra += TA; rb += TB; }            \
-        *sa = ra; *sb = rb;                                               \
-        return;                                                           \
+    }                                                                     \
+    ra = TREE8(a); rb = TREE8(b);                                         \
+    for (k = end; k < lo + c; k++) { ra += TA; rb += TB; }                \
+    *sa = ra; *sb = rb;                                                   \
+}                                                                         \
+static int resume_##NAME(const uint64_t *keys, int64_t lo, int64_t c,    \
+                         double mx, double my, int64_t *pos,              \
+                         int64_t *budget, double *left,                   \
+                         double *sa, double *sb) {                        \
+    if (c <= PW_BLOCKSIZE) {                                              \
+        if (c > *budget) return 0;                                        \
+        *budget -= c;                                                     \
+        *pos = lo + c;                                                    \
+        block_##NAME(keys, lo, c, mx, my, sa, sb);                        \
+        return 1;                                                         \
     }                                                                     \
     int64_t half = c / 2;                                                 \
     half -= half % 8;                                                     \
-    double la, lb, ua, ub;                                                \
-    pairwise_##NAME(keys, lo, half, mx, my, &la, &lb);                    \
-    pairwise_##NAME(keys, lo + half, c - half, mx, my, &ua, &ub);         \
-    *sa = la + ua; *sb = lb + ub;                                         \
-}                                                                         \
-static void segment_##NAME(const uint64_t *keys, int64_t lo, int64_t c,  \
-                           double mx, double my,                          \
-                           double *sa, double *sb) {                      \
-    int64_t k = lo;                                                       \
-    double fa = TA, fb = TB, ra, rb;                                      \
-    pairwise_##NAME(keys, lo + 1, c - 1, mx, my, &ra, &rb);               \
-    *sa = fa + ra; *sb = fb + rb;                                         \
+    double ua, ub;                                                        \
+    if (*pos < lo + half &&                                               \
+        !resume_##NAME(keys, lo, half, mx, my, pos, budget, left + 2,     \
+                       left, left + 1))                                   \
+        return 0;                                                         \
+    if (!resume_##NAME(keys, lo + half, c - half, mx, my, pos, budget,    \
+                       left + 2, &ua, &ub))                               \
+        return 0;                                                         \
+    *sa = left[0] + ua; *sb = left[1] + ub;                               \
+    return 1;                                                             \
 }
 
 /* The sums of LinearRegression.fit_grouped: x and y (the key's
@@ -889,67 +906,117 @@ DEFINE_SEGMENT_SUMS(moments,
                     ((double)keys[k] - mx) * ((double)keys[k] - mx),
                     ((double)keys[k] - mx) * ((double)k - my))
 
-/* Leaves step for one non-empty segment keys[lo, lo + c):
- * LinearRegression.fit_grouped against the key positions, into
- * p = (slope, intercept). */
-static void fit_leaf(const uint64_t *keys, int64_t lo, int64_t c,
-                     double *p) {
-    double cnt = (double)c, sx, sy, denom, num;
-    segment_means(keys, lo, c, 0.0, 0.0, &sx, &sy);
-    double mx = sx / cnt, my = sy / cnt;
-    segment_moments(keys, lo, c, mx, my, &denom, &num);
-    double slope = denom > 0.0 ? num / denom : 0.0;
-    p[0] = slope;
-    p[1] = my - slope * mx;
-}
-
-/* Bounds step for one non-empty segment: the minimum and maximum
- * signed error (position - prediction) of the clamped integral
- * prediction, the arithmetic of RMI._predict_positions. */
-static void leaf_extremes(const uint64_t *keys, int64_t n, int64_t lo,
-                          int64_t c, double slope, double icept,
-                          int64_t *lo_out, int64_t *hi_out) {
+/* The leaves and bounds steps for the leaves below `ready`, in key
+ * order, resumed from fit and stopped before a piece of work would take
+ * the call past budget key visits (a call makes at least
+ * PW_BLOCKSIZE).  A leaf of c keys takes three passes of c visits:
+ * the means and moments sums of LinearRegression.fit_grouped against
+ * the key positions, giving p = (slope, intercept), then the minimum
+ * and maximum signed error (position - prediction) of the clamped
+ * integral prediction, the arithmetic of RMI._predict_positions.  An
+ * empty leaf keeps a zero row (the caller codes it constant) and
+ * extremes (0, 0), as in core/bounds._per_model_extremes.  fit =
+ * {leaf, its first key, pass, next key, minimum, maximum}; sums = {mx,
+ * my, then each depth's left subtree sums}.  Returns the visits made. */
+static int64_t fit_leaves(const uint64_t *keys, int64_t n,
+                          const int64_t *counts, int64_t ready,
+                          int64_t *fit, double *sums, double *params,
+                          int64_t *lo_out, int64_t *hi_out,
+                          int64_t budget) {
+    int64_t left = budget > PW_BLOCKSIZE ? budget : PW_BLOCKSIZE;
+    int64_t given = left;
+    int64_t j = fit[0], start = fit[1], pass = fit[2], pos = fit[3];
     double cap = (double)(n - 1);
-    int64_t emin = INT64_MAX, emax = INT64_MIN;
-    for (int64_t k = lo; k < lo + c; k++) {
-        double est = slope * (double)keys[k] + icept;
-        if (isnan(est) || est < 0.0) est = 0.0;
-        if (est > cap) est = cap;
-        int64_t err = k - (int64_t)est;
-        emin = err < emin ? err : emin;
-        emax = err > emax ? err : emax;
+    while (j < ready) {
+        int64_t c = counts[j];
+        double *p = params + j * 6;
+        if (c && pass < 2) {
+            double mx = sums[0], my = sums[1], fa, fb, ra, rb;
+            if (pos == start) {  /* the first term, added last */
+                if (left < 1) break;
+                left--;
+                pos++;
+            }
+            if (pass == 0) {
+                if (!resume_means(keys, start + 1, c - 1, 0.0, 0.0, &pos,
+                                  &left, sums + 2, &ra, &rb))
+                    break;
+                first_means(keys, start, 0.0, 0.0, &fa, &fb);
+                sums[0] = (fa + ra) / (double)c;
+                sums[1] = (fb + rb) / (double)c;
+            } else {
+                if (!resume_moments(keys, start + 1, c - 1, mx, my, &pos,
+                                    &left, sums + 2, &ra, &rb))
+                    break;
+                first_moments(keys, start, mx, my, &fa, &fb);
+                double denom = fa + ra, num = fb + rb;
+                double slope = denom > 0.0 ? num / denom : 0.0;
+                p[0] = slope;
+                p[1] = my - slope * mx;
+                fit[4] = INT64_MAX;
+                fit[5] = INT64_MIN;
+            }
+            pass++;
+            pos = start;
+            continue;
+        }
+        if (c) {
+            int64_t end = start + c < pos + left ? start + c : pos + left;
+            int64_t emin = fit[4], emax = fit[5];
+            for (int64_t k = pos; k < end; k++) {
+                double est = p[0] * (double)keys[k] + p[1];
+                if (isnan(est) || est < 0.0) est = 0.0;
+                if (est > cap) est = cap;
+                int64_t err = k - (int64_t)est;
+                emin = err < emin ? err : emin;
+                emax = err > emax ? err : emax;
+            }
+            fit[4] = emin;
+            fit[5] = emax;
+            left -= end - pos;
+            pos = end;
+            if (pos < start + c) break;
+            lo_out[j] = emin;
+            hi_out[j] = emax;
+        }
+        j++;
+        start += c;
+        pass = 0;
+        pos = start;
     }
-    *lo_out = emin;
-    *hi_out = emax;
+    fit[0] = j;
+    fit[1] = start;
+    fit[2] = pass;
+    fit[3] = pos;
+    return given - left;
 }
 
-/* The fused build pass over keys [lo, hi): route each key through the
- * root and count keys per leaf, then fit each leaf whose last key the
- * range routed and take its error extremes, while the range's keys are
- * still in cache.  Called over consecutive ranges from 0 to n with
- * counts, params ((fanout, 6) rows) and the extremes zeroed and run =
- * {0, 0} before the first: an empty leaf keeps a zero row (the caller
- * codes it constant) and extremes (0, 0), as in
- * core/bounds._per_model_extremes.  The routing arithmetic is
+/* One step of the fused build pass: route keys [lo, hi) through the
+ * root and count keys per leaf, then fit and bound the leaves whose
+ * keys are all routed (fit_leaves), as far as budget visits go, while
+ * the keys routed last are still in cache.  Called over consecutive
+ * ranges from 0 to n, then with lo = hi = n until fit[0] reaches
+ * fanout, with counts, run, fit, params ((fanout, 6) rows) and the
+ * extremes zeroed before the first.  The routing arithmetic is
  * route_leaf's on a model-index-trained root (RMI._assignments),
  * except that the clamped estimate is truncated: it is >= 0, so
  * truncation is floor, without a libm call per key.  Counting by runs
  * of equal leaves keeps the loop free of a memory increment per key;
  * run carries the open run's {leaf, first key} across calls.  The pass
  * also checks the key order.  Returns -1 at the first key below its
- * predecessor, 0 as soon as the routing decreases (the staged build
- * then runs instead), 1 for the sorted segmentation the staged build
- * takes for a monotone root. */
-int32_t repro_rmi_build_leaves(const uint64_t *keys, int64_t n,
+ * predecessor, -2 as soon as the routing decreases (the staged build
+ * then runs instead), else the fit's visits: the sorted segmentation
+ * the staged build takes for a monotone root. */
+int64_t repro_rmi_build_leaves(const uint64_t *keys, int64_t n,
                                int64_t lo, int64_t hi,
                                const int8_t *root_code,
                                const double *root_params,
                                int64_t fanout, int64_t *counts,
-                               int64_t *run, double *params,
-                               int64_t *lo_out, int64_t *hi_out) {
+                               int64_t *run, int64_t *fit, double *sums,
+                               double *params, int64_t *lo_out,
+                               int64_t *hi_out, int64_t budget) {
     double cap = (double)(fanout - 1), root[6];
-    int64_t first_leaf = run[0], run_leaf = run[0], run_start = run[1];
-    int64_t start = run[1];
+    int64_t run_leaf = run[0], run_start = run[1];
     int8_t code = root_code[0];
     uint64_t prev = lo ? keys[lo - 1] : 0;
     memcpy(root, root_params, sizeof root);
@@ -962,7 +1029,7 @@ int32_t repro_rmi_build_leaves(const uint64_t *keys, int64_t n,
         if (est > cap) est = cap;
         int64_t leaf = (int64_t)est;
         if (leaf != run_leaf) {
-            if (leaf < run_leaf) return 0;
+            if (leaf < run_leaf) return -2;
             counts[run_leaf] = i - run_start;
             run_leaf = leaf;
             run_start = i;
@@ -971,19 +1038,8 @@ int32_t repro_rmi_build_leaves(const uint64_t *keys, int64_t n,
     run[0] = run_leaf;
     run[1] = run_start;
     if (hi == n) counts[run_leaf] = n - run_start;
-    /* The leaves completed in this range, in key order. */
-    int64_t last = hi == n ? run_leaf + 1 : run_leaf;
-    for (int64_t j = first_leaf; j < last; j++) {
-        int64_t c = counts[j];
-        if (c) {
-            double *p = params + j * 6;
-            fit_leaf(keys, start, c, p);
-            leaf_extremes(keys, n, start, c, p[0], p[1], lo_out + j,
-                          hi_out + j);
-        }
-        start += c;
-    }
-    return 1;
+    return fit_leaves(keys, n, counts, hi == n ? fanout : run_leaf, fit,
+                      sums, params, lo_out, hi_out, budget);
 }
 """
 
@@ -1126,6 +1182,10 @@ _PLA_HEAD = [_ptr, _c_i64, *run_argtypes(PackedPLA.KERNEL_RUN)]
 _TREE_HEAD = [_ptr, _c_i64, *run_argtypes(PackedTree.KERNEL_RUN)]
 _PREDICT_RUN = 6
 
+#: Depths of the pairwise-sum tree a resumed leaf fit keeps sums for:
+#: each level halves a leaf of up to 2^63 keys, down to 128 terms.
+_FIT_DEPTH = 64
+
 #: (name, argtypes) for every exported kernel.  Every array is passed
 #: by address (:mod:`repro.kernels.binding`).
 _SIGNATURES = {
@@ -1153,11 +1213,11 @@ _SIGNATURES = {
     "repro_tree_serve": _TREE_HEAD + _SERVE_TAIL,
     "repro_rmi_build_leaves":
         [_ptr, _c_i64, _c_i64, _c_i64, _ptr, _ptr, _c_i64, _ptr, _ptr,
-         _ptr, _ptr, _ptr],
+         _ptr, _ptr, _ptr, _ptr, _ptr, _c_i64],
 }
 
 #: Return types of the kernels that return a value (the rest are void).
-_RESTYPES = {"repro_rmi_build_leaves": ctypes.c_int32,
+_RESTYPES = {"repro_rmi_build_leaves": ctypes.c_int64,
              "repro_merge_delta": ctypes.c_int64,
              "repro_compact_delta": ctypes.c_int64,
              "repro_merge_live": ctypes.c_int32}
@@ -1383,25 +1443,29 @@ class CExtBackend(KernelBackend):
         n = len(keys)
         counts = np.zeros(fanout, dtype=np.int64)
         run = np.zeros(2, dtype=np.int64)
+        fit = np.zeros(6, dtype=np.int64)
+        sums = np.zeros(2 + 2 * _FIT_DEPTH, dtype=np.float64)
         params = np.zeros((fanout, 6), dtype=np.float64)
         lo_err = np.zeros(fanout, dtype=np.int64)
         hi_err = np.zeros(fanout, dtype=np.int64)
         args = (address(code), address(root_params), fanout,
-                address(counts), address(run), address(params),
-                address(lo_err), address(hi_err))
-        step = max(self.step_keys // 4, 1)  # four visits per key
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            fitted = int(run[1])
-            routed = self._lib.repro_rmi_build_leaves(address(keys), n, lo,
-                                                      hi, *args)
-            if routed < 0:
+                address(counts), address(run), address(fit), address(sums),
+                address(params), address(lo_err), address(hi_err))
+        route = max(self.step_keys // 4, 1)
+        lo = 0
+        while fit[0] < fanout:
+            hi = min(n, lo + route)
+            # The routing's visits, then the fit's, within one budget.
+            visits = self._lib.repro_rmi_build_leaves(
+                address(keys), n, lo, hi, *args,
+                self.step_keys - (hi - lo))
+            if visits == -1:
                 raise ValueError("keys must be sorted in non-decreasing "
                                  "order")
-            if not routed:
+            if visits == -2:
                 return None
-            # The keys routed, and those of the leaves fitted.
-            yield (hi - lo) + (n if hi == n else int(run[1])) - fitted
+            yield (hi - lo) + visits
+            lo = hi
         codes = np.where(
             counts > 0, SOA_MODEL_CODES[LinearRegression],
             SOA_MODEL_CODES[ConstantModel],

@@ -462,7 +462,7 @@ class IndexServer(RequestFront):
         """The build's steps, then its publication as one more step."""
         built = yield from steps
         if ticket is not None:
-            index.finish_rebuild(built, ticket.watermark, ticket.delta)
+            index.finish_rebuild(built, ticket)
             built = index
         self.swap_index(built)
         self.factory = factory

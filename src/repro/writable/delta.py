@@ -21,9 +21,9 @@ read/write oracle validation relies on.
 Each entry additionally carries
 
 * ``seq`` -- a writer-assigned monotone sequence number, used by the
-  rebuild watermark protocol (:meth:`DeltaState.compacted` drops only
-  entries the rebuild snapshot already folded in, so writes that raced
-  the rebuild survive), and
+  rebuild watermark protocol (a rebuild's publication, the backend's
+  ``compact_delta``, drops only entries the rebuild snapshot already
+  folded in, so writes that raced the rebuild survive), and
 * ``born`` -- the wall-clock time of the *oldest* surviving write to
   the key, feeding the staleness-bound metric (max age of unmerged
   delta).
@@ -32,7 +32,7 @@ Each entry additionally carries
 state -- a write batch through :func:`last_writes` and the backend's
 ``merge_delta`` kernel (:meth:`~repro.writable.index._View.merged_with`),
 a rebuild's publication through the backend's ``compact_delta`` kernel
-or :meth:`compacted` -- and publish it with one reference assignment,
+-- and publish it with one reference assignment,
 so concurrent readers always see a coherent buffer without locks.
 """
 
@@ -74,7 +74,8 @@ class DeltaState:
 
         Writers allocate strictly increasing sequence numbers, so any
         entry applied *after* this snapshot was captured carries a seq
-        above the watermark -- :meth:`compacted` keeps exactly those.
+        above the watermark -- a rebuild's publication keeps exactly
+        those.
         """
         return int(self.seqs.max()) if len(self.seqs) else -1
 
@@ -82,24 +83,6 @@ class DeltaState:
     def oldest_born(self) -> float:
         """Wall-clock time of the oldest unmerged write (inf when empty)."""
         return float(self.born.min()) if len(self.born) else float("inf")
-
-    def compacted(self, watermark: int) -> "DeltaState":
-        """Entries newer than ``watermark`` (the post-rebuild buffer).
-
-        A rebuild snapshots ``(live keys, watermark)``; everything at or
-        below the watermark is folded into the new base and dropped
-        here, while writes that raced the rebuild (seq above the
-        watermark) keep shadowing the new base.
-        """
-        keep = self.seqs > np.int64(watermark)
-        if keep.all():
-            return self
-        return DeltaState(
-            np.ascontiguousarray(self.keys[keep]),
-            np.ascontiguousarray(self.ops[keep]),
-            np.ascontiguousarray(self.seqs[keep]),
-            np.ascontiguousarray(self.born[keep]),
-        )
 
     def nbytes(self) -> int:
         return int(self.keys.nbytes + self.ops.nbytes

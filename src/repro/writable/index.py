@@ -116,7 +116,8 @@ class _View:
         copy of a delta key is shadowed): how many positions a query
         ranking ``i`` delta keys below it shifts relative to the bare
         base answer.  A write batch keeps it current in its merge pass
-        (:meth:`merged_with`); a fresh view (after a rebuild) counts it
+        (:meth:`merged_with`) and a rebuild's publication derives it
+        (:meth:`WritableIndex.finish_rebuild`); any other view counts it
         here.
         """
         corr = self._corr
@@ -197,10 +198,10 @@ class RebuildTicket:
 
     ``live_keys`` is the merged array to build the new base over;
     ``watermark`` bounds the delta entries the snapshot already folded
-    in (pass it to :meth:`WritableIndex.finish_rebuild` verbatim);
-    ``base`` is the current base index, for factory/type decisions;
-    ``delta`` is the snapshot's delta buffer, from which
-    ``finish_rebuild`` derives the new base's multiplicities.
+    in; ``base`` is the current base index, for factory/type
+    decisions; ``delta`` is the snapshot's delta buffer, from which
+    :meth:`WritableIndex.finish_rebuild` (given the ticket) derives the
+    new base's multiplicities.
     """
 
     live_keys: np.ndarray
@@ -388,34 +389,33 @@ class WritableIndex(OrderedIndex):
                              watermark=view.delta.watermark,
                              base=view.base, delta=view.delta)
 
-    def finish_rebuild(self, new_base: Any, watermark: int,
-                       snapshot: "DeltaState | None" = None) -> None:
-        """Publish a rebuilt base; keep writes newer than the snapshot.
+    def finish_rebuild(self, new_base: Any, ticket: RebuildTicket) -> None:
+        """Publish ``new_base``, built over ``ticket``'s live keys; keep
+        the writes newer than the ticket's snapshot.
 
         The swap is one view assignment: queries in flight keep the
         view they captured, later queries see the new base with the
         compacted delta -- zero-loss, same as the server's hot swap.
-        The compacted delta's correction is counted here, on the
-        publishing path, so no read pays it.  Given the snapshot's
-        delta (``RebuildTicket.delta``; ``new_base`` must hold the
-        ticket's live keys), the backend's ``compact_delta`` derives it
-        in one pass, without searching the new base: a key the snapshot
-        wrote has the multiplicity its op gave it, and any other key
-        keeps its old base multiplicity, which the current correction
-        holds.
+        The backend's ``compact_delta`` keeps the entries above the
+        ticket's watermark and derives their correction in one pass, on
+        the publishing path, so no read pays it and the new base is not
+        searched: a key the snapshot's delta wrote has the multiplicity
+        its op gave it, and any other key keeps its old base
+        multiplicity, which the current correction holds.  That needs
+        the base the ticket snapshotted still in place; a
+        ``ValueError`` refuses a ticket whose base has been replaced.
         """
         with self._mutate:
             view = self._view
-            if snapshot is None:
-                new_view = _View(new_base, view.delta.compacted(watermark))
-            else:
-                d = view.delta
-                *arrays, corr = kernels.get_backend().compact_delta(
-                    (d.keys, d.ops, d.seqs, d.born, view.correction()),
-                    (snapshot.keys, snapshot.ops), watermark)
-                new_view = _View(new_base, DeltaState(*arrays))
-                new_view._corr = corr
-            new_view.correction()
+            if view.base is not ticket.base:
+                raise ValueError("finish_rebuild: the ticket's base is no "
+                                 "longer the current base")
+            d, snapshot = view.delta, ticket.delta
+            *arrays, corr = kernels.get_backend().compact_delta(
+                (d.keys, d.ops, d.seqs, d.born, view.correction()),
+                (snapshot.keys, snapshot.ops), ticket.watermark)
+            new_view = _View(new_base, DeltaState(*arrays))
+            new_view._corr = corr
             self._view = new_view
 
     def rebuild(self,
@@ -437,7 +437,7 @@ class WritableIndex(OrderedIndex):
             return None
         factory = factory or IndexFactory.of(ticket.base)
         new_base = factory(ticket.live_keys)
-        self.finish_rebuild(new_base, ticket.watermark, ticket.delta)
+        self.finish_rebuild(new_base, ticket)
         return new_base
 
     # -- accounting ------------------------------------------------------

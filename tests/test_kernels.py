@@ -19,6 +19,8 @@ everything else runs everywhere.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -31,6 +33,7 @@ from repro.cache.fingerprint import (
 )
 from repro.core.builder import RMIConfig
 from repro.core.bounds import ErrorBounds, LocalAbsoluteBounds
+from repro.core.layers import LayerTable
 from repro.core.models import ConstantModel
 from repro.core.rmi import RMI
 from repro.core.search import batch_lower_bound_window
@@ -163,6 +166,20 @@ class TestPacking:
         second = smoke_rmi._packed_rmi()
         assert second is not first
         assert second.codes[second.offsets[-2]] == 0  # const code
+
+    def test_packed_cache_stays_behind_in_pickles(self, smoke_rmi,
+                                                  monkeypatch):
+        # Packed at one mutation count, mutated, then pickled: however
+        # the receiving process's count stands, it re-packs.
+        token = LayerTable.mutations
+        smoke_rmi._packed_rmi()
+        smoke_rmi.layers[-1][0] = ConstantModel(0.0)
+        data = pickle.dumps(smoke_rmi)
+        monkeypatch.setattr(LayerTable, "mutations", token)
+        restored = pickle.loads(data)
+        assert restored._packed_cache is None
+        packed = restored._packed_rmi()
+        assert packed.codes[packed.offsets[-2]] == 0  # the mutated leaf
 
     def test_packed_cache_invalidated_by_bounds_swap(self, smoke_rmi):
         first = smoke_rmi._packed_rmi()

@@ -1,10 +1,11 @@
 """Rebuilds in bounded steps on the serving loop.
 
-* ``RMI.build_steps`` runs the ``cext`` build as steps that route at
-  most the backend's ``step_keys`` keys and fit the leaves completed on
-  the way (a leaf larger than a step is fitted whole), and its result
-  equals ``RMIAsIndex(keys)`` bit for bit; builds without bounded steps
-  have no stepwise form.
+* ``RMI.build_steps`` runs the ``cext`` build as steps of at most the
+  backend's ``step_keys`` key visits, each routing a range of keys and
+  fitting the leaves completed on the way -- a leaf larger than a step,
+  as on skewed keys, is fitted over several -- and its result equals
+  ``RMIAsIndex(keys)`` and the staged NumPy build bit for bit; builds
+  without bounded steps have no stepwise form.
 * The snapshot (``WritableIndex.snapshot_steps``, the backend's
   ``merge_live_steps``) is bounded the same way and equals
   ``begin_rebuild``.
@@ -23,7 +24,7 @@ import functools
 import numpy as np
 import pytest
 
-from repro import kernels
+from repro import data, kernels
 from repro.baselines import INDEX_TYPES
 from repro.baselines.rmi_adapter import RMIAsIndex
 from repro.core.rmi import RMI
@@ -37,6 +38,10 @@ from repro.writable.rebuild import IndexFactory, build_steps
 #: routes ``STEP // 4`` keys per step (four visits per key), the
 #: snapshot merges ``STEP``.
 STEP = 4000
+
+#: The smallest step the build supports exactly: a step fits at least
+#: one block (128 terms) of a leaf's pairwise sums.
+MIN_STEP = 4 * 128 // 3 + 1
 
 needs_cext = pytest.mark.skipif(not kernels.backend_available("cext"),
                                 reason="cext backend not available")
@@ -95,12 +100,11 @@ def test_stepwise_build_is_bounded_and_bit_identical(cext_steps, bound_type):
         RMIAsIndex(keys[:100], layer2_size=64).config, bound_type=bound_type)
     index, work = _drive(RMIAsIndex.build_steps(keys, config=config))
     # Besides the O(1) root fit, each step routes STEP // 4 keys (and
-    # checks their order) and fits the leaves whose last key it routes:
-    # as many plus the leaf it found open, which here holds fewer.
-    # Every key is routed once and fitted once.
-    assert max(work) <= 3 * (STEP // 4)
-    assert sum(work) == 2 * len(keys)
-    assert len(work) == -(-len(keys) // (STEP // 4))
+    # checks their order), then fits the leaves whose keys are all
+    # routed within the rest of STEP.  Every key is visited four times.
+    assert max(work) <= STEP
+    assert sum(work) == 4 * len(keys)
+    assert len(work) <= -(-4 * len(keys) // STEP) + 1
     want = RMIAsIndex(keys, config=config)
     assert isinstance(index, RMIAsIndex) and index.config == config
     _same_rmi(index.rmi, want.rmi)
@@ -110,15 +114,29 @@ def test_stepwise_build_is_bounded_and_bit_identical(cext_steps, bound_type):
 
 
 @needs_cext
-def test_a_leaf_larger_than_a_step_is_one_step(cext_steps):
-    # Two leaves over a skewed key set: almost every key lands in one.
-    keys = np.concatenate([np.arange(30_000, dtype=np.uint64),
-                           np.array([2**60], dtype=np.uint64)])
-    rmi, work = _drive(RMI.build_steps(keys, layer_sizes=(2,)))
-    assert rmi._leaf_counts.max() > 3 * STEP // 4
-    assert max(work) > rmi._leaf_counts.max()  # fitted whole, at the end
-    assert sum(work) == 2 * len(keys)
-    _same_rmi(rmi, RMI(keys, layer_sizes=(2,)))
+@pytest.mark.parametrize("step", [MIN_STEP, 1000, STEP])
+@pytest.mark.parametrize("dataset", ["fb", "osmc", "wiki"])
+def test_a_skewed_build_stays_bounded(monkeypatch, dataset, step):
+    # fb's outliers near 2^64 send all but a few keys to one leaf of the
+    # LS root: a leaf many steps long, fitted over several.
+    monkeypatch.setattr(kernels.get_backend("cext"), "step_keys", step)
+    keys = data.generate(dataset, n=20_000)
+    rmi, work = _drive(RMI.build_steps(keys, layer_sizes=(64,),
+                                       kernels="cext"))
+    assert max(work) <= step
+    assert sum(work) == 4 * len(keys)
+    if dataset == "fb":
+        assert rmi._leaf_counts.max() > 4 * step
+    # Bit for bit the staged NumPy build, wherever the steps cut a fit.
+    staged = RMI(keys, layer_sizes=(64,), kernels="numpy")
+    np.testing.assert_array_equal(rmi.leaf_model_ids, staged.leaf_model_ids)
+    packed, reference = kernels.pack_rmi(rmi), kernels.pack_rmi(staged)
+    for field in dataclasses.fields(reference):
+        a, b = getattr(packed, field.name), getattr(reference, field.name)
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a.view(np.uint8), b.view(np.uint8))
+        else:
+            assert a == b
 
 
 @needs_cext

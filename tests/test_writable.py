@@ -25,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.baselines import INDEX_TYPES
 from repro.baselines.dynamic_pgm import DynamicPGMIndex
 from repro.writable import (
@@ -84,6 +85,16 @@ def _merged(delta: DeltaState, keys, ops, seq_start: int,
                                                now).delta
 
 
+def _compacted(delta: DeltaState, snapshot: DeltaState) -> DeltaState:
+    """``delta`` as a rebuild's publication leaves it, the rebuild
+    having folded in ``snapshot`` (the backend's ``compact_delta``)."""
+    *arrays, _ = kernels.get_backend().compact_delta(
+        (delta.keys, delta.ops, delta.seqs, delta.born,
+         _View(_FAR_BASE, delta).correction()),
+        (snapshot.keys, snapshot.ops), snapshot.watermark)
+    return DeltaState(*arrays)
+
+
 class TestDeltaState:
     def test_empty_delta_properties(self):
         d = empty_delta()
@@ -118,22 +129,21 @@ class TestDeltaState:
                                   OP_TOMBSTONE]
 
     def test_compacted_drops_only_at_or_below_watermark(self):
-        d = _merged(empty_delta(), *_ins(1, 2), seq_start=0, now=0.0)
-        watermark = d.watermark
-        d = _merged(d, *_ins(3), seq_start=5, now=1.0)  # raced write
-        survivors = d.compacted(watermark)
+        snapshot = _merged(empty_delta(), *_ins(1, 2), seq_start=0,
+                           now=0.0)
+        d = _merged(snapshot, *_ins(3), seq_start=5, now=1.0)  # raced
+        survivors = _compacted(d, snapshot)
         assert survivors.keys.tolist() == [3]
         # Compacting at the full watermark empties the buffer.
-        assert len(d.compacted(d.watermark)) == 0
+        assert len(_compacted(d, d)) == 0
 
     def test_rewritten_key_survives_stale_watermark(self):
         # insert(7) snapshot, then delete(7) racing the rebuild: the
         # delete's seq is above the snapshot watermark, so it must
         # survive compaction or the delete would be silently lost.
-        d = _merged(empty_delta(), *_ins(7), seq_start=0, now=0.0)
-        watermark = d.watermark
-        d = _merged(d, *_del(7), seq_start=1, now=1.0)
-        survivors = d.compacted(watermark)
+        snapshot = _merged(empty_delta(), *_ins(7), seq_start=0, now=0.0)
+        d = _merged(snapshot, *_del(7), seq_start=1, now=1.0)
+        survivors = _compacted(d, snapshot)
         assert survivors.keys.tolist() == [7]
         assert survivors.ops[0] == OP_TOMBSTONE
 
@@ -371,8 +381,22 @@ def test_finish_rebuild_preserves_racing_writes():
     windex.delete(20)
     windex.insert(25)
     new_base = INDEX_TYPES["b-tree"](ticket.live_keys)
-    windex.finish_rebuild(new_base, ticket.watermark)
+    windex.finish_rebuild(new_base, ticket)
     # The racing delete and insert survive the compaction...
     assert windex.delta_len == 2
     # ...and the merged answers reflect every write.
     assert np.asarray(windex.keys).tolist() == [10, 15, 25, 30]
+
+
+def test_finish_rebuild_refuses_a_ticket_whose_base_was_replaced():
+    base = np.array([10, 20, 30], dtype=np.uint64)
+    windex = WritableIndex(INDEX_TYPES["b-tree"](base))
+    windex.insert(15)
+    stale = windex.begin_rebuild()
+    windex.delete(20)
+    windex.rebuild()  # a second rebuild publishes first
+    current = windex.base
+    with pytest.raises(ValueError, match="base"):
+        windex.finish_rebuild(INDEX_TYPES["b-tree"](stale.live_keys), stale)
+    assert windex.base is current
+    assert np.asarray(windex.keys).tolist() == [10, 15, 30]

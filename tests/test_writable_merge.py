@@ -212,7 +212,7 @@ def test_publication_derives_the_fresh_correction(base, before, after):
             for batch in after:
                 _write(windex, batch)
             new_base = INDEX_TYPES["binary-search"](ticket.live_keys)
-            windex.finish_rebuild(new_base, ticket.watermark, ticket.delta)
+            windex.finish_rebuild(new_base, ticket)
         published[name] = windex._view
     view = published[LOADABLE[0]]
     fresh = _View(new_base, view.delta)
