@@ -152,7 +152,8 @@ class KernelBackend:
     #: The work bound of one step of a ``*_steps`` generator, in key
     #: visits: the snapshot merge visits each key once, the RMI build
     #: pass four times (route, two fit sums, bounds).  About 1 ms of C
-    #: on one core.
+    #: on one core.  The build's bound holds from 171 visits up: a step
+    #: fits at least one 128-term block of a leaf's pairwise sums.
     step_keys: int = 1 << 19
 
     def lower_bound_window(
