@@ -34,7 +34,9 @@ per family in :mod:`repro.kernels`.  The indexes that do not pack
 base class otherwise falls back to one :meth:`lower_bound` per query,
 so third-party subclasses only implementing the scalar contract still
 work everywhere the runner and benchmarks drive the batch path.
-:meth:`range_query_batch` vectorizes :meth:`range_query` on top of it.
+:meth:`serve_batch` answers points and ranges in one call -- the
+packed form's fused serve, or one :meth:`lookup_batch` -- and checks
+the ranges; :meth:`range_query_batch` is its serve with no points.
 
 Snapshots
 ---------
@@ -62,6 +64,7 @@ import numpy as np
 
 from .. import kernels
 from ..core.search import binary_search
+from ..kernels.base import NO_QUERIES, serve_by_lookup
 
 __all__ = ["SearchBounds", "OrderedIndex", "UnsupportedDataError"]
 
@@ -164,10 +167,7 @@ class OrderedIndex:
         state = self._kernel_state()
         if state is not None:
             backend, packed = state
-            return backend.lookup(
-                packed, self.keys,
-                np.ascontiguousarray(queries, dtype=np.uint64),
-            )
+            return backend.lookup(packed, self.keys, queries)
         return np.fromiter(
             (self.lower_bound(int(q)) for q in np.asarray(queries)),
             dtype=np.int64,
@@ -183,18 +183,11 @@ class OrderedIndex:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized :meth:`range_query`: ``(start positions, counts)``.
 
-        Two batched lower-bound lookups, one per boundary -- the same
-        decomposition as the scalar method, amortized across queries.
+        The :meth:`serve_batch` of no points: one batched lower bound
+        per boundary, amortized across queries, and the same range
+        check.
         """
-        lows = np.asarray(lows, dtype=np.uint64)
-        highs = np.asarray(highs, dtype=np.uint64)
-        if len(lows) != len(highs):
-            raise ValueError("range_query_batch needs equal-length bounds")
-        if np.any(highs < lows):
-            raise ValueError("range_query_batch requires low <= high")
-        starts = self.lookup_batch(lows)
-        ends = self.lookup_batch(highs)
-        return starts, ends - starts
+        return self.serve_batch(NO_QUERIES, lows, highs)[1:]
 
     # -- kernel backends -------------------------------------------------
 
@@ -242,35 +235,19 @@ class OrderedIndex:
         requests into a single call of this method per micro-batch, so
         an index pays one dispatch for the whole batch.  Returns
         ``(positions, range_starts, range_counts)``; either query array
-        may be empty.  When the index packs (:meth:`_kernel_state`),
-        the active backend's ``serve`` answers all three lower-bound
-        passes in one call; otherwise this composes :meth:`lookup_batch`
-        and :meth:`range_query_batch`.
+        may be empty.  Raises ``ValueError`` unless there is one high
+        per range low, none below it.  When the index packs
+        (:meth:`_kernel_state`), the active backend's ``serve`` answers
+        all three lower-bound passes in one call; otherwise one
+        :meth:`lookup_batch` ranks points and bounds together.
         """
         state = self._kernel_state()
         if state is not None:
             backend, packed = state
-            return backend.serve(
-                packed, self.keys,
-                np.ascontiguousarray(point_queries, dtype=np.uint64),
-                np.ascontiguousarray(range_lows, dtype=np.uint64),
-                np.ascontiguousarray(range_highs, dtype=np.uint64),
-            )
-        if len(point_queries):
-            positions = self.lookup_batch(
-                np.asarray(point_queries, dtype=np.uint64)
-            )
-        else:
-            positions = np.empty(0, dtype=np.int64)
-        if len(range_lows):
-            starts, counts = self.range_query_batch(
-                np.asarray(range_lows, dtype=np.uint64),
-                np.asarray(range_highs, dtype=np.uint64),
-            )
-        else:
-            starts = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
-        return positions, starts, counts
+            return backend.serve(packed, self.keys, point_queries,
+                                 range_lows, range_highs)
+        return serve_by_lookup(self.lookup_batch, point_queries,
+                               range_lows, range_highs)
 
     def warm_kernels(self) -> None:
         """Load the batch-path kernels off the serving hot path.

@@ -12,10 +12,12 @@ entry points is timed on every loadable backend:
     the bounded search with escape repair, over the exact windows the
     smoke RMI produces;
 ``lookup``
-    the fused route→predict→search batch (``rmi_lookup``) — this is
-    the "100k lookup smoke" the speedup gate binds on;
+    the fused route→predict→search batch (``rmi_lookup``, the RMI's
+    serve kernel with no ranges) — this is the "100k lookup smoke" the
+    speedup gate binds on;
 ``serve``
-    the fused point+range serving unit (``rmi_serve``).
+    the fused point+range serving unit (``rmi_serve``), the same
+    kernel with ranges.
 
 Next to them, ``call_us`` states the fixed cost of one kernel call: the
 mean of a loop of one-key ``serve`` calls, best of ``runs``.  A small
@@ -26,8 +28,9 @@ Beyond the RMI smoke, the report carries one section per *family
 baseline* (``--index`` selects which): each packable index of Table 5
 -- PGM, CompressedPGM, RadixSpline, FITing-Tree (``pla`` family),
 B-tree and Hist-Tree (``tree`` family) -- is built on the same keys,
-packed, and its ``lookup``/``serve`` kernels -- the index's batch
-path on every backend -- timed per backend, NumPy included.  A final
+packed, and its ``lookup`` (the serve with no ranges) and ``serve``
+-- both the family's one serve kernel, the index's batch path on
+every backend -- timed per backend, NumPy included.  A final
 ``sorted_narrowing`` section times the pure-NumPy sorted-batch
 narrowing fast path in ``core/search.py`` against the plain windowed
 search, so the report also states what indexes gain where nothing

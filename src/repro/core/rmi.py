@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .. import kernels as _kernels
-from ..kernels.base import run_steps
+from ..kernels.base import NO_QUERIES, run_steps, serve_by_lookup
 from .bounds import (
     BOUND_TYPES,
     ErrorBounds,
@@ -119,25 +119,6 @@ def _fit_model(model_type: type[Model], keys: np.ndarray, targets: np.ndarray,
     if model_type is CubicSpline and cs_fallback:
         return CubicSpline.fit_with_fallback(keys, targets)
     return model_type.fit(keys, targets)
-
-
-def _predict_routed(layer, queries: np.ndarray,
-                    model_ids: np.ndarray) -> np.ndarray:
-    """Evaluate ``layer[model_ids[i]]`` on ``queries[i]`` for all i.
-
-    Dispatches to :meth:`LayerTable.predict_routed` (SoA gathers) when
-    available; plain model lists (e.g. deserialized RMIs from older
-    code paths) fall back to the per-model loop.
-    """
-    if hasattr(layer, "predict_routed"):
-        return layer.predict_routed(queries, model_ids)
-    if len(layer) == 1:
-        return layer[0].predict_batch(queries)
-    out = np.empty(len(queries), dtype=np.float64)
-    for j in np.unique(model_ids):
-        mask = model_ids == j
-        out[mask] = layer[j].predict_batch(queries[mask])
-    return out
 
 
 def _assignments(predictions: np.ndarray, fanout: int, n: int,
@@ -484,12 +465,12 @@ class RMI:
             if not last_layer:
                 t4 = time.perf_counter()
                 if fanout == 1:
-                    preds = _predict_routed(layer, ordered_keys, None)
+                    preds = layer.predict_routed(ordered_keys, None)
                 else:
                     seg_ids = np.repeat(
                         np.arange(fanout, dtype=np.int64), counts
                     )
-                    preds = _predict_routed(layer, ordered_keys, seg_ids)
+                    preds = layer.predict_routed(ordered_keys, seg_ids)
                 assign = _assignments(
                     preds, next_fanout, n, self.train_on_model_index
                 )
@@ -565,23 +546,7 @@ class RMI:
         *in the key* qualify — LogLinear also carries a slope/intercept
         pair but is linear in ``log1p(x)`` and must not be fused here.
         """
-        leaves = self.layers[-1]
-        if hasattr(leaves, "linear_params"):
-            self._leaf_linear = leaves.linear_params()
-            return
-        slopes = np.empty(len(leaves), dtype=np.float64)
-        intercepts = np.empty(len(leaves), dtype=np.float64)
-        for j, m in enumerate(leaves):
-            if isinstance(m, (LinearRegression, LinearSpline)):
-                slopes[j] = m.slope
-                intercepts[j] = m.intercept
-            elif isinstance(m, ConstantModel):
-                slopes[j] = 0.0
-                intercepts[j] = m.value
-            else:
-                self._leaf_linear = None
-                return
-        self._leaf_linear = (slopes, intercepts)
+        self._leaf_linear = self.layers[-1].linear_params()
 
     # ------------------------------------------------------------------
     # Kernel backend dispatch
@@ -656,7 +621,7 @@ class RMI:
         for depth in range(len(self.layer_sizes) - 1):
             layer = self.layers[depth]
             next_fanout = self.layer_sizes[depth + 1]
-            preds = _predict_routed(layer, queries, assign)
+            preds = layer.predict_routed(queries, assign)
             assign = _assignments(
                 preds, next_fanout, self.n, self.train_on_model_index
             )
@@ -672,7 +637,7 @@ class RMI:
                 model_ids
             ]
         else:
-            est = _predict_routed(self.layers[-1], queries, model_ids)
+            est = self.layers[-1].predict_routed(queries, model_ids)
         est = np.clip(np.nan_to_num(est), 0.0, float(self.n - 1))
         return est.astype(np.int64)
 
@@ -773,16 +738,9 @@ class RMI:
     def range_query_batch(
         self, lows: np.ndarray, highs: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`range_query`: ``(start positions, counts)``."""
-        lows = np.asarray(lows, dtype=np.uint64)
-        highs = np.asarray(highs, dtype=np.uint64)
-        if len(lows) != len(highs):
-            raise ValueError("range_query_batch needs equal-length bounds")
-        if np.any(highs < lows):
-            raise ValueError("range_query_batch requires low <= high")
-        starts = self.lookup_batch(lows)
-        ends = self.lookup_batch(highs)
-        return starts, ends - starts
+        """Vectorized :meth:`range_query`: ``(start positions, counts)``,
+        the :meth:`serve_batch` of no points."""
+        return self.serve_batch(NO_QUERIES, lows, highs)[1:]
 
     def serve_batch(
         self,
@@ -792,34 +750,20 @@ class RMI:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Fused serving unit: ``(positions, range_starts, range_counts)``.
 
-        Same contract as ``OrderedIndex.serve_batch``.  On a compiled
-        backend the whole batch -- routing, prediction, bounded search
-        with escape repair, for points and both range boundaries --
-        runs in one kernel call without returning to Python between
-        stages.
+        Same contract as ``OrderedIndex.serve_batch``, range check
+        included.  On a compiled backend the whole batch -- routing,
+        prediction, bounded search with escape repair, for points and
+        both range boundaries -- runs in one kernel call without
+        returning to Python between stages; otherwise one staged
+        :meth:`lookup_batch` ranks them all.
         """
-        points = np.asarray(point_queries, dtype=np.uint64)
-        lows = np.asarray(range_lows, dtype=np.uint64)
-        highs = np.asarray(range_highs, dtype=np.uint64)
-        if len(lows) != len(highs):
-            raise ValueError("serve_batch needs equal-length range bounds")
-        if len(lows) and np.any(highs < lows):
-            raise ValueError("serve_batch requires low <= high")
         state = self._kernel_state()
         if state is not None:
             backend, packed = state
-            return backend.rmi_serve(packed, self.keys, points, lows, highs)
-        if len(points):
-            positions = self.lookup_batch(points)
-        else:
-            positions = np.empty(0, dtype=np.int64)
-        if len(lows):
-            starts = self.lookup_batch(lows)
-            counts = self.lookup_batch(highs) - starts
-        else:
-            starts = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
-        return positions, starts, counts
+            return backend.rmi_serve(packed, self.keys, point_queries,
+                                     range_lows, range_highs)
+        return serve_by_lookup(self.lookup_batch, point_queries,
+                               range_lows, range_highs)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -846,12 +790,7 @@ class RMI:
         Matches the paper's accounting: the sorted data array itself is
         not part of the index.
         """
-        model_bytes = sum(
-            layer.size_in_bytes()
-            if hasattr(layer, "size_in_bytes")
-            else sum(m.size_in_bytes() for m in layer)
-            for layer in self.layers
-        )
+        model_bytes = sum(layer.size_in_bytes() for layer in self.layers)
         return model_bytes + self.bounds.size_in_bytes()
 
     def describe(self) -> str:

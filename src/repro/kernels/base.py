@@ -22,39 +22,45 @@ A backend provides the hot kernels of the lookup path over flat arrays
     The writable tier's publication: the delta entries newer than a
     rebuild's watermark, with their correction against the rebuilt base
     (``WritableIndex.finish_rebuild`` dispatches here).
-``merge_live`` / ``merge_live_steps``
+``merge_live_steps``
     The writable tier's snapshot: the base keys merged with the delta
     buffer into the sorted live key array a rebuild builds over
     (``repro.writable.index._View.live_keys_steps`` dispatches here).
-``rmi_predict`` / ``rmi_lookup`` / ``rmi_serve``
-    The RMI-specific fused paths: Equation-3 routing + Equation-4 leaf
-    prediction, the full predict→bounds→bounded-search lookup, and the
-    serving-layer point+range unit chaining three lookups in one call.
-``pla_lookup`` / ``pla_serve``
-    The same fused shapes over a :class:`~repro.kernels.packed_pla.PackedPLA`
-    (PGM descent, FITing-Tree segment routing, RadixSpline knot
-    interpolation).
-``tree_lookup`` / ``tree_serve``
-    Fused descent over a :class:`~repro.kernels.packed_tree.PackedTree`
-    (sparse B+-tree directory, Hist-Tree bin descent).
-``rmi_build_leaves``
+``rmi_serve`` / ``pla_serve`` / ``tree_serve``
+    The one fused kernel of each packed family, mapping ``(points,
+    lows, highs)`` to ``(positions, starts, counts)``: the family's
+    structure yields each query's search window -- RMI routing and leaf
+    prediction widened by its error bounds; PGM descent, FITing-Tree
+    segment routing or RadixSpline knot interpolation over a
+    :class:`~repro.kernels.packed_pla.PackedPLA`; the sparse B+-tree
+    directory or Hist-Tree bin descent over a
+    :class:`~repro.kernels.packed_tree.PackedTree` -- and a bounded
+    search completes it (the paper's Section 8.1).  A lookup is a serve
+    with no ranges, a range query a serve with no points.  Every serve
+    refuses unequal range lengths and a high below its low with
+    ``ValueError`` (:func:`check_ranges`).
+``rmi_predict`` / ``rmi_lookup``
+    Two RMI stages kept apart: Equation-3 routing + Equation-4 leaf
+    prediction, and the RMI serve with no ranges (``RMI.lookup_batch``),
+    which traces time apart from ``rmi_serve``.
+``rmi_build_leaves_steps``
     Optional RMI build kernel (``build_kernels``): the segment, leaves
     and bounds steps of the two-layer grouped LR build fused into one
     pass, in place of the staged NumPy steps of ``RMI._build``, which
     stay the reference.
 
-**Steps.**  The snapshot and the build kernel also come as step
-generators (``*_steps``): each ``next()`` runs one bounded step, at
-most :attr:`KernelBackend.step_keys` key visits, and yields the number
-of visits it made; the generator returns the result.  A
-served index rebuilds through them on the event-loop thread, one step
-at a time (:meth:`~repro.serve.server.IndexServer.rebuild`); the
-one-shot methods run the same steps back to back (:func:`run_steps`).
+**Steps.**  The snapshot and the build kernel are step generators
+(``*_steps``): each ``next()`` runs one bounded step, at most
+:attr:`KernelBackend.step_keys` key visits, and yields the number of
+visits it made; the generator returns the result.  A served index
+rebuilds through them on the event-loop thread, one step at a time
+(:meth:`~repro.serve.server.IndexServer.rebuild`); :func:`run_steps`
+runs them back to back.
 
-:meth:`KernelBackend.lookup` / :meth:`KernelBackend.serve` dispatch a
-packed structure of any family to the right kernel via its
-``packed_kind`` tag, so the baselines' batch lookup is one generic
-call site (``OrderedIndex.lookup_batch`` / ``serve_batch``).
+:meth:`KernelBackend.serve` dispatches a packed structure of any family
+to its serve via its ``packed_kind`` tag, and :meth:`KernelBackend.lookup`
+is that serve with no ranges, so the baselines' batch lookup is one
+generic call site (``OrderedIndex.lookup_batch`` / ``serve_batch``).
 
 Contract: every backend returns **bit-identical positions** to the
 NumPy reference on the same inputs -- the conformance suite
@@ -70,20 +76,24 @@ import numpy as np
 
 __all__ = [
     "KernelBackend",
+    "NO_QUERIES",
     "PACKED_DISPATCH",
     "check_compact",
     "check_delta",
     "check_merge",
+    "check_ranges",
     "check_windows",
     "run_steps",
+    "serve_by_lookup",
 ]
 
-#: ``packed_kind`` tag -> (lookup method, serve method) names.
-PACKED_DISPATCH = {
-    "rmi": ("rmi_lookup", "rmi_serve"),
-    "pla": ("pla_lookup", "pla_serve"),
-    "tree": ("tree_lookup", "tree_serve"),
-}
+#: ``packed_kind`` tag -> serve method name.
+PACKED_DISPATCH = {"rmi": "rmi_serve", "pla": "pla_serve",
+                   "tree": "tree_serve"}
+
+#: The missing side of a serve: no points, or no range bounds.
+NO_QUERIES = np.empty(0, dtype=np.uint64)
+_NO_RANKS = np.empty(0, dtype=np.int64)
 
 
 def check_windows(queries, lo, hi) -> None:
@@ -92,6 +102,33 @@ def check_windows(queries, lo, hi) -> None:
     if len(lo) != len(queries) or len(hi) != len(queries):
         raise ValueError("lower_bound_window needs one lo and one hi "
                          "per query")
+
+
+def check_ranges(lows: np.ndarray, highs: np.ndarray) -> None:
+    """The serve's range check on ``uint64`` bounds: one high per low,
+    and no high below its low.  The C serves check the order in their
+    own pass."""
+    if len(lows) != len(highs):
+        raise ValueError("serve needs one high per range low")
+    if len(lows) and (highs < lows).any():
+        raise ValueError("serve needs low <= high in every range")
+
+
+def serve_by_lookup(lookup, points, lows, highs):
+    """A serve made of one batch lookup, for the paths that reach no
+    fused kernel: ``lookup`` ranks the points and both range bounds in
+    one call, after :func:`check_ranges`.  Returns ``(positions,
+    starts, counts)``."""
+    points = np.asarray(points, dtype=np.uint64)
+    lows = np.asarray(lows, dtype=np.uint64)
+    highs = np.asarray(highs, dtype=np.uint64)
+    check_ranges(lows, highs)
+    if not len(lows):
+        return lookup(points), _NO_RANKS, _NO_RANKS
+    m, r = len(points), len(lows)
+    ranks = lookup(np.concatenate([points, lows, highs]))
+    starts = ranks[m:m + r]
+    return ranks[:m], starts, ranks[m + r:] - starts
 
 
 def check_delta(delta_keys, corr, base_positions, queries) -> None:
@@ -229,14 +266,9 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def merge_live(
-        self,
-        base_keys: np.ndarray,
-        delta_keys: np.ndarray,
-        delta_ops: np.ndarray,
-        size: int,
-    ) -> np.ndarray:
-        """The writable tier's live key array (``uint64``, sorted).
+    def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
+        """The writable tier's live key array (``uint64``, sorted), as a
+        step generator.
 
         ``base_keys`` is the sorted base multiset; ``delta_keys`` the
         sorted, per-key-unique delta buffer with one op per key
@@ -245,11 +277,6 @@ class KernelBackend:
         ``size`` is the length of the result, which the caller counts
         from prefix sums it already holds.
         """
-        return run_steps(self.merge_live_steps(base_keys, delta_keys,
-                                               delta_ops, size))
-
-    def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
-        """:meth:`merge_live` as a step generator."""
         raise NotImplementedError
 
     def rmi_predict(
@@ -261,52 +288,26 @@ class KernelBackend:
     def rmi_lookup(
         self, packed, keys: np.ndarray, queries: np.ndarray
     ) -> np.ndarray:
-        """Full fused lookup: route→predict→bounds→bounded search."""
+        """The RMI serve with no ranges, run directly (not through
+        :meth:`rmi_serve`): the positions of ``queries``."""
         raise NotImplementedError
 
-    def rmi_serve(
-        self,
-        packed,
-        keys: np.ndarray,
-        point_queries: np.ndarray,
-        range_lows: np.ndarray,
-        range_highs: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused serving unit: ``(positions, range_starts, range_counts)``."""
+    def rmi_serve(self, packed, keys, point_queries, range_lows,
+                  range_highs):
+        """The serve over a :class:`~repro.kernels.packed.PackedRMI`
+        (see :meth:`serve`)."""
         raise NotImplementedError
 
-    def pla_lookup(
-        self, packed, keys: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Fused PLA lookup: route→evaluate→window→bounded search."""
+    def pla_serve(self, packed, keys, point_queries, range_lows,
+                  range_highs):
+        """The serve over a
+        :class:`~repro.kernels.packed_pla.PackedPLA`."""
         raise NotImplementedError
 
-    def pla_serve(
-        self,
-        packed,
-        keys: np.ndarray,
-        point_queries: np.ndarray,
-        range_lows: np.ndarray,
-        range_highs: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused PLA serving unit: ``(positions, starts, counts)``."""
-        raise NotImplementedError
-
-    def tree_lookup(
-        self, packed, keys: np.ndarray, queries: np.ndarray
-    ) -> np.ndarray:
-        """Fused tree lookup: descend→window→bounded search."""
-        raise NotImplementedError
-
-    def tree_serve(
-        self,
-        packed,
-        keys: np.ndarray,
-        point_queries: np.ndarray,
-        range_lows: np.ndarray,
-        range_highs: np.ndarray,
-    ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused tree serving unit: ``(positions, starts, counts)``."""
+    def tree_serve(self, packed, keys, point_queries, range_lows,
+                   range_highs):
+        """The serve over a
+        :class:`~repro.kernels.packed_tree.PackedTree`."""
         raise NotImplementedError
 
     # -- RMI build kernel ------------------------------------------------
@@ -316,13 +317,12 @@ class KernelBackend:
     # two-layer grouped LR build (see ``RMI._build_kernels``) and must
     # reproduce them bit for bit.  Only the C backend has it.
 
-    #: True when the backend implements :meth:`rmi_build_leaves`.
+    #: True when the backend implements :meth:`rmi_build_leaves_steps`.
     build_kernels: bool = False
 
-    def rmi_build_leaves(
-        self, keys: np.ndarray, root, fanout: int
-    ) -> "tuple[np.ndarray, ...] | None":
-        """The segment, leaves and bounds steps in one pass.
+    def rmi_build_leaves_steps(self, keys, root, fanout):
+        """The segment, leaves and bounds steps in one pass, as a step
+        generator.
 
         Routes ``keys`` through the one-model ``root`` layer (trained on
         model indexes) into ``fanout`` leaves; fits each leaf like
@@ -335,25 +335,21 @@ class KernelBackend:
         routing decreases somewhere; the caller then runs the staged
         steps.  Raises ``ValueError`` when ``keys`` decrease somewhere:
         the pass checks their order too.
-        """
-        return run_steps(self.rmi_build_leaves_steps(keys, root, fanout))
 
-    def rmi_build_leaves_steps(self, keys, root, fanout):
-        """:meth:`rmi_build_leaves` in steps of at most ``step_keys``
-        key visits: each routes the next ``step_keys // 4`` keys, then
-        spends the rest of the budget fitting and bounding the leaves
-        whose keys are all routed, three visits per key.  A leaf's fit
-        resumes across steps, so a leaf larger than a step costs more
-        steps, not a longer one."""
+        Each step makes at most ``step_keys`` key visits: it routes the
+        next ``step_keys // 4`` keys, then spends the rest of the budget
+        fitting and bounding the leaves whose keys are all routed, three
+        visits per key.  A leaf's fit resumes across steps, so a leaf
+        larger than a step costs more steps, not a longer one.
+        """
         raise NotImplementedError
 
     # -- generic dispatch ------------------------------------------------
 
     def lookup(self, packed, keys: np.ndarray,
                queries: np.ndarray) -> np.ndarray:
-        """Fused lookup for any packed family (``packed_kind`` dispatch)."""
-        method = PACKED_DISPATCH[packed.packed_kind][0]
-        return getattr(self, method)(packed, keys, queries)
+        """The positions of ``queries``: :meth:`serve` with no ranges."""
+        return self.serve(packed, keys, queries, NO_QUERIES, NO_QUERIES)[0]
 
     def serve(
         self,
@@ -363,9 +359,12 @@ class KernelBackend:
         range_lows: np.ndarray,
         range_highs: np.ndarray,
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-        """Fused serving unit for any packed family."""
-        method = PACKED_DISPATCH[packed.packed_kind][1]
-        return getattr(self, method)(
+        """The fused serve of any packed family (``packed_kind``
+        dispatch): ``(positions, range_starts, range_counts)`` -- the
+        lower bound of each point, and of each range's ``[low, high)``
+        its first position and key count.  Raises ``ValueError`` for
+        unequal range lengths or a high below its low."""
+        return getattr(self, PACKED_DISPATCH[packed.packed_kind])(
             packed, keys, point_queries, range_lows, range_highs
         )
 

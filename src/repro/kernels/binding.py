@@ -4,9 +4,11 @@ Every ``cext`` entry point declares its array arguments
 ``ctypes.c_void_p``.  An array made per call (queries, windows,
 outputs) costs one :func:`address`.  An index's own arrays never change
 between calls, so each packed form binds them once: :class:`Bindable`
-checks their dtype, C order and lengths, takes their addresses, and
-caches the argument run together with its keys' address and length.
-A call then converts only its queries and outputs.
+checks their dtype, C order and lengths, writes their addresses and
+its scalars into one C structure (its argument run, passed by one
+address, so a call converts one argument for the whole form), and
+caches that together with its keys' address and length.  A call then
+converts only its queries and outputs.
 
 A binding is process-local.  Its addresses are valid only while this
 process holds the arrays they point into, so it holds a reference to
@@ -22,7 +24,7 @@ import ctypes
 
 import numpy as np
 
-__all__ = ["Bindable", "address", "run_argtypes"]
+__all__ = ["Bindable", "address", "run_struct"]
 
 
 def address(a: np.ndarray) -> "int | None":
@@ -45,10 +47,13 @@ def _is_array(kind: type) -> bool:
     return issubclass(kind, np.generic)
 
 
-def run_argtypes(run) -> list:
-    """The ctypes argtypes of a ``KERNEL_RUN``: ``c_void_p`` for each
-    array, the declared ctypes type for each scalar."""
-    return [ctypes.c_void_p if _is_array(kind) else kind for _, kind in run]
+def run_struct(run) -> type:
+    """The ctypes structure of a ``KERNEL_RUN``: one field per entry,
+    ``c_void_p`` for each array and the declared ctypes type for each
+    scalar, laid out like the C ``*_run`` struct it mirrors."""
+    fields = [(field, ctypes.c_void_p if _is_array(kind) else kind)
+              for field, kind in run]
+    return type("KernelRun", (ctypes.Structure,), {"_fields_": fields})
 
 
 class _Binding:
@@ -66,15 +71,19 @@ class _Binding:
 class Bindable:
     """Mixin of the packed forms: their kernel arguments, bound once.
 
-    A subclass lists in ``KERNEL_RUN`` the fields the kernels take after
-    ``(keys, n)``, in C argument order, each with its type: a NumPy
-    scalar type for an array passed by address, a ctypes type for a
-    scalar.  Its :meth:`check_lengths` raises ``ValueError`` when an
-    array is shorter than the kernels index it.  The binding runs it
-    once, with the dtype and C-order checks.
+    A subclass lists in ``KERNEL_RUN`` the fields of the C structure
+    the kernels take after ``(keys, n)``, in C field order, each with
+    its type: a NumPy scalar type for an array passed by address, a
+    ctypes type for a scalar.  Its :meth:`check_lengths` raises
+    ``ValueError`` when an array is shorter than the kernels index it.
+    The binding runs it once, with the dtype and C-order checks.
     """
 
     KERNEL_RUN: "tuple[tuple[str, type], ...]" = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._run_struct = run_struct(cls.KERNEL_RUN)
 
     #: Number of indexed keys (a field of every packed form).
     n: int
@@ -87,11 +96,11 @@ class Bindable:
         run = self.__dict__.get("_kernel_run")
         if run is not None:
             return run
-        args, arrays = [], []
+        values, arrays = [], []
         for field, kind in self.KERNEL_RUN:
             value = getattr(self, field)
             if not _is_array(kind):
-                args.append(kind(value))
+                values.append(int(value))
                 continue
             if not (isinstance(value, np.ndarray) and value.dtype == kind
                     and value.flags.c_contiguous):
@@ -99,18 +108,20 @@ class Bindable:
                     f"{type(self).__name__}.{field} must be a C-contiguous "
                     f"{np.dtype(kind).name} array"
                 )
-            args.append(ctypes.c_void_p(address(value)))
+            values.append(address(value))
             arrays.append(value)
         if self.n < 1:
             raise ValueError(f"{type(self).__name__} indexes no keys")
         self.check_lengths()
-        run = _Binding(None, tuple(args), tuple(arrays))
+        struct = self._run_struct(*values)
+        run = _Binding(None, (ctypes.c_void_p(ctypes.addressof(struct)),),
+                       (*arrays, struct))
         self.__dict__["_kernel_run"] = run
         return run
 
     def kernel_run(self) -> tuple:
-        """This form's own arrays and scalars as kernel arguments, in
-        ``KERNEL_RUN`` order; checked and bound on first use."""
+        """This form's argument run as kernel arguments: the address of
+        its C structure; checked and bound on first use."""
         return self._run().args
 
     def bind(self, keys: np.ndarray) -> tuple:

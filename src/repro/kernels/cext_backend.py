@@ -35,7 +35,7 @@ import numpy as np
 
 from .base import KernelBackend, check_compact, check_delta, check_merge, \
     check_windows
-from .binding import address, run_argtypes
+from .binding import address
 from .packed import PACKABLE_MODEL_CODES, PackedRMI
 from .packed_pla import PackedPLA
 from .packed_tree import PackedTree
@@ -242,20 +242,57 @@ static double eval_model(int8_t code, const double *p, uint64_t q) {
     return 0.0;
 }
 
+/* The packed forms' argument runs, field for field their KERNEL_RUN
+ * (repro.kernels.binding builds one per packed form): a fused kernel
+ * takes its packed form as one address. */
+typedef struct {
+    const int8_t *codes;
+    const double *params;
+    const int64_t *offsets;
+    int64_t num_layers;
+    const double *scales;
+    int32_t scaled;
+    int32_t bkind;
+    const int64_t *blo;
+    const int64_t *bhi;
+} rmi_run;
+
+typedef struct {
+    const uint64_t *seg_keys;
+    const double *slopes;
+    const double *icepts;
+    const int64_t *offsets;
+    int64_t num_levels;
+    int32_t kind;
+    int64_t eps;
+    int64_t eps_internal;
+} pla_run;
+
+typedef struct {
+    int32_t kind;
+    const uint64_t *entry_keys;
+    const int64_t *positions;
+    int64_t num_entries;
+    const uint64_t *node_lo;
+    const int64_t *node_shift;
+    const int64_t *node_base;
+    const int64_t *node_pref;
+    const int64_t *node_child;
+    int64_t num_bins;
+    uint64_t min_key;
+} tree_run;
+
 /* Equation 3: route one query through the inner layers.  Matches
  * RMI._assignments: scale (unless trained on model indexes), nan -> 0,
  * clamp to [0, fanout-1] in float space, floor, cast. */
-static int64_t route_leaf(const int8_t *codes, const double *params,
-                          const int64_t *offsets, int64_t num_layers,
-                          const double *scales, int32_t scaled,
-                          uint64_t q) {
+static int64_t route_leaf(const rmi_run *r, uint64_t q) {
     int64_t j = 0;
-    for (int64_t d = 0; d + 1 < num_layers; d++) {
-        int64_t row = offsets[d] + j;
-        double pred = eval_model(codes[row], params + row * 6, q);
-        double est = scaled ? pred : pred * scales[d];
+    for (int64_t d = 0; d + 1 < r->num_layers; d++) {
+        int64_t row = r->offsets[d] + j;
+        double pred = eval_model(r->codes[row], r->params + row * 6, q);
+        double est = r->scaled ? pred : pred * r->scales[d];
         if (isnan(est) || est < 0.0) est = 0.0;
-        double cap = (double)(offsets[d + 2] - offsets[d + 1] - 1);
+        double cap = (double)(r->offsets[d + 2] - r->offsets[d + 1] - 1);
         if (est > cap) est = cap;
         j = (int64_t)floor(est);
     }
@@ -264,60 +301,52 @@ static int64_t route_leaf(const int8_t *codes, const double *params,
 
 /* Equation 4: leaf position estimate, clamped to [0, n-1] (truncating
  * cast == astype(int64) for non-negative values). */
-static int64_t predict_pos(const int8_t *codes, const double *params,
-                           const int64_t *offsets, int64_t num_layers,
-                           int64_t n, int64_t leaf, uint64_t q) {
-    int64_t row = offsets[num_layers - 1] + leaf;
-    double est = eval_model(codes[row], params + row * 6, q);
+static int64_t predict_pos(const rmi_run *r, int64_t n, int64_t leaf,
+                           uint64_t q) {
+    int64_t row = r->offsets[r->num_layers - 1] + leaf;
+    double est = eval_model(r->codes[row], r->params + row * 6, q);
     if (isnan(est) || est < 0.0) est = 0.0;
     double cap = (double)(n - 1);
     if (est > cap) est = cap;
     return (int64_t)est;
 }
 
-/* Fused lookup over a query batch, in three block-wide phases so every
- * random access is prefetched one phase (~BLOCK queries) before it is
- * consumed: (1) route through the inner layers -- root params are hot,
- * the landing leaf's param row and error-bound rows are only now
- * known, so prefetch them; (2) predict + window arithmetic on those
- * now-resident rows, prefetching each window's first probe line;
- * (3) the breadth-first block search on the already-in-flight lines.
- * bkind: 0 none, 1 per-model, 2 global (blo/bhi row 0). */
-static void lookup_batch(const uint64_t *keys, int64_t n,
-                         const int8_t *codes, const double *params,
-                         const int64_t *offsets, int64_t num_layers,
-                         const double *scales, int32_t scaled,
-                         int32_t bkind, const int64_t *blo,
-                         const int64_t *bhi,
-                         const uint64_t *queries, int64_t m,
-                         int64_t *out) {
+/* Fused RMI lookup over a query batch, in three block-wide phases so
+ * every random access is prefetched one phase (~BLOCK queries) before
+ * it is consumed: (1) route through the inner layers -- root params
+ * are hot, the landing leaf's param row and error-bound rows are only
+ * now known, so prefetch them; (2) predict + window arithmetic on
+ * those now-resident rows, prefetching each window's first probe
+ * line; (3) the breadth-first block search on the already-in-flight
+ * lines.  bkind: 0 none, 1 per-model, 2 global (blo/bhi row 0).  The
+ * run is copied to a local, which no store through out can alias. */
+static void rmi_batch(const uint64_t *keys, int64_t n, const void *run,
+                      const uint64_t *queries, int64_t m, int64_t *out) {
+    const rmi_run r = *(const rmi_run *)run;
     int64_t leaf_a[BLOCK], wlo[BLOCK], whi[BLOCK];
-    int64_t leaf_off = offsets[num_layers - 1];
+    int64_t leaf_off = r.offsets[r.num_layers - 1];
     for (int64_t b = 0; b < m; b += BLOCK) {
         int64_t c = m - b < BLOCK ? m - b : BLOCK;
         for (int64_t i = 0; i < c; i++) {
-            int64_t leaf = route_leaf(codes, params, offsets,
-                                      num_layers, scales, scaled,
-                                      queries[b + i]);
+            int64_t leaf = route_leaf(&r, queries[b + i]);
             leaf_a[i] = leaf;
-            PREFETCH(params + (leaf_off + leaf) * 6);
-            if (bkind == 1) {
-                PREFETCH(blo + leaf);
-                PREFETCH(bhi + leaf);
+            PREFETCH(r.params + (leaf_off + leaf) * 6);
+            if (r.bkind == 1) {
+                PREFETCH(r.blo + leaf);
+                PREFETCH(r.bhi + leaf);
             }
         }
         for (int64_t i = 0; i < c; i++) {
             uint64_t q = queries[b + i];
             int64_t leaf = leaf_a[i];
-            int64_t pos = predict_pos(codes, params, offsets,
-                                      num_layers, n, leaf, q);
+            int64_t pos = predict_pos(&r, n, leaf, q);
             int64_t lo, hi;
-            if (bkind == 0) {
+            if (r.bkind == 0) {
                 lo = 0; hi = n - 1;
-            } else if (bkind == 1) {
-                lo = pos + blo[leaf]; hi = pos + bhi[leaf];
+            } else if (r.bkind == 1) {
+                lo = pos + r.blo[leaf]; hi = pos + r.bhi[leaf];
             } else {
-                lo = pos + blo[0]; hi = pos + bhi[0];
+                lo = pos + r.blo[0]; hi = pos + r.bhi[0];
             }
             if (lo < 0) lo = 0; else if (lo > n - 1) lo = n - 1;
             if (hi < 0) hi = 0; else if (hi > n - 1) hi = n - 1;
@@ -336,16 +365,17 @@ static void lookup_batch(const uint64_t *keys, int64_t n,
  * np.clip(np.nan_to_num(x), 0, cap) for the kinds that apply it (the
  * spline path, like its NumPy twin, clips without a nan_to_num --
  * spline interpolation over finite knots cannot produce one). */
-static void pla_window_one(const uint64_t *seg_keys, const double *slopes,
-                           const double *icepts, const int64_t *offsets,
-                           int64_t num_levels, int32_t kind,
-                           int64_t eps, int64_t eps_internal, int64_t n,
-                           uint64_t q, int64_t *wlo, int64_t *whi) {
+static void pla_window_one(const pla_run *r, int64_t n, uint64_t q,
+                           int64_t *wlo, int64_t *whi) {
+    const uint64_t *seg_keys = r->seg_keys;
+    const double *slopes = r->slopes, *icepts = r->icepts;
+    const int64_t *offsets = r->offsets;
+    int64_t eps = r->eps;
     double qf = (double)q;
     int64_t lo, hi;
-    if (kind == 0) {  /* PLA_DESCEND */
+    if (r->kind == 0) {  /* PLA_DESCEND */
         int64_t seg = 0;
-        for (int64_t depth = num_levels - 1; depth > 0; depth--) {
+        for (int64_t depth = r->num_levels - 1; depth > 0; depth--) {
             int64_t row = offsets[depth] + seg;
             int64_t bl = offsets[depth - 1];
             int64_t msz = offsets[depth] - bl;
@@ -355,9 +385,9 @@ static void pla_window_one(const uint64_t *seg_keys, const double *slopes,
             double cap = (double)(msz - 1);
             if (pred > cap) pred = cap;
             int64_t center = (int64_t)pred;
-            int64_t slo = center - eps_internal;
+            int64_t slo = center - r->eps_internal;
             if (slo < 0) slo = 0;
-            int64_t shi = center + eps_internal;
+            int64_t shi = center + r->eps_internal;
             if (shi > msz - 1) shi = msz - 1;
             int64_t lb = lower_bound(seg_keys + bl, slo, shi + 1, q);
             /* Predecessor semantics: the segment whose first key <= q. */
@@ -378,7 +408,7 @@ static void pla_window_one(const uint64_t *seg_keys, const double *slopes,
         if (lo < 0) lo = 0;
         hi = center + eps;
         if (hi > n - 1) hi = n - 1;
-    } else if (kind == 1) {  /* PLA_SEGMENT */
+    } else if (r->kind == 1) {  /* PLA_SEGMENT */
         int64_t nseg = offsets[1];
         int64_t idx = upper_bound(seg_keys, 0, nseg, q) - 1;
         int64_t seg = idx;
@@ -429,19 +459,14 @@ static void pla_window_one(const uint64_t *seg_keys, const double *slopes,
  * 1 Hist-Tree shift-descent over the breadth-first node arrays --
  * both replay the NumPy backend's tree windows exactly (its grouped
  * descent computes the same per-query function). */
-static void tree_window_one(int64_t n, int32_t kind,
-                            const uint64_t *entry_keys,
-                            const int64_t *positions, int64_t num_entries,
-                            const uint64_t *node_lo,
-                            const int64_t *node_shift,
-                            const int64_t *node_base,
-                            const int64_t *node_pref,
-                            const int64_t *node_child,
-                            int64_t num_bins, uint64_t min_key,
-                            uint64_t q, int64_t *wlo, int64_t *whi) {
+static void tree_window_one(const tree_run *r, int64_t n, uint64_t q,
+                            int64_t *wlo, int64_t *whi) {
+    const int64_t *positions = r->positions;
+    int64_t num_bins = r->num_bins;
     int64_t lo, hi;
-    if (kind == 0) {  /* TREE_SPARSE */
-        int64_t entry = upper_bound(entry_keys, 0, num_entries, q) - 1;
+    if (r->kind == 0) {  /* TREE_SPARSE */
+        int64_t num_entries = r->num_entries;
+        int64_t entry = upper_bound(r->entry_keys, 0, num_entries, q) - 1;
         int64_t safe = entry < 0 ? 0 : entry;
         lo = entry >= 0 ? positions[safe] : 0;
         hi = safe + 1 < num_entries ? positions[safe + 1] : n - 1;
@@ -449,12 +474,12 @@ static void tree_window_one(int64_t n, int32_t kind,
     } else {  /* TREE_HIST */
         lo = 0;
         hi = 0;  /* queries below the key space keep the [0, 0] window */
-        if (q >= min_key) {
-            uint64_t off = q - min_key;
+        if (q >= r->min_key) {
+            uint64_t off = q - r->min_key;
             int64_t node = 0;
             for (;;) {
-                uint64_t raw = (off - node_lo[node]) >>
-                    (uint64_t)node_shift[node];
+                uint64_t raw = (off - r->node_lo[node]) >>
+                    (uint64_t)r->node_shift[node];
                 if (raw >= (uint64_t)num_bins) {
                     /* Beyond the covered range: answer is at the end. */
                     lo = n - 1;
@@ -462,14 +487,14 @@ static void tree_window_one(int64_t n, int32_t kind,
                     break;
                 }
                 int64_t b = (int64_t)raw;
-                int64_t child = node_child[node * num_bins + b];
+                int64_t child = r->node_child[node * num_bins + b];
                 if (child >= 0) {
                     node = child;
                     continue;
                 }
-                const int64_t *pref = node_pref + node * (num_bins + 1);
-                int64_t tlo = node_base[node] + pref[b];
-                int64_t thi = node_base[node] + pref[b + 1];
+                const int64_t *pref = r->node_pref + node * (num_bins + 1);
+                int64_t tlo = r->node_base[node] + pref[b];
+                int64_t thi = r->node_base[node] + pref[b + 1];
                 lo = tlo < n - 1 ? tlo : n - 1;
                 hi = thi < n - 1 ? thi : n - 1;
                 break;
@@ -484,41 +509,28 @@ static void tree_window_one(int64_t n, int32_t kind,
  * lane's window (segment tables are small and stay hot); phase 2 is
  * the breadth-first block search, which issues and overlaps the data
  * probes itself. */
-static void pla_batch(const uint64_t *keys, int64_t n,
-                      const uint64_t *seg_keys, const double *slopes,
-                      const double *icepts, const int64_t *offsets,
-                      int64_t num_levels, int32_t kind,
-                      int64_t eps, int64_t eps_internal,
+static void pla_batch(const uint64_t *keys, int64_t n, const void *run,
                       const uint64_t *queries, int64_t m, int64_t *out) {
+    const pla_run r = *(const pla_run *)run;
     int64_t wlo[BLOCK], whi[BLOCK];
     for (int64_t b = 0; b < m; b += BLOCK) {
         int64_t c = m - b < BLOCK ? m - b : BLOCK;
         for (int64_t i = 0; i < c; i++) {
-            pla_window_one(seg_keys, slopes, icepts, offsets, num_levels,
-                           kind, eps, eps_internal, n, queries[b + i],
-                           &wlo[i], &whi[i]);
+            pla_window_one(&r, n, queries[b + i], &wlo[i], &whi[i]);
         }
         lb_block(keys, n, queries + b, wlo, whi, c, out + b, 1);
     }
 }
 
 /* Fused tree lookup over a query batch, same two-phase block shape. */
-static void tree_batch(const uint64_t *keys, int64_t n, int32_t kind,
-                       const uint64_t *entry_keys,
-                       const int64_t *positions, int64_t num_entries,
-                       const uint64_t *node_lo, const int64_t *node_shift,
-                       const int64_t *node_base, const int64_t *node_pref,
-                       const int64_t *node_child, int64_t num_bins,
-                       uint64_t min_key,
+static void tree_batch(const uint64_t *keys, int64_t n, const void *run,
                        const uint64_t *queries, int64_t m, int64_t *out) {
+    const tree_run r = *(const tree_run *)run;
     int64_t wlo[BLOCK], whi[BLOCK];
     for (int64_t b = 0; b < m; b += BLOCK) {
         int64_t c = m - b < BLOCK ? m - b : BLOCK;
         for (int64_t i = 0; i < c; i++) {
-            tree_window_one(n, kind, entry_keys, positions, num_entries,
-                            node_lo, node_shift, node_base, node_pref,
-                            node_child, num_bins, min_key, queries[b + i],
-                            &wlo[i], &whi[i]);
+            tree_window_one(&r, n, queries[b + i], &wlo[i], &whi[i]);
         }
         lb_block(keys, n, queries + b, wlo, whi, c, out + b, 1);
     }
@@ -704,123 +716,71 @@ int32_t repro_merge_live(const uint64_t *base, int64_t n,
     return done;
 }
 
-void repro_rmi_predict(const int8_t *codes, const double *params,
-                       const int64_t *offsets, int64_t num_layers,
-                       const double *scales, int32_t scaled, int64_t n,
+void repro_rmi_predict(const rmi_run *run, int64_t n,
                        const uint64_t *queries, int64_t m,
                        int64_t *ids_out, int64_t *pos_out) {
+    const rmi_run r = *run;
     for (int64_t i = 0; i < m; i++) {
-        int64_t leaf = route_leaf(codes, params, offsets, num_layers,
-                                  scales, scaled, queries[i]);
+        int64_t leaf = route_leaf(&r, queries[i]);
         ids_out[i] = leaf;
-        pos_out[i] = predict_pos(codes, params, offsets, num_layers,
-                                 n, leaf, queries[i]);
+        pos_out[i] = predict_pos(&r, n, leaf, queries[i]);
     }
 }
 
-void repro_rmi_lookup(const uint64_t *keys, int64_t n,
-                      const int8_t *codes, const double *params,
-                      const int64_t *offsets, int64_t num_layers,
-                      const double *scales, int32_t scaled,
-                      int32_t bkind, const int64_t *blo,
-                      const int64_t *bhi,
-                      const uint64_t *queries, int64_t m, int64_t *out) {
-    lookup_batch(keys, n, codes, params, offsets, num_layers, scales,
-                 scaled, bkind, blo, bhi, queries, m, out);
-}
+/* The fused serve of each packed family: point positions, range starts
+ * and range counts in one call -- three batch passes of the family's
+ * lookup (rmi_batch, pla_batch, tree_batch) without ever returning to
+ * Python.  A lookup is a serve with no ranges (mr = 0, NULL bounds).
+ * Returns -1, having written nothing, when a range's high is below its
+ * low, else 0. */
+typedef void (*batch_fn)(const uint64_t *keys, int64_t n, const void *run,
+                         const uint64_t *queries, int64_t m, int64_t *out);
 
-/* Fused serving unit: point positions, range starts, range counts in
- * one call -- three lookup passes without ever returning to Python. */
-void repro_rmi_serve(const uint64_t *keys, int64_t n,
-                     const int8_t *codes, const double *params,
-                     const int64_t *offsets, int64_t num_layers,
-                     const double *scales, int32_t scaled,
-                     int32_t bkind, const int64_t *blo,
-                     const int64_t *bhi,
-                     const uint64_t *points, int64_t mp,
+static int32_t serve(batch_fn batch, const uint64_t *keys, int64_t n,
+                     const void *run, const uint64_t *points, int64_t mp,
                      const uint64_t *lows, const uint64_t *highs,
-                     int64_t mr,
-                     int64_t *pos_out, int64_t *start_out,
+                     int64_t mr, int64_t *pos_out, int64_t *start_out,
                      int64_t *count_out) {
-    lookup_batch(keys, n, codes, params, offsets, num_layers, scales,
-                 scaled, bkind, blo, bhi, points, mp, pos_out);
-    lookup_batch(keys, n, codes, params, offsets, num_layers, scales,
-                 scaled, bkind, blo, bhi, lows, mr, start_out);
-    lookup_batch(keys, n, codes, params, offsets, num_layers, scales,
-                 scaled, bkind, blo, bhi, highs, mr, count_out);
+    for (int64_t i = 0; i < mr; i++) {
+        if (highs[i] < lows[i]) return -1;
+    }
+    batch(keys, n, run, points, mp, pos_out);
+    batch(keys, n, run, lows, mr, start_out);
+    batch(keys, n, run, highs, mr, count_out);
     for (int64_t i = 0; i < mr; i++) {
         count_out[i] -= start_out[i];
     }
+    return 0;
 }
 
-void repro_pla_lookup(const uint64_t *keys, int64_t n,
-                      const uint64_t *seg_keys, const double *slopes,
-                      const double *icepts, const int64_t *offsets,
-                      int64_t num_levels, int32_t kind,
-                      int64_t eps, int64_t eps_internal,
-                      const uint64_t *queries, int64_t m, int64_t *out) {
-    pla_batch(keys, n, seg_keys, slopes, icepts, offsets, num_levels,
-              kind, eps, eps_internal, queries, m, out);
+int32_t repro_rmi_serve(const uint64_t *keys, int64_t n,
+                        const rmi_run *run,
+                        const uint64_t *points, int64_t mp,
+                        const uint64_t *lows, const uint64_t *highs,
+                        int64_t mr, int64_t *pos_out, int64_t *start_out,
+                        int64_t *count_out) {
+    return serve(rmi_batch, keys, n, run, points, mp, lows, highs, mr,
+                 pos_out, start_out, count_out);
 }
 
-void repro_pla_serve(const uint64_t *keys, int64_t n,
-                     const uint64_t *seg_keys, const double *slopes,
-                     const double *icepts, const int64_t *offsets,
-                     int64_t num_levels, int32_t kind,
-                     int64_t eps, int64_t eps_internal,
-                     const uint64_t *points, int64_t mp,
-                     const uint64_t *lows, const uint64_t *highs,
-                     int64_t mr,
-                     int64_t *pos_out, int64_t *start_out,
-                     int64_t *count_out) {
-    pla_batch(keys, n, seg_keys, slopes, icepts, offsets, num_levels,
-              kind, eps, eps_internal, points, mp, pos_out);
-    pla_batch(keys, n, seg_keys, slopes, icepts, offsets, num_levels,
-              kind, eps, eps_internal, lows, mr, start_out);
-    pla_batch(keys, n, seg_keys, slopes, icepts, offsets, num_levels,
-              kind, eps, eps_internal, highs, mr, count_out);
-    for (int64_t i = 0; i < mr; i++) {
-        count_out[i] -= start_out[i];
-    }
+int32_t repro_pla_serve(const uint64_t *keys, int64_t n,
+                        const pla_run *run,
+                        const uint64_t *points, int64_t mp,
+                        const uint64_t *lows, const uint64_t *highs,
+                        int64_t mr, int64_t *pos_out, int64_t *start_out,
+                        int64_t *count_out) {
+    return serve(pla_batch, keys, n, run, points, mp, lows, highs, mr,
+                 pos_out, start_out, count_out);
 }
 
-void repro_tree_lookup(const uint64_t *keys, int64_t n, int32_t kind,
-                       const uint64_t *entry_keys,
-                       const int64_t *positions, int64_t num_entries,
-                       const uint64_t *node_lo, const int64_t *node_shift,
-                       const int64_t *node_base, const int64_t *node_pref,
-                       const int64_t *node_child, int64_t num_bins,
-                       uint64_t min_key,
-                       const uint64_t *queries, int64_t m, int64_t *out) {
-    tree_batch(keys, n, kind, entry_keys, positions, num_entries,
-               node_lo, node_shift, node_base, node_pref, node_child,
-               num_bins, min_key, queries, m, out);
-}
-
-void repro_tree_serve(const uint64_t *keys, int64_t n, int32_t kind,
-                      const uint64_t *entry_keys,
-                      const int64_t *positions, int64_t num_entries,
-                      const uint64_t *node_lo, const int64_t *node_shift,
-                      const int64_t *node_base, const int64_t *node_pref,
-                      const int64_t *node_child, int64_t num_bins,
-                      uint64_t min_key,
-                      const uint64_t *points, int64_t mp,
-                      const uint64_t *lows, const uint64_t *highs,
-                      int64_t mr,
-                      int64_t *pos_out, int64_t *start_out,
-                      int64_t *count_out) {
-    tree_batch(keys, n, kind, entry_keys, positions, num_entries,
-               node_lo, node_shift, node_base, node_pref, node_child,
-               num_bins, min_key, points, mp, pos_out);
-    tree_batch(keys, n, kind, entry_keys, positions, num_entries,
-               node_lo, node_shift, node_base, node_pref, node_child,
-               num_bins, min_key, lows, mr, start_out);
-    tree_batch(keys, n, kind, entry_keys, positions, num_entries,
-               node_lo, node_shift, node_base, node_pref, node_child,
-               num_bins, min_key, highs, mr, count_out);
-    for (int64_t i = 0; i < mr; i++) {
-        count_out[i] -= start_out[i];
-    }
+int32_t repro_tree_serve(const uint64_t *keys, int64_t n,
+                         const tree_run *run,
+                         const uint64_t *points, int64_t mp,
+                         const uint64_t *lows, const uint64_t *highs,
+                         int64_t mr, int64_t *pos_out, int64_t *start_out,
+                         int64_t *count_out) {
+    return serve(tree_batch, keys, n, run, points, mp, lows, highs, mr,
+                 pos_out, start_out, count_out);
 }
 
 /* ---- RMI build kernel ---------------------------------------------------
@@ -1169,18 +1129,11 @@ def _build_library() -> Path:
 _ptr = ctypes.c_void_p
 _c_i64 = ctypes.c_int64
 
-#: The per-call tails of the fused entry points: ``(queries, m, out)``
-#: and ``(points, mp, lows, highs, mr, pos_out, start_out, count_out)``.
-_LOOKUP_TAIL = [_ptr, _c_i64, _ptr]
-_SERVE_TAIL = [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _ptr, _ptr]
-
-#: The fused entry points take ``(keys, n)`` and their packed form's
-#: ``KERNEL_RUN`` first; ``repro_rmi_predict`` takes the head of the
-#: RMI run (the models, not the bounds), then ``n``.
-_RMI_HEAD = [_ptr, _c_i64, *run_argtypes(PackedRMI.KERNEL_RUN)]
-_PLA_HEAD = [_ptr, _c_i64, *run_argtypes(PackedPLA.KERNEL_RUN)]
-_TREE_HEAD = [_ptr, _c_i64, *run_argtypes(PackedTree.KERNEL_RUN)]
-_PREDICT_RUN = 6
+#: The fused serves take ``(keys, n)``, their packed form's argument
+#: run by address (a ``*_run`` struct, :mod:`repro.kernels.binding`),
+#: then ``(points, mp, lows, highs, mr, pos_out, start_out, count_out)``.
+_SERVE = [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _ptr, _c_i64,
+          _ptr, _ptr, _ptr]
 
 #: Depths of the pairwise-sum tree a resumed leaf fit keeps sums for:
 #: each level halves a leaf of up to 2^63 keys, down to 128 terms.
@@ -1202,15 +1155,10 @@ _SIGNATURES = {
          _ptr, _ptr, _ptr, _ptr, _ptr],
     "repro_merge_live":
         [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _c_i64, _ptr, _c_i64],
-    "repro_rmi_predict":
-        [*run_argtypes(PackedRMI.KERNEL_RUN[:_PREDICT_RUN]), _c_i64,
-         _ptr, _c_i64, _ptr, _ptr],
-    "repro_rmi_lookup": _RMI_HEAD + _LOOKUP_TAIL,
-    "repro_rmi_serve": _RMI_HEAD + _SERVE_TAIL,
-    "repro_pla_lookup": _PLA_HEAD + _LOOKUP_TAIL,
-    "repro_pla_serve": _PLA_HEAD + _SERVE_TAIL,
-    "repro_tree_lookup": _TREE_HEAD + _LOOKUP_TAIL,
-    "repro_tree_serve": _TREE_HEAD + _SERVE_TAIL,
+    "repro_rmi_predict": [_ptr, _c_i64, _ptr, _c_i64, _ptr, _ptr],
+    "repro_rmi_serve": _SERVE,
+    "repro_pla_serve": _SERVE,
+    "repro_tree_serve": _SERVE,
     "repro_rmi_build_leaves":
         [_ptr, _c_i64, _c_i64, _c_i64, _ptr, _ptr, _c_i64, _ptr, _ptr,
          _ptr, _ptr, _ptr, _ptr, _ptr, _c_i64],
@@ -1220,7 +1168,10 @@ _SIGNATURES = {
 _RESTYPES = {"repro_rmi_build_leaves": ctypes.c_int64,
              "repro_merge_delta": ctypes.c_int64,
              "repro_compact_delta": ctypes.c_int64,
-             "repro_merge_live": ctypes.c_int32}
+             "repro_merge_live": ctypes.c_int32,
+             "repro_rmi_serve": ctypes.c_int32,
+             "repro_pla_serve": ctypes.c_int32,
+             "repro_tree_serve": ctypes.c_int32}
 
 
 def load() -> "CExtBackend":
@@ -1359,26 +1310,19 @@ class CExtBackend(KernelBackend):
         ids = np.empty(m, dtype=np.int64)
         pos = np.empty(m, dtype=np.int64)
         self._lib.repro_rmi_predict(
-            *packed.kernel_run()[:_PREDICT_RUN], packed.n,
+            *packed.kernel_run(), packed.n,
             address(queries), m, address(ids), address(pos),
         )
         return ids, pos
 
-    def _lookup(self, kernel, packed, keys, queries):
-        """One fused lookup: ``kernel(keys, n, *run, queries, m, out)``."""
+    def _serve(self, kernel, packed, keys, point_queries, range_lows,
+               range_highs):
+        """One fused serve: ``kernel(keys, n, run, points, mp, lows,
+        highs, mr, pos_out, start_out, count_out)``; the kernel checks
+        the ranges' order in its own pass."""
         # ``keys`` stays referenced here through the call: another
         # thread may rebind ``packed`` and drop a converted copy.
         keys = _u64(keys)
-        args = packed.bind(keys)
-        queries = _u64(queries)
-        out = np.empty(len(queries), dtype=np.int64)
-        kernel(*args, address(queries), len(queries), address(out))
-        return out
-
-    def _serve(self, kernel, packed, keys, point_queries, range_lows,
-               range_highs):
-        """One fused serving unit: three lookups in one kernel call."""
-        keys = _u64(keys)  # referenced through the call, as in _lookup
         args = packed.bind(keys)
         points = _u64(point_queries)
         lows, highs = _u64(range_lows), _u64(range_highs)
@@ -1387,34 +1331,34 @@ class CExtBackend(KernelBackend):
         positions = np.empty(len(points), dtype=np.int64)
         starts = np.empty(len(lows), dtype=np.int64)
         counts = np.empty(len(lows), dtype=np.int64)
-        kernel(
+        if kernel(
             *args, address(points), len(points),
             address(lows), address(highs), len(lows),
             address(positions), address(starts), address(counts),
-        )
+        ):
+            raise ValueError("serve needs low <= high in every range")
         return positions, starts, counts
 
     def rmi_lookup(self, packed: PackedRMI, keys, queries):
-        return self._lookup(self._lib.repro_rmi_lookup, packed, keys,
-                            queries)
+        # The RMI serve with no ranges (NULL bounds, none counted), not
+        # through rmi_serve: a trace wraps that by name on its own.
+        keys = _u64(keys)  # referenced through the call, as in _serve
+        args = packed.bind(keys)
+        queries = _u64(queries)
+        out = np.empty(len(queries), dtype=np.int64)
+        self._lib.repro_rmi_serve(*args, address(queries), len(queries),
+                                  None, None, 0, address(out), None, None)
+        return out
 
     def rmi_serve(self, packed: PackedRMI, keys, point_queries,
                   range_lows, range_highs):
         return self._serve(self._lib.repro_rmi_serve, packed, keys,
                            point_queries, range_lows, range_highs)
 
-    def pla_lookup(self, packed: PackedPLA, keys, queries):
-        return self._lookup(self._lib.repro_pla_lookup, packed, keys,
-                            queries)
-
     def pla_serve(self, packed: PackedPLA, keys, point_queries,
                   range_lows, range_highs):
         return self._serve(self._lib.repro_pla_serve, packed, keys,
                            point_queries, range_lows, range_highs)
-
-    def tree_lookup(self, packed: PackedTree, keys, queries):
-        return self._lookup(self._lib.repro_tree_lookup, packed, keys,
-                            queries)
 
     def tree_serve(self, packed: PackedTree, keys, point_queries,
                    range_lows, range_highs):

@@ -2,23 +2,25 @@
 
 ``lower_bound_window`` delegates to the staged implementation in
 :mod:`repro.core.search`; ``merge_delta`` is the writable tier's
-splice of a write batch into the delta buffer, and ``merge_live`` its
-sort-based snapshot; the ``rmi_*`` kernels replay the exact
-arithmetic of :class:`repro.core.rmi.RMI`'s staged batch path over the
-packed arrays.  The ``pla_*``/``tree_*`` kernels *are* the NumPy batch
+splice of a write batch into the delta buffer, and ``merge_live_steps``
+its sort-based snapshot.  Each packed family has one window function --
+``_rmi_window`` replays the exact arithmetic of
+:class:`repro.core.rmi.RMI`'s staged batch path over the packed
+arrays, ``_pla_window`` and ``_tree_window`` *are* the NumPy batch
 lookup of the packable baselines (PGM, CompressedPGM, RadixSpline,
-FITing-Tree, B-tree, Hist-Tree): ``OrderedIndex.lookup_batch`` calls
-them on the packed form.  Outputs are bit-identical to the compiled
-backends.  This backend is always available, is the baseline leg of
-``python -m repro.bench kernels``, and is the executable specification
-the compiled backends are conformance-tested against.
+FITing-Tree, B-tree, Hist-Tree) -- under one ``_fused_serve``, whose
+bounded search completes each window.  Outputs are bit-identical to the
+compiled backends.  This backend is always available, is the baseline
+leg of ``python -m repro.bench kernels``, and is the executable
+specification the compiled backends are conformance-tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .base import KernelBackend, check_compact, check_merge, check_windows
+from .base import NO_QUERIES, KernelBackend, check_compact, check_merge, \
+    check_windows, serve_by_lookup
 from .packed import BOUNDS_NONE, BOUNDS_PER_MODEL, PackedRMI
 from .packed_pla import PLA_DESCEND, PLA_SEGMENT, PackedPLA
 from .packed_tree import TREE_SPARSE, PackedTree
@@ -148,6 +150,17 @@ class NumpyBackend(KernelBackend):
         yield len(base_keys) + len(delta_keys)
         return live
 
+    # -- the serve of every family ---------------------------------------
+
+    def _fused_serve(self, window, packed, keys, point_queries,
+                     range_lows, range_highs):
+        """The serve of every family: ``window(packed, queries)`` gives
+        each query's ``(queries, lo, hi)`` window, and the bounded
+        search completes it."""
+        return serve_by_lookup(
+            lambda q: self.lower_bound_window(keys, *window(packed, q)),
+            point_queries, range_lows, range_highs)
+
     # -- fused RMI path --------------------------------------------------
 
     def _route(self, packed: PackedRMI, queries: np.ndarray) -> np.ndarray:
@@ -175,46 +188,30 @@ class NumpyBackend(KernelBackend):
         est = np.clip(np.nan_to_num(est), 0.0, float(packed.n - 1))
         return model_ids, est.astype(np.int64)
 
-    def _intervals(self, packed: PackedRMI, positions, model_ids):
+    def _rmi_window(self, packed: PackedRMI, queries):
+        """The RMI's data windows: each leaf prediction widened by its
+        error bounds (cf. ``RMI.lookup_batch``)."""
+        model_ids, positions = self.rmi_predict(packed, queries)
         n = packed.n
         if packed.bkind == BOUNDS_NONE:
             lo = np.zeros(len(positions), dtype=np.int64)
             hi = np.full(len(positions), n - 1, dtype=np.int64)
-            return lo, hi
+            return queries, lo, hi
         if packed.bkind == BOUNDS_PER_MODEL:
             lo = positions + packed.blo[model_ids]
             hi = positions + packed.bhi[model_ids]
         else:  # BOUNDS_GLOBAL
             lo = positions + packed.blo[0]
             hi = positions + packed.bhi[0]
-        return np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
+        return queries, np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
 
     def rmi_lookup(self, packed: PackedRMI, keys, queries):
-        queries = np.asarray(queries, dtype=np.uint64)
-        model_ids, positions = self.rmi_predict(packed, queries)
-        lo, hi = self._intervals(packed, positions, model_ids)
-        return self.lower_bound_window(keys, queries, lo, hi)
-
-    def _fused_serve(self, lookup, packed, keys, point_queries,
-                     range_lows, range_highs):
-        """Serving unit shared by all families: point + range lookups."""
-        if len(range_lows) != len(range_highs):
-            raise ValueError("serve needs one high per range low")
-        if len(point_queries):
-            positions = lookup(packed, keys, point_queries)
-        else:
-            positions = np.empty(0, dtype=np.int64)
-        if len(range_lows):
-            starts = lookup(packed, keys, range_lows)
-            counts = lookup(packed, keys, range_highs) - starts
-        else:
-            starts = np.empty(0, dtype=np.int64)
-            counts = np.empty(0, dtype=np.int64)
-        return positions, starts, counts
+        return self._fused_serve(self._rmi_window, packed, keys, queries,
+                                 NO_QUERIES, NO_QUERIES)[0]
 
     def rmi_serve(self, packed: PackedRMI, keys, point_queries,
                   range_lows, range_highs):
-        return self._fused_serve(self.rmi_lookup, packed, keys,
+        return self._fused_serve(self._rmi_window, packed, keys,
                                  point_queries, range_lows, range_highs)
 
     # -- fused PLA path --------------------------------------------------
@@ -293,13 +290,9 @@ class NumpyBackend(KernelBackend):
         hi = np.minimum(center + packed.eps, n - 1)
         return q, lo, hi
 
-    def pla_lookup(self, packed: PackedPLA, keys, queries):
-        q, lo, hi = self._pla_window(packed, queries)
-        return self.lower_bound_window(keys, q, lo, hi)
-
     def pla_serve(self, packed: PackedPLA, keys, point_queries,
                   range_lows, range_highs):
-        return self._fused_serve(self.pla_lookup, packed, keys,
+        return self._fused_serve(self._pla_window, packed, keys,
                                  point_queries, range_lows, range_highs)
 
     # -- fused tree path -------------------------------------------------
@@ -375,11 +368,7 @@ class NumpyBackend(KernelBackend):
             lo[idx] = np.minimum(base + pref[bins], n - 1)
         return q, lo, hi
 
-    def tree_lookup(self, packed: PackedTree, keys, queries):
-        q, lo, hi = self._tree_window(packed, queries)
-        return self.lower_bound_window(keys, q, lo, hi)
-
     def tree_serve(self, packed: PackedTree, keys, point_queries,
                    range_lows, range_highs):
-        return self._fused_serve(self.tree_lookup, packed, keys,
+        return self._fused_serve(self._tree_window, packed, keys,
                                  point_queries, range_lows, range_highs)

@@ -58,7 +58,8 @@ class PackedRMI(Bindable):
     #: Dispatch tag consumed by ``KernelBackend.lookup``/``serve``.
     packed_kind = "rmi"
 
-    #: The ``rmi_*`` kernels' argument run after ``(keys, n)``.
+    #: The fields of the C ``rmi_run`` struct, the RMI kernels' argument
+    #: run after ``(keys, n)``.
     KERNEL_RUN = (
         ("codes", np.int8), ("params", np.float64), ("offsets", np.int64),
         ("num_layers", ctypes.c_int64), ("scales", np.float64),

@@ -76,7 +76,8 @@ class PackedPLA(Bindable):
     #: Dispatch tag consumed by ``KernelBackend.lookup``/``serve``.
     packed_kind = "pla"
 
-    #: The ``pla_*`` kernels' argument run after ``(keys, n)``.
+    #: The fields of the C ``pla_run`` struct, ``pla_serve``'s argument
+    #: run after ``(keys, n)``.
     KERNEL_RUN = (
         ("seg_keys", np.uint64), ("slopes", np.float64),
         ("icepts", np.float64), ("offsets", np.int64),

@@ -64,7 +64,8 @@ class PackedTree(Bindable):
     #: Dispatch tag consumed by ``KernelBackend.lookup``/``serve``.
     packed_kind = "tree"
 
-    #: The ``tree_*`` kernels' argument run after ``(keys, n)``.
+    #: The fields of the C ``tree_run`` struct, ``tree_serve``'s argument
+    #: run after ``(keys, n)``.
     KERNEL_RUN = (
         ("kind", ctypes.c_int32), ("entry_keys", np.uint64),
         ("positions", np.int64), ("num_entries", ctypes.c_int64),

@@ -47,7 +47,6 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    MetricsWindow,
     ServeMetrics,
     rollup_states,
     window_between,
@@ -68,7 +67,6 @@ __all__ = [
     "Histogram",
     "IndexServer",
     "LocalBackend",
-    "MetricsWindow",
     "MicroBatcher",
     "Request",
     "Response",

@@ -28,8 +28,8 @@ import numpy as np
 
 from .batcher import STATUS_ERROR, STATUS_OK, STATUS_REJECTED, STATUS_TIMEOUT
 
-__all__ = ["Counter", "Gauge", "Histogram", "MetricsWindow",
-           "ServeMetrics", "rollup_states", "window_between"]
+__all__ = ["Counter", "Gauge", "Histogram", "ServeMetrics",
+           "rollup_states", "window_between"]
 
 #: Counter attributes of :class:`ServeMetrics`, in snapshot order.
 #: ``state()``/``merge_state()`` and the cluster roll-up iterate this
@@ -523,33 +523,6 @@ def window_between(prev_state: "dict[str, Any]",
                          - int(prev_g.get("samples", 0) if prev_g else 0))
     window.started_at = prev_state.get("started_at", window.started_at)
     return window
-
-
-class MetricsWindow:
-    """Rolling per-interval view over a live :class:`ServeMetrics`.
-
-    ``advance()`` returns the metrics of the interval since the previous
-    ``advance()`` (or construction) and moves the window forward; the
-    wall-clock length of that interval is ``last_window_s``.  The
-    controller polls this once per control window.
-    """
-
-    def __init__(self, metrics: ServeMetrics,
-                 clock=time.monotonic) -> None:
-        self._metrics = metrics
-        self._clock = clock
-        self._prev = metrics.state()
-        self._prev_t = clock()
-        self.last_window_s = 0.0
-
-    def advance(self) -> ServeMetrics:
-        cur = self._metrics.state()
-        now = self._clock()
-        window = window_between(self._prev, cur)
-        self.last_window_s = max(float(now - self._prev_t), 0.0)
-        self._prev = cur
-        self._prev_t = now
-        return window
 
 
 def _rounded(summary: "dict[str, float]") -> "dict[str, float]":

@@ -64,13 +64,12 @@ import numpy as np
 
 from .. import kernels
 from ..baselines.interfaces import OrderedIndex, SearchBounds
-from ..kernels.base import run_steps
+from ..kernels.base import run_steps, serve_by_lookup
 from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta, \
     last_writes
 
 __all__ = ["WritableIndex", "RebuildTicket"]
 
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
 _MAX_KEY = np.uint64(2**64 - 1)
 
 
@@ -320,20 +319,6 @@ class WritableIndex(OrderedIndex):
         n = view.live_count()
         return SearchBounds(lo=0, hi=n - 1, hint=self.lower_bound(key))
 
-    def range_query_batch(
-        self, lows: np.ndarray, highs: np.ndarray
-    ) -> "tuple[np.ndarray, np.ndarray]":
-        lows = np.asarray(lows, dtype=np.uint64)
-        highs = np.asarray(highs, dtype=np.uint64)
-        if len(lows) != len(highs):
-            raise ValueError("range_query_batch needs equal-length bounds")
-        if np.any(highs < lows):
-            raise ValueError("range_query_batch requires low <= high")
-        view = self._view
-        starts = view.lookup(lows)
-        ends = view.lookup(highs)
-        return starts, ends - starts
-
     def serve_batch(
         self,
         point_queries: np.ndarray,
@@ -344,29 +329,17 @@ class WritableIndex(OrderedIndex):
 
         Clean (empty delta) batches delegate to the base's own
         ``serve_batch`` -- including its fused compiled kernels; dirty
-        batches run the merged three-pass arithmetic.  Either way the
-        view is captured once, so a concurrent write or rebuild swap
-        never splits a batch across two states.
+        batches run one merged lookup over points and range bounds (the
+        base's batch engine once, not three times), after the same range
+        check.  Either way the view is captured once, so a concurrent
+        write or rebuild swap never splits a batch across two states.
         """
         view = self._view
         if not len(view.delta):
             return view.base.serve_batch(point_queries, range_lows,
                                          range_highs)
-        # One fused merged lookup over points + range bounds: the base's
-        # batch engine (and its compiled kernels) runs once, not three
-        # times, and the delta corrections are one vectorized pass.
-        np_, nr = len(point_queries), len(range_lows)
-        if not nr:
-            return view.lookup(point_queries), _EMPTY_I64, _EMPTY_I64
-        fused = view.lookup(np.concatenate([
-            np.asarray(point_queries, dtype=np.uint64),
-            np.asarray(range_lows, dtype=np.uint64),
-            np.asarray(range_highs, dtype=np.uint64),
-        ]))
-        positions = fused[:np_] if np_ else _EMPTY_I64
-        starts = fused[np_:np_ + nr]
-        counts = fused[np_ + nr:] - starts
-        return positions, starts, counts
+        return serve_by_lookup(view.lookup, point_queries, range_lows,
+                               range_highs)
 
     # -- compiled kernels ------------------------------------------------
 

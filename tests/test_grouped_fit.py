@@ -40,6 +40,7 @@ from repro.core.models import (
 )
 from repro.core.rmi import RMI, _fit_model
 from repro.kernels import backend_available
+from repro.kernels.base import run_steps
 
 DATASETS = ("books", "fb", "osmc", "wiki")
 MODEL_TYPES = (ConstantModel, LinearRegression, LinearSpline, CubicSpline)
@@ -312,7 +313,8 @@ class TestKernelBuildParity:
                                (-64 / float(books_keys[-1]), False)):
             root = LayerTable.from_models(
                 [LinearSpline(slope, 32.0 if slope < 0 else 0.0)])
-            built = cext.rmi_build_leaves(books_keys, root, 64)
+            built = run_steps(cext.rmi_build_leaves_steps(books_keys, root,
+                                                         64))
             assert (built is not None) == ordered
             if ordered:
                 assert built[0].sum() == n
@@ -326,7 +328,8 @@ class TestKernelBuildParity:
         root = LayerTable.from_models(
             [LinearSpline(64 / float(keys[-1]), 0.0)])
         with pytest.raises(ValueError, match="sorted"):
-            get_backend("cext").rmi_build_leaves(keys, root, 64)
+            run_steps(get_backend("cext").rmi_build_leaves_steps(keys, root,
+                                                                 64))
 
     def test_staged_path_outside_the_kernel_configuration(self, books_keys):
         """NB bounds, a one-leaf layer, copied keys and other leaf types

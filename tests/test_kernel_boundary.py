@@ -16,7 +16,9 @@ that boundary on every loadable backend:
   would make C read past an array, and so does the NumPy reference
   (``merge_delta``'s and ``compact_delta``'s are in
   ``tests/test_writable_merge.py``);
-* every array slot of every C prototype is declared ``c_void_p``.
+* every array slot of every C prototype is declared ``c_void_p``, and
+  each packed form's ``KERNEL_RUN`` lists its C ``*_run`` struct field
+  for field.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.baselines.hist_tree import HistTree
 from repro.baselines.pgm import PGMIndex
 from repro.baselines.rmi_adapter import RMIAsIndex
 from repro.core.rmi import RMI
+from repro.kernels.base import run_steps
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +92,8 @@ def case():
 
 
 #: Every entry point, called on ``case`` with ``f`` applied to each
-#: array argument.
+#: array argument.  The ``pla_lookup`` and ``tree_lookup_sparse`` rows
+#: call the generic ``lookup`` (a serve with no ranges) on that form.
 ENTRY_POINTS = {
     "lower_bound_window": lambda be, c, f: be.lower_bound_window(
         f(c["keys"]), f(c["q"]), f(c["lo"]), f(c["hi"])),
@@ -104,8 +108,8 @@ ENTRY_POINTS = {
         tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
                       c["corr"]))),
         (f(c["bkeys"]), f(c["bops"])), len(c["dkeys"]) // 2),
-    "merge_live": lambda be, c, f: be.merge_live(
-        f(c["keys"]), f(c["dkeys"]), f(c["ops"]), c["live"]),
+    "merge_live": lambda be, c, f: run_steps(be.merge_live_steps(
+        f(c["keys"]), f(c["dkeys"]), f(c["ops"]), c["live"])),
     "rmi_predict": lambda be, c, f: be.rmi_predict(
         c["rmi_packed"], f(c["q"])),
     "rmi_lookup": lambda be, c, f: be.rmi_lookup(
@@ -113,11 +117,11 @@ ENTRY_POINTS = {
     "rmi_serve": lambda be, c, f: be.rmi_serve(
         c["rmi_packed"], f(c["keys"]), f(c["q"]), f(c["lows"]),
         f(c["highs"])),
-    "pla_lookup": lambda be, c, f: be.pla_lookup(
+    "pla_lookup": lambda be, c, f: be.lookup(
         c["pla"], f(c["keys"]), f(c["q"])),
     "pla_serve": lambda be, c, f: be.pla_serve(
         c["pla"], f(c["keys"]), f(c["q"]), f(c["lows"]), f(c["highs"])),
-    "tree_lookup_sparse": lambda be, c, f: be.tree_lookup(
+    "tree_lookup_sparse": lambda be, c, f: be.lookup(
         c["sparse"], f(c["keys"]), f(c["q"])),
     "tree_serve_hist": lambda be, c, f: be.tree_serve(
         c["hist"], f(c["keys"]), f(c["q"]), f(c["lows"]), f(c["highs"])),
@@ -177,10 +181,11 @@ def test_empty_keys_and_deltas(kernel_backend, case):
     _same(kernel_backend.delta_correct(none, np.array([3]), case["base"], q),
           case["base"] + 3)
     dkeys, ops = case["dkeys"], case["ops"]
-    _same(kernel_backend.merge_live(none, dkeys, ops, int(ops.sum())),
+    merge = kernel_backend.merge_live_steps
+    _same(run_steps(merge(none, dkeys, ops, int(ops.sum()))),
           dkeys[ops != 0])
-    _same(kernel_backend.merge_live(case["keys"], none, none.astype(np.int8),
-                                    len(case["keys"])), case["keys"])
+    _same(run_steps(merge(case["keys"], none, none.astype(np.int8),
+                          len(case["keys"]))), case["keys"])
 
 
 def test_build_kernels_take_odd_inputs(case):
@@ -188,9 +193,10 @@ def test_build_kernels_take_odd_inputs(case):
         pytest.skip("cext backend not available")
     be = kernels.get_backend("cext")
     keys, root = case["keys"], case["rmi"].layers[0]
-    built = be.rmi_build_leaves(keys, root, 64)
+    built = run_steps(be.rmi_build_leaves_steps(keys, root, 64))
     for f in VARIANTS.values():
-        _same(be.rmi_build_leaves(f(keys), root, 64), built)
+        _same(run_steps(be.rmi_build_leaves_steps(f(keys), root, 64)),
+              built)
 
 
 # ----------------------------------------------------------------------
@@ -365,3 +371,30 @@ def test_every_array_slot_is_an_address():
             for p in (param.strip() for param in params.split(","))
         ]
         assert _SIGNATURES[name] == want, name
+
+
+#: The element type of each array a ``*_run`` struct points into.
+_ARRAYS = {"int8_t": np.int8, "double": np.float64, "int64_t": np.int64,
+           "uint64_t": np.uint64}
+
+
+def test_every_run_struct_matches_its_kernel_run():
+    """A fused kernel reads its packed form through a C struct that
+    :mod:`repro.kernels.binding` fills from ``KERNEL_RUN``: the two
+    must agree on every field's name, order and type."""
+    from repro.kernels.cext_backend import _C_SOURCE
+    from repro.kernels.packed import PackedRMI
+    from repro.kernels.packed_pla import PackedPLA
+    from repro.kernels.packed_tree import PackedTree
+
+    structs = {name: body for body, name in re.findall(
+        r"typedef struct \{([^}]*)\} (\w+)_run;", _C_SOURCE)}
+    forms = (PackedRMI, PackedPLA, PackedTree)
+    assert set(structs) == {form.packed_kind for form in forms}
+    for form in forms:
+        fields = re.findall(r"(?:const )?(\w+) (\*?)(\w+);",
+                            structs[form.packed_kind])
+        want = [(name, kind) for name, kind in form.KERNEL_RUN]
+        got = [(name, _ARRAYS[ctype] if pointer else _SCALARS[ctype])
+               for ctype, pointer, name in fields]
+        assert got == want, form.__name__

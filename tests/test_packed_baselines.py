@@ -107,7 +107,8 @@ def test_backend_serves_packed_form(name, books_keys, kernel_backend,
                                     monkeypatch):
     """A packable baseline's ``lookup_batch`` and ``serve_batch`` go
     through the installed backend's ``lookup`` / ``serve`` on its packed
-    form -- on the NumPy backend too: one batch path per family."""
+    form -- on the NumPy backend too: one batch path per family, where
+    ``lookup`` is the ``serve`` of no ranges."""
     calls = []
 
     def spy_on(method):
@@ -127,7 +128,7 @@ def test_backend_serves_packed_form(name, books_keys, kernel_backend,
     oracle = lower_bound_oracle(books_keys, queries)
     np.testing.assert_array_equal(index.lookup_batch(queries), oracle)
     positions, starts, counts = index.serve_batch(queries, queries, queries)
-    assert [method for method, _ in calls] == ["lookup", "serve"]
+    assert [method for method, _ in calls] == ["lookup", "serve", "serve"]
     assert all(packed is index._packed() for _, packed in calls)
     np.testing.assert_array_equal(positions, oracle)
     np.testing.assert_array_equal(starts, oracle)

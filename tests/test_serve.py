@@ -866,22 +866,6 @@ def test_window_between_rejects_backwards_snapshots():
         window_between(later, earlier)
 
 
-def test_metrics_window_advances(serve_keys):
-    from repro.serve import MetricsWindow, ServeMetrics
-
-    metrics = ServeMetrics()
-    roller = MetricsWindow(metrics, clock=iter([1.0, 3.0, 6.0]).__next__)
-    metrics.completed.inc(7)
-    metrics.latency_s.observe(0.004)
-    w1 = roller.advance()
-    assert w1.completed.value == 7
-    assert w1.latency_s.count == 1
-    assert roller.last_window_s == pytest.approx(2.0)
-    w2 = roller.advance()
-    assert w2.completed.value == 0  # the window moved forward
-    assert roller.last_window_s == pytest.approx(3.0)
-
-
 def test_bulk_lane_records_dispatch_latency(serve_keys):
     """serve_bulk observes one latency sample per dispatch, so windowed
     p99 stays meaningful under bulk-only traffic (the autotuner's

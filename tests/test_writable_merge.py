@@ -1,6 +1,6 @@
 """The writable tier's write path: the delta merge and the live snapshot.
 
-* ``merge_live`` (the snapshot a rebuild builds over) on every kernel
+* ``merge_live_steps`` (the snapshot a rebuild builds over) on every kernel
   backend equals ``np.sort`` over the live multiset, on adversarial
   bases: duplicate runs around delta keys, keys at 0 and 2^64-1, a
   single repeated key, tombstones of absent keys, re-inserts of base
@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.baselines import INDEX_TYPES
+from repro.kernels.base import run_steps
 from repro.writable import OP_INSERT, OP_TOMBSTONE, WritableIndex, empty_delta
 from repro.writable.index import _View
 
@@ -77,7 +78,8 @@ def _delta_arrays(delta: "dict[int, bool]"):
 def test_merge_live_matches_live_multiset(backend, base, delta):
     dk, ops = _delta_arrays(delta)
     want = _live_oracle(base, delta)
-    got = kernels.get_backend(backend).merge_live(base, dk, ops, len(want))
+    got = run_steps(kernels.get_backend(backend).merge_live_steps(
+        base, dk, ops, len(want)))
     assert got.dtype == np.uint64
     np.testing.assert_array_equal(got, want)
 
@@ -90,10 +92,10 @@ def test_merge_live_rejects_a_wrong_count(backend):
         pytest.skip("the reference sizes its own result")
     base = np.array([1, 2, 3], dtype=np.uint64)
     dk, ops = _delta_arrays({4: True})
-    merge = kernels.get_backend(backend).merge_live
+    merge = kernels.get_backend(backend).merge_live_steps
     for size in (3, 5):
         with pytest.raises(ValueError):
-            merge(base, dk, ops, size)
+            run_steps(merge(base, dk, ops, size))
 
 
 # ---------------------------------------------------------------------------
