@@ -20,8 +20,8 @@ entry points is timed on every loadable backend:
     kernel with ranges.
 
 Next to them, ``call_us`` states the fixed cost of one kernel call: the
-mean of a loop of one-key ``serve`` calls, best of ``runs``.  A small
-batch pays it whole, so it is what divides a per-request batch's
+mean of a loop of one-key ``serve`` calls, best of ``runs`` rounds.  A
+small batch pays it whole, so it is what divides a per-request batch's
 ns per key from a bulk chunk's.
 
 Beyond the RMI smoke, the report carries one section per *family
@@ -139,28 +139,60 @@ def _windows(packed, pos: np.ndarray, ids: np.ndarray, n: int):
     return np.clip(lo, 0, n - 1), np.clip(hi, 0, n - 1)
 
 
-def _best_of(fn, runs: int, loop: int = 1) -> float:
-    """Best of ``runs`` timings of ``fn``, each the mean of ``loop``
-    calls."""
-    fn()  # warm: page-fault outputs, load code paths
-    best = float("inf")
-    for _ in range(max(runs, 1)):
-        t0 = time.perf_counter()
-        for _ in range(loop):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / loop)
-    return best
-
-
 #: One-key ``serve`` calls per timing of ``call_us``.
 CALL_LOOP = 200
 
 
-def _call_us(serve, runs: int) -> float:
-    """The fixed cost of one kernel call, in µs: ``serve`` of one point
-    and no ranges, the mean of a ``CALL_LOOP``-call loop, best of
-    ``runs``."""
-    return _best_of(serve, runs, CALL_LOOP) * 1e6
+def _interleaved_best(legs: dict, runs: int) -> dict:
+    """Each leg's best timing over the same ``runs`` rounds.
+
+    ``legs`` maps a key to ``(fn, loop)``; a timing is the mean of
+    ``loop`` calls of ``fn``.  Every round times every leg once, in an
+    order that reverses from round to round, so host drift between the
+    legs of a compared pair (a backend and the NumPy reference) moves
+    both alike instead of landing on one of them.
+    """
+    for fn, _ in legs.values():
+        fn()  # warm: page-fault outputs, load code paths
+    best = dict.fromkeys(legs, float("inf"))
+    order = list(legs)
+    for r in range(max(runs, 1)):
+        for key in order if r % 2 == 0 else reversed(order):
+            fn, loop = legs[key]
+            t0 = time.perf_counter()
+            for _ in range(loop):
+                fn()
+            best[key] = min(best[key], (time.perf_counter() - t0) / loop)
+    return best
+
+
+def _timed_backends(loaded: dict, legs: dict, runs: int, kernels,
+                    m: int) -> dict:
+    """The report entries of every loaded backend from one interleaved
+    timing.
+
+    ``legs`` maps each backend name to ``{kernel: fn}`` plus ``"call"``,
+    the one-key serve whose ``CALL_LOOP``-call mean is ``call_us`` (the
+    fixed cost of one kernel call).
+    """
+    best = _interleaved_best({
+        (name, kernel): (fn, CALL_LOOP if kernel == "call" else 1)
+        for name, fns in legs.items() for kernel, fn in fns.items()
+    }, runs)
+    return {
+        name: {
+            "available": True,
+            "compiled": bool(loaded[name].compiled),
+            "bit_identical": True,
+            "kernels": {
+                kernel: {"best_s": best[name, kernel],
+                         "ns_per_op": best[name, kernel] / m * 1e9}
+                for kernel in kernels
+            },
+            "call_us": best[name, "call"] * 1e6,
+        }
+        for name in legs
+    }
 
 
 def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
@@ -193,6 +225,7 @@ def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
         )
     ref_serve = reference.serve(packed, index.keys, qs, qs, qs)
     one, none = qs[:1], qs[:0]
+    legs = {}
     for name, backend in loaded.items():
         got = backend.lookup(packed, index.keys, qs)
         got_serve = backend.serve(packed, index.keys, qs, qs, qs)
@@ -203,25 +236,15 @@ def _family_section(family: str, build, keys: np.ndarray, qs: np.ndarray,
                 f"backend {name!r} is not bit-identical to the NumPy "
                 f"replay of {index.name}"
             )
-        timings = {
-            "lookup": _best_of(
-                lambda b=backend: b.lookup(packed, index.keys, qs), runs),
-            "serve": _best_of(
-                lambda b=backend: b.serve(packed, index.keys, qs, qs, qs),
-                runs),
+        legs[name] = {
+            "lookup": lambda b=backend: b.lookup(packed, index.keys, qs),
+            "serve": lambda b=backend: b.serve(packed, index.keys, qs, qs,
+                                               qs),
+            "call": lambda b=backend: b.serve(packed, index.keys, one, none,
+                                              none),
         }
-        section["backends"][name] = {
-            "available": True,
-            "compiled": bool(backend.compiled),
-            "bit_identical": True,
-            "kernels": {
-                kernel: {"best_s": t, "ns_per_op": t / m * 1e9}
-                for kernel, t in timings.items()
-            },
-            "call_us": _call_us(
-                lambda b=backend: b.serve(packed, index.keys, one, none,
-                                          none), runs),
-        }
+    section["backends"] = _timed_backends(loaded, legs, runs,
+                                          FAMILY_KERNELS, m)
     section["speedups"] = _speedups(section["backends"], FAMILY_KERNELS)
     return section
 
@@ -266,10 +289,12 @@ def _sorted_narrowing_section(keys: np.ndarray, qs: np.ndarray,
         _batch_lower_bound_window_narrowed(keys, q, lo, hi), oracle
     ):
         raise RuntimeError("narrowed window search disagrees with the oracle")
-    plain = _best_of(
-        lambda: _batch_lower_bound_window_plain(keys, q, lo, hi), runs)
-    narrowed = _best_of(
-        lambda: _batch_lower_bound_window_narrowed(keys, q, lo, hi), runs)
+    best = _interleaved_best({
+        name: (lambda search=search: search(keys, q, lo, hi), 1)
+        for name, search in (("plain", _batch_lower_bound_window_plain),
+                             ("narrowed", _batch_lower_bound_window_narrowed))
+    }, runs)
+    plain, narrowed = best["plain"], best["narrowed"]
     width = 2 * half_width + 1
     return {
         "batch": len(q),
@@ -298,8 +323,11 @@ def kernels_report(
     """Time every kernel on every loadable backend; JSON-ready dict.
 
     Timings are best-of-``runs`` (microbenchmarks want the noise
-    floor, not the scheduler).  Speedups are per kernel against the
-    NumPy backend on the same arrays.  ``indexes`` selects which
+    floor, not the scheduler), taken in ``runs`` interleaved rounds:
+    each round times every backend's every kernel once, in an order
+    that reverses from round to round, so a drift in host speed lands
+    on both sides of a speedup alike.  Speedups are per kernel against
+    the NumPy backend on the same arrays.  ``indexes`` selects which
     sections run (``"rmi"`` and/or family baseline names; default
     all); the RMI section keeps its historical top-level
     ``backends``/``speedups`` keys, family sections live under
@@ -392,16 +420,8 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
 
     m = len(qs)
     one, none = qs[:1], qs[:0]
-    report_backends: "dict[str, dict]" = {}
-    for name in names:
-        if name not in loaded:
-            report_backends[name] = {
-                "available": False,
-                "error": backend_status[name].get("error", "not loadable"),
-            }
-            continue
-        backend = loaded[name]
-
+    legs = {}
+    for name, backend in loaded.items():
         got_ids, got_pos = backend.rmi_predict(packed, qs)
         got_lbw = backend.lower_bound_window(keys, qs, win_lo, win_hi)
         got_lookup = backend.rmi_lookup(packed, keys, qs)
@@ -424,34 +444,24 @@ def _rmi_sections(keys, qs, layer2_size, model_types, bound_type, runs,
                 f"NumPy reference on: {', '.join(mismatches)}"
             )
 
-        timings = {
-            "predict": _best_of(
-                lambda b=backend: b.rmi_predict(packed, qs), runs),
-            "lower_bound_window": _best_of(
-                lambda b=backend: b.lower_bound_window(
-                    keys, qs, win_lo, win_hi), runs),
-            "lookup": _best_of(
-                lambda b=backend: b.rmi_lookup(packed, keys, qs), runs),
-            "serve": _best_of(
-                lambda b=backend: b.rmi_serve(packed, keys, qs, qs, qs),
-                runs),
-        }
-        report_backends[name] = {
-            "available": True,
-            "compiled": bool(backend.compiled),
-            "bit_identical": True,
-            "kernels": {
-                kernel: {
-                    "best_s": timings[kernel],
-                    "ns_per_op": timings[kernel] / m * 1e9,
-                }
-                for kernel in KERNELS
-            },
-            "call_us": _call_us(
-                lambda b=backend: b.rmi_serve(packed, keys, one, none, none),
-                runs),
+        legs[name] = {
+            "predict": lambda b=backend: b.rmi_predict(packed, qs),
+            "lower_bound_window": lambda b=backend: b.lower_bound_window(
+                keys, qs, win_lo, win_hi),
+            "lookup": lambda b=backend: b.rmi_lookup(packed, keys, qs),
+            "serve": lambda b=backend: b.rmi_serve(packed, keys, qs, qs, qs),
+            "call": lambda b=backend: b.rmi_serve(packed, keys, one, none,
+                                                  none),
         }
 
+    timed = _timed_backends(loaded, legs, runs, KERNELS, m)
+    report_backends = {
+        name: timed.get(name) or {
+            "available": False,
+            "error": backend_status[name].get("error", "not loadable"),
+        }
+        for name in names
+    }
     return report_backends, _speedups(report_backends, KERNELS)
 
 

@@ -50,8 +50,9 @@ SNAPSHOT_VERSION = 1
 #: Bump when the cost-model calibration procedure changes output.  2:
 #: the ``cext`` kernels take addresses, so a call's fixed cost fell.
 #: 3: a lookup is its family's serve with no ranges, so its fixed cost
-#: moved.
-CALIBRATION_VERSION = 3
+#: moved.  4: the ``cext`` lookup passes that serve NULL ranges instead
+#: of empty arrays, so a PLA or tree lookup's fixed cost fell.
+CALIBRATION_VERSION = 4
 
 
 def canonicalize(value: Any) -> Any:

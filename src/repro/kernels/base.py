@@ -9,19 +9,20 @@ A backend provides the hot kernels of the lookup path over flat arrays
     the shared completion step of *every* index's batch lookup
     (``core/search.batch_lower_bound_window`` dispatches here).
 ``delta_correct``
-    The writable tier's merged-lookup completion: full-range lower
-    bound over the sorted delta buffer plus a per-rank position
-    correction gather, fused into one pass
+    The writable tier's merged-lookup completion: each query's rank in
+    the sorted delta buffer, searched only inside the bucket its base
+    answer picks from the delta's bucket table, plus a per-rank
+    position correction gather, fused into one pass
     (``repro.writable.index._View.lookup`` dispatches here).
 ``merge_delta``
     The writable tier's write: a sorted write batch merged into the
-    sorted delta buffer, with the merged lookup's correction array, in
-    one pass (``repro.writable.index._View.merged_with`` dispatches
-    here).
+    sorted delta buffer, with the merged lookup's correction array and
+    bucket table, in one pass (``repro.writable.index._View.merged_with``
+    dispatches here).
 ``compact_delta``
     The writable tier's publication: the delta entries newer than a
-    rebuild's watermark, with their correction against the rebuilt base
-    (``WritableIndex.finish_rebuild`` dispatches here).
+    rebuild's watermark, with their correction and bucket table against
+    the rebuilt base (``WritableIndex.finish_rebuild`` dispatches here).
 ``merge_live_steps``
     The writable tier's snapshot: the base keys merged with the delta
     buffer into the sorted live key array a rebuild builds over
@@ -75,9 +76,11 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BUCKET_SHIFT",
     "KernelBackend",
     "NO_QUERIES",
     "PACKED_DISPATCH",
+    "bucket_table",
     "check_compact",
     "check_delta",
     "check_merge",
@@ -85,6 +88,7 @@ __all__ = [
     "check_windows",
     "run_steps",
     "serve_by_lookup",
+    "table_size",
 ]
 
 #: ``packed_kind`` tag -> serve method name.
@@ -94,6 +98,27 @@ PACKED_DISPATCH = {"rmi": "rmi_serve", "pla": "pla_serve",
 #: The missing side of a serve: no points, or no range bounds.
 NO_QUERIES = np.empty(0, dtype=np.uint64)
 _NO_RANKS = np.empty(0, dtype=np.int64)
+
+#: The delta's bucket table counts delta keys per ``2**BUCKET_SHIFT``
+#: base positions (the C source's ``BUCKET_SHIFT``): one or two delta
+#: keys per bucket at a 2-3% delta, so a dirty read searches a window
+#: of a few keys.  A constant, not a knob: 32 and 64 positions per
+#: bucket measured best, 256 about 12% slower.
+BUCKET_SHIFT = 6
+
+
+def table_size(n: int) -> int:
+    """Entries in the bucket table over a base of ``n`` keys: one per
+    bucket of base positions ``0..n``, plus the end of the last."""
+    return (n >> BUCKET_SHIFT) + 2
+
+
+def bucket_table(lower: np.ndarray, size: int) -> np.ndarray:
+    """A ``size``-entry bucket table counted from scratch: entry ``b``
+    is how many of the sorted base lower bounds ``lower`` lie below
+    ``b << BUCKET_SHIFT``."""
+    return np.searchsorted(np.asarray(lower, dtype=np.int64),
+                           np.arange(size, dtype=np.int64) << BUCKET_SHIFT)
 
 
 def check_windows(queries, lo, hi) -> None:
@@ -131,28 +156,33 @@ def serve_by_lookup(lookup, points, lows, highs):
     return ranks[:m], starts, ranks[m + r:] - starts
 
 
-def check_delta(delta_keys, corr, base_positions, queries) -> None:
+def check_delta(delta_keys, corr, base_positions, queries, table) -> None:
     """``delta_correct``'s argument check, shared by every backend:
-    ``len(delta_keys) + 1`` corrections and one base position per
-    query."""
+    ``len(delta_keys) + 1`` corrections, one base position per query
+    and a bucket table of at least two entries."""
     if len(corr) != len(delta_keys) + 1:
         raise ValueError("delta_correct needs len(delta_keys) + 1 "
                          "corrections")
     if len(base_positions) != len(queries):
         raise ValueError("delta_correct needs one base position per query")
+    if len(table) < 2:
+        raise ValueError("delta_correct needs a bucket table of at least "
+                         "two entries")
 
 
 def check_merge(delta, batch) -> None:
     """``merge_delta``'s argument check, shared by every backend: one
     op, seq and born stamp per key on each side, ``len(keys) + 1``
-    corrections for the delta and one base multiplicity per batch
-    key."""
-    for side, extra in ((delta, 1), (batch, 0)):
-        if any(len(a) != len(side[0]) for a in side[1:4]) or \
-                len(side[4]) != len(side[0]) + extra:
-            raise ValueError("merge_delta needs one op, seq and born stamp "
-                             "per key, len(keys) + 1 delta corrections and "
-                             "one base multiplicity per batch key")
+    corrections and a bucket table of at least two entries for the
+    delta, and one base multiplicity and lower bound per batch key."""
+    if any(len(a) != len(side[0])
+           for side in (delta, batch) for a in side[1:4]) or \
+            len(delta[4]) != len(delta[0]) + 1 or len(delta[5]) < 2 or \
+            any(len(a) != len(batch[0]) for a in batch[4:6]):
+        raise ValueError("merge_delta needs one op, seq and born stamp "
+                         "per key, len(keys) + 1 delta corrections, a "
+                         "bucket table of at least two entries, and one "
+                         "base multiplicity and lower bound per batch key")
 
 
 def check_compact(delta, snapshot) -> None:
@@ -215,54 +245,76 @@ class KernelBackend:
         corr: np.ndarray,
         base_positions: np.ndarray,
         queries: np.ndarray,
+        table: np.ndarray,
     ) -> np.ndarray:
         """Merged-lookup completion for the writable tier's dirty reads.
 
         ``out[i] = base_positions[i] + corr[rank]`` where ``rank`` is
-        the full-range lower bound of ``queries[i]`` in the sorted,
-        per-key-unique ``delta_keys`` (``corr`` has ``len(delta_keys)
-        + 1`` entries).  This staged form is the reference every
-        backend must match bit-for-bit; the C backend overrides it
-        with a fused single-pass kernel
-        (:meth:`CExtBackend.delta_correct`).  Raises ``ValueError`` on
-        a length mismatch (:func:`check_delta`).
+        the lower bound of ``queries[i]`` in the sorted, per-key-unique
+        ``delta_keys`` (``corr`` has ``len(delta_keys) + 1`` entries),
+        searched only between ``table[b]`` and ``table[b + 1]`` for the
+        bucket ``b = base_positions[i] >> BUCKET_SHIFT``.  ``table[b]``
+        counts the delta keys whose base lower bound is below ``b <<
+        BUCKET_SHIFT`` (:func:`table_size` entries): a delta key whose
+        base lower bound lies below the query's bucket is below the
+        query, and one past the bucket is above it, so the window is
+        exact for any base multiset when ``base_positions`` are the
+        base's lower bounds of ``queries``.  The bucket is clamped into
+        the table and the window into the delta, so no input reads
+        outside either.
+
+        This staged form (a lower bound over the whole delta clipped to
+        the window, which equals the windowed search) is the reference
+        every backend must match bit-for-bit; the C backend overrides
+        it with a fused single-pass kernel.  Raises ``ValueError`` on a
+        length mismatch or a table of fewer than two entries
+        (:func:`check_delta`).
         """
-        check_delta(delta_keys, corr, base_positions, queries)
-        idx = np.searchsorted(
-            np.ascontiguousarray(delta_keys, dtype=np.uint64),
-            np.ascontiguousarray(queries, dtype=np.uint64),
-            side="left",
-        )
-        return np.asarray(base_positions, dtype=np.int64) + \
-            np.asarray(corr, dtype=np.int64)[idx]
+        check_delta(delta_keys, corr, base_positions, queries, table)
+        delta_keys = np.ascontiguousarray(delta_keys, dtype=np.uint64)
+        base_positions = np.asarray(base_positions, dtype=np.int64)
+        table = np.asarray(table, dtype=np.int64)
+        bucket = np.clip(base_positions >> BUCKET_SHIFT, 0, len(table) - 2)
+        lo = np.clip(table[bucket], 0, len(delta_keys))
+        hi = np.clip(table[bucket + 1], lo, len(delta_keys))
+        idx = np.clip(np.searchsorted(
+            delta_keys, np.ascontiguousarray(queries, dtype=np.uint64),
+            side="left"), lo, hi)
+        return base_positions + np.asarray(corr, dtype=np.int64)[idx]
 
     def merge_delta(self, delta, batch):
         """The writable tier's write: ``batch`` merged into ``delta``.
 
-        ``delta`` is ``(keys, ops, seqs, born, corr)``: the sorted,
-        per-key-unique ``uint64`` keys, their ``int8`` ops (1 insert, 0
-        tombstone), ``int64`` sequence numbers and ``float64`` born
-        stamps, and the ``int64`` correction -- ``corr[i]`` is the
-        number of insert entries minus the base multiplicities of the
-        first ``i`` keys (``len(keys) + 1`` entries).  ``batch`` is
-        ``(keys, ops, seqs, born, mult)``, with each key's base
-        multiplicity.  A batch entry replaces the delta entry of its key
-        and keeps the older born stamp.  Returns the merged ``(keys,
-        ops, seqs, born, corr)``.  Raises ``ValueError`` on a length
-        mismatch (:func:`check_merge`).
+        ``delta`` is ``(keys, ops, seqs, born, corr, table)``: the
+        sorted, per-key-unique ``uint64`` keys, their ``int8`` ops (1
+        insert, 0 tombstone), ``int64`` sequence numbers and
+        ``float64`` born stamps, the ``int64`` correction -- ``corr[i]``
+        is the number of insert entries minus the base multiplicities
+        of the first ``i`` keys (``len(keys) + 1`` entries) -- and the
+        ``int64`` bucket table of :meth:`delta_correct`.  ``batch`` is
+        ``(keys, ops, seqs, born, mult, lower)``, with each key's base
+        multiplicity and base lower bound.  A batch entry replaces the
+        delta entry of its key and keeps the older born stamp; a new
+        key adds one to every bucket past its base lower bound's.
+        Returns the merged ``(keys, ops, seqs, born, corr, table)``.
+        Raises ``ValueError`` on a length mismatch (:func:`check_merge`).
         """
         raise NotImplementedError
 
-    def compact_delta(self, delta, snapshot, watermark: int):
+    def compact_delta(self, delta, snapshot, watermark: int, base_keys):
         """The writable tier's publication: the entries of ``delta`` --
         ``(keys, ops, seqs, born, corr)`` as in :meth:`merge_delta` --
         with a sequence number above ``watermark``, and their correction
-        against the base rebuilt over a rebuild's snapshot, whose delta
-        was ``snapshot`` (``(keys, ops)``, sorted).  A key the snapshot
-        holds has the multiplicity the snapshot's op gave it (1 for an
-        insert, else 0); any other keeps its old base multiplicity.
-        Returns the kept ``(keys, ops, seqs, born, corr)``.  Raises
-        ``ValueError`` on a length mismatch (:func:`check_compact`).
+        and bucket table against the base rebuilt over a rebuild's
+        snapshot, whose delta was ``snapshot`` (``(keys, ops)``,
+        sorted), and whose sorted keys are ``base_keys``.  A key the
+        snapshot holds has the multiplicity the snapshot's op gave it
+        (1 for an insert, else 0); any other keeps its old base
+        multiplicity.  The table comes from merging every
+        ``2**BUCKET_SHIFT``-th key of ``base_keys`` with the kept keys,
+        without searching the new base.  Returns the kept ``(keys, ops,
+        seqs, born, corr, table)``.  Raises ``ValueError`` on a length
+        mismatch (:func:`check_compact`).
         """
         raise NotImplementedError
 

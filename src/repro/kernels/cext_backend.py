@@ -33,8 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import KernelBackend, check_compact, check_delta, check_merge, \
-    check_windows
+from .base import PACKED_DISPATCH, KernelBackend, check_compact, \
+    check_delta, check_merge, check_windows, table_size
 from .binding import address
 from .packed import PACKABLE_MODEL_CODES, PackedRMI
 from .packed_pla import PackedPLA
@@ -150,6 +150,29 @@ static inline int64_t lb_window_one(const uint64_t *keys, int64_t n,
     return res;
 }
 
+/* The breadth-first sweep: every lane takes one mask-select halving
+ * step of lower_bound() per pass over [left[i], right[i]), until all
+ * converge; left[i] ends at the lane's lower bound in its window. */
+static inline void sweep_block(const uint64_t *keys, const uint64_t *q,
+                               int64_t *left, int64_t *right, int64_t c) {
+    int active = 0;
+    for (int64_t i = 0; i < c; i++) {
+        active |= (left[i] < right[i]);
+    }
+    while (active) {
+        active = 0;
+        for (int64_t i = 0; i < c; i++) {
+            int64_t l = left[i], r = right[i];
+            if (l >= r) continue;  /* converged lanes: cheap skip */
+            int64_t mid = (int64_t)(((uint64_t)l + (uint64_t)r) >> 1);
+            int64_t m = -(int64_t)(keys[mid] < q[i]);
+            left[i] = (m & (mid + 1)) | (~m & l);
+            right[i] = (m & r) | (~m & mid);
+            active |= (left[i] < right[i]);
+        }
+    }
+}
+
 /* Window search over one block, two strategies sharing one contract:
  * per lane the arithmetic is exactly lower_bound()'s -- same midpoint
  * expression, same comparison, same selected values -- so the
@@ -186,24 +209,11 @@ static void lb_block(const uint64_t *keys, int64_t n, const uint64_t *q,
         }
     }
     int64_t left[BLOCK], right[BLOCK];
-    int active = 0;
     for (int64_t i = 0; i < c; i++) {
         left[i] = lo[i];
         right[i] = hi[i] + 1;
-        active |= (left[i] < right[i]);
     }
-    while (active) {
-        active = 0;
-        for (int64_t i = 0; i < c; i++) {
-            int64_t l = left[i], r = right[i];
-            if (l >= r) continue;  /* converged lanes: cheap skip */
-            int64_t mid = (int64_t)(((uint64_t)l + (uint64_t)r) >> 1);
-            int64_t m = -(int64_t)(keys[mid] < q[i]);
-            left[i] = (m & (mid + 1)) | (~m & l);
-            right[i] = (m & r) | (~m & mid);
-            active |= (left[i] < right[i]);
-        }
-    }
+    sweep_block(keys, q, left, right, c);
     /* Escape repair for the breadth-first strategy (see lb_window_one
      * for the contract, the proof, and why repairs are branchy). */
     for (int64_t i = 0; i < c; i++) {
@@ -546,28 +556,40 @@ void repro_lower_bound_window(const uint64_t *keys, int64_t n,
     }
 }
 
+/* Base positions per bucket of the delta's bucket table, as a shift
+ * (repro.kernels.base.BUCKET_SHIFT). */
+#define BUCKET_SHIFT 6
+
 /* Writable-tier merged lookup completion: rank every query in the
- * sorted delta key array (full-range lower bound, so lb_block's
- * escape repair can never trigger) and add the per-rank position
- * correction to the caller-supplied base answer.  One block-resident
- * pass replaces the staged path's three (searchsorted, gather, add);
- * the delta rank probes hit unpredictable offsets, so the block takes
- * the breadth-first mask-select strategy (uniform=1). */
+ * sorted delta key array and add the per-rank position correction to
+ * the caller-supplied base answer p.  table[b] (tn entries) counts the
+ * delta keys whose base lower bound is below b << BUCKET_SHIFT: every
+ * delta key before table[p >> BUCKET_SHIFT] is below the query and
+ * none from table[(p >> BUCKET_SHIFT) + 1] on is, so the lower bound
+ * inside that window is the rank, with no escape repair.  The bucket
+ * is clamped into the table and the window into the delta, so no
+ * input reads outside either.  The ranks sit at unpredictable offsets,
+ * so each block takes the breadth-first sweep (prefetching the table
+ * rows or the windows' first probes measured no faster). */
 void repro_delta_correct(const uint64_t *delta_keys, int64_t dn,
                          const int64_t *corr,
                          const int64_t *base_pos,
                          const uint64_t *queries, int64_t m,
+                         const int64_t *table, int64_t tn,
                          int64_t *out) {
-    int64_t lo[BLOCK], hi[BLOCK], idx[BLOCK];
-    for (int64_t i = 0; i < BLOCK; i++) {
-        lo[i] = 0;
-        hi[i] = dn - 1;
-    }
+    int64_t left[BLOCK], right[BLOCK];
     for (int64_t b = 0; b < m; b += BLOCK) {
         int64_t c = m - b < BLOCK ? m - b : BLOCK;
-        lb_block(delta_keys, dn, queries + b, lo, hi, c, idx, 1);
         for (int64_t i = 0; i < c; i++) {
-            out[b + i] = base_pos[b + i] + corr[idx[i]];
+            int64_t k = base_pos[b + i] >> BUCKET_SHIFT;
+            k = k < 0 ? 0 : k > tn - 2 ? tn - 2 : k;
+            int64_t lo = table[k], hi = table[k + 1];
+            left[i] = lo < 0 ? 0 : lo > dn ? dn : lo;
+            right[i] = hi < left[i] ? left[i] : hi > dn ? dn : hi;
+        }
+        sweep_block(delta_keys, queries + b, left, right, c);
+        for (int64_t i = 0; i < c; i++) {
+            out[b + i] = base_pos[b + i] + corr[left[i]];
         }
     }
 }
@@ -589,21 +611,27 @@ static int64_t gallop(const uint64_t *keys, int64_t i, int64_t n,
  * the sorted, per-key-unique delta buffer in one linear pass.  Both
  * hold keys, ops, seqs and born stamps; the delta also its correction
  * (dcorr, dn + 1 entries: insert entries minus base multiplicities
- * among the first i), the batch each key's base multiplicity.  A batch
- * entry replaces the delta entry of its key but keeps the older born
- * stamp.  Each delta run between two batch keys is found by galloping
- * and block-copied, and its correction is the old one shifted by what
- * the batch added before it.  The outputs hold dn + bn entries (ocorr
- * one more); returns how many were written. */
+ * among the first i) and bucket table (dtab, tn entries; see
+ * repro_delta_correct), the batch each key's base multiplicity and base
+ * lower bound (non-decreasing, as the keys are sorted).  A batch entry
+ * replaces the delta entry of its key but keeps the older born stamp.
+ * Each delta run between two batch keys is found by galloping and
+ * block-copied, and its correction is the old one shifted by what the
+ * batch added before it.  The table is copied along, each bucket
+ * shifted by the new keys whose base lower bound lies in an earlier
+ * bucket.  The outputs hold dn + bn entries (ocorr one more, otab tn);
+ * returns how many were written. */
 int64_t repro_merge_delta(const uint64_t *dk, const int8_t *dops,
                           const int64_t *dseq, const double *dborn,
                           const int64_t *dcorr, int64_t dn,
+                          const int64_t *dtab, int64_t tn,
                           const uint64_t *bk, const int8_t *bops,
                           const int64_t *bseq, const double *bborn,
-                          const int64_t *bmult, int64_t bn,
+                          const int64_t *bmult, const int64_t *blower,
+                          int64_t bn,
                           uint64_t *ok, int8_t *oops, int64_t *oseq,
-                          double *oborn, int64_t *ocorr) {
-    int64_t i = 0, o = 0;
+                          double *oborn, int64_t *ocorr, int64_t *otab) {
+    int64_t i = 0, o = 0, t = 0, added = 0;
     ocorr[0] = 0;
     for (int64_t j = 0; j <= bn; j++) {
         int64_t start = i;
@@ -622,6 +650,15 @@ int64_t repro_merge_delta(const uint64_t *dk, const int8_t *dops,
         if (i < dn && dk[i] == bk[j]) {
             if (dborn[i] < born) born = dborn[i];
             i++;
+        } else {
+            /* A new key: the buckets up to its base lower bound's do
+             * not count it (clamped into the table, never backwards). */
+            int64_t upto = (blower[j] >> BUCKET_SHIFT) + 1;
+            upto = upto < t ? t : upto > tn ? tn : upto;
+            for (; t < upto; t++) {
+                otab[t] = dtab[t] + added;
+            }
+            added++;
         }
         ok[o] = bk[j];
         oops[o] = bops[j];
@@ -630,27 +667,45 @@ int64_t repro_merge_delta(const uint64_t *dk, const int8_t *dops,
         ocorr[o + 1] = ocorr[o] + (bops[j] == 1) - bmult[j];
         o++;
     }
+    for (; t < tn; t++) {
+        otab[t] = dtab[t] + added;
+    }
     return o;
 }
 
 /* Writable-tier publication: the delta entries newer than a rebuild's
- * watermark, with their correction against the base rebuilt over the
- * rebuild's snapshot.  An entry whose key the snapshot's delta holds
- * (sk, sops) has the multiplicity the snapshot gave it there (1 for an
- * insert, else 0); any other keeps its old base multiplicity, so its
- * share of the correction is the old one.  The outputs hold dn entries
- * (ocorr one more); returns how many were written. */
+ * watermark, with their correction and bucket table against the base
+ * rebuilt over the rebuild's snapshot (its n sorted keys, base).  An
+ * entry whose key the snapshot's delta holds (sk, sops) has the
+ * multiplicity the snapshot gave it there (1 for an insert, else 0);
+ * any other keeps its old base multiplicity, so its share of the
+ * correction is the old one.  A key's base lower bound is below
+ * t << BUCKET_SHIFT exactly when the key is at most the base key just
+ * before that position, so merging those keys (every 64th) with the
+ * kept keys counts each bucket without searching the base; buckets
+ * past the base's end count every kept key.  The outputs hold dn
+ * entries (ocorr one more, otab (n >> BUCKET_SHIFT) + 2); returns how
+ * many were written. */
 int64_t repro_compact_delta(const uint64_t *dk, const int8_t *dops,
                             const int64_t *dseq, const double *dborn,
                             const int64_t *dcorr, int64_t dn,
                             const uint64_t *sk, const int8_t *sops,
                             int64_t sn, int64_t watermark,
+                            const uint64_t *base, int64_t n,
                             uint64_t *ok, int8_t *oops, int64_t *oseq,
-                            double *oborn, int64_t *ocorr) {
-    int64_t j = 0, o = 0;
+                            double *oborn, int64_t *ocorr, int64_t *otab) {
+    int64_t j = 0, o = 0, t = 1, tn = (n >> BUCKET_SHIFT) + 2;
     ocorr[0] = 0;
+    otab[0] = 0;
     for (int64_t i = 0; i < dn; i++) {
         if (dseq[i] <= watermark) continue;
+        while (t < tn - 1 && base[(t << BUCKET_SHIFT) - 1] < dk[i]) {
+            /* The sampled keys lie 512 bytes apart: fetch ahead. */
+            if (t + 16 < tn - 1) {
+                PREFETCH(base + ((t + 16) << BUCKET_SHIFT) - 1);
+            }
+            otab[t++] = o;
+        }
         j = gallop(sk, j, sn, dk[i]);
         int64_t share = dcorr[i + 1] - dcorr[i];
         if (j < sn && sk[j] == dk[i]) {
@@ -662,6 +717,9 @@ int64_t repro_compact_delta(const uint64_t *dk, const int8_t *dops,
         oborn[o] = dborn[i];
         ocorr[o + 1] = ocorr[o] + share;
         o++;
+    }
+    for (; t < tn; t++) {
+        otab[t] = o;
     }
     return o;
 }
@@ -1145,14 +1203,14 @@ _SIGNATURES = {
     "repro_lower_bound_window":
         [_ptr, _c_i64, _ptr, _c_i64, _ptr, _ptr, _ptr],
     "repro_delta_correct":
-        [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr],
+        [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr, _c_i64, _ptr],
     "repro_merge_delta":
-        [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64,
-         _ptr, _ptr, _ptr, _ptr, _ptr, _c_i64,
-         _ptr, _ptr, _ptr, _ptr, _ptr],
+        [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64, _ptr, _c_i64,
+         _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _c_i64,
+         _ptr, _ptr, _ptr, _ptr, _ptr, _ptr],
     "repro_compact_delta":
         [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64, _ptr, _ptr, _c_i64, _c_i64,
-         _ptr, _ptr, _ptr, _ptr, _ptr],
+         _ptr, _c_i64, _ptr, _ptr, _ptr, _ptr, _ptr, _ptr],
     "repro_merge_live":
         [_ptr, _c_i64, _ptr, _ptr, _c_i64, _ptr, _c_i64, _ptr, _c_i64],
     "repro_rmi_predict": [_ptr, _c_i64, _ptr, _c_i64, _ptr, _ptr],
@@ -1200,13 +1258,26 @@ def _i64(a) -> np.ndarray:
 
 
 def _delta_arrays(arrays):
-    """One side of ``merge_delta`` -- ``(keys, ops, seqs, born)`` and
-    the correction or the base multiplicities -- in the kernel's
-    dtypes."""
-    keys, ops, seqs, born, counts = arrays
+    """One side of ``merge_delta`` or ``compact_delta`` -- ``(keys,
+    ops, seqs, born)``, then the correction and bucket table or the
+    base multiplicities and lower bounds -- in the kernel's dtypes."""
+    keys, ops, seqs, born, *counts = arrays
     return (_u64(keys), np.ascontiguousarray(ops, dtype=np.int8),
             _i64(seqs), np.ascontiguousarray(born, dtype=np.float64),
-            _i64(counts))
+            *map(_i64, counts))
+
+
+def _delta_outputs(n: int, tn: int):
+    """The output arrays of a delta kernel writing at most ``n``
+    entries and a ``tn``-entry bucket table."""
+    return (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int8),
+            np.empty(n, dtype=np.int64), np.empty(n, dtype=np.float64),
+            np.empty(n + 1, dtype=np.int64), np.empty(tn, dtype=np.int64))
+
+
+def _written(out, written: int):
+    """A delta kernel's outputs cut to the ``written`` entries."""
+    return (*(a[:written] for a in out[:4]), out[4][:written + 1], out[5])
 
 
 class CExtBackend(KernelBackend):
@@ -1223,6 +1294,9 @@ class CExtBackend(KernelBackend):
 
     def __init__(self, lib: ctypes.CDLL) -> None:
         self._lib = lib
+        #: ``packed_kind`` -> that family's C serve.
+        self._serves = {kind: getattr(lib, f"repro_{method}")
+                        for kind, method in PACKED_DISPATCH.items()}
 
     def lower_bound_window(self, keys, queries, lo, hi):
         keys, queries = _u64(keys), _u64(queries)
@@ -1241,47 +1315,45 @@ class CExtBackend(KernelBackend):
         )
         return out
 
-    def delta_correct(self, delta_keys, corr, base_positions, queries):
+    def delta_correct(self, delta_keys, corr, base_positions, queries,
+                      table):
         delta_keys, queries = _u64(delta_keys), _u64(queries)
-        corr, base_positions = _i64(corr), _i64(base_positions)
-        check_delta(delta_keys, corr, base_positions, queries)
-        if not len(delta_keys):
-            return base_positions + corr[0]
+        corr, base_positions, table = (_i64(corr), _i64(base_positions),
+                                       _i64(table))
+        check_delta(delta_keys, corr, base_positions, queries, table)
         out = np.empty(len(queries), dtype=np.int64)
         self._lib.repro_delta_correct(
             address(delta_keys), len(delta_keys), address(corr),
             address(base_positions), address(queries), len(queries),
-            address(out),
+            address(table), len(table), address(out),
         )
         return out
 
     def merge_delta(self, delta, batch):
         delta, batch = _delta_arrays(delta), _delta_arrays(batch)
         check_merge(delta, batch)
-        cap = len(delta[0]) + len(batch[0])
-        out = (np.empty(cap, dtype=np.uint64), np.empty(cap, dtype=np.int8),
-               np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.float64),
-               np.empty(cap + 1, dtype=np.int64))
+        dn, tn = len(delta[0]), len(delta[5])
+        out = _delta_outputs(dn + len(batch[0]), tn)
         written = self._lib.repro_merge_delta(
-            *map(address, delta), len(delta[0]),
+            *map(address, delta[:5]), dn, address(delta[5]), tn,
             *map(address, batch), len(batch[0]), *map(address, out),
         )
-        return (*(a[:written] for a in out[:4]), out[4][:written + 1])
+        return _written(out, written)
 
-    def compact_delta(self, delta, snapshot, watermark):
+    def compact_delta(self, delta, snapshot, watermark, base_keys):
         delta = _delta_arrays(delta)
         snap_keys = _u64(snapshot[0])
         snap_ops = np.ascontiguousarray(snapshot[1], dtype=np.int8)
         check_compact(delta, (snap_keys, snap_ops))
+        base_keys = _u64(base_keys)
         n = len(delta[0])
-        out = (np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.int8),
-               np.empty(n, dtype=np.int64), np.empty(n, dtype=np.float64),
-               np.empty(n + 1, dtype=np.int64))
+        out = _delta_outputs(n, table_size(len(base_keys)))
         written = self._lib.repro_compact_delta(
             *map(address, delta), n, address(snap_keys), address(snap_ops),
-            len(snap_keys), int(watermark), *map(address, out),
+            len(snap_keys), int(watermark), address(base_keys),
+            len(base_keys), *map(address, out),
         )
-        return (*(a[:written] for a in out[:4]), out[4][:written + 1])
+        return _written(out, written)
 
     def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
         base_keys, delta_keys = _u64(base_keys), _u64(delta_keys)
@@ -1339,16 +1411,21 @@ class CExtBackend(KernelBackend):
             raise ValueError("serve needs low <= high in every range")
         return positions, starts, counts
 
-    def rmi_lookup(self, packed: PackedRMI, keys, queries):
-        # The RMI serve with no ranges (NULL bounds, none counted), not
-        # through rmi_serve: a trace wraps that by name on its own.
+    def lookup(self, packed, keys, queries):
+        """The family's serve with no ranges: NULL bounds, none counted,
+        so a lookup converts and allocates nothing for them."""
         keys = _u64(keys)  # referenced through the call, as in _serve
         args = packed.bind(keys)
         queries = _u64(queries)
         out = np.empty(len(queries), dtype=np.int64)
-        self._lib.repro_rmi_serve(*args, address(queries), len(queries),
-                                  None, None, 0, address(out), None, None)
+        self._serves[packed.packed_kind](
+            *args, address(queries), len(queries), None, None, 0,
+            address(out), None, None)
         return out
+
+    #: The RMI's lookup, under its own name: a trace times it apart from
+    #: ``rmi_serve``.
+    rmi_lookup = lookup
 
     def rmi_serve(self, packed: PackedRMI, keys, point_queries,
                   range_lows, range_highs):

@@ -2,9 +2,10 @@
 
 ``lower_bound_window`` delegates to the staged implementation in
 :mod:`repro.core.search`; ``merge_delta`` is the writable tier's
-splice of a write batch into the delta buffer, and ``merge_live_steps``
-its sort-based snapshot.  Each packed family has one window function --
-``_rmi_window`` replays the exact arithmetic of
+splice of a write batch into the delta buffer (its bucket table
+updated by one ``searchsorted`` of the new keys' base lower bounds),
+and ``merge_live_steps`` its sort-based snapshot.  Each packed family
+has one window function -- ``_rmi_window`` replays the exact arithmetic of
 :class:`repro.core.rmi.RMI`'s staged batch path over the packed
 arrays, ``_pla_window`` and ``_tree_window`` *are* the NumPy batch
 lookup of the packable baselines (PGM, CompressedPGM, RadixSpline,
@@ -19,8 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import NO_QUERIES, KernelBackend, check_compact, check_merge, \
-    check_windows, serve_by_lookup
+from .base import BUCKET_SHIFT, NO_QUERIES, KernelBackend, bucket_table, \
+    check_compact, check_merge, check_windows, serve_by_lookup, table_size
 from .packed import BOUNDS_NONE, BOUNDS_PER_MODEL, PackedRMI
 from .packed_pla import PLA_DESCEND, PLA_SEGMENT, PackedPLA
 from .packed_tree import TREE_SPARSE, PackedTree
@@ -106,12 +107,15 @@ class NumpyBackend(KernelBackend):
                        np.int64)
         corr = np.zeros(len(kept) + 1, dtype=np.int64)
         np.cumsum(shares, out=corr[1:])
+        # A new key counts in every bucket past its base lower bound's.
+        table = np.asarray(delta[5], dtype=np.int64)
+        table = table + bucket_table(batch[5][fresh], len(table))
         return (merge(old_keys, keys, np.uint64),
                 merge(delta[1], batch[1], np.int8),
                 merge(delta[2], batch[2], np.int64),
-                merge(old_born, born, np.float64), corr)
+                merge(old_born, born, np.float64), corr, table)
 
-    def compact_delta(self, delta, snapshot, watermark):
+    def compact_delta(self, delta, snapshot, watermark, base_keys):
         delta = tuple(np.asarray(a) for a in delta)
         snap_keys = np.asarray(snapshot[0], dtype=np.uint64)
         snap_ops = np.asarray(snapshot[1])
@@ -127,9 +131,19 @@ class NumpyBackend(KernelBackend):
                        - (snap_ops[pos[hit]] == 1))
         corr = np.zeros(len(keys) + 1, dtype=np.int64)
         np.cumsum(shares, out=corr[1:])
+        # Bucket b's base lower bounds run below b << BUCKET_SHIFT: the
+        # delta keys at or below the base key just before that position
+        # (every key, once it is past the base's end).
+        base_keys = np.asarray(base_keys, dtype=np.uint64)
+        width = 1 << BUCKET_SHIFT
+        table = np.full(table_size(len(base_keys)), len(keys),
+                        dtype=np.int64)
+        table[0] = 0
+        last = base_keys[width - 1::width]
+        table[1:1 + len(last)] = np.searchsorted(keys, last, side="right")
         return (keys, ops[keep].astype(np.int8),
                 np.asarray(delta[2], dtype=np.int64)[keep],
-                np.asarray(delta[3], dtype=np.float64)[keep], corr)
+                np.asarray(delta[3], dtype=np.float64)[keep], corr, table)
 
     def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
         """The sort-based reference, in one step."""

@@ -18,18 +18,23 @@ base and atomically swaps it in under live traffic.
 
 **Merged lookup arithmetic.**  A lower-bound query never materializes
 the live array.  With ``dk`` the delta keys, ``mult[i]`` the base
-multiplicity of ``dk[i]``, and ``ins[i]`` 1 for an insert entry::
+multiplicity of ``dk[i]``, ``ins[i]`` 1 for an insert entry, and
+``T[b]`` the number of delta keys whose base lower bound is below
+``b << BUCKET_SHIFT`` (64 base positions per bucket)::
 
-    pos(q) = base.lookup(q) + corr[searchsorted(dk, q)]
+    p = base.lookup(q);  b = p >> BUCKET_SHIFT
+    pos(q) = p + corr[T[b] + searchsorted(dk[T[b]:T[b + 1]], q)]
     corr[i] = sum(ins[:i]) - sum(mult[:i])  # delta-live minus shadowed
 
-Two passes on top of the base index's own batch engine (which keeps
-its compiled kernels), independent of delta size.  A write batch keeps
-``corr`` current in one pass over the buffer: the backend's
-``merge_delta`` merges the batch in and carries ``corr`` across as it
-goes, and the base multiplicity of each batch key comes from the base
-index itself (the lower bounds of ``k`` and ``k + 1``), which answers
-``lookup_batch`` exactly whatever its type.
+The base's exact answer bounds the rank: a delta key whose base lower
+bound lies below ``q``'s bucket is below ``q``, one past the bucket is
+above it, so the search covers a bucket's few delta keys, not the
+whole delta.  A write batch keeps ``corr`` and ``T`` current in one
+pass over the buffer: the backend's ``merge_delta`` merges the batch in
+and carries both across as it goes, and the base multiplicity and lower
+bound of each batch key come from the base index itself (the lower
+bounds of ``k`` and ``k + 1``), which answers ``lookup_batch`` exactly
+whatever its type.
 
 **Concurrency.**  All queryable state lives in one immutable
 :class:`_View` (base + delta + lazily derived adjustment arrays)
@@ -64,7 +69,8 @@ import numpy as np
 
 from .. import kernels
 from ..baselines.interfaces import OrderedIndex, SearchBounds
-from ..kernels.base import run_steps, serve_by_lookup
+from ..kernels.base import bucket_table, run_steps, serve_by_lookup, \
+    table_size
 from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta, \
     last_writes
 
@@ -82,18 +88,21 @@ class _View:
     ``base`` or ``delta``.
     """
 
-    __slots__ = ("base", "delta", "_corr", "_live")
+    __slots__ = ("base", "delta", "_corr", "_table", "_live")
 
     def __init__(self, base: Any, delta: DeltaState) -> None:
         self.base = base
         self.delta = delta
         self._corr: "np.ndarray | None" = None
+        self._table: "np.ndarray | None" = None
         self._live: "np.ndarray | None" = None
 
     # -- derived adjustment arrays ---------------------------------------
 
-    def base_counts(self, keys: np.ndarray) -> np.ndarray:
-        """How many copies of each of the sorted ``keys`` the base holds.
+    def base_ranks(self, keys: np.ndarray
+                   ) -> "tuple[np.ndarray, np.ndarray]":
+        """The base's lower bound of each of the sorted ``keys``, and
+        how many copies of it the base holds.
 
         The base's own ``lookup_batch`` ranks each key ``k`` and
         ``k + 1`` in one call; ``k + 1`` wraps for ``2^64 - 1``, whose
@@ -105,7 +114,16 @@ class _View:
         lo, hi = ranks[:len(keys)], ranks[len(keys):]
         if len(keys) and keys[-1] == _MAX_KEY:
             hi[-1] = len(self.base.keys)
-        return hi - lo
+        return lo, hi - lo
+
+    def _count(self) -> None:
+        """Count the correction and the bucket table from the base."""
+        delta = self.delta
+        lower, mult = self.base_ranks(delta.keys)
+        corr = np.zeros(len(delta) + 1, dtype=np.int64)
+        np.cumsum((delta.ops == OP_INSERT) - mult, out=corr[1:])
+        self._table = bucket_table(lower, table_size(len(self.base.keys)))
+        self._corr = corr
 
     def correction(self) -> np.ndarray:
         """Combined per-rank position correction for merged lookups.
@@ -117,16 +135,26 @@ class _View:
         base answer.  A write batch keeps it current in its merge pass
         (:meth:`merged_with`) and a rebuild's publication derives it
         (:meth:`WritableIndex.finish_rebuild`); any other view counts it
-        here.
+        here, with :meth:`table`.
         """
-        corr = self._corr
-        if corr is None:
-            delta = self.delta
-            corr = np.zeros(len(delta) + 1, dtype=np.int64)
-            np.cumsum((delta.ops == OP_INSERT)
-                      - self.base_counts(delta.keys), out=corr[1:])
-            self._corr = corr
-        return corr
+        if self._corr is None:
+            self._count()
+        return self._corr
+
+    def table(self) -> np.ndarray:
+        """The delta's bucket table over base positions.
+
+        ``table()[b]`` is the number of delta keys whose base lower
+        bound is below ``b << BUCKET_SHIFT``, for every bucket of base
+        positions ``0..n`` and the end of the last
+        (:func:`~repro.kernels.base.table_size` entries): a dirty read
+        with base answer ``p`` ranks only the delta keys between the
+        entries of ``p``'s bucket and the next (the backend's
+        ``delta_correct``).  Kept current like :meth:`correction`.
+        """
+        if self._table is None:
+            self._count()
+        return self._table
 
     def merged_with(self, keys: np.ndarray, ops: np.ndarray,
                     seq_start: int, now: float) -> "_View":
@@ -134,19 +162,20 @@ class _View:
         :func:`~repro.writable.delta.last_writes`).
 
         One pass of the backend's ``merge_delta`` over the buffer writes
-        the new delta and its correction, so the first read after a
-        write pays read costs only.  Only the batch's keys meet the
-        base, through :meth:`base_counts`.
+        the new delta, its correction and its bucket table, so the first
+        read after a write pays read costs only.  Only the batch's keys
+        meet the base, through :meth:`base_ranks`.
         """
         bkeys, bops, bseqs = last_writes(keys, ops, seq_start)
         delta = self.delta
-        *arrays, corr = kernels.get_backend().merge_delta(
+        lower, mult = self.base_ranks(bkeys)
+        *arrays, corr, table = kernels.get_backend().merge_delta(
             (delta.keys, delta.ops, delta.seqs, delta.born,
-             self.correction()),
-            (bkeys, bops, bseqs, np.full(len(bkeys), float(now)),
-             self.base_counts(bkeys)))
+             self.correction(), self.table()),
+            (bkeys, bops, bseqs, np.full(len(bkeys), float(now)), mult,
+             lower))
         view = _View(self.base, DeltaState(*arrays))
-        view._corr = corr
+        view._corr, view._table = corr, table
         return view
 
     def lookup(self, queries: np.ndarray) -> np.ndarray:
@@ -156,15 +185,13 @@ class _View:
                               dtype=np.int64)
         if not len(self.delta):
             return base_pos
-        # One lower bound over the delta keys ranks each query, then a
-        # single gather applies the combined correction (the delta is
-        # per-key unique, so prefix-of-delta == "< query" exactly).
-        # Dispatched through the kernel registry: the compiled fused
-        # rank+gather pass is ~2x the staged searchsorted/take/add on
-        # cold batches, and this is the dirty read path's hot loop.
+        # The base answer picks each query's bucket, the table the delta
+        # keys it can fall among, and one gather applies the combined
+        # correction at the query's rank there (the delta is per-key
+        # unique, so prefix-of-delta == "< query" exactly).
         return kernels.get_backend().delta_correct(
-            self.delta.keys, self.correction(), base_pos, queries
-        )
+            self.delta.keys, self.correction(), base_pos, queries,
+            self.table())
 
     def live_count(self) -> int:
         """``len(live_keys())`` without building the live array."""
@@ -370,13 +397,15 @@ class WritableIndex(OrderedIndex):
         view they captured, later queries see the new base with the
         compacted delta -- zero-loss, same as the server's hot swap.
         The backend's ``compact_delta`` keeps the entries above the
-        ticket's watermark and derives their correction in one pass, on
-        the publishing path, so no read pays it and the new base is not
-        searched: a key the snapshot's delta wrote has the multiplicity
-        its op gave it, and any other key keeps its old base
-        multiplicity, which the current correction holds.  That needs
-        the base the ticket snapshotted still in place; a
-        ``ValueError`` refuses a ticket whose base has been replaced.
+        ticket's watermark and derives their correction and bucket table
+        in one pass, on the publishing path, so no read pays it and the
+        new base is not searched: a key the snapshot's delta wrote has
+        the multiplicity its op gave it, any other key keeps its old
+        base multiplicity, which the current correction holds, and the
+        table merges every ``2**BUCKET_SHIFT``-th new base key with the
+        kept keys.  That needs the base the ticket snapshotted still in
+        place; a ``ValueError`` refuses a ticket whose base has been
+        replaced.
         """
         with self._mutate:
             view = self._view
@@ -384,11 +413,12 @@ class WritableIndex(OrderedIndex):
                 raise ValueError("finish_rebuild: the ticket's base is no "
                                  "longer the current base")
             d, snapshot = view.delta, ticket.delta
-            *arrays, corr = kernels.get_backend().compact_delta(
+            *arrays, corr, table = kernels.get_backend().compact_delta(
                 (d.keys, d.ops, d.seqs, d.born, view.correction()),
-                (snapshot.keys, snapshot.ops), ticket.watermark)
+                (snapshot.keys, snapshot.ops), ticket.watermark,
+                new_base.keys)
             new_view = _View(new_base, DeltaState(*arrays))
-            new_view._corr = corr
+            new_view._corr, new_view._table = corr, table
             self._view = new_view
 
     def rebuild(self,

@@ -15,7 +15,8 @@ that boundary on every loadable backend:
 * the wrappers refuse, with ``ValueError``, the length mismatches that
   would make C read past an array, and so does the NumPy reference
   (``merge_delta``'s and ``compact_delta``'s are in
-  ``tests/test_writable_merge.py``);
+  ``tests/test_writable_merge.py``); the delta's bucket table is read
+  only inside its bounds, whatever the base positions and entries;
 * every array slot of every C prototype is declared ``c_void_p``, and
   each packed form's ``KERNEL_RUN`` lists its C ``*_run`` struct field
   for field.
@@ -42,7 +43,7 @@ from repro.baselines.hist_tree import HistTree
 from repro.baselines.pgm import PGMIndex
 from repro.baselines.rmi_adapter import RMIAsIndex
 from repro.core.rmi import RMI
-from repro.kernels.base import run_steps
+from repro.kernels.base import BUCKET_SHIFT, run_steps, table_size
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +63,7 @@ def case():
     ops = (rng.integers(0, 2, len(dkeys)) * 1).astype(np.int8)
     bkeys = np.unique(np.concatenate([
         dkeys[::3], rng.integers(0, 2**62, 20, dtype=np.uint64)]))
+    buckets = np.arange(table_size(n), dtype=np.int64) << BUCKET_SHIFT
     shadow = np.isin(keys, dkeys).sum()
     rmi = RMI(keys, layer_sizes=[64], bound_type="labs")
     return {
@@ -73,7 +75,8 @@ def case():
         "highs": q[:50] + np.uint64(2**40),
         "dkeys": dkeys,
         "corr": rng.integers(-50, 50, len(dkeys) + 1).astype(np.int64),
-        "base": rng.integers(0, n, len(q)).astype(np.int64),
+        "base": pos,
+        "table": np.searchsorted(np.searchsorted(keys, dkeys), buckets),
         "ops": ops,
         "seqs": np.arange(len(dkeys), dtype=np.int64),
         "born": rng.random(len(dkeys)),
@@ -82,6 +85,7 @@ def case():
         "bseqs": np.arange(len(bkeys), dtype=np.int64) + len(dkeys),
         "bborn": rng.random(len(bkeys)),
         "bmult": rng.integers(0, 3, len(bkeys)).astype(np.int64),
+        "blower": np.searchsorted(keys, bkeys).astype(np.int64),
         "live": int(n - shadow + ops.sum()),
         "rmi": rmi,
         "rmi_packed": kernels.pack_rmi(rmi),
@@ -98,16 +102,17 @@ ENTRY_POINTS = {
     "lower_bound_window": lambda be, c, f: be.lower_bound_window(
         f(c["keys"]), f(c["q"]), f(c["lo"]), f(c["hi"])),
     "delta_correct": lambda be, c, f: be.delta_correct(
-        f(c["dkeys"]), f(c["corr"]), f(c["base"]), f(c["q"])),
+        f(c["dkeys"]), f(c["corr"]), f(c["base"]), f(c["q"]),
+        f(c["table"])),
     "merge_delta": lambda be, c, f: be.merge_delta(
         tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
-                      c["corr"]))),
+                      c["corr"], c["table"]))),
         tuple(map(f, (c["bkeys"], c["bops"], c["bseqs"], c["bborn"],
-                      c["bmult"])))),
+                      c["bmult"], c["blower"])))),
     "compact_delta": lambda be, c, f: be.compact_delta(
         tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
                       c["corr"]))),
-        (f(c["bkeys"]), f(c["bops"])), len(c["dkeys"]) // 2),
+        (f(c["bkeys"]), f(c["bops"])), len(c["dkeys"]) // 2, f(c["keys"])),
     "merge_live": lambda be, c, f: run_steps(be.merge_live_steps(
         f(c["keys"]), f(c["dkeys"]), f(c["ops"]), c["live"])),
     "rmi_predict": lambda be, c, f: be.rmi_predict(
@@ -178,7 +183,8 @@ def test_empty_keys_and_deltas(kernel_backend, case):
     q, none = case["q"], case["keys"][:0]
     zeros = np.zeros(len(q), dtype=np.int64)
     _same(kernel_backend.lower_bound_window(none, q, zeros, zeros), zeros)
-    _same(kernel_backend.delta_correct(none, np.array([3]), case["base"], q),
+    _same(kernel_backend.delta_correct(none, np.array([3]), case["base"], q,
+                                       np.zeros(2, dtype=np.int64)),
           case["base"] + 3)
     dkeys, ops = case["dkeys"], case["ops"]
     merge = kernel_backend.merge_live_steps
@@ -332,12 +338,58 @@ def test_window_lengths_must_match_the_queries(kernel_backend, case):
 
 
 def test_delta_lengths_must_match(kernel_backend, case):
-    dkeys, corr, base, q = (case["dkeys"], case["corr"], case["base"],
-                            case["q"])
-    for args in ((dkeys, corr[:-1], base, q), (dkeys, corr, base[:-1], q),
-                 (dkeys, corr, base[:1], q)):
+    dkeys, corr, base, q, table = (case["dkeys"], case["corr"],
+                                   case["base"], case["q"], case["table"])
+    for args in ((dkeys, corr[:-1], base, q, table),
+                 (dkeys, corr, base[:-1], q, table),
+                 (dkeys, corr, base[:1], q, table),
+                 (dkeys, corr, base, q, table[:1])):
         with pytest.raises(ValueError):
             kernel_backend.delta_correct(*args)
+
+
+def test_the_bucket_table_is_never_read_outside(kernel_backend, case):
+    """Base positions outside ``[0, n]``, a table shorter than the base
+    needs and table entries outside ``[0, len(delta)]`` are clamped into
+    the table and the delta, on every backend alike; the table sits
+    between poisoned entries that would change the answers if read."""
+    dkeys, corr, q = case["dkeys"], case["corr"], case["q"]
+    n, dn = len(case["keys"]), len(dkeys)
+    base = np.concatenate([case["base"][:-4],
+                           np.array([-1, -2**62, n + 64, 2**62])])
+    for table in (case["table"], case["table"][:len(case["table"]) // 2],
+                  case["table"][:2], np.array([-5, 2 * dn, 7, -1])):
+        table = table.astype(np.int64)
+        padded = np.concatenate([[dn], table, [0]]).astype(np.int64)
+        got = kernel_backend.delta_correct(dkeys, corr, base, q,
+                                           padded[1:-1])
+        want = kernels.get_backend("numpy").delta_correct(
+            dkeys, corr, base, q, table)
+        _same(got, want)
+    # With the full table, in-range positions answer the merged rank.
+    rank = np.searchsorted(dkeys, q)
+    inside = slice(0, len(q) - 4)
+    _same(kernel_backend.delta_correct(dkeys, corr, case["base"], q,
+                                       case["table"])[inside],
+          (case["base"] + corr[rank])[inside])
+
+
+def test_merge_delta_table_upkeep_stays_in_the_table(kernel_backend, case):
+    """Batch lower bounds past the base's end, or below 0, count in the
+    table's last bucket or in every one; the new table has the old
+    one's length."""
+    delta = (case["dkeys"], case["ops"], case["seqs"], case["born"],
+             case["corr"], case["table"])
+    bkeys = case["bkeys"]
+    n = len(case["keys"])
+    for lower in (np.full(len(bkeys), n + 10**6), np.full(len(bkeys), -70),
+                  np.full(len(bkeys), 2**62)):
+        batch = (bkeys, case["bops"], case["bseqs"], case["bborn"],
+                 case["bmult"], lower.astype(np.int64))
+        got = kernel_backend.merge_delta(delta, batch)
+        want = kernels.get_backend("numpy").merge_delta(delta, batch)
+        _same(got, want)
+        assert len(got[5]) == len(case["table"])
 
 
 def test_range_bounds_must_pair_up(kernel_backend, case):

@@ -231,29 +231,44 @@ class TestBackendParity:
 
     def test_delta_correct_matches_reference(self, kernel_backend):
         """The writable tier's fused dirty-read kernel is bit-identical
-        to the staged ``searchsorted`` + gather reference on adversarial
-        delta sizes and boundary queries."""
+        to the staged ``searchsorted`` + clip + gather reference, and
+        ranks every query in the whole delta, on adversarial delta
+        sizes and boundary queries over a real base with duplicate
+        runs: its lower bounds are the base positions, and the bucket
+        table is recounted from them."""
+        from repro.kernels.base import BUCKET_SHIFT, table_size
+
         reference = kernels.get_backend("numpy")
         rng = np.random.default_rng(31337)
-        for dn in (1, 2, 7, 100, 4096):
-            delta_keys = np.sort(rng.choice(
-                np.arange(0, 2**64 - 2, 2**40, dtype=np.uint64),
-                size=dn, replace=False,
-            ))
+        grid = np.arange(0, 2**64 - 2, 2**40, dtype=np.uint64)
+        for n, dn in ((1, 1), (63, 7), (5000, 2), (5000, 100),
+                      (20000, 4096)):
+            base = np.sort(np.concatenate([
+                rng.choice(grid, n - n // 4),
+                np.repeat(rng.choice(grid, 1), n // 4),  # a duplicate run
+            ]))
+            delta_keys = np.sort(rng.choice(grid, size=dn, replace=False))
             corr = rng.integers(-64, 64, dn + 1).astype(np.int64)
+            table = np.searchsorted(
+                np.searchsorted(base, delta_keys),
+                np.arange(table_size(n), dtype=np.int64) << BUCKET_SHIFT)
             queries = np.concatenate([
-                delta_keys,
+                delta_keys, base,
                 np.maximum(delta_keys, np.uint64(1)) - np.uint64(1),
                 delta_keys + np.uint64(1),
                 rng.integers(0, 2**64, 257, dtype=np.uint64),
                 np.array([0, 2**64 - 1], dtype=np.uint64),
             ])
-            base_pos = rng.integers(0, 10**6, len(queries)).astype(np.int64)
+            base_pos = np.searchsorted(base, queries).astype(np.int64)
+            got = kernel_backend.delta_correct(delta_keys, corr, base_pos,
+                                               queries, table)
             np.testing.assert_array_equal(
-                kernel_backend.delta_correct(delta_keys, corr, base_pos,
-                                             queries),
-                reference.delta_correct(delta_keys, corr, base_pos,
-                                        queries),
+                got, reference.delta_correct(delta_keys, corr, base_pos,
+                                             queries, table),
+                err_msg=f"{kernel_backend.name}/dn={dn}",
+            )
+            np.testing.assert_array_equal(
+                got, base_pos + corr[np.searchsorted(delta_keys, queries)],
                 err_msg=f"{kernel_backend.name}/dn={dn}",
             )
 

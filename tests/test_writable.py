@@ -88,10 +88,10 @@ def _merged(delta: DeltaState, keys, ops, seq_start: int,
 def _compacted(delta: DeltaState, snapshot: DeltaState) -> DeltaState:
     """``delta`` as a rebuild's publication leaves it, the rebuild
     having folded in ``snapshot`` (the backend's ``compact_delta``)."""
-    *arrays, _ = kernels.get_backend().compact_delta(
+    *arrays, _, _ = kernels.get_backend().compact_delta(
         (delta.keys, delta.ops, delta.seqs, delta.born,
          _View(_FAR_BASE, delta).correction()),
-        (snapshot.keys, snapshot.ops), snapshot.watermark)
+        (snapshot.keys, snapshot.ops), snapshot.watermark, _FAR_BASE.keys)
     return DeltaState(*arrays)
 
 

@@ -14,6 +14,14 @@
 * ``finish_rebuild`` derives the compacted delta's correction from the
   snapshot's delta (the backend's ``compact_delta``), equal to one
   counted against the new base, bit-identically on every backend.
+* The delta's bucket table, kept by ``merge_delta`` and built by
+  ``compact_delta``, equals the table counted from scratch against the
+  view's base after every write and publication, on every backend
+  alike, and dirty reads through it answer the live-multiset oracle:
+  appends past the base's last key (one bucket holds the delta), keys
+  0 and 2^64-1, duplicate runs with tombstones, a base shorter than one
+  bucket, writes on bucket edges, and a bucket whose base keys are all
+  deleted.
 * ``WritableIndex.n`` counts the live keys without building them.
 """
 
@@ -26,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro import kernels
 from repro.baselines import INDEX_TYPES
-from repro.kernels.base import run_steps
+from repro.kernels.base import BUCKET_SHIFT, run_steps, table_size
 from repro.writable import OP_INSERT, OP_TOMBSTONE, WritableIndex, empty_delta
 from repro.writable.index import _View
 
@@ -126,7 +134,7 @@ def _sort_merge(state, keys, ops, seq_start, now):
 
 def _view_arrays(view):
     d = view.delta
-    return (d.keys, d.ops, d.seqs, d.born, view._corr)
+    return (d.keys, d.ops, d.seqs, d.born, view._corr, view._table)
 
 
 def _assert_same_arrays(got, want):
@@ -165,7 +173,8 @@ def test_splice_matches_sort_merge_and_fresh_shadow(base, batches):
         reference = _view_arrays(views[LOADABLE[0]])
         _assert_same_arrays(reference[:4], want)
         fresh = _View(owner, views[LOADABLE[0]].delta)
-        _assert_same_arrays(reference[4:], (fresh.correction(),))
+        _assert_same_arrays(reference[4:], (fresh.correction(),
+                                            fresh.table()))
         for name in LOADABLE[1:]:
             _assert_same_arrays(_view_arrays(views[name]), reference)
         state, seq = views[LOADABLE[0]].delta, seq + len(keys)
@@ -219,6 +228,7 @@ def test_publication_derives_the_fresh_correction(base, before, after):
     view = published[LOADABLE[0]]
     fresh = _View(new_base, view.delta)
     np.testing.assert_array_equal(view._corr, fresh.correction())
+    np.testing.assert_array_equal(view._table, fresh.table())
     for other in published.values():
         _assert_same_arrays(_view_arrays(other), _view_arrays(view))
 
@@ -305,14 +315,17 @@ def test_compact_delta_refuses_mismatched_lengths(backend):
     keys, ops = np.array([1, 2], dtype=np.uint64), np.array([1, 0], np.int8)
     delta = (keys, ops, np.array([0, 1], dtype=np.int64), np.zeros(2),
              np.zeros(3, dtype=np.int64))
+    base = np.arange(100, dtype=np.uint64)
     for slot in range(1, 5):
         short = tuple(a[:-1] if i == slot else a
                       for i, a in enumerate(delta))
         with pytest.raises(ValueError):
-            compact(short, (keys, ops), 0)
+            compact(short, (keys, ops), 0, base)
     with pytest.raises(ValueError):
-        compact(delta, (keys, ops[:1]), 0)
-    assert compact(delta, (keys, ops), 0)[0].tolist() == [2]
+        compact(delta, (keys, ops[:1]), 0, base)
+    kept = compact(delta, (keys, ops), 0, base)
+    assert kept[0].tolist() == [2]
+    assert kept[5].tolist() == [0, 1, 1]
 
 
 @pytest.mark.parametrize("backend", kernel_backend_params())
@@ -320,16 +333,168 @@ def test_merge_delta_refuses_mismatched_lengths(backend):
     merge = kernels.get_backend(backend).merge_delta
     keys, ops = np.array([1, 2], dtype=np.uint64), np.array([1, 0], np.int8)
     seqs, born = np.array([0, 1], dtype=np.int64), np.zeros(2)
-    delta = (keys, ops, seqs, born, np.zeros(3, dtype=np.int64))
+    delta = (keys, ops, seqs, born, np.zeros(3, dtype=np.int64),
+             np.array([0, 2], dtype=np.int64))
     batch = (keys + np.uint64(1), ops, seqs, born,
-             np.zeros(2, dtype=np.int64))
-    for slot in range(1, 5):
+             np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
+    for slot in range(1, 6):
         for side in (delta, batch):
             short = tuple(a[:-1] if i == slot else a
                           for i, a in enumerate(side))
             with pytest.raises(ValueError):
                 merge(short, batch) if side is delta else merge(delta, short)
-    assert len(merge(delta, batch)[0]) == 3
+    merged = merge(delta, batch)
+    assert len(merged[0]) == 3
+    assert merged[5].tolist() == [0, 3]  # one new key, 3, below bucket 1
+
+
+# ---------------------------------------------------------------------------
+# The bucket table: kept by merge_delta and compact_delta, read by
+# delta_correct
+# ---------------------------------------------------------------------------
+
+
+def _recount(base_keys: np.ndarray, delta_keys: np.ndarray) -> np.ndarray:
+    """The bucket table counted from scratch: per bucket, the delta keys
+    whose base lower bound is below the bucket's first position."""
+    buckets = np.arange(table_size(len(base_keys)), dtype=np.int64)
+    return np.searchsorted(np.searchsorted(base_keys, delta_keys),
+                           buckets << BUCKET_SHIFT)
+
+
+def _appends(start: int, count: int):
+    return [(start + 3 * i, True) for i in range(count)]
+
+
+#: ``(base keys, steps)``: a step is a write batch of ``(key, insert)``,
+#: or ``("rebuild", batch)`` -- a snapshot, the batch written while the
+#: rebuild runs, then the publication over the snapshot's live keys.
+TABLE_FAMILIES = {
+    # Every delta key ranks past the base's last key: one bucket holds
+    # the whole delta, and a read there searches all of it.
+    "append-only-past-the-max": (
+        list(range(0, 640, 5)),
+        [_appends(10**6, 40), _appends(10**6 + 1, 40),
+         ("rebuild", _appends(2 * 10**6, 30)), _appends(3 * 10**6, 70)]),
+    "edge-keys": (
+        [0, 0, 0] + list(range(1, 200)) + [MAX - 1, MAX, MAX],
+        [[(0, False), (MAX, True), (MAX - 1, False), (2**63, True)],
+         ("rebuild", [(0, True), (MAX, False), (1, False)]),
+         [(MAX, True), (0, False), (MAX - 2, True)]]),
+    "duplicate-heavy-with-tombstones": (
+        np.repeat(np.arange(10, 200, 10), 37).tolist(),
+        [[(20, False), (30, False), (35, False), (10, True)],
+         [(40, False), (50, True), (205, False), (0, False)],
+         ("rebuild", [(60, False), (20, True), (199, True)]),
+         [(70, False), (80, False), (30, True)]]),
+    "shorter-than-a-bucket": (
+        [5, 9, 9, 12],
+        [[(9, False), (1, True), (13, True)],
+         ("rebuild", [(12, False), (0, True)]),
+         [(MAX, True), (9, True)]]),
+    # Writes whose base lower bounds sit on bucket edges (63, 64, 127,
+    # 128, ...), and racing writes on the rebuilt base's last keys of
+    # a bucket, which the publication's table counts by equality.
+    "bucket-edges": (
+        list(range(0, 3000, 10)),
+        [[(630, False), (631, True), (639, True), (640, True),
+          (1275, True), (1280, False), (0, True), (2991, True)],
+         ("rebuild", [(10 * i + d, (i + d) % 2 == 0)
+                      for i in (*range(60, 70), *range(124, 134),
+                                *range(188, 196))
+                      for d in (0, 1, 9)]),
+         [(10 * i - 1, True) for i in (64, 128, 192, 256)]]),
+    # Deleting every base key of bucket 3 (base positions 192-255)
+    # leaves its live range empty; the rebuilt base lacks them.
+    "bucket-emptied-by-deletes": (
+        list(range(0, 3000, 3)),
+        [[(3 * i, False) for i in range(192, 256)],
+         ("rebuild", [(3 * 220 + 1, True), (5, False)]),
+         [(3 * 200 + 2, True), (3 * 300, False)]]),
+}
+
+
+def _step(windex, oracle, step) -> None:
+    if step[0] == "rebuild":
+        ticket = windex.begin_rebuild()
+        _write(windex, step[1])
+        windex.finish_rebuild(INDEX_TYPES["binary-search"](ticket.live_keys),
+                              ticket)
+        if oracle is not None:
+            oracle.apply(*_batch(step[1]))
+        return
+    _write(windex, step)
+    if oracle is not None:
+        oracle.apply(*_batch(step))
+
+
+@pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
+def test_bucket_table_matches_the_recount(family):
+    """After every write batch (``merge_delta``) and every publication
+    (``compact_delta``), on every loadable backend: the served view's
+    table equals one counted from scratch against its base, the
+    backends' tables are identical, and dirty reads answer the
+    live-multiset oracle."""
+    base_keys, steps = TABLE_FAMILIES[family]
+    base = np.array(base_keys, dtype=np.uint64)
+    oracle = _LiveOracle(base)
+    windexes = {name: WritableIndex(INDEX_TYPES["binary-search"](base))
+                for name in LOADABLE}
+    for step in steps:
+        tables = []
+        for name, windex in windexes.items():
+            with kernels.use_backend(name):
+                _step(windex, oracle if name == LOADABLE[0] else None, step)
+                view = windex._view
+                tables.append(view._table)
+                recount = _recount(view.base.keys, view.delta.keys)
+                np.testing.assert_array_equal(view._table, recount)
+                np.testing.assert_array_equal(
+                    _View(view.base, view.delta).table(), recount)
+                queries = np.unique(np.concatenate([
+                    base, view.base.keys, view.delta.keys,
+                    view.delta.keys + np.uint64(1),
+                    view.delta.keys - np.uint64(1),
+                    np.array([0, 1, MAX - 1, MAX], dtype=np.uint64)]))
+                np.testing.assert_array_equal(
+                    windex.lookup_batch(queries),
+                    np.searchsorted(oracle.live, queries, side="left"))
+        for table in tables[1:]:
+            _assert_same_arrays((table,), (tables[0],))
+
+
+@pytest.mark.parametrize("backend", kernel_backend_params())
+@settings(max_examples=100, deadline=None)
+@given(base=_bases, before=_batches, after=_batches)
+def test_bucket_table_survives_random_writes_and_publication(
+        backend, base, before, after):
+    """Random writes around a rebuild over bases of up to 80 keys with
+    duplicate runs: the table equals the recount after each write batch
+    and after the publication, and dirty reads answer the oracle."""
+    windex = WritableIndex(INDEX_TYPES["binary-search"](base))
+    oracle = _LiveOracle(base)
+    with kernels.use_backend(backend):
+        for batch in before:
+            _step(windex, oracle, batch)
+            view = windex._view
+            np.testing.assert_array_equal(
+                view._table, _recount(view.base.keys, view.delta.keys))
+        ticket = windex.begin_rebuild()
+        if not len(ticket.live_keys):
+            return  # nothing to build over
+        for batch in after:
+            _step(windex, oracle, batch)
+        windex.finish_rebuild(INDEX_TYPES["binary-search"](ticket.live_keys),
+                              ticket)
+        view = windex._view
+        np.testing.assert_array_equal(
+            view._table, _recount(view.base.keys, view.delta.keys))
+        queries = np.concatenate([
+            base, view.delta.keys,
+            np.array([0, 1, MAX - 1, MAX], dtype=np.uint64)])
+        np.testing.assert_array_equal(
+            windex.lookup_batch(queries),
+            np.searchsorted(oracle.live, queries, side="left"))
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,10 @@ raises.  On ``cext`` a step is a few keys, so a rebuild's snapshot,
 build and publication interleave with the other rules.
 
 Invariants: every read equals ``np.searchsorted`` over the oracle's
-live multiset; every rebuild publishes once or not at all; at teardown
-the live keys equal the oracle's.  A failure shrinks to an op trace.
+live multiset; the served view's bucket table equals one counted from
+scratch against its base; every rebuild publishes once or not at all;
+at teardown the live keys equal the oracle's.  A failure shrinks to an
+op trace.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from hypothesis.stateful import (
 
 from repro import kernels
 from repro.baselines.rmi_adapter import RMIAsIndex
+from repro.kernels.base import BUCKET_SHIFT, table_size
 from repro.serve.server import IDLE_STEP_S, IndexServer
 from repro.writable import OP_INSERT, OP_TOMBSTONE, RebuildDaemon, \
     WritableIndex
@@ -135,6 +138,19 @@ class ServedWritableMachine(RuleBasedStateMachine):
         self.tasks.append((self.loop.create_task(coro), kind))
 
     # -- invariants --------------------------------------------------------
+
+    @invariant()
+    def the_served_table_counts_the_delta(self) -> None:
+        """The served view's bucket table, kept by every write and
+        publication, equals one counted from scratch against its base."""
+        if not hasattr(self, "windex"):
+            return
+        view = self.windex._view
+        base_keys = np.asarray(view.base.keys)
+        buckets = np.arange(table_size(len(base_keys)), dtype=np.int64)
+        np.testing.assert_array_equal(view.table(), np.searchsorted(
+            np.searchsorted(base_keys, view.delta.keys),
+            buckets << BUCKET_SHIFT))
 
     @invariant()
     def each_rebuild_publishes_once_or_not_at_all(self) -> None:
