@@ -102,8 +102,9 @@ _NO_RANKS = np.empty(0, dtype=np.int64)
 #: The delta's bucket table counts delta keys per ``2**BUCKET_SHIFT``
 #: base positions (the C source's ``BUCKET_SHIFT``): one or two delta
 #: keys per bucket at a 2-3% delta, so a dirty read searches a window
-#: of a few keys.  A constant, not a knob: 32 and 64 positions per
-#: bucket measured best, 256 about 12% slower.
+#: of a few keys.  A constant, not a knob: at a 55k delta over 2M keys
+#: the read kernel costs 15% more at 256 positions per bucket and 10%
+#: less at 16, whose table, copied by every write batch, is 4x larger.
 BUCKET_SHIFT = 6
 
 

@@ -414,18 +414,13 @@ TABLE_FAMILIES = {
 }
 
 
-def _step(windex, oracle, step) -> None:
-    if step[0] == "rebuild":
-        ticket = windex.begin_rebuild()
-        _write(windex, step[1])
-        windex.finish_rebuild(INDEX_TYPES["binary-search"](ticket.live_keys),
-                              ticket)
-        if oracle is not None:
-            oracle.apply(*_batch(step[1]))
-        return
-    _write(windex, step)
-    if oracle is not None:
-        oracle.apply(*_batch(step))
+def _rebuild_racing(windex, writes) -> None:
+    """A rebuild with ``writes`` landing between its snapshot and its
+    publication, so the publication keeps them."""
+    ticket = windex.begin_rebuild()
+    _write(windex, writes)
+    windex.finish_rebuild(INDEX_TYPES["binary-search"](ticket.live_keys),
+                          ticket)
 
 
 @pytest.mark.parametrize("family", sorted(TABLE_FAMILIES))
@@ -441,10 +436,16 @@ def test_bucket_table_matches_the_recount(family):
     windexes = {name: WritableIndex(INDEX_TYPES["binary-search"](base))
                 for name in LOADABLE}
     for step in steps:
+        rebuild = step[0] == "rebuild"
+        writes = step[1] if rebuild else step
+        oracle.apply(*_batch(writes))
         tables = []
         for name, windex in windexes.items():
             with kernels.use_backend(name):
-                _step(windex, oracle if name == LOADABLE[0] else None, step)
+                if rebuild:
+                    _rebuild_racing(windex, writes)
+                else:
+                    _write(windex, writes)
                 view = windex._view
                 tables.append(view._table)
                 recount = _recount(view.base.keys, view.delta.keys)
@@ -461,40 +462,6 @@ def test_bucket_table_matches_the_recount(family):
                     np.searchsorted(oracle.live, queries, side="left"))
         for table in tables[1:]:
             _assert_same_arrays((table,), (tables[0],))
-
-
-@pytest.mark.parametrize("backend", kernel_backend_params())
-@settings(max_examples=100, deadline=None)
-@given(base=_bases, before=_batches, after=_batches)
-def test_bucket_table_survives_random_writes_and_publication(
-        backend, base, before, after):
-    """Random writes around a rebuild over bases of up to 80 keys with
-    duplicate runs: the table equals the recount after each write batch
-    and after the publication, and dirty reads answer the oracle."""
-    windex = WritableIndex(INDEX_TYPES["binary-search"](base))
-    oracle = _LiveOracle(base)
-    with kernels.use_backend(backend):
-        for batch in before:
-            _step(windex, oracle, batch)
-            view = windex._view
-            np.testing.assert_array_equal(
-                view._table, _recount(view.base.keys, view.delta.keys))
-        ticket = windex.begin_rebuild()
-        if not len(ticket.live_keys):
-            return  # nothing to build over
-        for batch in after:
-            _step(windex, oracle, batch)
-        windex.finish_rebuild(INDEX_TYPES["binary-search"](ticket.live_keys),
-                              ticket)
-        view = windex._view
-        np.testing.assert_array_equal(
-            view._table, _recount(view.base.keys, view.delta.keys))
-        queries = np.concatenate([
-            base, view.delta.keys,
-            np.array([0, 1, MAX - 1, MAX], dtype=np.uint64)])
-        np.testing.assert_array_equal(
-            windex.lookup_batch(queries),
-            np.searchsorted(oracle.live, queries, side="left"))
 
 
 # ---------------------------------------------------------------------------
