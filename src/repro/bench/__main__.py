@@ -264,8 +264,10 @@ def _updates_main(argv: "list[str]") -> int:
                         "(default 4096 ~ 2%% of n: a rebuild costs O(n), "
                         "so the trigger must scale with n to amortize)")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="fresh-state repeats per leg; the median-"
-                        "throughput repeat is reported (default 3)")
+                        help="interleaved rounds, each running every leg "
+                        "once on fresh state in an order that reverses "
+                        "from round to round; each leg reports its "
+                        "median-throughput repeat (default 3)")
     parser.add_argument("--out", metavar="FILE", default=None,
                         help="write the JSON report here")
     parser.add_argument("--min-retention", type=float, default=None,

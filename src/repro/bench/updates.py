@@ -35,12 +35,14 @@ mix the delta stays below the trigger (the leg measures the steady
 shadowed-read path); the 50% leg crosses it repeatedly and exercises
 rebuild + hot-swap under live traffic.
 
-Each leg is run ``repeats`` times on fresh state and the
-median-throughput repeat is reported: legs are only tens of
-milliseconds of wall clock, where scheduler noise alone moves
-throughput ~2x run to run.  Correctness is *not* sampled: every
-repeat must return zero wrong answers and an exactly-matching final
-live key set.
+The legs run in ``repeats`` interleaved rounds: each round runs every
+write fraction once, on fresh state, in an order that reverses from
+round to round, and each leg reports its median-throughput repeat over
+the same rounds, so host drift across the run moves every leg alike.
+A leg's reads last only a few milliseconds, and a burst of host speed
+inside one of them still moves that repeat by up to ~1.5x; the median
+damps a single one.  Correctness is *not* sampled: every repeat must
+return zero wrong answers and an exactly-matching final live key set.
 """
 
 from __future__ import annotations
@@ -171,20 +173,23 @@ def updates_report(
         fractions.insert(0, 0.0)  # the retention gate needs the baseline
     repeats = max(1, int(repeats))
     t0 = time.perf_counter()
+    runs: "dict[float, list]" = {wf: [] for wf in fractions}
+    for r in range(repeats):
+        for wf in fractions if r % 2 == 0 else reversed(fractions):
+            runs[wf].append(_run_leg(
+                keys,
+                index_type=index_type,
+                write_fraction=wf,
+                num_ops=num_ops,
+                segment_size=segment_size,
+                delete_fraction=delete_fraction,
+                range_fraction=range_fraction,
+                seed=seed,
+                rebuild_interval_s=rebuild_interval_s,
+                rebuild_min_delta=rebuild_min_delta,
+            ))
     legs = []
-    for wf in fractions:
-        trials = [_run_leg(
-            keys,
-            index_type=index_type,
-            write_fraction=wf,
-            num_ops=num_ops,
-            segment_size=segment_size,
-            delete_fraction=delete_fraction,
-            range_fraction=range_fraction,
-            seed=seed,
-            rebuild_interval_s=rebuild_interval_s,
-            rebuild_min_delta=rebuild_min_delta,
-        ) for _ in range(repeats)]
+    for wf, trials in runs.items():
         # Median-throughput repeat carries the timing numbers; the
         # correctness fields aggregate over every repeat (one bad
         # repeat must fail the gate, not hide behind the median).

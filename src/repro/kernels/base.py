@@ -15,10 +15,11 @@ A backend provides the hot kernels of the lookup path over flat arrays
     position correction gather, fused into one pass
     (``repro.writable.index._View.lookup`` dispatches here).
 ``merge_delta``
-    The writable tier's write: a sorted write batch merged into the
-    sorted delta buffer, with the merged lookup's correction array and
-    bucket table, in one pass (``repro.writable.index._View.merged_with``
-    dispatches here).
+    The writable tier's write: a raw write batch, with each key's base
+    lower bound, deduplicated last-write-wins, its base multiplicities
+    counted, and merged into the sorted delta buffer with the merged
+    lookup's correction array and bucket table, in one call
+    (``repro.writable.index._View.merged_with`` dispatches here).
 ``compact_delta``
     The writable tier's publication: the delta entries newer than a
     rebuild's watermark, with their correction and bucket table against
@@ -76,6 +77,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "BAD_OPS",
     "BUCKET_SHIFT",
     "KernelBackend",
     "NO_QUERIES",
@@ -89,6 +91,7 @@ __all__ = [
     "run_steps",
     "serve_by_lookup",
     "table_size",
+    "write_ops",
 ]
 
 #: ``packed_kind`` tag -> serve method name.
@@ -171,19 +174,35 @@ def check_delta(delta_keys, corr, base_positions, queries, table) -> None:
                          "two entries")
 
 
+#: ``merge_delta``'s refusal of an op other than 0 or 1.
+BAD_OPS = "ops must be OP_INSERT (1) or OP_TOMBSTONE (0)"
+
+
+def write_ops(ops) -> np.ndarray:
+    """A write batch's ops as C-contiguous ``int8``; ``ValueError``
+    (:data:`BAD_OPS`) when the cast would change a value, so an op such
+    as 256 cannot pass as a tombstone.  Whether each op is 0 or 1 is the
+    backend's check."""
+    ops = np.asarray(ops)
+    cast = np.ascontiguousarray(ops, dtype=np.int8)
+    if cast is not ops and (cast != ops).any():
+        raise ValueError(BAD_OPS)
+    return cast
+
+
 def check_merge(delta, batch) -> None:
-    """``merge_delta``'s argument check, shared by every backend: one
-    op, seq and born stamp per key on each side, ``len(keys) + 1``
-    corrections and a bucket table of at least two entries for the
-    delta, and one base multiplicity and lower bound per batch key."""
-    if any(len(a) != len(side[0])
-           for side in (delta, batch) for a in side[1:4]) or \
+    """``merge_delta``'s length check, shared by every backend: one op,
+    seq and born stamp per delta key, ``len(keys) + 1`` corrections and
+    a bucket table of at least two entries; one op and one base lower
+    bound per batch key."""
+    keys, ops, lower = batch
+    if any(len(a) != len(delta[0]) for a in delta[1:4]) or \
             len(delta[4]) != len(delta[0]) + 1 or len(delta[5]) < 2 or \
-            any(len(a) != len(batch[0]) for a in batch[4:6]):
+            len(ops) != len(keys) or len(lower) != len(keys):
         raise ValueError("merge_delta needs one op, seq and born stamp "
-                         "per key, len(keys) + 1 delta corrections, a "
-                         "bucket table of at least two entries, and one "
-                         "base multiplicity and lower bound per batch key")
+                         "per delta key, len(keys) + 1 delta corrections, "
+                         "a bucket table of at least two entries, and one "
+                         "op and base lower bound per batch key")
 
 
 def check_compact(delta, snapshot) -> None:
@@ -283,8 +302,10 @@ class KernelBackend:
             side="left"), lo, hi)
         return base_positions + np.asarray(corr, dtype=np.int64)[idx]
 
-    def merge_delta(self, delta, batch):
-        """The writable tier's write: ``batch`` merged into ``delta``.
+    def merge_delta(self, delta, batch, seq_start: int, now: float,
+                    base_keys):
+        """The writable tier's write: one raw write batch merged into
+        ``delta``.
 
         ``delta`` is ``(keys, ops, seqs, born, corr, table)``: the
         sorted, per-key-unique ``uint64`` keys, their ``int8`` ops (1
@@ -293,12 +314,24 @@ class KernelBackend:
         is the number of insert entries minus the base multiplicities
         of the first ``i`` keys (``len(keys) + 1`` entries) -- and the
         ``int64`` bucket table of :meth:`delta_correct`.  ``batch`` is
-        ``(keys, ops, seqs, born, mult, lower)``, with each key's base
-        multiplicity and base lower bound.  A batch entry replaces the
-        delta entry of its key and keeps the older born stamp; a new
-        key adds one to every bucket past its base lower bound's.
+        ``(keys, ops, lower)`` in stream order, in any key order and
+        with repeats: the ``i``-th write has sequence number
+        ``seq_start + i`` and born stamp ``now``, and ``lower[i]`` is
+        its key's lower bound in ``base_keys``, the base's sorted keys.
+
+        Within the batch the last write per key wins, with its own
+        sequence number.  A kept key's base multiplicity is the length
+        of its run of copies in ``base_keys`` from its lower bound,
+        clamped into ``[0, len(base_keys)]``:
+        ``max(searchsorted(base_keys, k, "right"), lower) - lower``,
+        exact when ``lower`` is the key's lower bound, and read only
+        inside ``base_keys`` whatever it is.  A kept write replaces the
+        delta entry of its key and keeps the older born stamp; a new key
+        adds one to every bucket past its clamped lower bound's.
         Returns the merged ``(keys, ops, seqs, born, corr, table)``.
-        Raises ``ValueError`` on a length mismatch (:func:`check_merge`).
+        Raises ``ValueError`` on a length mismatch (:func:`check_merge`)
+        or an op other than 0 or 1 (:func:`write_ops`), before writing
+        anything.
         """
         raise NotImplementedError
 

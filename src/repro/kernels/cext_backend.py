@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import ctypes
 import hashlib
+import operator
 import os
 import shutil
 import subprocess
@@ -33,8 +34,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .base import PACKED_DISPATCH, KernelBackend, check_compact, \
-    check_delta, check_merge, check_windows, table_size
+from .base import BAD_OPS, PACKED_DISPATCH, KernelBackend, check_compact, \
+    check_delta, check_merge, check_windows, table_size, write_ops
 from .binding import address
 from .packed import PACKABLE_MODEL_CODES, PackedRMI
 from .packed_pla import PackedPLA
@@ -49,6 +50,7 @@ class CExtUnavailable(RuntimeError):
 
 _C_SOURCE = r"""
 #include <stdint.h>
+#include <stdlib.h>
 #include <string.h>
 #include <math.h>
 
@@ -607,69 +609,162 @@ static int64_t gallop(const uint64_t *keys, int64_t i, int64_t n,
     return lower_bound(keys, lo, hi < n ? hi : n, q);
 }
 
-/* Writable-tier write: merge a sorted, per-key-unique write batch into
- * the sorted, per-key-unique delta buffer in one linear pass.  Both
- * hold keys, ops, seqs and born stamps; the delta also its correction
- * (dcorr, dn + 1 entries: insert entries minus base multiplicities
- * among the first i) and bucket table (dtab, tn entries; see
- * repro_delta_correct), the batch each key's base multiplicity and base
- * lower bound (non-decreasing, as the keys are sorted).  A batch entry
- * replaces the delta entry of its key but keeps the older born stamp.
- * Each delta run between two batch keys is found by galloping and
- * block-copied, and its correction is the old one shifted by what the
- * batch added before it.  The table is copied along, each bucket
- * shifted by the new keys whose base lower bound lies in an earlier
- * bucket.  The outputs hold dn + bn entries (ocorr one more, otab tn);
- * returns how many were written. */
+/* Upper bound of q in keys[i, n), searched outward from i like
+ * gallop(): from a key's base lower bound, the end of its run of
+ * copies, usually one or two probes. */
+static int64_t gallop_past(const uint64_t *keys, int64_t i, int64_t n,
+                           uint64_t q) {
+    int64_t lo = i, hi = i, step = 1;
+    while (hi < n && keys[hi] <= q) {
+        lo = hi + 1;
+        hi += step;
+        step <<= 1;
+    }
+    return upper_bound(keys, lo, hi < n ? hi : n, q);
+}
+
+/* One write of a batch: its key and its place in the write stream. */
+typedef struct {
+    uint64_t key;
+    int64_t at;
+} stream_write;
+
+/* Stable sort of w[0, m) by key: a least-significant-digit radix sort,
+ * one counting pass per byte of the key between w and tmp (m entries
+ * each), skipping a byte every key shares.  Returns the array holding
+ * the result. */
+static stream_write *sort_writes(stream_write *w, stream_write *tmp,
+                                 int64_t m) {
+    int64_t count[8][256];
+    memset(count, 0, sizeof count);
+    for (int64_t j = 0; j < m; j++) {
+        for (int d = 0; d < 8; d++) {
+            count[d][(w[j].key >> (8 * d)) & 255]++;
+        }
+    }
+    for (int d = 0; d < 8; d++) {
+        int64_t *c = count[d], sum = 0;
+        if (c[(w[0].key >> (8 * d)) & 255] == m) continue;
+        for (int b = 0; b < 256; b++) {
+            int64_t x = c[b];
+            c[b] = sum;
+            sum += x;
+        }
+        for (int64_t j = 0; j < m; j++) {
+            tmp[c[(w[j].key >> (8 * d)) & 255]++] = w[j];
+        }
+        stream_write *t = w;
+        w = tmp;
+        tmp = t;
+    }
+    return w;
+}
+
+/* Writable-tier write: one raw write batch -- keys bk, ops bops and each
+ * key's base lower bound blower, bn writes in stream order, the i-th
+ * carrying sequence number seq_start + i and born stamp now -- merged
+ * into the sorted, per-key-unique delta buffer (keys, ops, seqs, born
+ * stamps, its correction dcorr -- dn + 1 entries: insert entries minus
+ * base multiplicities among the first i -- and its bucket table dtab,
+ * tn entries; see repro_delta_correct).  Three passes:
+ *  1. the batch is sorted stably by key and each key keeps its last
+ *     write;
+ *  2. each kept key's base multiplicity is its run of copies in the n
+ *     sorted base keys from its lower bound (clamped into [0, n]),
+ *     counted by galloping while the lookup that gave the bound has
+ *     left those keys in cache;
+ *  3. one linear merge: each delta run between two batch keys is found
+ *     by galloping and block-copied, its correction the old one
+ *     shifted by what the batch added before it; a batch entry
+ *     replaces the delta entry of its key but keeps the older born
+ *     stamp; the table is copied along, each bucket shifted by the new
+ *     keys whose base lower bound lies in an earlier bucket.
+ * The outputs hold dn + bn entries (ocorr one more, otab tn); returns
+ * how many were written, or, having written nothing, -2 when an op is
+ * neither 0 nor 1 and -1 when the sort's scratch cannot be allocated. */
 int64_t repro_merge_delta(const uint64_t *dk, const int8_t *dops,
                           const int64_t *dseq, const double *dborn,
                           const int64_t *dcorr, int64_t dn,
                           const int64_t *dtab, int64_t tn,
                           const uint64_t *bk, const int8_t *bops,
-                          const int64_t *bseq, const double *bborn,
-                          const int64_t *bmult, const int64_t *blower,
-                          int64_t bn,
+                          const int64_t *blower, int64_t bn,
+                          int64_t seq_start, double now,
+                          const uint64_t *base, int64_t n,
                           uint64_t *ok, int8_t *oops, int64_t *oseq,
                           double *oborn, int64_t *ocorr, int64_t *otab) {
+    stream_write *scratch = NULL, *w = NULL;
+    int64_t *lower = NULL, *share = NULL, m = 0;
+    if (bn) {
+        scratch = malloc((size_t)bn * 2 * sizeof *scratch);
+        if (scratch == NULL) return -1;
+        int bad = 0;
+        for (int64_t j = 0; j < bn; j++) {
+            scratch[j].key = bk[j];
+            scratch[j].at = j;
+            bad |= bops[j] & ~1;
+        }
+        if (bad) {
+            free(scratch);
+            return -2;
+        }
+        w = sort_writes(scratch, scratch + bn, bn);
+        for (int64_t j = 0; j < bn; j++) {
+            if (j + 1 == bn || w[j + 1].key != w[j].key) w[m++] = w[j];
+        }
+        /* The other half of the scratch holds the kept writes' lower
+         * bounds and correction shares. */
+        lower = (int64_t *)(w == scratch ? scratch + bn : scratch);
+        share = lower + m;
+        for (int64_t j = 0; j < m; j++) {
+            int64_t at = w[j].at, lo = blower[at];
+            lo = lo < 0 ? 0 : lo > n ? n : lo;
+            lower[j] = lo;
+            share[j] = (bops[at] == 1) - (gallop_past(base, lo, n, w[j].key)
+                                          - lo);
+        }
+    }
     int64_t i = 0, o = 0, t = 0, added = 0;
     ocorr[0] = 0;
-    for (int64_t j = 0; j <= bn; j++) {
+    for (int64_t j = 0; j <= m; j++) {
         int64_t start = i;
-        i = j < bn ? gallop(dk, i, dn, bk[j]) : dn;
+        i = j < m ? gallop(dk, i, dn, w[j].key) : dn;
         int64_t len = i - start, shift = ocorr[o] - dcorr[start];
-        memcpy(ok + o, dk + start, (size_t)len * sizeof *ok);
-        memcpy(oops + o, dops + start, (size_t)len * sizeof *oops);
-        memcpy(oseq + o, dseq + start, (size_t)len * sizeof *oseq);
-        memcpy(oborn + o, dborn + start, (size_t)len * sizeof *oborn);
+        if (len) {
+            memcpy(ok + o, dk + start, (size_t)len * sizeof *ok);
+            memcpy(oops + o, dops + start, (size_t)len * sizeof *oops);
+            memcpy(oseq + o, dseq + start, (size_t)len * sizeof *oseq);
+            memcpy(oborn + o, dborn + start, (size_t)len * sizeof *oborn);
+        }
         for (int64_t k = 1; k <= len; k++) {
             ocorr[o + k] = dcorr[start + k] + shift;
         }
         o += len;
-        if (j == bn) break;
-        double born = bborn[j];
-        if (i < dn && dk[i] == bk[j]) {
+        if (j == m) break;
+        double born = now;
+        if (i < dn && dk[i] == w[j].key) {
             if (dborn[i] < born) born = dborn[i];
             i++;
         } else {
             /* A new key: the buckets up to its base lower bound's do
              * not count it (clamped into the table, never backwards). */
-            int64_t upto = (blower[j] >> BUCKET_SHIFT) + 1;
+            int64_t upto = (lower[j] >> BUCKET_SHIFT) + 1;
             upto = upto < t ? t : upto > tn ? tn : upto;
             for (; t < upto; t++) {
                 otab[t] = dtab[t] + added;
             }
             added++;
         }
-        ok[o] = bk[j];
-        oops[o] = bops[j];
-        oseq[o] = bseq[j];
+        ok[o] = w[j].key;
+        oops[o] = bops[w[j].at];
+        oseq[o] = seq_start + w[j].at;
         oborn[o] = born;
-        ocorr[o + 1] = ocorr[o] + (bops[j] == 1) - bmult[j];
+        ocorr[o + 1] = ocorr[o] + share[j];
         o++;
     }
     for (; t < tn; t++) {
         otab[t] = dtab[t] + added;
     }
+    free(scratch);
     return o;
 }
 
@@ -751,7 +846,9 @@ int32_t repro_merge_live(const uint64_t *base, int64_t n,
             i = stop;
         }
         if (i - start > cap - o) return -1;
-        memcpy(out + o, base + start, (size_t)(i - start) * sizeof *out);
+        if (i > start) {
+            memcpy(out + o, base + start, (size_t)(i - start) * sizeof *out);
+        }
         o += i - start;
         if (j == dn) {
             done = i == n;
@@ -1066,6 +1163,14 @@ _CFLAGS = ("-O3", "-ffp-contract=off", "-fno-math-errno",
            "-shared", "-fPIC")
 
 
+def _extra_cflags() -> "list[str]":
+    """Opt-in compiler flags from ``REPRO_KERNELS_CFLAGS``, appended to
+    ``_CFLAGS`` (a later flag wins): ``-O1 -g -fsanitize=address,undefined``
+    builds the kernels under the sanitizers, which a process loads with
+    their runtimes in ``LD_PRELOAD`` (CI's ``kernels`` job)."""
+    return os.environ.get("REPRO_KERNELS_CFLAGS", "").split()
+
+
 def _cache_dir() -> Path:
     override = os.environ.get("REPRO_KERNELS_CACHE")
     if override:
@@ -1076,10 +1181,15 @@ def _cache_dir() -> Path:
 
 
 def _source_digest() -> str:
-    """Digest keying the build cache: any source/flag change rekeys."""
-    return hashlib.sha256(
-        (_C_SOURCE + "\0" + " ".join(_CFLAGS)).encode()
-    ).hexdigest()[:16]
+    """Digest keying the build cache: any source/flag change rekeys.
+    Extra flags join it only when set, so a build with them is never
+    loaded as the default one, and the default digest stays the one of
+    the source and ``_CFLAGS``."""
+    key = _C_SOURCE + "\0" + " ".join(_CFLAGS)
+    extra = _extra_cflags()
+    if extra:
+        key += "\0" + " ".join(extra)
+    return hashlib.sha256(key.encode()).hexdigest()[:16]
 
 
 def _cache_entries(cache: Path):
@@ -1168,7 +1278,8 @@ def _build_library() -> Path:
     os.close(fd)
     try:
         proc = subprocess.run(
-            [cc, *_CFLAGS, str(src_path), "-o", tmp_name, "-lm"],
+            [cc, *_CFLAGS, *_extra_cflags(), str(src_path), "-o", tmp_name,
+             "-lm"],
             capture_output=True, text=True, timeout=120,
         )
         if proc.returncode != 0:
@@ -1206,7 +1317,7 @@ _SIGNATURES = {
         [_ptr, _c_i64, _ptr, _ptr, _ptr, _c_i64, _ptr, _c_i64, _ptr],
     "repro_merge_delta":
         [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64, _ptr, _c_i64,
-         _ptr, _ptr, _ptr, _ptr, _ptr, _ptr, _c_i64,
+         _ptr, _ptr, _ptr, _c_i64, _c_i64, ctypes.c_double, _ptr, _c_i64,
          _ptr, _ptr, _ptr, _ptr, _ptr, _ptr],
     "repro_compact_delta":
         [_ptr, _ptr, _ptr, _ptr, _ptr, _c_i64, _ptr, _ptr, _c_i64, _c_i64,
@@ -1258,9 +1369,9 @@ def _i64(a) -> np.ndarray:
 
 
 def _delta_arrays(arrays):
-    """One side of ``merge_delta`` or ``compact_delta`` -- ``(keys,
-    ops, seqs, born)``, then the correction and bucket table or the
-    base multiplicities and lower bounds -- in the kernel's dtypes."""
+    """The delta side of ``merge_delta`` or ``compact_delta`` --
+    ``(keys, ops, seqs, born)``, then the correction and, for the
+    merge, the bucket table -- in the kernel's dtypes."""
     keys, ops, seqs, born, *counts = arrays
     return (_u64(keys), np.ascontiguousarray(ops, dtype=np.int8),
             _i64(seqs), np.ascontiguousarray(born, dtype=np.float64),
@@ -1297,6 +1408,33 @@ class CExtBackend(KernelBackend):
         #: ``packed_kind`` -> that family's C serve.
         self._serves = {kind: getattr(lib, f"repro_{method}")
                         for kind, method in PACKED_DISPATCH.items()}
+        #: The delta the last ``merge_delta`` or ``compact_delta`` wrote,
+        #: with its kernel arguments (see :meth:`_delta_side`).
+        self._written_delta: "tuple | None" = None
+
+    def _delta_side(self, delta):
+        """``merge_delta``'s delta side and its kernel arguments: the
+        five column addresses, the length, the table's address and
+        length.  The delta this backend wrote last -- a served view's,
+        from one write to the next -- was converted when it was made, so
+        its arrays pass as they are; it is held, so no other array can
+        take its arrays' identities."""
+        last = self._written_delta
+        if last is not None and len(delta) == 6 and \
+                all(map(operator.is_, delta, last[0])):
+            return last
+        delta = _delta_arrays(delta)
+        return delta, (*map(address, delta[:5]), len(delta[0]),
+                       address(delta[5]), len(delta[5]))
+
+    def _keep_written(self, out, args, written: int):
+        """A delta kernel's outputs (``out``, at addresses ``args``) cut
+        to the ``written`` entries, kept with their kernel arguments for
+        the next ``merge_delta``."""
+        arrays = _written(out, written)
+        self._written_delta = (arrays, (*args[:5], written, args[5],
+                                        len(out[5])))
+        return arrays
 
     def lower_bound_window(self, keys, queries, lo, hi):
         keys, queries = _u64(keys), _u64(queries)
@@ -1329,16 +1467,25 @@ class CExtBackend(KernelBackend):
         )
         return out
 
-    def merge_delta(self, delta, batch):
-        delta, batch = _delta_arrays(delta), _delta_arrays(batch)
-        check_merge(delta, batch)
-        dn, tn = len(delta[0]), len(delta[5])
-        out = _delta_outputs(dn + len(batch[0]), tn)
+    def merge_delta(self, delta, batch, seq_start, now, base_keys):
+        delta, delta_args = self._delta_side(delta)
+        keys, ops, lower = (_u64(batch[0]), write_ops(batch[1]),
+                            _i64(batch[2]))
+        check_merge(delta, (keys, ops, lower))
+        base_keys = _u64(base_keys)
+        bn = len(keys)
+        out = _delta_outputs(len(delta[0]) + bn, len(delta[5]))
+        out_args = tuple(map(address, out))
         written = self._lib.repro_merge_delta(
-            *map(address, delta[:5]), dn, address(delta[5]), tn,
-            *map(address, batch), len(batch[0]), *map(address, out),
+            *delta_args, address(keys), address(ops), address(lower), bn,
+            int(seq_start), float(now), address(base_keys), len(base_keys),
+            *out_args,
         )
-        return _written(out, written)
+        if written == -2:
+            raise ValueError(BAD_OPS)
+        if written < 0:
+            raise MemoryError("merge_delta: no scratch for the batch's sort")
+        return self._keep_written(out, out_args, written)
 
     def compact_delta(self, delta, snapshot, watermark, base_keys):
         delta = _delta_arrays(delta)
@@ -1348,12 +1495,13 @@ class CExtBackend(KernelBackend):
         base_keys = _u64(base_keys)
         n = len(delta[0])
         out = _delta_outputs(n, table_size(len(base_keys)))
+        out_args = tuple(map(address, out))
         written = self._lib.repro_compact_delta(
             *map(address, delta), n, address(snap_keys), address(snap_ops),
             len(snap_keys), int(watermark), address(base_keys),
-            len(base_keys), *map(address, out),
+            len(base_keys), *out_args,
         )
-        return _written(out, written)
+        return self._keep_written(out, out_args, written)
 
     def merge_live_steps(self, base_keys, delta_keys, delta_ops, size):
         base_keys, delta_keys = _u64(base_keys), _u64(delta_keys)

@@ -2,9 +2,11 @@
 
 ``lower_bound_window`` delegates to the staged implementation in
 :mod:`repro.core.search`; ``merge_delta`` is the writable tier's
-splice of a write batch into the delta buffer (its bucket table
-updated by one ``searchsorted`` of the new keys' base lower bounds),
-and ``merge_live_steps`` its sort-based snapshot.  Each packed family
+write -- a stable argsort keeps each key's last write, one
+``searchsorted`` counts the kept keys' base multiplicities, and the
+batch is spliced into the delta buffer (its bucket table updated by one
+``searchsorted`` of the new keys' base lower bounds) -- and
+``merge_live_steps`` its sort-based snapshot.  Each packed family
 has one window function -- ``_rmi_window`` replays the exact arithmetic of
 :class:`repro.core.rmi.RMI`'s staged batch path over the packed
 arrays, ``_pla_window`` and ``_tree_window`` *are* the NumPy batch
@@ -20,8 +22,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import BUCKET_SHIFT, NO_QUERIES, KernelBackend, bucket_table, \
-    check_compact, check_merge, check_windows, serve_by_lookup, table_size
+from .base import BAD_OPS, BUCKET_SHIFT, NO_QUERIES, KernelBackend, \
+    bucket_table, check_compact, check_merge, check_windows, \
+    serve_by_lookup, table_size, write_ops
 from .packed import BOUNDS_NONE, BOUNDS_PER_MODEL, PackedRMI
 from .packed_pla import PLA_DESCEND, PLA_SEGMENT, PackedPLA
 from .packed_tree import TREE_SPARSE, PackedTree
@@ -70,10 +73,37 @@ class NumpyBackend(KernelBackend):
 
     # -- writable tier ---------------------------------------------------
 
-    def merge_delta(self, delta, batch):
+    def merge_delta(self, delta, batch, seq_start, now, base_keys):
         delta = tuple(np.asarray(a) for a in delta)
-        batch = tuple(np.asarray(a) for a in batch)
-        check_merge(delta, batch)
+        keys, ops, lower = (np.asarray(a) for a in batch)
+        check_merge(delta, (keys, ops, lower))
+        ops = write_ops(ops)
+        if not ((ops == 0) | (ops == 1)).all():
+            raise ValueError(BAD_OPS)
+        keys = keys.astype(np.uint64)
+        base_keys = np.asarray(base_keys, dtype=np.uint64)
+        # A stable key sort keeps equal keys in stream order, so the last
+        # row of each equal-key group is the newest write to that key.
+        order = np.argsort(keys, kind="stable")
+        sorted_keys = keys[order]
+        last = np.empty(len(keys), dtype=bool)
+        last[:-1] = sorted_keys[1:] != sorted_keys[:-1]
+        last[-1:] = True
+        sel = order[last]  # last occurrence per key, ascending key order
+        keys = sorted_keys[last]
+        lower = np.clip(lower.astype(np.int64)[sel], 0, len(base_keys))
+        mult = np.maximum(np.searchsorted(base_keys, keys, side="right"),
+                          lower) - lower
+        return self._splice(delta, (
+            keys, ops[sel],
+            np.int64(seq_start) + sel.astype(np.int64),
+            np.full(len(keys), float(now)), mult, lower))
+
+    @staticmethod
+    def _splice(delta, batch):
+        """``merge_delta`` of a sorted, per-key-unique batch ``(keys,
+        ops, seqs, born, mult, lower)``, with each key's base
+        multiplicity and lower bound."""
         old_keys, old_born = delta[0].astype(np.uint64), delta[3]
         keys = batch[0].astype(np.uint64)
         # The batch is spliced into the buffer: one searchsorted of the

@@ -29,19 +29,19 @@ Each entry additionally carries
   delta).
 
 :class:`DeltaState` is immutable by convention: writers derive a new
-state -- a write batch through :func:`last_writes` and the backend's
-``merge_delta`` kernel (:meth:`~repro.writable.index._View.merged_with`),
-a rebuild's publication through the backend's ``compact_delta`` kernel
--- and publish it with one reference assignment,
-so concurrent readers always see a coherent buffer without locks.
+state -- a write batch through the backend's ``merge_delta`` kernel,
+which keeps each key's last write in the batch
+(:meth:`~repro.writable.index._View.merged_with`), a rebuild's
+publication through the backend's ``compact_delta`` kernel -- and
+publish it with one reference assignment, so concurrent readers always
+see a coherent buffer without locks.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["OP_INSERT", "OP_TOMBSTONE", "DeltaState", "empty_delta",
-           "last_writes"]
+__all__ = ["OP_INSERT", "OP_TOMBSTONE", "DeltaState", "empty_delta"]
 
 #: Operation flags (int8), matching ``dynamic_pgm``'s run entries.
 OP_INSERT = np.int8(1)
@@ -91,36 +91,6 @@ class DeltaState:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<DeltaState {len(self)} entries, "
                 f"watermark={self.watermark}>")
-
-
-def last_writes(keys: np.ndarray, ops: np.ndarray, seq_start: int
-                ) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """One write batch as sorted, per-key-unique ``(keys, ops, seqs)``.
-
-    Within the batch the *last* op per key wins (the batch is an
-    ordered write stream); the ``i``-th write carries sequence number
-    ``seq_start + i``.  Against the buffer the batch wins: the merge
-    (the backend's ``merge_delta``) gives a re-written key the new op
-    and ``seq`` and keeps its oldest ``born`` -- the entry has been
-    unmerged since the first write -- so a post-rebuild compaction never
-    drops a write that arrived after the rebuild snapshot.
-    """
-    keys = np.ascontiguousarray(keys, dtype=np.uint64)
-    ops = np.ascontiguousarray(ops, dtype=np.int8)
-    if len(keys) != len(ops):
-        raise ValueError("write batch needs one op per key")
-    if not np.all((ops == OP_INSERT) | (ops == OP_TOMBSTONE)):
-        raise ValueError("ops must be OP_INSERT (1) or OP_TOMBSTONE (0)")
-    # A stable key sort keeps equal keys in stream order, so the last
-    # row of each equal-key group is the newest write to that key.
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    last = np.empty(len(keys), dtype=bool)
-    last[:-1] = sorted_keys[1:] != sorted_keys[:-1]
-    last[-1:] = True
-    sel = order[last]  # last occurrence per key, ascending key order
-    return (sorted_keys[last], ops[sel],
-            np.int64(seq_start) + sel.astype(np.int64))
 
 
 def empty_delta() -> DeltaState:

@@ -30,11 +30,11 @@ The base's exact answer bounds the rank: a delta key whose base lower
 bound lies below ``q``'s bucket is below ``q``, one past the bucket is
 above it, so the search covers a bucket's few delta keys, not the
 whole delta.  A write batch keeps ``corr`` and ``T`` current in one
-pass over the buffer: the backend's ``merge_delta`` merges the batch in
-and carries both across as it goes, and the base multiplicity and lower
-bound of each batch key come from the base index itself (the lower
-bounds of ``k`` and ``k + 1``), which answers ``lookup_batch`` exactly
-whatever its type.
+call: the base index ranks the raw batch once with its own
+``lookup_batch`` (exact whatever its type), and the backend's
+``merge_delta`` keeps each key's last write, counts its base
+multiplicity from that lower bound, and merges the batch in, carrying
+``corr`` and ``T`` across as it goes.
 
 **Concurrency.**  All queryable state lives in one immutable
 :class:`_View` (base + delta + lazily derived adjustment arrays)
@@ -71,8 +71,7 @@ from .. import kernels
 from ..baselines.interfaces import OrderedIndex, SearchBounds
 from ..kernels.base import bucket_table, run_steps, serve_by_lookup, \
     table_size
-from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta, \
-    last_writes
+from .delta import OP_INSERT, OP_TOMBSTONE, DeltaState, empty_delta
 
 __all__ = ["WritableIndex", "RebuildTicket"]
 
@@ -102,7 +101,8 @@ class _View:
     def base_ranks(self, keys: np.ndarray
                    ) -> "tuple[np.ndarray, np.ndarray]":
         """The base's lower bound of each of the sorted ``keys``, and
-        how many copies of it the base holds.
+        how many copies of it the base holds (for :meth:`_count`; a
+        write batch gets both from ``merge_delta``).
 
         The base's own ``lookup_batch`` ranks each key ``k`` and
         ``k + 1`` in one call; ``k + 1`` wraps for ``2^64 - 1``, whose
@@ -158,23 +158,29 @@ class _View:
 
     def merged_with(self, keys: np.ndarray, ops: np.ndarray,
                     seq_start: int, now: float) -> "_View":
-        """The view after one write batch (newest wins; see
-        :func:`~repro.writable.delta.last_writes`).
+        """The view after one write batch: ``keys`` and ``ops`` in
+        stream order, the ``i``-th write with sequence number
+        ``seq_start + i`` and born stamp ``now``.
 
-        One pass of the backend's ``merge_delta`` over the buffer writes
-        the new delta, its correction and its bucket table, so the first
-        read after a write pays read costs only.  Only the batch's keys
-        meet the base, through :meth:`base_ranks`.
+        Within the batch the last write per key wins; against the buffer
+        the batch wins, and a re-written key keeps its oldest born stamp
+        -- the entry has been unmerged since the first write -- so a
+        post-rebuild compaction never drops a write that arrived after
+        the rebuild snapshot.  The base ranks the raw batch once (its
+        own ``lookup_batch``), and one call of the backend's
+        ``merge_delta`` does the rest: it keeps each key's last write,
+        counts its base multiplicity from that lower bound, and merges
+        the batch into the buffer, writing the new delta, its correction
+        and its bucket table, so the first read after a write pays read
+        costs only.
         """
-        bkeys, bops, bseqs = last_writes(keys, ops, seq_start)
-        delta = self.delta
-        lower, mult = self.base_ranks(bkeys)
+        keys = np.ascontiguousarray(keys, dtype=np.uint64)
+        delta, base = self.delta, self.base
         *arrays, corr, table = kernels.get_backend().merge_delta(
             (delta.keys, delta.ops, delta.seqs, delta.born,
              self.correction(), self.table()),
-            (bkeys, bops, bseqs, np.full(len(bkeys), float(now)), mult,
-             lower))
-        view = _View(self.base, DeltaState(*arrays))
+            (keys, ops, base.lookup_batch(keys)), seq_start, now, base.keys)
+        view = _View(base, DeltaState(*arrays))
         view._corr, view._table = corr, table
         return view
 

@@ -16,10 +16,13 @@ that boundary on every loadable backend:
   would make C read past an array, and so does the NumPy reference
   (``merge_delta``'s and ``compact_delta``'s are in
   ``tests/test_writable_merge.py``); the delta's bucket table is read
-  only inside its bounds, whatever the base positions and entries;
+  only inside its bounds, whatever the base positions and entries, and
+  a write batch's base lower bounds are clamped into the base keys;
 * every array slot of every C prototype is declared ``c_void_p``, and
   each packed form's ``KERNEL_RUN`` lists its C ``*_run`` struct field
-  for field.
+  for field;
+* extra compiler flags (``REPRO_KERNELS_CFLAGS``, a sanitizer build)
+  rekey the build cache only when set.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ def case():
     ops = (rng.integers(0, 2, len(dkeys)) * 1).astype(np.int8)
     bkeys = np.unique(np.concatenate([
         dkeys[::3], rng.integers(0, 2**62, 20, dtype=np.uint64)]))
+    # A raw write batch: unsorted, with repeated keys, some in the base.
+    wkeys = rng.permutation(np.concatenate([bkeys, bkeys[::4], keys[::500]]))
     buckets = np.arange(table_size(n), dtype=np.int64) << BUCKET_SHIFT
     shadow = np.isin(keys, dkeys).sum()
     rmi = RMI(keys, layer_sizes=[64], bound_type="labs")
@@ -82,10 +87,9 @@ def case():
         "born": rng.random(len(dkeys)),
         "bkeys": bkeys,
         "bops": (rng.integers(0, 2, len(bkeys)) * 1).astype(np.int8),
-        "bseqs": np.arange(len(bkeys), dtype=np.int64) + len(dkeys),
-        "bborn": rng.random(len(bkeys)),
-        "bmult": rng.integers(0, 3, len(bkeys)).astype(np.int64),
-        "blower": np.searchsorted(keys, bkeys).astype(np.int64),
+        "wkeys": wkeys,
+        "wops": (rng.integers(0, 2, len(wkeys)) * 1).astype(np.int8),
+        "wlower": np.searchsorted(keys, wkeys).astype(np.int64),
         "live": int(n - shadow + ops.sum()),
         "rmi": rmi,
         "rmi_packed": kernels.pack_rmi(rmi),
@@ -107,8 +111,8 @@ ENTRY_POINTS = {
     "merge_delta": lambda be, c, f: be.merge_delta(
         tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
                       c["corr"], c["table"]))),
-        tuple(map(f, (c["bkeys"], c["bops"], c["bseqs"], c["bborn"],
-                      c["bmult"], c["blower"])))),
+        tuple(map(f, (c["wkeys"], c["wops"], c["wlower"]))),
+        len(c["dkeys"]), 2.5, f(c["keys"])),
     "compact_delta": lambda be, c, f: be.compact_delta(
         tuple(map(f, (c["dkeys"], c["ops"], c["seqs"], c["born"],
                       c["corr"]))),
@@ -192,6 +196,23 @@ def test_empty_keys_and_deltas(kernel_backend, case):
           dkeys[ops != 0])
     _same(run_steps(merge(case["keys"], none, none.astype(np.int8),
                           len(case["keys"]))), case["keys"])
+    # A batch merged into an empty delta, and into an empty base; an
+    # empty batch merged into the delta.
+    empty_delta = (none, np.zeros(0, np.int8), np.zeros(0, np.int64),
+                   np.zeros(0), np.zeros(1, np.int64), np.zeros(2, np.int64))
+    delta = (dkeys, ops, case["seqs"], case["born"], case["corr"],
+             case["table"])
+    batch = (case["wkeys"], case["wops"], case["wlower"])
+    none_batch = (none, none.astype(np.int8), zeros[:0])
+    for args in ((empty_delta, batch, case["keys"]),
+                 (empty_delta, (batch[0], batch[1], zeros[:len(batch[0])]),
+                  none),
+                 (delta, none_batch, case["keys"])):
+        _same(kernel_backend.merge_delta(args[0], args[1], 7, 1.5, args[2]),
+              kernels.get_backend("numpy").merge_delta(args[0], args[1], 7,
+                                                       1.5, args[2]))
+    _same(kernel_backend.merge_delta(delta, none_batch, 7, 1.5,
+                                     case["keys"])[:4], delta[:4])
 
 
 def test_build_kernels_take_odd_inputs(case):
@@ -375,19 +396,33 @@ def test_the_bucket_table_is_never_read_outside(kernel_backend, case):
 
 
 def test_merge_delta_table_upkeep_stays_in_the_table(kernel_backend, case):
-    """Batch lower bounds past the base's end, or below 0, count in the
-    table's last bucket or in every one; the new table has the old
-    one's length."""
-    delta = (case["dkeys"], case["ops"], case["seqs"], case["born"],
-             case["corr"], case["table"])
-    bkeys = case["bkeys"]
-    n = len(case["keys"])
-    for lower in (np.full(len(bkeys), n + 10**6), np.full(len(bkeys), -70),
-                  np.full(len(bkeys), 2**62)):
-        batch = (bkeys, case["bops"], case["bseqs"], case["bborn"],
-                 case["bmult"], lower.astype(np.int64))
-        got = kernel_backend.merge_delta(delta, batch)
-        want = kernels.get_backend("numpy").merge_delta(delta, batch)
+    """Batch lower bounds past the base's end, or below 0, are clamped
+    into ``[0, n]``: the new keys count in the table's last bucket or
+    in every one, the multiplicity runs are counted inside the base,
+    and the new table has the old one's length, on every backend alike.
+    The base keys and the delta arrays sit between poisoned neighbours
+    equal to batch keys, which would change the answers if read."""
+    keys, wkeys = case["keys"], case["wkeys"]
+    n = len(keys)
+    top = np.uint64(2**62 + 5)  # above every base key
+    wkeys = np.concatenate([wkeys, [top, keys[0], keys[-1]]])
+    wops = np.concatenate([case["wops"], [1, 0, 1]]).astype(np.int8)
+
+    def poisoned(a, left, right):
+        a = np.asarray(a)
+        return np.concatenate([[left], a, [right]]).astype(a.dtype)[1:-1]
+
+    base = poisoned(keys, keys[0], top)
+    delta = tuple(poisoned(a, a[0], a[-1]) for a in (
+        case["dkeys"], case["ops"], case["seqs"], case["born"],
+        case["corr"], case["table"]))
+    for lower in (np.full(len(wkeys), n + 10**6), np.full(len(wkeys), -70),
+                  np.full(len(wkeys), 2**62), np.full(len(wkeys), n),
+                  np.searchsorted(keys, wkeys)):
+        batch = (wkeys, wops, lower.astype(np.int64))
+        got = kernel_backend.merge_delta(delta, batch, 0, 1.0, base)
+        want = kernels.get_backend("numpy").merge_delta(delta, batch, 0,
+                                                        1.0, keys)
         _same(got, want)
         assert len(got[5]) == len(case["table"])
 
@@ -405,7 +440,7 @@ def test_range_bounds_must_pair_up(kernel_backend, case):
 
 
 _SCALARS = {"int64_t": ctypes.c_int64, "int32_t": ctypes.c_int32,
-            "uint64_t": ctypes.c_uint64}
+            "uint64_t": ctypes.c_uint64, "double": ctypes.c_double}
 
 
 def test_every_array_slot_is_an_address():
@@ -450,3 +485,23 @@ def test_every_run_struct_matches_its_kernel_run():
         got = [(name, _ARRAYS[ctype] if pointer else _SCALARS[ctype])
                for ctype, pointer, name in fields]
         assert got == want, form.__name__
+
+
+def test_extra_kernel_flags_join_the_digest_only_when_set(monkeypatch):
+    """``REPRO_KERNELS_CFLAGS`` (a sanitizer build, say) rekeys the
+    build cache, so such a library is never loaded as the default one;
+    unset or empty, the digest is the source's and ``_CFLAGS``'."""
+    import hashlib
+
+    from repro.kernels import cext_backend as cb
+
+    default = hashlib.sha256(
+        (cb._C_SOURCE + "\0" + " ".join(cb._CFLAGS)).encode()
+    ).hexdigest()[:16]
+    monkeypatch.delenv("REPRO_KERNELS_CFLAGS", raising=False)
+    assert cb._source_digest() == default
+    monkeypatch.setenv("REPRO_KERNELS_CFLAGS", " ")
+    assert cb._source_digest() == default
+    monkeypatch.setenv("REPRO_KERNELS_CFLAGS", "-O1 -fsanitize=address")
+    assert cb._source_digest() != default
+    assert cb._extra_cflags() == ["-O1", "-fsanitize=address"]

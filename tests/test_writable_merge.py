@@ -5,12 +5,17 @@
   bases: duplicate runs around delta keys, keys at 0 and 2^64-1, a
   single repeated key, tombstones of absent keys, re-inserts of base
   keys, an empty delta and a delta deleting every key.
-* ``_View.merged_with`` merges a batch into the buffer with the
-  backend's ``merge_delta``; on every backend it equals the sort-based
-  merge kept below as the reference, and the base multiplicities and
-  correction it writes equal a fresh view's.  The C kernel's arrays are
-  bit-identical to the NumPy reference's on the conformance suite's
-  adversarial families, and both refuse mismatched lengths.
+* ``_View.merged_with`` ranks a raw write batch in the base once and
+  hands it to the backend's ``merge_delta``, which keeps each key's
+  last write, counts its base multiplicity and merges it into the
+  buffer in one call; on every backend it equals the sort-based merge
+  kept below as the reference, the base multiplicities and correction
+  it writes equal a fresh view's, and its arrays equal the staged path
+  it replaced (a last-write-wins sort of the batch, two base lookups
+  per key, then the splice).  The C kernel's arrays are bit-identical
+  to the NumPy reference's on the conformance suite's adversarial
+  families and on batches that repeat keys, and both refuse mismatched
+  lengths and ops other than 0 and 1 without publishing anything.
 * ``finish_rebuild`` derives the compacted delta's correction from the
   snapshot's delta (the backend's ``compact_delta``), equal to one
   counted against the new base, bit-identically on every backend.
@@ -35,6 +40,7 @@ from hypothesis import strategies as st
 from repro import kernels
 from repro.baselines import INDEX_TYPES
 from repro.kernels.base import BUCKET_SHIFT, run_steps, table_size
+from repro.kernels.numpy_backend import NumpyBackend
 from repro.writable import OP_INSERT, OP_TOMBSTONE, WritableIndex, empty_delta
 from repro.writable.index import _View
 
@@ -111,15 +117,21 @@ def test_merge_live_rejects_a_wrong_count(backend):
 # ---------------------------------------------------------------------------
 
 
-def _sort_merge(state, keys, ops, seq_start, now):
-    """The delta merge by sorting: dedup the batch last-wins, drop the
-    entries it replaces (keeping their oldest born), re-sort all."""
+def _last_writes(keys, ops, seq_start):
+    """The batch's last write per key, in key order: ``(keys, ops,
+    seqs)``, the ``i``-th write carrying ``seq_start + i``."""
     keys = np.asarray(keys, dtype=np.uint64)
     order = np.argsort(keys, kind="stable")
     last = np.append(keys[order][1:] != keys[order][:-1], True)
     sel = order[last]
-    b_keys, b_ops = keys[sel], np.asarray(ops, dtype=np.int8)[sel]
-    b_seqs = np.int64(seq_start) + sel.astype(np.int64)
+    return (keys[sel], np.asarray(ops, dtype=np.int8)[sel],
+            np.int64(seq_start) + sel.astype(np.int64))
+
+
+def _sort_merge(state, keys, ops, seq_start, now):
+    """The delta merge by sorting: dedup the batch last-wins, drop the
+    entries it replaces (keeping their oldest born), re-sort all."""
+    b_keys, b_ops, b_seqs = _last_writes(keys, ops, seq_start)
     replaced = np.isin(state.keys, b_keys)
     old_born = dict(zip(state.keys[replaced].tolist(),
                         state.born[replaced].tolist()))
@@ -130,6 +142,21 @@ def _sort_merge(state, keys, ops, seq_start, now):
         (state.seqs, b_seqs), (state.born, b_born))]
     order = np.argsort(merged[0], kind="stable")
     return [a[order] for a in merged]
+
+
+def _staged_merge(view, keys, ops, seq_start, now):
+    """The write path one-pass ``merge_delta`` replaced, on ``view``:
+    the batch deduplicated last-write-wins in key order, each kept
+    key's lower bound and multiplicity from two base lookups
+    (``_View.base_ranks``), then the splice of the sorted batch into
+    the buffer."""
+    b_keys, b_ops, b_seqs = _last_writes(keys, ops, seq_start)
+    lower, mult = view.base_ranks(b_keys)
+    d = view.delta
+    return NumpyBackend._splice(
+        (d.keys, d.ops, d.seqs, d.born, view.correction(), view.table()),
+        (b_keys, b_ops, b_seqs, np.full(len(b_keys), float(now)), mult,
+         lower))
 
 
 def _view_arrays(view):
@@ -157,7 +184,7 @@ def test_splice_matches_sort_merge_and_fresh_shadow(base, batches):
     """On every loadable backend, over a base that answers
     ``lookup_batch``: the merged buffer equals the sort-based merge,
     its multiplicities and correction equal a fresh view's, and every
-    backend's arrays are bit-identical."""
+    backend's arrays are bit-identical, and equal the staged path's."""
     owner = INDEX_TYPES["binary-search"](base)
     views = {name: _View(owner, empty_delta()) for name in LOADABLE}
     state, seq = empty_delta(), 0
@@ -167,10 +194,12 @@ def test_splice_matches_sort_merge_and_fresh_shadow(base, batches):
                         for _, ins in batch], dtype=np.int8)
         now = float(step * 7 % 5)  # a clock that also steps back
         want = _sort_merge(state, keys, ops, seq, now)
+        staged = _staged_merge(views[LOADABLE[0]], keys, ops, seq, now)
         for name in LOADABLE:
             with kernels.use_backend(name):
                 views[name] = views[name].merged_with(keys, ops, seq, now)
         reference = _view_arrays(views[LOADABLE[0]])
+        _assert_same_arrays(reference, staged)
         _assert_same_arrays(reference[:4], want)
         fresh = _View(owner, views[LOADABLE[0]].delta)
         _assert_same_arrays(reference[4:], (fresh.correction(),
@@ -270,6 +299,35 @@ MERGE_FAMILIES = {
         [10, 20, 30],
         [],
         [(20, False), (21, True), (0, True)]),
+    # One-pass writes: a batch that repeats keys (the last op wins and
+    # carries its own seq), a one-write batch, one key written many
+    # times, keys already in the delta (their older born stays), a long
+    # run of base copies, and deletes of absent keys.
+    "repeated-keys-in-a-batch": (
+        [2, 4, 4, 8],
+        [(6, True), (4, False), (6, False), (1, True), (4, True),
+         (6, True), (1, False)],
+        [(4, False), (9, True), (4, True), (9, False), (2, False)]),
+    "one-write-batch": (
+        [2, 4, 4, 8],
+        [(4, False)],
+        [(3, True)]),
+    "one-key-many-times": (
+        [7, 7, 7],
+        [(7, i % 3 == 0) for i in range(40)],
+        [(7, i % 2 == 0) for i in range(41)]),
+    "keys-already-in-the-delta": (
+        [10, 20, 30, 40],
+        [(10, False), (25, True), (40, True), (45, False)],
+        [(25, False), (45, True), (10, True), (40, False), (26, True)]),
+    "long-multiplicity-run": (
+        [1] + [5] * 700 + [6] * 3 + [9],
+        [(5, True), (6, False), (4, True)],
+        [(5, False), (5, True), (6, True), (1, False), (9, False)]),
+    "deletes-of-absent-keys": (
+        [0, 100, MAX],
+        [(50, False), (MAX - 1, False), (1, False)],
+        [(50, False), (99, False), (101, False), (2, False)]),
 }
 
 
@@ -282,31 +340,42 @@ def _batch(writes):
 @pytest.mark.parametrize("backend", kernel_backend_params())
 @pytest.mark.parametrize("family", sorted(MERGE_FAMILIES))
 def test_merge_delta_matches_the_reference(backend, family):
+    """Each batch, merged into the same view on ``backend`` and on
+    NumPy, gives arrays bit-identical to each other, to the staged path
+    and, for the buffer, to the sort-based merge; reads through the
+    result answer the live-multiset oracle."""
     base_keys, first, second = MERGE_FAMILIES[family]
     base = np.array(base_keys, dtype=np.uint64)
     owner = INDEX_TYPES["binary-search"](base)
     oracle = _LiveOracle(base)
-    got = {}
-    for name in ("numpy", backend):
-        view, seq = _View(owner, empty_delta()), 0
-        with kernels.use_backend(name):
-            for writes in (first, second):
-                if writes:
-                    view = view.merged_with(*_batch(writes), seq, 1.0 + seq)
-                    seq += len(writes)
-        got[name] = view
+    view, seq = _View(owner, empty_delta()), 0
     for writes in (first, second):
-        if writes:
-            oracle.apply(*_batch(writes))
-    _assert_same_arrays(_view_arrays(got[backend]), _view_arrays(got["numpy"]))
+        if not writes:
+            continue
+        keys, ops = _batch(writes)
+        now = 5.0 - seq  # a clock that steps back: older born stays
+        got = {}
+        for name in ("numpy", backend):
+            with kernels.use_backend(name):
+                got[name] = _view_arrays(view.merged_with(keys, ops, seq,
+                                                          now))
+        _assert_same_arrays(got[backend], got["numpy"])
+        _assert_same_arrays(got[backend],
+                            _staged_merge(view, keys, ops, seq, now))
+        _assert_same_arrays(got[backend][:4],
+                            _sort_merge(view.delta, keys, ops, seq, now))
+        with kernels.use_backend(backend):
+            view = view.merged_with(keys, ops, seq, now)
+        oracle.apply(keys, ops)
+        seq += len(writes)
     queries = np.unique(np.concatenate([
         base, np.array([0, 1, 2, MAX - 1, MAX], dtype=np.uint64),
-        got[backend].delta.keys]))
+        view.delta.keys]))
     with kernels.use_backend(backend):
         np.testing.assert_array_equal(
-            got[backend].lookup(queries),
+            view.lookup(queries),
             np.searchsorted(oracle.live, queries, side="left"))
-        assert got[backend].live_count() == len(oracle.live)
+        assert view.live_count() == len(oracle.live)
 
 
 @pytest.mark.parametrize("backend", kernel_backend_params())
@@ -333,19 +402,59 @@ def test_merge_delta_refuses_mismatched_lengths(backend):
     merge = kernels.get_backend(backend).merge_delta
     keys, ops = np.array([1, 2], dtype=np.uint64), np.array([1, 0], np.int8)
     seqs, born = np.array([0, 1], dtype=np.int64), np.zeros(2)
+    base = np.arange(100, dtype=np.uint64)
     delta = (keys, ops, seqs, born, np.zeros(3, dtype=np.int64),
              np.array([0, 2], dtype=np.int64))
-    batch = (keys + np.uint64(1), ops, seqs, born,
-             np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64))
+    batch = (keys + np.uint64(1), ops, np.array([2, 3], dtype=np.int64))
     for slot in range(1, 6):
-        for side in (delta, batch):
-            short = tuple(a[:-1] if i == slot else a
-                          for i, a in enumerate(side))
-            with pytest.raises(ValueError):
-                merge(short, batch) if side is delta else merge(delta, short)
-    merged = merge(delta, batch)
+        short = tuple(a[:-1] if i == slot else a
+                      for i, a in enumerate(delta))
+        with pytest.raises(ValueError):
+            merge(short, batch, 2, 0.0, base)
+    for slot in range(1, 3):
+        short = tuple(a[:-1] if i == slot else a
+                      for i, a in enumerate(batch))
+        with pytest.raises(ValueError):
+            merge(delta, short, 2, 0.0, base)
+    merged = merge(delta, batch, 2, 0.0, base)
     assert len(merged[0]) == 3
     assert merged[5].tolist() == [0, 3]  # one new key, 3, below bucket 1
+    assert merged[4].tolist() == [0, 0, 0, -1]  # 3: one base copy deleted
+
+
+@pytest.mark.parametrize("backend", kernel_backend_params())
+def test_merge_delta_refusal_publishes_nothing(backend):
+    """An op other than 0 or 1 -- also one that a cast to ``int8``
+    would turn into 0 or 1 -- or unequal key and op lengths raise
+    ``ValueError`` from ``merge_delta`` and from
+    ``WritableIndex.apply``, which then publishes nothing and uses no
+    sequence numbers."""
+    merge = kernels.get_backend(backend).merge_delta
+    base = np.arange(0, 1000, 10, dtype=np.uint64)
+    windex = WritableIndex(INDEX_TYPES["binary-search"](base))
+    keys = np.array([5, 10, 15], dtype=np.uint64)
+    with kernels.use_backend(backend):
+        windex.apply(keys, np.array([1, 0, 1], dtype=np.int8))
+        view, seq = windex._view, windex._next_seq
+        d = view.delta
+        delta = (d.keys, d.ops, d.seqs, d.born, view.correction(),
+                 view.table())
+        lower = np.searchsorted(base, keys)
+        for ops in (np.array([1, 2, 0], dtype=np.int8),
+                    np.array([-1, 0, 1], dtype=np.int8),
+                    np.array([1, 256, 0], dtype=np.int64),
+                    np.array([1, 0], dtype=np.int8)):
+            with pytest.raises(ValueError):
+                merge(delta, (keys, ops, lower), seq, 2.0, base)
+            with pytest.raises(ValueError):
+                windex.apply(keys, ops)
+            assert windex._view is view and windex._next_seq == seq
+        with pytest.raises(ValueError):
+            merge(delta, (keys, np.ones(3, np.int8), lower[:2]), seq, 2.0,
+                  base)
+        live = np.sort(np.concatenate([base[base != 10], keys[[0, 2]]]))
+        np.testing.assert_array_equal(windex.lookup_batch(base),
+                                      np.searchsorted(live, base))
 
 
 # ---------------------------------------------------------------------------
