@@ -51,7 +51,8 @@ instance ``__dict__`` into a single byte array, which every in-repo
 baseline supports; subclasses with derived, non-serializable state
 override :meth:`_after_restore` (e.g. ALEX's identity-keyed leaf
 ranks), and :class:`~repro.baselines.rmi_adapter.RMIAsIndex` overrides
-the pair entirely to reuse :mod:`repro.core.serialize`'s array layout.
+the pair entirely to reuse the RMI's own hooks
+(:meth:`repro.core.rmi.RMI.snapshot_state`).
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ class OrderedIndex:
         packed = self._packed()
         if packed is None:
             return None
-        return kernels.get_backend(getattr(self, "kernels", None)), packed
+        return kernels.get_backend(), packed
 
     def serve_batch(
         self,

@@ -97,12 +97,9 @@ class RMIAsIndex(OrderedIndex):
         return self.rmi.size_in_bytes()
 
     def snapshot_state(self) -> "dict[str, np.ndarray]":
-        # Reuse core/serialize.py's array layout for the trained RMI
-        # (keys excluded -- restore reattaches them); only the small
-        # frozen config rides along as a byte blob.
-        from ..core.serialize import rmi_payload
-
-        state = rmi_payload(self.rmi, include_keys=False)
+        # The RMI's own snapshot (keys excluded -- restore reattaches
+        # them); only the small frozen config rides along as a byte blob.
+        state = self.rmi.snapshot_state()
         state["config_pickle"] = np.frombuffer(
             pickle.dumps(self.config, protocol=pickle.HIGHEST_PROTOCOL),
             dtype=np.uint8,
@@ -113,16 +110,11 @@ class RMIAsIndex(OrderedIndex):
     def restore_state(
         cls, keys: np.ndarray, state: "dict[str, np.ndarray]"
     ) -> "RMIAsIndex":
-        from ..core.serialize import rmi_from_payload
-
         obj = cls.__new__(cls)
         OrderedIndex.__init__(obj, keys)
         blob = np.asarray(state["config_pickle"], dtype=np.uint8)
         obj.config = pickle.loads(blob.tobytes())
-        obj.rmi = rmi_from_payload(state, keys=obj.keys)
-        # getattr: snapshots written before the kernels field existed
-        # unpickle to configs without it.
-        obj.rmi.kernels = getattr(obj.config, "kernels", None)
+        obj.rmi = RMI.restore_state(obj.keys, state)
         return obj
 
     def stats(self) -> dict[str, Any]:

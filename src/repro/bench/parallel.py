@@ -16,7 +16,9 @@ it times every configuration once with the grouped closed-form fit and
 once with the per-segment reference path (``grouped_fit=False``), both
 under the NumPy kernel backend, and reports the speedups.  A third
 build per configuration runs under the ``cext`` backend, whose build
-kernels cover the two-layer grouped LR build.
+kernels cover the two-layer grouped LR build.  Each build pins its
+backend with :func:`~repro.kernels.use_backend` inside the task, so a
+pool worker builds on the backend its sweep names.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from ..core.builder import RMIConfig
 from ..cost.counters import BuildCounters
 from ..data import sosd
-from ..kernels import backend_available, get_backend
+from ..kernels import backend_available, get_backend, use_backend
 
 __all__ = [
     "default_jobs",
@@ -120,13 +122,16 @@ def pool_map_keys(
         return list(pool.map(_call_with_keys, [(fn, item) for item in items]))
 
 
-def _timed_build(keys: np.ndarray, config: RMIConfig) -> dict:
-    """Build one configuration and report timings + work counters."""
-    # Resolve (load) the kernel backend outside the timed build.
-    backend = get_backend(config.kernels)
-    t0 = time.perf_counter()
-    rmi = config.build(keys)
-    wall = time.perf_counter() - t0
+def _timed_build(keys: np.ndarray,
+                 task: "tuple[str | None, RMIConfig]") -> dict:
+    """Build one configuration on one backend (``None``: the process
+    default) and report timings + work counters."""
+    kernels, config = task
+    # Resolve (load) the backend outside the timed build.
+    with use_backend(get_backend(kernels)) as backend:
+        t0 = time.perf_counter()
+        rmi = config.build(keys)
+        wall = time.perf_counter() - t0
     st = rmi.build_stats
     counters = BuildCounters.from_rmi(rmi)
     return {
@@ -153,17 +158,19 @@ def run_build_sweep(
     configs: Sequence[RMIConfig],
     jobs: int = 1,
     runs: int = 1,
+    kernels: "str | None" = None,
 ) -> "list[dict]":
     """Time a build per configuration; best-of-``runs`` wall clock.
 
     Returns one dict per config, in config order.  With ``runs > 1``
     each configuration is rebuilt that many times and the fastest run's
-    record is kept (standard best-of-N timing hygiene).
+    record is kept (standard best-of-N timing hygiene).  Every build
+    runs on the ``kernels`` backend (``None``: the process default).
     """
-    configs = list(configs)
-    best: "list[dict | None]" = [None] * len(configs)
+    tasks = [(kernels, config) for config in configs]
+    best: "list[dict | None]" = [None] * len(tasks)
     for _ in range(max(runs, 1)):
-        rows = pool_map_keys(_timed_build, keys, configs, jobs=jobs)
+        rows = pool_map_keys(_timed_build, keys, tasks, jobs=jobs)
         for i, row in enumerate(rows):
             if best[i] is None or row["build_s"] < best[i]["build_s"]:
                 best[i] = row
@@ -204,11 +211,11 @@ def build_report(
     def sweep(kernels: str, grouped: bool) -> "list[dict]":
         configs = [
             RMIConfig(model_types=mt, layer_sizes=(int(layer2_size),),
-                      bound_type=bound_type, grouped_fit=grouped,
-                      kernels=kernels)
+                      bound_type=bound_type, grouped_fit=grouped)
             for mt in pairs
         ]
-        return run_build_sweep(keys, configs, jobs=jobs, runs=runs)
+        return run_build_sweep(keys, configs, jobs=jobs, runs=runs,
+                               kernels=kernels)
 
     grouped_rows = sweep("numpy", True)
     reference_rows = sweep("numpy", False)

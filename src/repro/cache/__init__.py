@@ -11,9 +11,10 @@ content fingerprint (:mod:`repro.cache.fingerprint`):
 * **datasets** -- fingerprinted by ``(name, n, seed,
   generator-version)``, persisted once as ``.npy`` and loaded back with
   ``mmap_mode="r"`` so suite workers share pages instead of copies;
-* **indexes** -- trained RMIs (via :mod:`repro.core.serialize`) and
-  baseline snapshots (via the :class:`~repro.baselines.interfaces.
-  OrderedIndex` snapshot hooks), fingerprinted by
+* **indexes** -- trained RMIs and baseline indexes, stored through
+  their ``snapshot_state``/``restore_state`` hooks (the
+  :class:`~repro.baselines.interfaces.OrderedIndex` pair, which
+  :class:`~repro.core.rmi.RMI` has too), fingerprinted by
   ``(dataset-hash, config)`` and restored instead of rebuilt;
 * **results** -- whole figure results, fingerprinted by the driver id
   and its bound arguments, so a warm suite run serves bit-identical
@@ -54,7 +55,6 @@ from .fingerprint import (
     figure_fingerprint,
     fingerprint_digest,
     index_fingerprint,
-    rmi_fingerprint,
 )
 from .store import ARTIFACT_KINDS, ArtifactCache
 
@@ -196,42 +196,31 @@ def _dataset_digest(name: str, n: int, seed: int) -> str:
 
 
 def rmi_for(name: str, n: int, seed: int, config: Any) -> Any:
-    """A trained RMI for ``config`` over dataset ``(name, n, seed)``.
+    """A trained RMI for ``config`` (an
+    :class:`~repro.core.builder.RMIConfig`) over dataset
+    ``(name, n, seed)``.
 
     Cached in-process by ``(dataset, config)`` and, when a disk cache
-    is active, persisted through :mod:`repro.core.serialize`'s payload
-    format (keys excluded -- the dataset artifact already holds them)
-    and restored without retraining.
+    is active, stored and restored through :func:`restore_or_build` and
+    the RMI's snapshot hooks (keys excluded -- the dataset artifact
+    already holds them).  An RMI that cannot be snapshotted (the neural
+    extension) is built and not stored.
     """
+    from ..core.rmi import RMI
+
     key = (str(name), int(n), int(seed), config)
     hit = _memo_get(_rmi_memo, key)
     if hit is not None:
         return hit
     keys = dataset(name, n, seed)
-    rmi = _load_or_build_rmi(name, n, seed, keys, config)
+    try:
+        fp = index_fingerprint(_dataset_digest(name, n, seed), RMI.__name__,
+                               {"config": config})
+    except TypeError:
+        rmi = config.build(keys)  # no canonical name: not cacheable
+    else:
+        rmi = restore_or_build(fp, RMI, keys, config.build)
     _memo_put(_rmi_memo, key, rmi, _RMI_MEMO_MAX)
-    return rmi
-
-
-def _load_or_build_rmi(name: str, n: int, seed: int,
-                       keys: np.ndarray, config: Any) -> Any:
-    cache = active_cache()
-    if cache is None:
-        return config.build(keys)
-    from ..core.serialize import rmi_from_payload, rmi_payload
-
-    fp = rmi_fingerprint(_dataset_digest(name, n, seed), config)
-    path = cache.get("indexes", fp)
-    if path is not None:
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                return rmi_from_payload(data, keys=keys)
-        except Exception:
-            cache.discard("indexes", fp)
-    rmi = config.build(keys)
-    payload = rmi_payload(rmi, include_keys=False)
-    cache.put("indexes", fp,
-              lambda tmp: _savez(tmp, payload))
     return rmi
 
 

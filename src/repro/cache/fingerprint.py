@@ -30,7 +30,6 @@ __all__ = [
     "canonicalize",
     "fingerprint_digest",
     "dataset_fingerprint",
-    "rmi_fingerprint",
     "index_fingerprint",
     "figure_fingerprint",
     "calibration_fingerprint",
@@ -44,8 +43,9 @@ CACHE_FORMAT_VERSION = 1
 #: Bump when any generator in :mod:`repro.data.sosd` changes output.
 DATASET_GENERATOR_VERSION = 1
 
-#: Bump when an index's snapshot representation changes shape.
-SNAPSHOT_VERSION = 1
+#: Bump when an index's snapshot representation changes shape.  2: an
+#: RMI's snapshot records the configuration it was built with.
+SNAPSHOT_VERSION = 2
 
 #: Bump when the cost-model calibration procedure changes output.  2:
 #: the ``cext`` kernels take addresses, so a call's fixed cost fell.
@@ -101,30 +101,9 @@ def dataset_fingerprint(name: str, n: int, seed: int) -> dict:
     }
 
 
-def rmi_fingerprint(dataset_digest: str, config: Any) -> dict:
-    """Fingerprint of a trained RMI: ``(dataset-hash, config)``.
-
-    ``config`` is the full :class:`~repro.core.builder.RMIConfig`;
-    every *structure-affecting* field participates, so e.g. two configs
-    differing only in the search algorithm are distinct artifacts (the
-    search name is serialized).  The ``kernels`` backend selection is
-    excluded: all backends produce bit-identical positions, so a built
-    index is backend-agnostic and one artifact serves every backend.
-    """
-    canonical = canonicalize(config)
-    if isinstance(canonical, dict):
-        canonical.pop("kernels", None)
-    return {
-        "kind": "rmi",
-        "format": CACHE_FORMAT_VERSION,
-        "dataset": str(dataset_digest),
-        "config": canonical,
-    }
-
-
 def index_fingerprint(dataset_digest: str, cls_name: str,
                       spec: Mapping[str, Any]) -> dict:
-    """Fingerprint of a built baseline index: ``(dataset-hash, config)``.
+    """Fingerprint of a built index: ``(dataset-hash, config)``.
 
     ``spec`` carries the constructor hyperparameters; ``cls_name`` and
     the snapshot version guard against one name meaning two structures.

@@ -60,12 +60,6 @@ class RMIConfig:
     #: per-segment reference path (Listing 1 semantics): one ``fit``
     #: call per segment and object-mode layers.
     grouped_fit: bool = True
-    #: Kernel backend for the batch lookup hot path (``"numpy"``,
-    #: ``"cext"``, ``"auto"``); ``None`` follows the
-    #: process default / ``REPRO_KERNELS`` chain.  Backends are
-    #: bit-identical, so this never affects results -- built-index
-    #: artifacts deliberately exclude it from their fingerprints.
-    kernels: "str | None" = None
 
     def __post_init__(self) -> None:
         # Fail fast on invalid names/shapes; the resolvers raise
@@ -74,18 +68,6 @@ class RMIConfig:
             resolve_model_type(t)
         resolve_bound_type(self.bound_type)
         resolve_search_algorithm(self.search)
-        if self.kernels is not None:
-            # Name validation only -- availability is resolved at batch
-            # time so a config built where a C compiler exists still
-            # loads (and raises there) where it does not.
-            from ..kernels import KNOWN_BACKENDS
-
-            if self.kernels not in (*KNOWN_BACKENDS, "auto"):
-                known = ", ".join(sorted((*KNOWN_BACKENDS, "auto")))
-                raise ValueError(
-                    f"unknown kernel backend {self.kernels!r}; "
-                    f"known: {known}"
-                )
         if len(self.model_types) != len(self.layer_sizes) + 1:
             raise ValueError(
                 "model_types must have exactly one more entry than layer_sizes"
@@ -129,7 +111,6 @@ class RMIConfig:
             train_on_model_index=self.train_on_model_index,
             cs_fallback=self.cs_fallback,
             grouped_fit=self.grouped_fit,
-            kernels=self.kernels,
         )
 
 

@@ -76,12 +76,11 @@ def _as_float(keys: np.ndarray) -> np.ndarray:
 
 
 #: Width of a struct-of-arrays parameter row, in float64 columns.  Wide
-#: enough for the largest registered model (CubicSpline: 6 fields) and
-#: identical to ``_PARAM_COLUMNS`` in ``core/serialize.py``.
+#: enough for the largest registered model (CubicSpline: 6 fields).
 SOA_PARAM_COLUMNS = 6
 
-#: Model class -> small integer code used in SoA layer tables.  The
-#: first five codes mirror ``core/serialize.py``'s on-disk codes.
+#: Model class -> small integer code used in SoA layer tables (and in
+#: the files of ``core/serialize.py``, which stores those tables).
 SOA_MODEL_CODES: dict[Type["Model"], int] = {}
 
 #: Inverse of :data:`SOA_MODEL_CODES`.
@@ -202,8 +201,7 @@ class Model:
     # round-trip through a fixed-width float64 parameter row and be
     # evaluated straight from a parameter matrix without materializing
     # per-segment objects.  The row layout is the dataclass field order,
-    # zero-padded to ``SOA_PARAM_COLUMNS`` — identical to the on-disk
-    # layout of ``core/serialize.py``.
+    # zero-padded to ``SOA_PARAM_COLUMNS``.
 
     def soa_row(self) -> np.ndarray:
         """This model's parameters as a zero-padded float64 row."""
@@ -827,8 +825,7 @@ MODEL_TYPES: dict[str, Type[Model]] = {
 }
 
 
-# SoA codes 0..4 mirror the serialization codes of ``core/serialize.py``;
-# extension modules (models_more) register codes from 5 upward.
+# Extension modules (models_more) register codes from 5 upward.
 register_soa_model(ConstantModel, 0)
 register_soa_model(LinearRegression, 1)
 register_soa_model(LinearSpline, 2)

@@ -29,6 +29,7 @@ work).
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -46,6 +47,8 @@ from .bounds import (
 )
 from .layers import LayerTable
 from .models import (
+    MODEL_TYPES,
+    SOA_MODEL_CODES,
     ConstantModel,
     CubicSpline,
     LinearRegression,
@@ -57,6 +60,15 @@ from .models import (
 from .search import resolve_search_algorithm
 
 __all__ = ["RMI", "BuildStats", "LookupTrace", "build_rmi_layers"]
+
+#: Version of the :meth:`RMI.snapshot_state` layout.  2: the snapshot
+#: records the configuration the RMI was built with.
+SNAPSHOT_FORMAT = 2
+
+#: The boolean build parameters, as :meth:`RMI.snapshot_state` records
+#: them.
+_BUILD_FLAGS = ("copy_keys", "train_on_model_index", "cs_fallback",
+                "grouped_fit")
 
 
 @dataclass
@@ -172,17 +184,14 @@ class RMI:
         ``np.add.reduceat``'s (first element plus the pairwise sum of
         the rest) rather than ``np.mean``'s; disable for the
         per-segment Listing-1 reference semantics.
-    ``kernels``
-        Kernel backend for the batch lookup hot path: a registry name
-        (``"numpy"``/``"cext"``), ``"auto"``, or ``None`` to follow the
-        process default / ``REPRO_KERNELS`` environment chain (see
-        :mod:`repro.kernels`).  Compiled backends serve
-        ``lookup_batch``/``predict_batch``/``serve_batch`` through the
-        fused packed-array kernels; the staged NumPy path finishes its
-        bounded search on this backend too.  The ``cext`` backend also
-        builds the default two-layer grouped LR configuration with its
-        build kernels (see :meth:`_build_kernels`).  All backends are
-        bit-identical, so this only affects speed.
+
+    Builds and batch calls run on the process's kernel backend
+    (:func:`repro.kernels.get_backend`), as every index's do: a
+    compiled backend serves ``lookup_batch``/``predict_batch``/
+    ``serve_batch`` through the fused packed-array kernels, and the
+    ``cext`` backend builds the default two-layer grouped LR
+    configuration with its build kernels (see :meth:`_build_kernels`).
+    All backends are bit-identical, so the backend only affects speed.
     """
 
     def __init__(
@@ -196,11 +205,10 @@ class RMI:
         train_on_model_index: bool = True,
         cs_fallback: bool = True,
         grouped_fit: bool = True,
-        kernels: "str | None" = None,
     ) -> None:
         self._configure(keys, layer_sizes, model_types, bound_type, search,
                         copy_keys, train_on_model_index, cs_fallback,
-                        grouped_fit, kernels)
+                        grouped_fit)
         run_steps(self._build_steps())
 
     @classmethod
@@ -238,7 +246,6 @@ class RMI:
         train_on_model_index: bool = True,
         cs_fallback: bool = True,
         grouped_fit: bool = True,
-        kernels: "str | None" = None,
     ) -> None:
         """Check and store the parameters (O(1); the key order is
         checked by the build's first steps)."""
@@ -264,7 +271,6 @@ class RMI:
         self.train_on_model_index = train_on_model_index
         self.cs_fallback = cs_fallback
         self.grouped_fit = grouped_fit
-        self.kernels = kernels
         self._packed_cache: "tuple | None" = None
 
         self.layers: list[LayerTable] = []
@@ -530,10 +536,10 @@ class RMI:
         ):
             return None
         try:
-            backend = _kernels.get_backend(self.kernels)
+            backend = _kernels.get_backend()
         except (RuntimeError, ValueError):
-            # An unloadable explicit backend is reported by the first
-            # lookup, as it always was; the build does not need it.
+            # An unloadable ``REPRO_KERNELS`` backend is reported by the
+            # first lookup; the build does not need it.
             return None
         return backend if backend.build_kernels else None
 
@@ -592,7 +598,7 @@ class RMI:
         it is faster than the ``rmi_*`` replay, which stays the
         reference the compiled kernels are tested against.
         """
-        backend = _kernels.get_backend(self.kernels)
+        backend = _kernels.get_backend()
         if not backend.compiled:
             return None
         packed = self._packed_rmi()
@@ -607,9 +613,105 @@ class RMI:
         kernel entry point (routing, prediction, bounded search, fused
         serve) is loaded before live traffic arrives.
         """
-        _kernels.get_backend(self.kernels).warmup()
+        _kernels.get_backend().warmup()
         probe = self.keys[:1]
         self.serve_batch(probe, probe, probe)
+
+    # ------------------------------------------------------------------
+    # Snapshots
+    # ------------------------------------------------------------------
+
+    def snapshot_state(self) -> "dict[str, np.ndarray]":
+        """The built RMI as a dict of arrays (keys excluded).
+
+        The hook every :class:`~repro.baselines.interfaces.OrderedIndex`
+        has, and the member layout of :mod:`repro.core.serialize`'s
+        files: the configuration (model-type abbreviations, inner layer
+        sizes, bound type, search algorithm, build flags), each layer's
+        SoA ``codes``/``params`` rows, the bounds' fields and the
+        training routing (a kernel build's per-leaf counts, else the
+        per-key leaf ids).  An object-mode layer is written through
+        :meth:`LayerTable.from_models`.  Raises ``TypeError`` for a
+        layer with no SoA form (the neural extension) and for a model
+        or bounds type its abbreviation does not name.
+        """
+        bound = type(self.bounds)
+        for registry, cls in [*((MODEL_TYPES, t) for t in self.model_types),
+                              (BOUND_TYPES, bound)]:
+            if registry.get(cls.abbreviation) is not cls:
+                raise TypeError(f"{cls.__name__} is not serializable: "
+                                f"{cls.abbreviation!r} does not name it")
+        state = {
+            "format_version": np.array([SNAPSHOT_FORMAT]),
+            "n": np.array([self.n], dtype=np.int64),
+            "model_types": np.array([t.abbreviation
+                                     for t in self.model_types]),
+            "layer_sizes": np.asarray(self.layer_sizes[1:], dtype=np.int64),
+            "bound_type": np.array([bound.abbreviation]),
+            "search": np.array([self.search_name]),
+        }
+        for flag in _BUILD_FLAGS:
+            state[flag] = np.array([bool(getattr(self, flag))])
+        for i, layer in enumerate(self.layers):
+            if layer.codes is None:
+                layer = LayerTable.from_models(layer)
+            if layer.codes is None:
+                bad = next(type(m) for m in layer
+                           if type(m) not in SOA_MODEL_CODES)
+                raise TypeError(f"{bad.__name__} is not serializable: it "
+                                "has no struct-of-arrays form")
+            state[f"layer{i}_codes"] = layer.codes
+            state[f"layer{i}_params"] = layer.params
+        for field in dataclasses.fields(self.bounds):
+            state[f"bounds_{field.name}"] = np.asarray(
+                getattr(self.bounds, field.name), dtype=np.int64)
+        if self._leaf_model_ids is None:
+            state["leaf_counts"] = self._leaf_counts
+        else:
+            state["leaf_model_ids"] = self._leaf_model_ids
+        return state
+
+    @classmethod
+    def restore_state(cls, keys: np.ndarray,
+                      state: "dict[str, np.ndarray]") -> "RMI":
+        """Reattach a :meth:`snapshot_state` payload to ``keys`` without
+        retraining.  ``keys`` must be the training keys: their number is
+        checked, their order is not."""
+        version = int(state["format_version"][0])
+        if version != SNAPSHOT_FORMAT:
+            raise ValueError(f"RMI snapshot format {version} is not "
+                             f"{SNAPSHOT_FORMAT}")
+        rmi = cls.__new__(cls)
+        rmi._configure(
+            keys,
+            layer_sizes=state["layer_sizes"].tolist(),
+            model_types=state["model_types"].tolist(),
+            bound_type=str(state["bound_type"][0]),
+            search=str(state["search"][0]),
+            **{flag: bool(state[flag][0]) for flag in _BUILD_FLAGS},
+        )
+        n = int(state["n"][0])
+        if rmi.n != n:
+            raise ValueError(f"key array has {rmi.n} keys but the RMI was "
+                             f"trained on {n}")
+        for i in range(len(rmi.layer_sizes)):
+            layer = LayerTable(state[f"layer{i}_codes"],
+                               state[f"layer{i}_params"])
+            rmi.layers.append(layer if rmi.grouped_fit else
+                              LayerTable.from_models(layer, soa=False))
+        bounds = {}
+        for field in dataclasses.fields(rmi.bound_type):
+            value = np.asarray(state[f"bounds_{field.name}"], dtype=np.int64)
+            bounds[field.name] = int(value) if value.ndim == 0 else value
+        rmi.bounds = rmi.bound_type(**bounds)
+        if "leaf_counts" in state:
+            rmi._leaf_counts = np.asarray(state["leaf_counts"],
+                                          dtype=np.int64)
+        else:
+            rmi._leaf_model_ids = np.asarray(state["leaf_model_ids"],
+                                             dtype=np.int64)
+        rmi._cache_linear_leaves()
+        return rmi
 
     # ------------------------------------------------------------------
     # Prediction
@@ -729,9 +831,8 @@ class RMI:
         hi = np.clip(hi, 0, self.n - 1)
         # The shared completion repairs misses that escaped their
         # interval (absent keys or duplicate runs crossing the edge),
-        # the batch counterpart of _escape_interval.  It runs on this
-        # RMI's backend, not the process default.
-        return _kernels.get_backend(self.kernels).lower_bound_window(
+        # the batch counterpart of _escape_interval.
+        return _kernels.get_backend().lower_bound_window(
             self.keys, queries, lo, hi
         )
 

@@ -15,10 +15,12 @@ interface over the flat packed arrays
     A small C library compiled on demand with the system C compiler
     and called through ctypes; absent when no compiler is available.
 
-Selection precedence, resolved by :func:`get_backend`:
+Every index, the RMI included, builds and answers batches on the
+backend :func:`get_backend` resolves with no argument; pin one with
+``REPRO_KERNELS`` or :func:`use_backend`.  Selection precedence:
 
-1. an explicit ``spec`` argument (``RMIConfig.kernels``,
-   ``RMI(kernels=...)``);
+1. an explicit ``spec`` argument (a caller naming the backend it
+   measures, e.g. ``get_backend("cext")``);
 2. a process-wide default installed by :func:`set_default_backend` or
    the :func:`use_backend` context manager;
 3. the ``REPRO_KERNELS`` environment variable;

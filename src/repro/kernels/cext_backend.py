@@ -229,9 +229,9 @@ static void lb_block(const uint64_t *keys, int64_t n, const uint64_t *q,
     }
 }
 
-/* One model evaluation; codes and row layout match core/models.py's SoA
- * registry (serialize.py's on-disk codes).  Formulas are copied from
- * each family's eval_soa, same operation order for bit-identity. */
+/* One model evaluation; codes and row layout are core/models.py's SoA
+ * registry (PACKABLE_MODEL_CODES).  Formulas are copied from each
+ * family's eval_soa, same operation order for bit-identity. */
 static double eval_model(int8_t code, const double *p, uint64_t q) {
     switch (code) {
     case 0:  /* ConstantModel */

@@ -13,7 +13,7 @@ produces bit-identical predictions.
 Packing fails soft (:func:`pack_rmi` returns ``None``) whenever the RMI
 uses a representation the kernels do not understand: object-mode layers
 (``grouped_fit=False`` reference builds, unregistered model types),
-model codes outside the core five families, or a custom
+model families outside :data:`PACKABLE_MODEL_CODES`, or a custom
 :class:`~repro.core.bounds.ErrorBounds` subclass.  Callers fall back to
 the staged NumPy path in that case, so correctness never depends on
 packability.
@@ -26,14 +26,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.models import (
+    SOA_MODEL_CODES,
+    ConstantModel,
+    CubicSpline,
+    LinearRegression,
+    LinearSpline,
+    Radix,
+)
 from .binding import Bindable
 
 __all__ = ["PackedRMI", "pack_rmi", "PACKABLE_MODEL_CODES"]
 
-#: Model-family codes the compiled kernels can evaluate: const, LR, LS,
-#: CS, RX -- the five SoA codes shared with ``core/serialize.py``.
-#: Extension families (LogLinear etc.) fall back to the NumPy path.
-PACKABLE_MODEL_CODES = frozenset(range(5))
+#: SoA codes (:data:`~repro.core.models.SOA_MODEL_CODES`) of the model
+#: families the compiled kernels can evaluate: Table 2's and the
+#: constant.  Extension families (LogLinear etc.) fall back to the
+#: NumPy path.
+PACKABLE_MODEL_CODES = frozenset(
+    SOA_MODEL_CODES[cls] for cls in (ConstantModel, LinearRegression,
+                                     LinearSpline, CubicSpline, Radix)
+)
 
 #: Bounds shapes understood by the kernels.
 BOUNDS_NONE = 0       # no stored bounds: search the whole array

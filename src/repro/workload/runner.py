@@ -215,12 +215,8 @@ def run_workload(
     )
     from ..kernels import get_backend
 
-    # Resolve the backend the index's batch path actually dispatched
-    # to: an explicit per-RMI spec if set (adapters hold it on .rmi),
-    # otherwise the process default.
-    spec_holder = getattr(index, "rmi", index)
-    backend_name = get_backend(getattr(spec_holder, "kernels", None)).name
-    state_fn = getattr(spec_holder, "_kernel_state", None)
+    # The RMI adapter's batch path is its RMI's (held on .rmi).
+    state_fn = getattr(getattr(index, "rmi", index), "_kernel_state", None)
     kernel_packed = bool(state_fn is not None and state_fn() is not None)
     return WorkloadResult(
         index_name=name,
@@ -235,7 +231,7 @@ def run_workload(
         estimated_eval_ns=eval_ns,
         estimated_search_ns=search_ns,
         scalar_agreement_ok=scalar_ok,
-        kernel_backend=backend_name,
+        kernel_backend=get_backend().name,
         kernel_packed=kernel_packed,
     )
 

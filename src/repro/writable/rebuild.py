@@ -74,8 +74,6 @@ class IndexFactory:
             config = canonicalize(self.config)
         except TypeError:
             return self._build(keys)  # no canonical name: not cacheable
-        if isinstance(config, dict):
-            config.pop("kernels", None)  # backends answer bit-identically
         fp = index_fingerprint(hashlib.sha256(keys.tobytes()).hexdigest(),
                                self.cls.__name__,
                                {"rebuild": "writable", "config": config})

@@ -237,6 +237,38 @@ def test_rmi_restored_from_cache_equivalent(tmp_path):
     assert len(keys) == 2000
 
 
+def test_rmi_for_stores_every_soa_family_and_builds_the_rest(tmp_path):
+    """The extension families with SoA tables are stored and restored;
+    the neural extension has none, so it is built and not stored."""
+    store = cache.activate(tmp_path)
+    keys = cache.dataset("books", 2000, 42)
+    rng = np.random.default_rng(5)
+    queries = np.concatenate([
+        keys[rng.integers(0, len(keys), 256)],
+        rng.integers(0, 2**64, size=256, dtype=np.uint64),
+    ])
+    oracle = np.searchsorted(keys, queries, side="left")
+    built = {}
+    for root, stored in (("nn", False), ("logl", True), ("normal", True),
+                         ("lognorm", True)):
+        config = RMIConfig(model_types=(root, "lr"), layer_sizes=(8,))
+        entries = store.stats()["kinds"]["indexes"]["entries"]
+        built[root] = cache.rmi_for("books", 2000, 42, config)
+        assert store.stats()["kinds"]["indexes"]["entries"] \
+            == entries + stored, root
+        np.testing.assert_array_equal(built[root].lookup_batch(queries),
+                                      oracle)
+    cache.clear_memos()
+    hits = store.hits["indexes"]
+    restored = cache.rmi_for(
+        "books", 2000, 42,
+        RMIConfig(model_types=("normal", "lr"), layer_sizes=(8,)))
+    assert store.hits["indexes"] == hits + 1
+    assert restored is not built["normal"]
+    assert restored.describe() == built["normal"].describe()
+    np.testing.assert_array_equal(restored.lookup_batch(queries), oracle)
+
+
 def test_baseline_restored_from_cache_equivalent(tmp_path):
     from repro.baselines import INDEX_TYPES
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.__main__ import main as repro_cli
 from repro.bench.__main__ import main as bench_cli
+from repro.kernels import backend_available
 
 
 class TestReproCli:
@@ -73,7 +74,7 @@ class TestBenchCli:
     def test_build_benchmark_subcommand(self, tmp_path, capsys):
         out_file = tmp_path / "BENCH_build.json"
         assert bench_cli(["build", "--n", "5000", "--layer2-size", "256",
-                          "--out", str(out_file),
+                          "--jobs", "2", "--out", str(out_file),
                           "--min-speedup", "1.0"]) == 0
         text = capsys.readouterr().out
         assert "grouped vs per-segment" in text and "speedup" in text
@@ -86,6 +87,14 @@ class TestBenchCli:
         assert {e["reference"]["fit_path"] for e in report["configs"]} \
             == {"per_segment"}
         assert report["min_speedup"] > 0
+        # Each pool task pins the backend its sweep names.
+        for e in report["configs"]:
+            assert e["grouped"]["kernels"] == "numpy"
+            assert e["reference"]["kernels"] == "numpy"
+            if backend_available("cext"):
+                assert e["cext"]["kernels"] == "cext"
+            else:
+                assert e["cext"] is None
 
     def test_build_benchmark_min_speedup_gate(self, capsys):
         # An absurd floor must fail the gate with exit code 1.

@@ -39,7 +39,7 @@ from repro.core.models import (
     grouped_fitter,
 )
 from repro.core.rmi import RMI, _fit_model
-from repro.kernels import backend_available
+from repro.kernels import backend_available, use_backend
 from repro.kernels.base import run_steps
 
 DATASETS = ("books", "fb", "osmc", "wiki")
@@ -237,8 +237,10 @@ def _kernel_and_staged(keys, leaves, bound_type):
     """The same LS->LR build by the cext kernels and by staged NumPy."""
     cfg = dict(layer_sizes=(leaves,), model_types=("ls", "lr"),
                bound_type=bound_type)
-    return (RMI(keys, kernels="cext", **cfg),
-            RMI(keys, kernels="numpy", **cfg))
+    with use_backend("cext"):
+        kernel = RMI(keys, **cfg)
+    with use_backend("numpy"):
+        return kernel, RMI(keys, **cfg)
 
 
 def _assert_bit_identical(kernel, staged):
@@ -338,5 +340,6 @@ class TestKernelBuildParity:
                     dict(copy_keys=True), dict(model_types=("ls", "ls")),
                     dict(grouped_fit=False),
                     dict(train_on_model_index=False)):
-            rmi = RMI(books_keys, kernels="cext", **cfg)
+            with use_backend("cext"):
+                rmi = RMI(books_keys, **cfg)
             assert rmi._leaf_model_ids is not None, cfg

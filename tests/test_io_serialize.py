@@ -1,8 +1,12 @@
 """Tests for SOSD file I/O, the data CLI, and RMI serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+import repro.cache as cache
+from repro import kernels
 from repro.core.rmi import RMI
 from repro.core.serialize import load_rmi, save_rmi
 from repro.data.__main__ import main as data_cli
@@ -72,27 +76,77 @@ class TestDataCli:
             data_cli(["generate", "imdb", "--out", str(tmp_path / "x")])
 
 
+def _restored_from_cache(rmi, tmp_path):
+    """``rmi`` stored by the artifact cache, then restored from it."""
+    cache.activate(tmp_path / "cache")
+    try:
+        fp = {"test": "roundtrip"}
+        cache.restore_or_build(fp, RMI, rmi.keys, lambda keys: rmi)
+
+        def no_build(keys):
+            raise AssertionError("the cache did not restore the RMI")
+
+        return cache.restore_or_build(fp, RMI, rmi.keys, no_build)
+    finally:
+        cache.deactivate()
+
+
+def _assert_same_packed(got, want):
+    """``pack_rmi`` of both, field by field, bit for bit."""
+    a, b = kernels.pack_rmi(got), kernels.pack_rmi(want)
+    assert (a is None) == (b is None)
+    if b is None:
+        return
+    for field in dataclasses.fields(b):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(y, np.ndarray):
+            assert (x.dtype, x.shape) == (y.dtype, y.shape), field.name
+            np.testing.assert_array_equal(x.view(np.uint8), y.view(np.uint8))
+        else:
+            assert x == y, field.name
+
+
 class TestRmiSerialization:
+    # On osmc (the default dataset), RX->LS's first leaf is empty (a
+    # constant); on books the CS fallback fits an LS root and LR roots
+    # leave the first leaf empty, so a layer's first model does not name
+    # the configured type.
     @pytest.mark.parametrize("config", [
         dict(model_types=("ls", "lr"), bound_type="labs"),
         dict(model_types=("cs", "lr"), bound_type="lind"),
         dict(model_types=("rx", "ls"), bound_type="gind", search="mexp"),
         dict(model_types=("lr", "lr"), bound_type="gabs"),
         dict(model_types=("ls", "lr"), bound_type="nb", search="mlin"),
+        dict(model_types=("ls", "lr"), grouped_fit=False),
+        dict(model_types=("logl", "lr"), train_on_model_index=False),
+        dict(dataset="books", model_types=("cs", "lr")),
+        dict(dataset="books", model_types=("lr", "ls"), bound_type="lind"),
+        dict(dataset="books", model_types=("lr", "lr"), copy_keys=True),
     ])
-    def test_roundtrip_lookup_equivalence(self, osmc_keys, tmp_path, rng,
+    def test_roundtrip_lookup_equivalence(self, small_datasets, tmp_path, rng,
                                           config):
-        rmi = RMI(osmc_keys, layer_sizes=[64], **config)
+        config = dict(config)
+        keys = small_datasets[config.pop("dataset", "osmc")]
+        rmi = RMI(keys, layer_sizes=[64], **config)
         path = tmp_path / "index.npz"
         save_rmi(rmi, path)
-        loaded = load_rmi(path)
-        queries = osmc_keys[rng.integers(0, len(osmc_keys), 200)]
-        np.testing.assert_array_equal(
-            loaded.lookup_batch(queries), rmi.lookup_batch(queries)
-        )
-        for q in queries[:30]:
-            assert loaded.lookup(int(q)) == rmi.lookup(int(q))
-        assert loaded.size_in_bytes() == rmi.size_in_bytes()
+        queries = keys[rng.integers(0, len(keys), 200)]
+        for loaded in (load_rmi(path), _restored_from_cache(rmi, tmp_path)):
+            assert loaded.describe() == rmi.describe()
+            assert loaded.model_types == rmi.model_types
+            assert loaded.layer_sizes == rmi.layer_sizes
+            for flag in ("copy_keys", "train_on_model_index",
+                         "cs_fallback", "grouped_fit"):
+                assert getattr(loaded, flag) == getattr(rmi, flag), flag
+            _assert_same_packed(loaded, rmi)
+            np.testing.assert_array_equal(loaded.leaf_model_ids,
+                                          rmi.leaf_model_ids)
+            np.testing.assert_array_equal(
+                loaded.lookup_batch(queries), rmi.lookup_batch(queries)
+            )
+            for q in queries[:30]:
+                assert loaded.lookup(int(q)) == rmi.lookup(int(q))
+            assert loaded.size_in_bytes() == rmi.size_in_bytes()
 
     def test_roundtrip_without_keys(self, books_keys, tmp_path):
         rmi = RMI(books_keys, layer_sizes=[32])

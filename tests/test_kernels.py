@@ -29,9 +29,7 @@ from repro.baselines import INDEX_TYPES
 from repro.cache.fingerprint import (
     calibration_fingerprint,
     fingerprint_digest,
-    rmi_fingerprint,
 )
-from repro.core.builder import RMIConfig
 from repro.core.bounds import ErrorBounds, LocalAbsoluteBounds
 from repro.core.layers import LayerTable
 from repro.core.models import ConstantModel
@@ -303,47 +301,6 @@ class TestBackendParity:
 
 
 class TestIntegration:
-    def test_rmi_explicit_kernels_spec(self, books_keys):
-        rmi = RMI(books_keys, layer_sizes=[256], kernels="numpy")
-        # numpy is not compiled, so the staged path stays in charge.
-        assert rmi._kernel_state() is None
-        queries = books_keys[:32]
-        np.testing.assert_array_equal(
-            rmi.lookup_batch(queries), lower_bound_oracle(books_keys, queries)
-        )
-
-    def test_rmi_staged_search_runs_on_its_own_backend(
-        self, books_keys, monkeypatch
-    ):
-        """``RMI(kernels="numpy")`` finishes its staged bounded search on
-        NumPy even when the process default is another backend."""
-        from repro.kernels.numpy_backend import NumpyBackend
-
-        calls = {"numpy": 0, "default": 0}
-        numpy_backend = kernels.get_backend("numpy")
-        real = numpy_backend.lower_bound_window
-
-        def numpy_spy(*args):
-            calls["numpy"] += 1
-            return real(*args)
-
-        class DefaultSpy(NumpyBackend):
-            name = "default-spy"
-
-            def lower_bound_window(self, *args):
-                calls["default"] += 1
-                return NumpyBackend.lower_bound_window(self, *args)
-
-        monkeypatch.setattr(numpy_backend, "lower_bound_window", numpy_spy)
-        rmi = RMI(books_keys, layer_sizes=[256], kernels="numpy")
-        queries = books_keys[:64]
-        with kernels.use_backend(DefaultSpy()):
-            got = rmi.lookup_batch(queries)
-        assert calls == {"numpy": 1, "default": 0}
-        np.testing.assert_array_equal(
-            got, lower_bound_oracle(books_keys, queries)
-        )
-
     @pytest.mark.skipif(
         not kernels.backend_available("cext"),
         reason="no compiled backend in this environment",
@@ -354,12 +311,6 @@ class TestIntegration:
         backend, packed = rmi._kernel_state()
         assert backend.compiled
         assert packed is rmi._packed_rmi()
-
-    def test_rmi_config_accepts_and_validates_kernels(self, books_keys):
-        rmi = RMIConfig(layer_sizes=(64,), kernels="numpy").build(books_keys)
-        assert rmi.kernels == "numpy"
-        with pytest.raises(ValueError, match="kernel backend"):
-            RMIConfig(kernels="handwavium")
 
     def test_warm_kernels_is_idempotent(self, smoke_rmi, books_keys):
         smoke_rmi.warm_kernels()
@@ -384,13 +335,6 @@ class TestIntegration:
 
 
 class TestFingerprints:
-    def test_built_indexes_are_backend_agnostic(self):
-        base = RMIConfig(layer_sizes=(64,))
-        pinned = RMIConfig(layer_sizes=(64,), kernels="numpy")
-        assert fingerprint_digest(
-            rmi_fingerprint("d" * 64, base)
-        ) == fingerprint_digest(rmi_fingerprint("d" * 64, pinned))
-
     def test_calibrations_are_backend_specific(self):
         params = {"n": 1000, "batch": 64}
         a = calibration_fingerprint("host-a", "numpy", params)

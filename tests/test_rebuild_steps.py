@@ -121,14 +121,15 @@ def test_a_skewed_build_stays_bounded(monkeypatch, dataset, step):
     # LS root: a leaf many steps long, fitted over several.
     monkeypatch.setattr(kernels.get_backend("cext"), "step_keys", step)
     keys = data.generate(dataset, n=20_000)
-    rmi, work = _drive(RMI.build_steps(keys, layer_sizes=(64,),
-                                       kernels="cext"))
+    with kernels.use_backend("cext"):
+        rmi, work = _drive(RMI.build_steps(keys, layer_sizes=(64,)))
     assert max(work) <= step
     assert sum(work) == 4 * len(keys)
     if dataset == "fb":
         assert rmi._leaf_counts.max() > 4 * step
     # Bit for bit the staged NumPy build, wherever the steps cut a fit.
-    staged = RMI(keys, layer_sizes=(64,), kernels="numpy")
+    with kernels.use_backend("numpy"):
+        staged = RMI(keys, layer_sizes=(64,))
     np.testing.assert_array_equal(rmi.leaf_model_ids, staged.leaf_model_ids)
     packed, reference = kernels.pack_rmi(rmi), kernels.pack_rmi(staged)
     for field in dataclasses.fields(reference):

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from repro.core.analysis import interval_sizes, prediction_errors
 from repro.core.rmi import RMI, build_rmi_layers
-from repro.kernels import backend_available
+from repro.kernels import backend_available, use_backend
 
 
 def oracle(keys, queries):
@@ -193,8 +193,8 @@ class TestAccounting:
     def test_build_stats_cover_all_steps(self, books_keys, kernels):
         # The cext backend builds this configuration with its build
         # kernels; the step timings and work counters keep their meaning.
-        rmi = RMI(books_keys, layer_sizes=[128], bound_type="lind",
-                  kernels=kernels)
+        with use_backend(kernels):
+            rmi = RMI(books_keys, layer_sizes=[128], bound_type="lind")
         st_ = rmi.build_stats
         assert st_.total_seconds > 0
         assert st_.train_root_seconds >= 0
